@@ -56,7 +56,8 @@ def _cmd_check(workspaces, args):
         payload["groups"].append({"name": name, "order": group.n})
     for name, fz in ws.fuzzies.items():
         facts = derived_facts(fz)
-        assert facts.unit_dominates and facts.inverse_symmetric
+        if not (facts.unit_dominates and facts.inverse_symmetric):
+            raise AlgebraError(f"fuzzy {name}: derived facts fail")
         lines.append(f"fuzzy {name}: OK (axioms, derived facts)")
         payload["fuzzies"].append(
             {
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         for path in args.files:
             workspaces.append(parse_workspace(Path(path).read_text(encoding="utf-8")))
         text, code = run_command(args.command, workspaces, args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (WorkspaceSyntaxError, UnknownReference) as exc:

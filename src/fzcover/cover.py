@@ -20,10 +20,6 @@ from .errors import (
     AlgebraError,
     BudgetExceeded,
     IsomorphismSearchBudgetExceeded,
-    NotFInverse,
-    NotHomomorphism,
-    NotIdempotentSeparating,
-    NotSurjective,
     ReconstructionMismatch,
 )
 from .fuzzy import FuzzySubgroup, level_subset
@@ -31,12 +27,11 @@ from .monoids import (
     DualPremorphism,
     FiniteInverseMonoid,
     chain_monoid,
-    is_idempotent_separating,
-    is_monoid_homomorphism,
-    is_surjective,
+    check_projection,
     validate_dual_premorphism,
     validate_inverse_monoid,
 )
+from .search import product_preserving_maps
 
 
 class CoverMonoid:
@@ -93,18 +88,11 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     ]
     unit = index[(len(fz.chain) - 1, group.identity)]
     monoid = validate_inverse_monoid(names, table, unit)
-    if not monoid.derived.f_inverse:
-        raise AlgebraError("cover of a fuzzy subgroup must be F-inverse")
-    if not monoid.derived.clifford:
-        raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
     base = chain_monoid(fz.chain)
     projection = tuple(u for u, _ in pairs)
-    if not is_monoid_homomorphism(projection, monoid, base):
-        raise AlgebraError("cover projection must be a monoid homomorphism")
-    if not is_surjective(projection, monoid, base):
-        raise AlgebraError("cover projection must be surjective")
-    if not is_idempotent_separating(projection, monoid, base):
-        raise AlgebraError("cover projection must be idempotent separating")
+    check_projection(monoid, base, projection)
+    if not monoid.derived.clifford:
+        raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
     return CoverMonoid(fz, pairs, monoid, base, projection)
 
 
@@ -279,15 +267,8 @@ def cover_from_premorphism(psi: DualPremorphism) -> ConstructedCover:
     if unit_pair not in index:
         raise AlgebraError("unit pair is not admissible; coverage must be broken")
     result = validate_inverse_monoid(names, table, index[unit_pair])
-    if not result.derived.f_inverse:
-        raise AlgebraError("constructed cover must be F-inverse")
     projection = tuple(u for u, _ in pairs)
-    if not is_monoid_homomorphism(projection, result, monoid):
-        raise AlgebraError("constructed projection must be a homomorphism")
-    if not is_surjective(projection, result, monoid):
-        raise AlgebraError("constructed projection must be surjective")
-    if not is_idempotent_separating(projection, result, monoid):
-        raise AlgebraError("constructed projection must be idempotent separating")
+    check_projection(result, monoid, projection)
     return ConstructedCover(psi, pairs, result, projection)
 
 
@@ -302,17 +283,10 @@ def premorphism_from_cover(
     With H the group quotient of the cover by its least group congruence,
     psi sends each class to the projection of its greatest element.  The
     result is certified, and rebuilding the pair monoid from it must give a
-    monoid isomorphic to the input (checked by brute-force search).
+    monoid isomorphic to the input (checked by exhaustive search).
     """
     projection = tuple(projection)
-    if not cover.derived.f_inverse:
-        raise NotFInverse("cover has a class with no greatest element")
-    if not is_monoid_homomorphism(projection, cover, base):
-        raise NotHomomorphism("projection is not a monoid homomorphism")
-    if not is_surjective(projection, cover, base):
-        raise NotSurjective("projection misses part of the base monoid")
-    if not is_idempotent_separating(projection, cover, base):
-        raise NotIdempotentSeparating("projection merges idempotents")
+    check_projection(cover, base, projection)
 
     quotient = cover.derived.sigma_quotient
     psi = tuple(projection[m] for m in cover.derived.sigma_maxima)
@@ -322,7 +296,7 @@ def premorphism_from_cover(
     try:
         bijection = monoid_isomorphic(rebuilt.monoid, cover, budget=budget)
     except BudgetExceeded as exc:
-        raise IsomorphismSearchBudgetExceeded(exc.needed, exc.budget) from exc
+        raise IsomorphismSearchBudgetExceeded(exc.needed, exc.budget, exc.what) from exc
     if bijection is None:
         raise ReconstructionMismatch(
             "rebuilt pair monoid is not isomorphic to the original cover"
@@ -353,8 +327,8 @@ def monoid_isomorphic(
     """A product- and unit-preserving bijection a -> b, or None if none exists.
 
     Cheap invariants (idempotent count, class size multisets, per-element
-    signatures) prune the search before lexicographic backtracking; the
-    budget caps the number of assignments attempted.
+    signatures) prune the search before lexicographic backtracking; raises
+    BudgetExceeded when more than ``budget`` candidate images are examined.
     """
     if a.n != b.n:
         return None
@@ -369,40 +343,14 @@ def monoid_isomorphic(
     sig_b: dict = {}
     for y in range(b.n):
         sig_b.setdefault(_element_signature(b, y), []).append(y)
-    candidates = []
-    for x in range(a.n):
-        cands = sig_b.get(_element_signature(a, x))
-        if not cands:
-            return None
-        candidates.append(cands)
-
-    constraints: list[list[tuple[int, int, int]]] = [[] for _ in range(a.n)]
-    for i in range(a.n):
-        for j in range(a.n):
-            p = a.table[i][j]
-            constraints[max(i, j, p)].append((i, j, p))
-
-    image = [0] * a.n
-    used = [False] * b.n
-    nodes = 0
-
-    def extend(i: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        if i == a.n:
-            return tuple(image)
-        for v in candidates[i]:
-            if used[v]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes, budget, "assignments")
-            image[i] = v
-            if all(image[p] == b.table[image[x]][image[y]] for x, y, p in constraints[i]):
-                used[v] = True
-                found = extend(i + 1)
-                used[v] = False
-                if found is not None:
-                    return found
-        return None
-
-    return extend(0)
+    candidates = [sig_b.get(_element_signature(a, x), []) for x in range(a.n)]
+    found = product_preserving_maps(
+        a.table,
+        b.table,
+        candidates,
+        budget=budget,
+        label="monoid isomorphism nodes",
+        injective=True,
+        first=True,
+    )
+    return found[0] if found else None

@@ -20,24 +20,16 @@ from .errors import (
     MaximaNotPreserved,
     NotComposable,
     NotEmbeddingImage,
-    NotFInverse,
     NotGroupHom,
     NotHomomorphism,
-    NotIdempotentSeparating,
     NotOrderPreserving,
-    NotSurjective,
     ReconstructionMismatch,
     TopNotPreserved,
     ValidationError,
 )
 from .fuzzy import FuzzySubgroup
 from .groups import is_group_homomorphism
-from .monoids import (
-    FiniteInverseMonoid,
-    is_idempotent_separating,
-    is_monoid_homomorphism,
-    is_surjective,
-)
+from .monoids import FiniteInverseMonoid, check_projection, is_monoid_homomorphism
 
 
 # -- morphisms of fuzzy subgroups ---------------------------------------------
@@ -120,14 +112,7 @@ def cover_triple(
 ) -> CoverTriple:
     """Certify the triple: F-inverse, surjective idempotent-separating projection."""
     projection = tuple(projection)
-    if not monoid.derived.f_inverse:
-        raise NotFInverse("cover monoid has a class without greatest element")
-    if not is_monoid_homomorphism(projection, monoid, base):
-        raise NotHomomorphism("projection is not a monoid homomorphism")
-    if not is_surjective(projection, monoid, base):
-        raise NotSurjective("projection misses part of the base monoid")
-    if not is_idempotent_separating(projection, monoid, base):
-        raise NotIdempotentSeparating("projection merges idempotents")
+    check_projection(monoid, base, projection)
     return CoverTriple(monoid, base, projection)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .embedding import (
     CoverMorphism,
@@ -154,14 +154,10 @@ def enumerate_fuzzy_subgroups_chain(
 
 def _monotone_top_maps(k_source: int, k_target: int) -> list[tuple[int, ...]]:
     # order-preserving chain-index maps sending top to top, lexicographic
-    if k_source == 1:
-        return [(k_target - 1,)]
-    maps = []
-    for prefix in product(range(k_target), repeat=k_source - 1):
-        full = prefix + (k_target - 1,)
-        if all(full[i] <= full[i + 1] for i in range(k_source - 1)):
-            maps.append(full)
-    return maps
+    return [
+        prefix + (k_target - 1,)
+        for prefix in combinations_with_replacement(range(k_target), k_source - 1)
+    ]
 
 
 def enumerate_fuzzy_morphisms(

@@ -27,6 +27,7 @@ class BudgetExceeded(AlgebraError):
         super().__init__(f"search space of {needed} {what} exceeds budget {budget}")
         self.needed = needed
         self.budget = budget
+        self.what = what
 
 
 class IsomorphismSearchBudgetExceeded(BudgetExceeded):
@@ -183,4 +184,5 @@ class UnknownReference(AlgebraError):
 
 
 DEFAULT_BUDGET = 1_000_000
-"""Default cap on the number of candidate functions an enumeration may touch."""
+"""Default cap on the candidates examined: images tried by a hom or iso search,
+assignments, subsets or chains by an enumerator."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    AlgebraError,
     Axiom1Violation,
     Axiom2Violation,
     ValueNotInChain,
@@ -100,7 +101,8 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
     chain = tuple(sorted(set(values)))
     fz = FuzzySubgroup(group, values, chain)
     # mu(e) dominating every value is a consequence of the axioms
-    assert fz.mu[group.identity] == fz.top
+    if fz.mu[group.identity] != fz.top:
+        raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")
     return fz
 
 
@@ -110,7 +112,8 @@ def level_subset(fz: FuzzySubgroup, u: Fraction) -> frozenset[int]:
     if u not in fz.chain:
         raise ValueNotInChain(f"value {u} is not taken by mu", witness=u)
     subset = frozenset(x for x in range(fz.n) if fz.mu[x] >= u)
-    assert is_subgroup(fz.group, subset)
+    if not is_subgroup(fz.group, subset):
+        raise AlgebraError(f"level subset at {u} is not a subgroup")
     return subset
 
 

@@ -6,17 +6,17 @@ alongside for reports and error messages.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     MissingInverse,
     NoIdentity,
     NotAssociative,
     NotClosed,
 )
+from .search import product_preserving_maps
 
 
 class FiniteGroup:
@@ -62,13 +62,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.n}, names={list(self.names)})"
 
 
-def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Check the group axioms exhaustively and return the validated group.
-
-    The identity and the inverse table are computed here, never supplied.
-    Raises NotClosed, NotAssociative (with witness triple), NoIdentity or
-    MissingInverse (with witness element).
-    """
+def _check_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
     n = len(names)
     if len(table) != n or any(len(row) != n for row in table):
         raise NotClosed(f"table must be {n}x{n} to match {n} element names")
@@ -80,6 +74,10 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
                     f"entry {names[a]}*{names[b]} = {v!r} is not an element index",
                     witness=(a, b),
                 )
+
+
+def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
+    n = len(names)
     for a in range(n):
         for b in range(n):
             ab = table[a][b]
@@ -89,6 +87,18 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
                         f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})",
                         witness=(a, b, c),
                     )
+
+
+def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
+    """Check the group axioms exhaustively and return the validated group.
+
+    The identity and the inverse table are computed here, never supplied.
+    Raises NotClosed, NotAssociative (with witness triple), NoIdentity or
+    MissingInverse (with witness element).
+    """
+    _check_closed(names, table)
+    _check_associative(names, table)
+    n = len(names)
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -206,16 +216,15 @@ def is_group_homomorphism(f: Sequence[int], source: FiniteGroup, target: FiniteG
 def enumerate_group_homomorphisms(
     source: FiniteGroup, target: FiniteGroup, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All homomorphisms source -> target by brute force, in lexicographic order.
+    """All homomorphisms source -> target, in lexicographic order.
 
-    The full function space |target|^|source| is examined; raises
-    BudgetExceeded when that count is above the budget.
+    The identity goes to the identity, any other element anywhere; raises
+    BudgetExceeded when more than ``budget`` candidate images are examined.
     """
-    space = target.n ** source.n
-    if space > budget:
-        raise BudgetExceeded(space, budget, "candidate maps")
-    return [
-        f
-        for f in product(range(target.n), repeat=source.n)
-        if is_group_homomorphism(f, source, target)
+    candidates = [
+        [target.identity] if x == source.identity else list(range(target.n))
+        for x in range(source.n)
     ]
+    return product_preserving_maps(
+        source.table, target.table, candidates, budget=budget, label="group homomorphism nodes"
+    )

@@ -16,20 +16,27 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     DEFAULT_BUDGET,
     AlgebraError,
-    BudgetExceeded,
     CoverageFailure,
     EmptyChain,
     NoInverse,
     NonUniqueInverse,
-    NotAssociative,
-    NotClosed,
     NotDualPremorphism,
+    NotFInverse,
+    NotHomomorphism,
+    NotIdempotentSeparating,
+    NotSurjective,
     NotUnital,
     OutOfRange,
     QuotientNotGroup,
     Unsorted,
 )
-from .groups import FiniteGroup, validate_group
+from .groups import (
+    FiniteGroup,
+    _check_associative,
+    _check_closed,
+    validate_group,
+)
+from .search import product_preserving_maps
 
 
 @dataclass(frozen=True)
@@ -131,32 +138,14 @@ class FiniteInverseMonoid:
 
 
 def _check_table(names, table, unit):
+    _check_closed(names, table)
     n = len(names)
-    if len(table) != n or any(len(row) != n for row in table):
-        raise NotClosed(f"table must be {n}x{n} to match {n} element names")
-    for a in range(n):
-        for b in range(n):
-            v = table[a][b]
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise NotClosed(
-                    f"entry {names[a]}*{names[b]} = {v!r} is not an element index",
-                    witness=(a, b),
-                )
     if not 0 <= unit < n:
         raise NotUnital(f"unit index {unit} out of range")
     for x in range(n):
         if table[unit][x] != x or table[x][unit] != x:
             raise NotUnital(f"{names[unit]} is not a unit at {names[x]}", witness=x)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise NotAssociative(
-                        f"({names[a]}*{names[b]})*{names[c]} != "
-                        f"{names[a]}*({names[b]}*{names[c]})",
-                        witness=(a, b, c),
-                    )
+    _check_associative(names, table)
 
 
 def _generalized_inverses(names, table):
@@ -378,6 +367,20 @@ def is_surjective(
     return set(f) == set(range(target.n))
 
 
+def check_projection(
+    monoid: FiniteInverseMonoid, base: FiniteInverseMonoid, projection: Sequence[int]
+) -> None:
+    """Raise NotFInverse, NotHomomorphism, NotSurjective or NotIdempotentSeparating."""
+    if not monoid.derived.f_inverse:
+        raise NotFInverse("cover monoid has a class without greatest element")
+    if not is_monoid_homomorphism(projection, monoid, base):
+        raise NotHomomorphism("projection is not a monoid homomorphism")
+    if not is_surjective(projection, monoid, base):
+        raise NotSurjective("projection misses part of the base monoid")
+    if not is_idempotent_separating(projection, monoid, base):
+        raise NotIdempotentSeparating("projection merges idempotents")
+
+
 def enumerate_monoid_homomorphisms(
     source: FiniteInverseMonoid,
     target: FiniteInverseMonoid,
@@ -391,13 +394,10 @@ def enumerate_monoid_homomorphisms(
     ``allowed`` optionally restricts the candidate images of each source
     element (used for commutation constraints); ``preserve_maxima`` further
     restricts sigma-class maxima of the source to land on sigma-class maxima
-    of the target.  The budget bounds the size of the restricted candidate
-    space; backtracking merely avoids visiting candidates that already
-    violate a product constraint, so the resulting list is exactly the
-    brute-force one.
+    of the target.  Raises BudgetExceeded when more than ``budget``
+    candidate images are examined.
     """
     n = source.n
-    domains: list[list[int]] = []
     if allowed is None:
         domains = [list(range(target.n)) for _ in range(n)]
     else:
@@ -412,39 +412,9 @@ def enumerate_monoid_homomorphisms(
         tgt_max = {m for m in target.derived.sigma_maxima if m is not None}
         for x in src_max:
             domains[x] = [v for v in domains[x] if v in tgt_max]
-
-    space = 1
-    for d in domains:
-        space *= len(d)
-        if space > budget:
-            raise BudgetExceeded(space, budget, "candidate maps")
-    if space == 0:
-        return []
-
-    # constraints[i]: products (a, b, a*b) fully determined once f[0..i] is set
-    constraints: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            p = source.table[a][b]
-            constraints[max(a, b, p)].append((a, b, p))
-
-    tt = target.table
-    image = [0] * n
-    results: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> None:
-        if i == n:
-            results.append(tuple(image))
-            return
-        for v in domains[i]:
-            image[i] = v
-            if all(
-                image[p] == tt[image[a]][image[b]] for a, b, p in constraints[i]
-            ):
-                extend(i + 1)
-
-    extend(0)
-    return results
+    return product_preserving_maps(
+        source.table, target.table, domains, budget=budget, label="monoid homomorphism nodes"
+    )
 
 
 # -- dual premorphisms ------------------------------------------------------------

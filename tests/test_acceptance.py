@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` to see one pass/fail line per
 criterion; each test also prints its own PASS line (visible with ``-s``).
 """
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fzcover
 from fzcover import (
     build_cover,
     chain_monoid,
@@ -192,10 +194,14 @@ def test_criterion_6_chain_map_equivalence():
 
 
 def _run_cli(*argv):
+    # the child process imports the same fzcover as this test, however found
+    src = str(Path(fzcover.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fzcover.cli", *argv],
         capture_output=True,
         cwd=WORKSPACES.parent,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -241,6 +243,20 @@ def test_isomorphism_budget():
     m = build_cover(validate_fuzzy(cyclic(4), mu)).monoid
     with pytest.raises(BudgetExceeded):
         monoid_isomorphic(m, m, budget=2)
+
+
+def test_isomorphism_search_is_not_bounded_by_the_stack():
+    # mu(x) rises with the power of 2 dividing x: a 120-element cover of C64
+    levels = (F(1, 4), F(1, 2), F(3, 4), F(1))
+    mu = [levels[sum(x % d == 0 for d in (2, 4, 8))] for x in range(64)]
+    m = build_cover(validate_fuzzy(cyclic(64), mu)).monoid
+    assert m.n >= 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert monoid_isomorphic(m, m) == tuple(range(m.n))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_forward_direction_on_many_instances(v4, s3):

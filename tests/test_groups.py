@@ -119,6 +119,9 @@ def test_enumerate_homomorphisms_against_oracle():
     assert enumerate_group_homomorphisms(z2, cyclic(1)) == [(0, 0)]
     v4 = klein_four()
     assert enumerate_group_homomorphisms(v4, v4) == brute_force_homs(v4, v4)
+    z4 = cyclic(4)
+    assert enumerate_group_homomorphisms(z4, v4) == brute_force_homs(z4, v4)
+    assert enumerate_group_homomorphisms(v4, z4) == brute_force_homs(v4, z4)
 
 
 def test_enumeration_contains_identity_and_is_budgeted():

@@ -19,6 +19,7 @@ from fzcover import (
     validate_inverse_monoid,
 )
 from fzcover.errors import (
+    BudgetExceeded,
     EmptyChain,
     NonUniqueInverse,
     NotUnital,
@@ -87,6 +88,9 @@ def test_left_zero_with_unit_has_non_unique_inverses():
 def test_not_unital():
     with pytest.raises(NotUnital):
         validate_inverse_monoid(["a", "b"], [[0, 0], [0, 0]], 0)
+    # not associative either ((x*x)*x = y, x*(x*x) = x): the unit is checked first
+    with pytest.raises(NotUnital):
+        validate_inverse_monoid(["x", "y"], [[1, 0], [1, 1]], 0)
 
 
 def test_chain_monoid_errors():
@@ -267,6 +271,15 @@ def test_enumerate_monoid_homomorphisms_examples():
     sim = symmetric_inverse_monoid_2()
     assert enumerate_monoid_homomorphisms(sim, two) == brute_force_monoid_homs(sim, two)
     assert enumerate_monoid_homomorphisms(two, sim) == brute_force_monoid_homs(two, sim)
+
+
+def test_monoid_homomorphism_budget_counts_candidates():
+    two = chain_monoid([F(1, 2), F(1)])
+    other = chain_monoid([F(1, 4), F(1)])
+    # element 0 tries images 0 and 1, and after each the unit tries its one image
+    assert enumerate_monoid_homomorphisms(two, other, budget=4) == [(0, 1), (1, 1)]
+    with pytest.raises(BudgetExceeded, match="monoid homomorphism nodes"):
+        enumerate_monoid_homomorphisms(two, other, budget=3)
 
 
 def test_cover_endomorphism_count_matches_hom_set(fz_z2):

@@ -182,6 +182,14 @@ def test_exit_code_missing_file(capsys):
     assert code == 1 and err != ""
 
 
+def test_non_utf8_workspace_exits_cleanly(capsys, tmp_path):
+    bad = tmp_path / "bad.fzw"
+    bad.write_bytes(b"\xff\xfe group")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_short_table_row_rejected():
     with pytest.raises(WorkspaceSyntaxError):
         parse_workspace("group z2\nelements e a\ntable\ne a\na\nend\n")
@@ -202,6 +210,20 @@ def test_exit_code_check_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cover", str(WORKSPACES / "z2.fzw"))
     assert code == 4
     assert "FAIL" in out
+
+
+def test_exit_code_failed_derived_fact(capsys, monkeypatch):
+    # a falsified derived fact is a check failure, raised even under python -O
+    import fzcover.cli as cli
+
+    monkeypatch.setattr(
+        cli,
+        "derived_facts",
+        lambda fz: SimpleNamespace(unit_dominates=False, inverse_symmetric=True),
+    )
+    code, out, err = run_cli(capsys, "check", str(WORKSPACES / "z2.fzw"))
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reports_are_deterministic(capsys):
