@@ -305,6 +305,16 @@ def _report_sections(text: str) -> list[str]:
     return sections
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fzcover",
@@ -319,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("files", nargs="+", metavar="FILE")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
         return p
 
     add("check", "validate every object in a workspace file")
@@ -338,31 +348,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error, first match wins
+_EXIT_CODES = (
+    ((OSError, UnicodeDecodeError, WorkspaceSyntaxError, UnknownReference), 1),
+    (ValidationError, 2),
+    (BudgetExceeded, 3),
+    (AlgebraError, 4),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "embed" and len(args.files) > 2:
         parser.error("embed takes at most two files")
+    where = ""
     try:
         workspaces = []
         for path in args.files:
+            where = f"{path}: "
             workspaces.append(parse_workspace(Path(path).read_text(encoding="utf-8")))
+        where = ""
         text, code = run_command(args.command, workspaces, args)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (WorkspaceSyntaxError, UnknownReference) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (OSError, UnicodeDecodeError, AlgebraError) as exc:
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     sys.stdout.write(text)
     return code
 

@@ -10,7 +10,6 @@ cover-side hom-set, by exhaustive enumeration of both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cover import CoverMonoid, build_cover
@@ -185,16 +184,72 @@ def compose_cover_morphisms(second: CoverMorphism, first: CoverMorphism) -> Cove
 
 # -- the embedding -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cover_of(fz: FuzzySubgroup) -> CoverMonoid:
-    return build_cover(fz)
+class _Scope:
+    """What one certification reuses, and the one core of the embedding.
+
+    Covers with their triples, and hom-sets, live in ``store``: the caller's
+    ``hom_cache`` or a fresh dict.  Embedded morphisms live as long as the scope.
+    """
+
+    def __init__(self, store: dict | None = None):
+        self.store = {} if store is None else store
+        self.embedded: dict[FuzzyMorphism, CoverMorphism] = {}
+
+    def lookup(self, key, build):
+        value = self.store.get(key)
+        if value is None:
+            value = self.store[key] = build()
+        return value
+
+    def cover(self, fz: FuzzySubgroup) -> tuple[CoverMonoid, CoverTriple]:
+        def build():
+            cov = build_cover(fz)
+            return cov, cover_triple(cov.monoid, cov.base, cov.projection)
+
+        return self.lookup(("cover", fz), build)
+
+    def embed(self, m: FuzzyMorphism) -> CoverMorphism:
+        em = self.embedded.get(m)
+        if em is None:
+            c1, t1 = self.cover(m.source)
+            c2, t2 = self.cover(m.target)
+            fstar = []
+            for u, x in c1.pairs:
+                pair = (m.lam[u], m.f[x])
+                if pair not in c2.pair_index:
+                    raise ReconstructionMismatch(
+                        f"image pair {pair} is not admissible", witness=(u, x)
+                    )
+                fstar.append(c2.pair_index[pair])
+            em = self.embedded[m] = validate_cover_morphism(t1, t2, tuple(fstar), m.lam)
+        return em
+
+    def reconstruct(self, c: CoverMorphism, source: FuzzySubgroup, target: FuzzySubgroup):
+        c1, t1 = self.cover(source)
+        c2, t2 = self.cover(target)
+        if c.source != t1 or c.target != t2:
+            raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
+        f = tuple(
+            c2.pairs[c.fstar[c1.pair_index[(source.mu_index(x), x)]]][1]
+            for x in range(source.n)
+        )
+        try:
+            m = validate_fuzzy_morphism(source, target, f, c.lam)
+        except ValidationError as exc:
+            raise ReconstructionMismatch(
+                f"reconstructed pair is not a morphism: {exc}", witness=f
+            ) from exc
+        if self.embed(m) != c:
+            raise ReconstructionMismatch(
+                "embedding of the reconstructed morphism differs from the input",
+                witness=f,
+            )
+        return m
 
 
-@lru_cache(maxsize=None)
 def embed_object(fz: FuzzySubgroup) -> CoverTriple:
     """The cover triple of a fuzzy subgroup, fully certified."""
-    cov = _cover_of(fz)
-    return cover_triple(cov.monoid, cov.base, cov.projection)
+    return _Scope().cover(fz)[1]
 
 
 def embed_morphism(m: FuzzyMorphism) -> CoverMorphism:
@@ -204,19 +259,7 @@ def embed_morphism(m: FuzzyMorphism) -> CoverMorphism:
     homomorphism, unit, maxima and commutation conditions are all verified
     by the cover-morphism validator on the constructed map.
     """
-    c1 = _cover_of(m.source)
-    c2 = _cover_of(m.target)
-    fstar = []
-    for u, x in c1.pairs:
-        pair = (m.lam[u], m.f[x])
-        if pair not in c2.pair_index:
-            raise ReconstructionMismatch(
-                f"image pair {pair} is not admissible", witness=(u, x)
-            )
-        fstar.append(c2.pair_index[pair])
-    return validate_cover_morphism(
-        embed_object(m.source), embed_object(m.target), tuple(fstar), m.lam
-    )
+    return _Scope().embed(m)
 
 
 def reconstruct_morphism(
@@ -229,26 +272,7 @@ def reconstruct_morphism(
     embedding equals the input exactly, otherwise the reconstruction (and
     with it the fullness claim) has failed.
     """
-    if c.source != embed_object(source) or c.target != embed_object(target):
-        raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
-    c1 = _cover_of(source)
-    c2 = _cover_of(target)
-    f = tuple(
-        c2.pairs[c.fstar[c1.pair_index[(source.mu_index(x), x)]]][1]
-        for x in range(source.n)
-    )
-    try:
-        m = validate_fuzzy_morphism(source, target, f, c.lam)
-    except ValidationError as exc:
-        raise ReconstructionMismatch(
-            f"reconstructed pair is not a morphism: {exc}", witness=f
-        ) from exc
-    if embed_morphism(m) != c:
-        raise ReconstructionMismatch(
-            "embedding of the reconstructed morphism differs from the input",
-            witness=f,
-        )
-    return m
+    return _Scope().reconstruct(c, source, target)
 
 
 # -- instance-level certification ----------------------------------------------
@@ -308,23 +332,6 @@ class EmbeddingCertificate:
         }
 
 
-def _hom_sets(source, target, budget, cache):
-    from .enumeration import enumerate_cover_morphisms, enumerate_fuzzy_morphisms
-
-    if cache is None:
-        cache = {}
-    key = ("fuzzy", source, target)
-    if key not in cache:
-        cache[key] = enumerate_fuzzy_morphisms(source, target, budget=budget)
-    fuzzy_homs = cache[key]
-    key = ("cover", source, target)
-    if key not in cache:
-        cache[key] = enumerate_cover_morphisms(
-            embed_object(source), embed_object(target), budget=budget
-        )
-    return fuzzy_homs, cache[key]
-
-
 def verify_embedding(
     source: FuzzySubgroup,
     target: FuzzySubgroup,
@@ -334,27 +341,40 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    Both hom-sets are enumerated exhaustively; a shared ``hom_cache`` dict
-    avoids recomputing hom-sets across many pairs.  Any failed condition is
-    recorded as a counterexample in the certificate instead of raising.
+    Both hom-sets are enumerated exhaustively.  A shared ``hom_cache`` dict,
+    owned by the caller, keeps covers, cover triples and hom-sets across many
+    pairs; embedded morphisms are reused within this one call only.  Any
+    failed condition is recorded as a counterexample in the certificate
+    instead of raising.
     """
-    from .enumeration import enumerate_fuzzy_morphisms
+    from .enumeration import enumerate_cover_morphisms, enumerate_fuzzy_morphisms
 
-    fuzzy_homs, cover_homs = _hom_sets(source, target, budget, hom_cache)
+    scope = _Scope(hom_cache)
+
+    def fuzzy_hom_set(s, t):
+        return scope.lookup(
+            ("fuzzy homs", s, t), lambda: enumerate_fuzzy_morphisms(s, t, budget=budget)
+        )
+
+    fuzzy_homs = fuzzy_hom_set(source, target)
+    cover_homs = scope.lookup(
+        ("cover homs", source, target),
+        lambda: enumerate_cover_morphisms(
+            scope.cover(source)[1], scope.cover(target)[1], budget=budget
+        ),
+    )
     counterexample = None
 
-    identity_ok = (
-        embed_morphism(identity_fuzzy_morphism(source))
-        == identity_cover_morphism(embed_object(source))
-    ) and (
-        embed_morphism(identity_fuzzy_morphism(target))
-        == identity_cover_morphism(embed_object(target))
+    identity_ok = all(
+        scope.embed(identity_fuzzy_morphism(fz))
+        == identity_cover_morphism(scope.cover(fz)[1])
+        for fz in (source, target)
     )
 
     images = []
     bijection = []
     for i, m in enumerate(fuzzy_homs):
-        em = embed_morphism(m)
+        em = scope.embed(m)
         images.append(em)
         try:
             bijection.append(cover_homs.index(em))
@@ -369,7 +389,7 @@ def verify_embedding(
     roundtrip_ok = True
     for j, c in enumerate(cover_homs):
         try:
-            m = reconstruct_morphism(c, source, target)
+            m = scope.reconstruct(c, source, target)
         except (ReconstructionMismatch, NotEmbeddingImage) as exc:
             full = False
             roundtrip_ok = False
@@ -381,28 +401,20 @@ def verify_embedding(
             if counterexample is None:
                 counterexample = f"cover morphism {j} reconstructs outside the hom-set"
     for i, m in enumerate(fuzzy_homs):
-        if reconstruct_morphism(images[i], source, target) != m:
+        if scope.reconstruct(images[i], source, target) != m:
             roundtrip_ok = False
             if counterexample is None:
                 counterexample = f"round trip differs on fuzzy morphism {i}"
 
-    if hom_cache is None:
-        reverse = enumerate_fuzzy_morphisms(target, source, budget=budget)
-    else:
-        key = ("fuzzy", target, source)
-        if key not in hom_cache:
-            hom_cache[key] = enumerate_fuzzy_morphisms(target, source, budget=budget)
-        reverse = hom_cache[key]
+    reverse = fuzzy_hom_set(target, source)
     composition_checks = 0
     composition_ok = True
     for m1 in fuzzy_homs:
         for m2 in reverse:
             for outer, inner in ((m2, m1), (m1, m2)):
                 composite = compose_fuzzy_morphisms(outer, inner)
-                lhs = embed_morphism(composite)
-                rhs = compose_cover_morphisms(
-                    embed_morphism(outer), embed_morphism(inner)
-                )
+                lhs = scope.embed(composite)
+                rhs = compose_cover_morphisms(scope.embed(outer), scope.embed(inner))
                 composition_checks += 1
                 if lhs != rhs:
                     composition_ok = False

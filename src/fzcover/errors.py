@@ -24,7 +24,7 @@ class BudgetExceeded(AlgebraError):
     """An enumeration would examine more candidates than the budget allows."""
 
     def __init__(self, needed: int, budget: int, what: str = "candidates"):
-        super().__init__(f"search space of {needed} {what} exceeds budget {budget}")
+        super().__init__(f"{needed} {what} exceed budget {budget}")
         self.needed = needed
         self.budget = budget
         self.what = what

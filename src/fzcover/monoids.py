@@ -34,6 +34,7 @@ from .groups import (
     FiniteGroup,
     _check_associative,
     _check_closed,
+    is_group_homomorphism,
     validate_group,
 )
 from .search import product_preserving_maps
@@ -57,12 +58,6 @@ class Partition:
             for x in cls:
                 class_of[x] = i
         return Partition(classes, tuple(class_of))
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every class of self lies inside a class of other."""
-        return all(
-            len({other.class_of[x] for x in cls}) == 1 for cls in self.classes
-        )
 
     def size_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(len(c) for c in self.classes))
@@ -104,19 +99,6 @@ class FiniteInverseMonoid:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def elements(self) -> range:
-        return range(self.n)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def leq(self, a: int, b: int) -> bool:
-        """The natural partial order: a <= b iff a = b*e for some idempotent e."""
-        return self.derived.natural_leq[a][b]
 
     def index(self, label: str) -> int:
         return self.names.index(label)
@@ -340,17 +322,7 @@ def is_monoid_homomorphism(
     f: Sequence[int], source: FiniteInverseMonoid, target: FiniteInverseMonoid
 ) -> bool:
     """True iff f respects products and sends unit to unit."""
-    if len(f) != source.n or any(not 0 <= v < target.n for v in f):
-        return False
-    if f[source.unit] != target.unit:
-        return False
-    st = source.table
-    tt = target.table
-    return all(
-        f[st[a][b]] == tt[f[a]][f[b]]
-        for a in range(source.n)
-        for b in range(source.n)
-    )
+    return is_group_homomorphism(f, source, target) and f[source.unit] == target.unit
 
 
 def is_idempotent_separating(

@@ -219,3 +219,43 @@ def test_certificate_serializes(fz_z2):
     assert doc["ok"] is True
     assert doc["fuzzy_hom_count"] == doc["cover_hom_count"] == 2
     assert isinstance(doc["bijection"], list)
+
+
+# -- the certification scope --------------------------------------------------------------
+
+def test_shared_cache_with_value_equal_objects(z2, fz_z2, fz_z2_const, fz_v4):
+    # hom-sets cached under one of two equal objects carry it as their endpoint
+    twin = validate_fuzzy(z2, [F(1), F(1, 2)])
+    assert twin == fz_z2 and twin is not fz_z2
+    pool = [fz_z2, twin, fz_z2_const, fz_v4]
+    cache: dict = {}
+    for f1 in pool:
+        for f2 in pool:
+            cert = verify_embedding(f1, f2, hom_cache=cache)
+            assert cert.ok, (f1, f2, cert.counterexample)
+
+
+def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
+    import fzcover.embedding as embedding
+
+    cache: dict = {}
+    verify_embedding(fz_z2, fz_v4, hom_cache=cache)
+    calls = []
+    original = embedding.validate_cover_morphism
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(embedding, "validate_cover_morphism", counting)
+    cert = verify_embedding(fz_z2, fz_v4, hom_cache=cache)
+    assert cert.ok and cert.composition_checks > 0
+    reverse = enumerate_fuzzy_morphisms(fz_v4, fz_z2)
+    embedded = {identity_fuzzy_morphism(fz_z2), identity_fuzzy_morphism(fz_v4)}
+    embedded.update(cert.fuzzy_homs, reverse)
+    for m1 in cert.fuzzy_homs:
+        for m2 in reverse:
+            embedded.add(compose_fuzzy_morphisms(m2, m1))
+            embedded.add(compose_fuzzy_morphisms(m1, m2))
+    # the rest: the two identity cover morphisms and one composite per check
+    assert len(calls) == len(embedded) + 2 + cert.composition_checks

@@ -188,3 +188,9 @@ def test_budget_guards(v4, s3):
         enumerate_fuzzy_subgroups_chain(v4, default_grid(4), budget=3)
     with pytest.raises(BudgetExceeded):
         all_subgroups(symmetric(3), budget=10)
+
+
+def test_budget_message_counts_candidates(z2):
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_fuzzy_subgroups_filter(z2, default_grid(4), budget=15)
+    assert str(exc.value) == "16 candidate assignments exceed budget 15"

@@ -132,6 +132,12 @@ def test_enumeration_contains_identity_and_is_budgeted():
         enumerate_group_homomorphisms(klein_four(), klein_four(), budget=10)
 
 
+def test_budget_message_counts_nodes():
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_group_homomorphisms(cyclic(2), cyclic(2), budget=1)
+    assert str(exc.value) == "2 group homomorphism nodes exceed budget 1"
+
+
 def test_homomorphisms_compose():
     z2, v4 = cyclic(2), klein_four()
     for f in enumerate_group_homomorphisms(z2, v4):

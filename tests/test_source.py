@@ -1,0 +1,54 @@
+"""Static checks over the library source.
+
+Invariants are explicit errors, never ``assert`` statements, which vanish
+under ``python -O``; and no module keeps a memo cache of its own, since
+caching belongs to the caller-owned ``hom_cache`` of ``verify_embedding``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fzcover
+
+SOURCES = sorted(Path(fzcover.__file__).resolve().parent.glob("*.py"))
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _offences(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in CACHE_DECORATORS:
+                    yield node.lineno, f"import of functools.{alias.name}"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in CACHE_DECORATORS
+        ):
+            yield node.lineno, f"functools.{node.attr}"
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"embedding.py", "cli.py", "fuzzy.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_and_no_module_cache(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(_offences(tree)) == []
+
+
+def test_checker_flags_both_kinds():
+    code = (
+        "import functools\n"
+        "from functools import cache\n"
+        "@functools.lru_cache\n"
+        "def f():\n"
+        "    assert f\n"
+    )
+    assert sorted(line for line, _ in _offences(ast.parse(code))) == [2, 3, 5]

@@ -188,6 +188,21 @@ def test_non_utf8_workspace_exits_cleanly(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # with two files, the error names the bad one
+    good = WORKSPACES / "z2.fzw"
+    code, out, err = run_cli(capsys, "embed", str(good), str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and str(good) not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(WORKSPACES / "z2.fzw"), "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("usage:") == 1
+    assert f"budget must be at least 1, got {budget}" in captured.err
 
 
 def test_short_table_row_rejected():
