@@ -30,7 +30,7 @@ class FuzzySubgroup:
     ``top`` is its greatest element, which always equals mu(identity).
     """
 
-    __slots__ = ("group", "mu", "chain", "top", "_rank")
+    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash")
 
     def __init__(self, group: FiniteGroup, mu, chain):
         self.group = group
@@ -39,6 +39,7 @@ class FuzzySubgroup:
         self.top = self.chain[-1]
         rank = {v: i for i, v in enumerate(self.chain)}
         self._rank = tuple(rank[v] for v in self.mu)
+        self._hash = hash((group, self.mu))
 
     @property
     def n(self) -> int:
@@ -61,7 +62,7 @@ class FuzzySubgroup:
         return self.group == other.group and self.mu == other.mu
 
     def __hash__(self) -> int:
-        return hash((self.group, self.mu))
+        return self._hash
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{n}={v}" for n, v in zip(self.group.names, self.mu))

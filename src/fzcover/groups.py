@@ -7,6 +7,7 @@ alongside for reports and error messages.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,13 +27,14 @@ class FiniteGroup:
     constructors) and are immutable afterwards; share them freely.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses")
+    __slots__ = ("names", "table", "identity", "inverses", "_hash")
 
     def __init__(self, names, table, identity, inverses):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.identity = identity
         self.inverses = tuple(inverses)
+        self._hash = hash((self.names, self.table))
 
     @property
     def n(self) -> int:
@@ -56,7 +58,7 @@ class FiniteGroup:
         return self.names == other.names and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.names, self.table))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.n}, names={list(self.names)})"
@@ -76,17 +78,66 @@ def _check_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
                 )
 
 
+def _generators(rows, cols) -> list[int]:
+    """A generating set of a closed table, picked greedily in index order.
+
+    Each element not yet in the closure of the generators so far becomes a
+    generator.  ``members`` is that closure in order of discovery; the first
+    ``done`` of them have been multiplied with each other on both sides.
+    """
+    members: list[int] = []
+    inside: set[int] = set()
+    gens = []
+    done = 0
+    for g in range(len(rows)):
+        if g in inside:
+            continue
+        gens.append(g)
+        members.append(g)
+        inside.add(g)
+        while done < len(members):
+            a = members[done]
+            done += 1
+            earlier = members[:done]
+            fresh = (
+                set(map(rows[a].__getitem__, earlier))
+                | set(map(cols[a].__getitem__, earlier))
+            ) - inside
+            members.extend(fresh)
+            inside |= fresh
+    return gens
+
+
 def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
-    n = len(names)
+    """Raise NotAssociative, naming the least failing triple, unless the table is.
+
+    The table must already be closed.  Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, 1.2): the elements g with
+    (x*g)*y = x*(g*y) for all x, y form a submagma, so the table is
+    associative iff every generator of a generating set is such an element.
+    That costs O(n^2 |gens|); whole rows are compared at once.  Only when it
+    fails are the pairs (a, b) scanned in order for the first failing c.
+    """
+    rows = [tuple(row) for row in table]
+    n = len(rows)
+    if n < 2:  # a closed table on at most one element is associative
+        return
+    cols = list(zip(*rows))
+    if all(
+        list(map(itemgetter(*rows[g]), rows)) == list(map(rows.__getitem__, cols[g]))
+        for g in _generators(rows, cols)
+    ):
+        return
     for a in range(n):
         for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise NotAssociative(
-                        f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})",
-                        witness=(a, b, c),
-                    )
+            left = rows[rows[a][b]]
+            right = itemgetter(*rows[b])(rows[a])
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                raise NotAssociative(
+                    f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})",
+                    witness=(a, b, c),
+                )
 
 
 def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:

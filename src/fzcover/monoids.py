@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -87,7 +90,7 @@ class FiniteInverseMonoid:
     the cached :class:`DerivedStructure`.
     """
 
-    __slots__ = ("names", "table", "unit", "inverse", "derived")
+    __slots__ = ("names", "table", "unit", "inverse", "derived", "_hash")
 
     def __init__(self, names, table, unit, inverse, derived):
         self.names = tuple(names)
@@ -95,6 +98,7 @@ class FiniteInverseMonoid:
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
+        self._hash = hash((self.names, self.table, self.unit))
 
     @property
     def n(self) -> int:
@@ -113,7 +117,7 @@ class FiniteInverseMonoid:
         )
 
     def __hash__(self) -> int:
-        return hash((self.names, self.table, self.unit))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteInverseMonoid(order={self.n}, unit={self.names[self.unit]!r})"
@@ -151,54 +155,86 @@ def _generalized_inverses(names, table):
     return inverse
 
 
-def _derive(names, table, unit, inverse) -> DerivedStructure:
-    n = len(names)
-    idem = tuple(x for x in range(n) if table[x][x] == x)
+def _members(bits: int):
+    """The indices of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
-    # natural partial order: a <= b iff a = b*e for some idempotent e
-    leq = tuple(
-        tuple(any(table[b][e] == a for e in idem) for b in range(n))
-        for a in range(n)
-    )
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _derive(names, table, unit, inverse) -> DerivedStructure:
+    """Derive the structure of a validated inverse monoid.
+
+    Relations are kept as rows of Python-int bitsets (bit b of row a set iff
+    a is related to b), and the work is O(n^2) table lookups and bitset
+    operations.  The closed forms used here hold in every inverse monoid
+    (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests compare
+    them with the definitions.
+    """
+    n = len(names)
+    rows = tuple(map(tuple, table))
+    cols = tuple(zip(*rows))
+    idem = tuple(x for x in range(n) if rows[x][x] == x)
+    dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
+    ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
+
+    # natural partial order: a <= b iff a = b*e for some idempotent e,
+    # iff a = b*(a^-1 a)
+    leq = tuple(tuple(map(a.__eq__, cols[dom[a]])) for a in range(n))
+    up = [int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in leq]
     for a in range(n):
         if not leq[a][a]:
             raise AlgebraError(f"natural order not reflexive at {names[a]}")
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
+        for b in compress(range(n), leq[a]):
+            if b == a:
+                continue
+            if leq[b][a]:
                 raise AlgebraError(
                     f"natural order not antisymmetric on {names[a]}, {names[b]}"
                 )
-            for c in range(n):
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    raise AlgebraError("natural order not transitive")
+            if up[b] & ~up[a]:
+                raise AlgebraError("natural order not transitive")
 
-    # least group congruence: x ~ y iff x*e = y*e for some idempotent e
-    rel = [
-        [any(table[x][e] == table[y][e] for e in idem) for y in range(n)]
-        for x in range(n)
-    ]
+    # least group congruence: x ~ y iff x*e = y*e for some idempotent e;
+    # symmetric and reflexive by construction
+    rel = [0] * n
+    for e in idem:
+        buckets: dict[int, int] = {}
+        for x, v in enumerate(cols[e]):
+            buckets[v] = buckets.get(v, 0) | 1 << x
+        for x, v in enumerate(cols[e]):
+            rel[x] |= buckets[v]
+    # transitive iff related elements have equal rows: check the members of
+    # each row of an element that no earlier row contains
+    seen = 0
     for x in range(n):
-        for y in range(n):
-            if rel[x][y] != rel[y][x]:
-                raise QuotientNotGroup("congruence witness relation not symmetric")
-            for z in range(n):
-                if rel[x][y] and rel[y][z] and not rel[x][z]:
-                    raise QuotientNotGroup("congruence witness relation not transitive")
-    class_ids = [min(y for y in range(n) if rel[x][y]) for x in range(n)]
-    sigma = Partition.from_class_of(class_ids)
-    for x in range(n):
-        for y in range(n):
-            if not rel[x][y]:
-                continue
-            for z in range(n):
-                if (
-                    sigma.class_of[table[x][z]] != sigma.class_of[table[y][z]]
-                    or sigma.class_of[table[z][x]] != sigma.class_of[table[z][y]]
-                ):
-                    raise QuotientNotGroup(
-                        f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
-                    )
+        if seen >> x & 1:
+            continue
+        if any(rel[y] != rel[x] for y in _members(rel[x])):
+            raise QuotientNotGroup("congruence witness relation not transitive")
+        seen |= rel[x]
+    sigma = Partition.from_class_of([(r & -r).bit_length() - 1 for r in rel])
+    # an equivalence is a congruence iff each element multiplies like the
+    # least member of its class; on failure, name the first failing triple
+    class_of = sigma.class_of
     reps = [cls[0] for cls in sigma.classes]
+    right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
+    left = [tuple(map(class_of.__getitem__, col)) for col in cols]  # [z*x] over z
+    if any(
+        right[x] != right[reps[class_of[x]]] or left[x] != left[reps[class_of[x]]]
+        for x in range(n)
+    ):
+        for x in range(n):
+            for y in _members(rel[x]):
+                for z in range(n):
+                    if right[x][z] != right[y][z] or left[x][z] != left[y][z]:
+                        raise QuotientNotGroup(
+                            f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
+                        )
     qtable = [
         [sigma.class_of[table[a][b]] for b in reps]
         for a in reps
@@ -211,24 +247,17 @@ def _derive(names, table, unit, inverse) -> DerivedStructure:
 
     maxima = []
     for cls in sigma.classes:
-        greatest = [m for m in cls if all(leq[x][m] for x in cls)]
-        maxima.append(greatest[0] if greatest else None)
+        # the members above every member of the class: its greatest, if any
+        greatest = reduce(and_, (up[x] for x in cls), rel[cls[0]])
+        maxima.append((greatest & -greatest).bit_length() - 1 if greatest else None)
 
-    # Green's relations from principal ideals
-    right = [frozenset(table[a][x] for x in range(n)) for a in range(n)]
-    left = [frozenset(table[x][a] for x in range(n)) for a in range(n)]
-    r_ids: dict[frozenset, int] = {}
-    l_ids: dict[frozenset, int] = {}
-    r_of = [r_ids.setdefault(right[a], len(r_ids)) for a in range(n)]
-    l_of = [l_ids.setdefault(left[a], len(l_ids)) for a in range(n)]
-    green_r = Partition.from_class_of(r_of)
-    green_l = Partition.from_class_of(l_of)
-    green_h = Partition.from_class_of(
-        [r_of[a] * n + l_of[a] for a in range(n)]
-    )
+    # Green's relations: a R b iff aa^-1 = bb^-1, a L b iff a^-1a = b^-1b
+    green_r = Partition.from_class_of(ran)
+    green_l = Partition.from_class_of(dom)
+    green_h = Partition.from_class_of([ran[a] * n + dom[a] for a in range(n)])
 
     f_inverse = all(m is not None for m in maxima)
-    clifford = all(table[e][x] == table[x][e] for e in idem for x in range(n))
+    clifford = all(rows[e] == cols[e] for e in idem)
 
     return DerivedStructure(
         idempotents=idem,
@@ -282,7 +311,11 @@ def sigma(monoid: FiniteInverseMonoid):
 
 
 def green_relations(monoid: FiniteInverseMonoid):
-    """Green's relations as (H, R, L) partitions from principal ideals."""
+    """Green's relations as (H, R, L) partitions.
+
+    a R b iff aa^-1 = bb^-1 (equal principal right ideals) and a L b iff
+    a^-1a = b^-1b (equal principal left ideals); H is their intersection.
+    """
     d = monoid.derived
     return d.green_h, d.green_r, d.green_l
 

@@ -183,6 +183,20 @@ def test_roundtrip_recovers_mu(fz_z2, fz_v4):
         assert dp.group.table == fz.group.table
 
 
+def test_large_cover_round_trip():
+    # C500 over the chain {e} < 2*C500 < C500: 3 + 2*249 + 250 = 751 pairs
+    fz = validate_fuzzy(
+        cyclic(500),
+        [F(1) if x == 0 else F(1, 2) if x % 2 == 0 else F(1, 4) for x in range(500)],
+    )
+    cover = build_cover(fz)
+    assert cover.n == 751
+    assert cover_report(cover).all_match
+    dp = premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+    assert dp.group.table == fz.group.table
+    assert dp.psi == tuple(fz.mu_index(x) for x in range(fz.n))
+
+
 def test_roundtrip_group_over_trivial_monoid():
     z3 = group_as_monoid(cyclic(3))
     trivial = chain_monoid([F(1)])

@@ -388,10 +388,12 @@ def test_idempotent_order_is_multiplication_order(fz_v4):
 
 # -- independent characterizations as cross-check oracles ---------------------------
 #
-# The derived structure is computed from the witness definitions (an
-# idempotent e with x = y*e, resp. x*e = y*e; principal ideal sets).  Each
-# relation below is recomputed from a different classical description and
-# must coincide.
+# The derived structure is computed from closed forms (x <= y iff
+# x = y*(x^-1 x); x ~ y iff x*e = y*e for an idempotent e; R and L from
+# x x^-1 and x^-1 x), and tests/test_derivation.py compares it with the
+# witness definitions (an idempotent e with x = y*e; principal ideal sets).
+# Each relation below is recomputed from yet another classical description
+# and must coincide.
 
 def _fixture_monoids(fz_z2, fz_v4):
     return [
