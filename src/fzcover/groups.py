@@ -27,14 +27,13 @@ class FiniteGroup:
     constructors) and are immutable afterwards; share them freely.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses", "_hash")
+    __slots__ = ("names", "table", "identity", "inverses")
 
     def __init__(self, names, table, identity, inverses):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.identity = identity
         self.inverses = tuple(inverses)
-        self._hash = hash((self.names, self.table))
 
     @property
     def n(self) -> int:
@@ -58,7 +57,7 @@ class FiniteGroup:
         return self.names == other.names and self.table == other.table
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.names, self.table))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.n}, names={list(self.names)})"

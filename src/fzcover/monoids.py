@@ -90,7 +90,7 @@ class FiniteInverseMonoid:
     the cached :class:`DerivedStructure`.
     """
 
-    __slots__ = ("names", "table", "unit", "inverse", "derived", "_hash")
+    __slots__ = ("names", "table", "unit", "inverse", "derived")
 
     def __init__(self, names, table, unit, inverse, derived):
         self.names = tuple(names)
@@ -98,7 +98,6 @@ class FiniteInverseMonoid:
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
-        self._hash = hash((self.names, self.table, self.unit))
 
     @property
     def n(self) -> int:
@@ -117,7 +116,7 @@ class FiniteInverseMonoid:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.names, self.table, self.unit))
 
     def __repr__(self) -> str:
         return f"FiniteInverseMonoid(order={self.n}, unit={self.names[self.unit]!r})"
