@@ -1,18 +1,21 @@
 """Exhaustive generators: fuzzy subgroups over a value grid, subgroup chains,
 and hom-sets on both sides of the embedding.
 
-Two independent routes produce the fuzzy subgroups over a grid -- a raw
-filter over all value assignments, and a constructive route through strictly
-descending subgroup chains -- so each can serve as the oracle for the other.
-Everything returns lists in a deterministic (lexicographic) order, and every
-generated object re-passes its validator; generators never bypass validation.
+Two independent routes produce the fuzzy subgroups over a grid -- a filter
+over all value assignments, searched depth first over integer ranks and
+pruned as soon as a partial assignment breaks an axiom, and a constructive
+route through strictly descending subgroup chains -- so each can serve as the
+oracle for the other.  The filter uses no subgroup lattice.  Both searches are
+iterative, so their depth is not bounded by the stack.  Everything returns
+lists in a deterministic (lexicographic) order, and every generated object
+re-passes its validator; generators never bypass validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 from .embedding import (
     CoverMorphism,
@@ -59,10 +62,14 @@ def enumerate_fuzzy_subgroups_filter(
 ) -> list[FuzzySubgroup]:
     """All assignments group -> grid that satisfy both axioms.
 
-    Runs over the full |grid|^|group| function space (budget-guarded) in
-    lexicographic order of value indices; axioms are pre-screened on integer
-    ranks since they only depend on the order of the values, and survivors
-    are constructed through the validator.
+    Covers the |grid|^|group| function space, refused up front when that size
+    exceeds the budget.  The axioms depend only on the order of the values,
+    so the space is searched over integer ranks r, depth first in element
+    order, without recursion.  Each condition -- r(x^-1) = r(x) and
+    r(xy) >= min(r(x), r(y)) -- is checked once all its elements have ranks;
+    a failing prefix cannot be completed, so the survivors are those of a
+    scan over every assignment, in the same lexicographic order.  Each is
+    constructed through the validator.
     """
     n = group.n
     k = grid.k
@@ -71,15 +78,43 @@ def enumerate_fuzzy_subgroups_filter(
         raise BudgetExceeded(space, budget, "candidate assignments")
     table = group.table
     invs = group.inverses
+    # checks[i]: the conditions whose elements all have ranks once r(i) is
+    # set, each a triple (a, b, c) meaning r(c) >= min(r(a), r(b)).  The
+    # equality r(x^-1) = r(x) is the two triples (x, x, x^-1) and
+    # (x^-1, x^-1, x), placed first.  Conditions that hold for every
+    # assignment (x self-inverse, xy equal to x or y) are left out, and (x, y)
+    # and (y, x) are merged when they share a product.
+    inverse: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    products: list[set[tuple[int, int, int]]] = [set() for _ in range(n)]
+    for x in range(n):
+        if invs[x] < x:
+            inverse[x] += [(x, x, invs[x]), (invs[x], invs[x], x)]
+        for y in range(x, n):
+            for p in (table[x][y], table[y][x]):
+                if p != x and p != y:
+                    products[max(y, p)].add((x, y, p))
+    checks = [inverse[i] + sorted(products[i]) for i in range(n)]
+
+    levels = grid.levels
+    rank = [0] * n  # also the position: the next rank to try at each element
     out = []
-    for ranks in product(range(k), repeat=n):
-        ok = all(ranks[invs[x]] == ranks[x] for x in range(n)) and all(
-            ranks[table[x][y]] >= min(ranks[x], ranks[y])
-            for x in range(n)
-            for y in range(n)
-        )
-        if ok:
-            out.append(validate_fuzzy(group, [grid.levels[r] for r in ranks]))
+    i = 0
+    while i >= 0:
+        if rank[i] == k:
+            rank[i] = 0
+            i -= 1
+            if i >= 0:
+                rank[i] += 1
+            continue
+        for a, b, c in checks[i]:
+            if rank[c] < min(rank[a], rank[b]):
+                break
+        else:
+            if i + 1 < n:
+                i += 1
+                continue
+            out.append(validate_fuzzy(group, [levels[r] for r in rank]))
+        rank[i] += 1
     return out
 
 
@@ -101,22 +136,32 @@ def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tupl
 def enumerate_subgroup_chains(
     group: FiniteGroup, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All strictly descending subgroup chains starting at the whole group."""
-    subgroups = all_subgroups(group, budget)
-    chains: list[tuple[tuple[int, ...], ...]] = []
+    """All strictly descending subgroup chains starting at the whole group.
 
-    def extend(chain):
+    Depth first, each chain listed before its extensions and the subgroups
+    below its last member tried in ``all_subgroups`` order; an explicit stack
+    replaces recursion.  More than ``budget`` chains raise BudgetExceeded.
+    """
+    subgroups = all_subgroups(group, budget)
+    members = [frozenset(sub) for sub in subgroups]
+    below = [[i for i in range(j) if members[i] < members[j]] for j in range(len(members))]
+    chains: list[tuple[tuple[int, ...], ...]] = []
+    path: list[int] = []
+    # stack[d]: the subgroups still to try at depth d; depth 0 holds only the
+    # whole group, the last of ``subgroups``
+    stack = [iter([len(subgroups) - 1])]
+    while stack:
+        sub = next(stack[-1], None)
+        if sub is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
         if len(chains) >= budget:
             raise BudgetExceeded(len(chains) + 1, budget, "chains")
-        chains.append(tuple(chain))
-        last = set(chain[-1])
-        for sub in subgroups:
-            if len(sub) < len(last) and set(sub) < last:
-                chain.append(sub)
-                extend(chain)
-                chain.pop()
-
-    extend([tuple(range(group.n))])
+        path.append(sub)
+        chains.append(tuple(subgroups[i] for i in path))
+        stack.append(iter(below[sub]))
     return chains
 
 

@@ -74,32 +74,40 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
 
     Raises ValueOutOfRange, Axiom1Violation (witness pair) or Axiom2Violation
     (witness element).  The chain and its top are derived, never supplied.
+    The axioms depend only on the order of the values, so they are checked
+    on each value's rank in the chain; the values are read only to word an
+    error.
     """
     n = group.n
     if len(mu) != n:
         raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
     values = [Fraction(v) for v in mu]
-    for x, v in enumerate(values):
-        if not 0 <= v <= 1:
-            raise ValueOutOfRange(
-                f"mu({group.names[x]}) = {v} outside [0, 1]", witness=x
-            )
+    chain = tuple(sorted(set(values)))
+    if not 0 <= chain[0] <= chain[-1] <= 1:
+        x = next(x for x, v in enumerate(values) if not 0 <= v <= 1)
+        raise ValueOutOfRange(
+            f"mu({group.names[x]}) = {values[x]} outside [0, 1]", witness=x
+        )
+    position = {v: r for r, v in enumerate(chain)}
+    ranks = [position[v] for v in values]
+    table = group.table
+    invs = group.inverses
     for x in range(n):
-        if values[group.inverses[x]] != values[x]:
+        rx = ranks[x]
+        if ranks[invs[x]] != rx:
             raise Axiom2Violation(
-                f"mu({group.names[x]}^-1) = {values[group.inverses[x]]} "
+                f"mu({group.names[x]}^-1) = {values[invs[x]]} "
                 f"!= mu({group.names[x]}) = {values[x]}",
                 witness=x,
             )
+        row = table[x]
         for y in range(n):
-            bound = min(values[x], values[y])
-            if values[group.table[x][y]] < bound:
+            if ranks[row[y]] < min(rx, ranks[y]):
                 raise Axiom1Violation(
                     f"mu({group.names[x]}*{group.names[y]}) = "
-                    f"{values[group.table[x][y]]} < min bound {bound}",
+                    f"{values[row[y]]} < min bound {min(values[x], values[y])}",
                     witness=(x, y),
                 )
-    chain = tuple(sorted(set(values)))
     fz = FuzzySubgroup(group, values, chain)
     # mu(e) dominating every value is a consequence of the axioms
     if fz.mu[group.identity] != fz.top:

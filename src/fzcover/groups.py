@@ -223,18 +223,25 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n acting on n vertices (rotations r_i, reflections s_i)."""
+    """Dihedral group of order 2n acting on n vertices (rotations r_i, reflections s_i).
+
+    r_k is i -> i+k and s_k is i -> k-i on vertices mod n, and a product
+    applies its right factor first, so r_a r_b = r_(a+b), r_a s_b = s_(a+b),
+    s_a r_b = s_(a-b) and s_a s_b = r_(a-b).  These rules give a group of
+    order 2n for every n >= 1, also where n < 3 vertices cannot tell all
+    2n symmetries apart: n = 1 gives C2 and n = 2 the Klein four-group.
+    """
     if n < 1:
         raise ValueError("dihedral needs n >= 1 vertices")
-    rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
-    reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
-    elems = rotations + reflections
-    index = {p: i for i, p in enumerate(elems)}
     names = ["e"] + [f"r{k}" for k in range(1, n)] + [f"s{k}" for k in range(n)]
-    table = [
-        [index[tuple(s[t[i]] for i in range(n))] for t in elems]
-        for s in elems
-    ]
+
+    def times(a: int, b: int) -> int:
+        reflect_a, k_a = divmod(a, n)
+        reflect_b, k_b = divmod(b, n)
+        k = k_a - k_b if reflect_a else k_a + k_b
+        return (reflect_a ^ reflect_b) * n + k % n
+
+    table = [[times(a, b) for b in range(2 * n)] for a in range(2 * n)]
     return validate_group(names, table)
 
 

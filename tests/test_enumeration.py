@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from fzcover import (
     all_subgroups,
     cyclic,
     default_grid,
+    dihedral,
     embed_object,
     enumerate_cover_morphisms,
     enumerate_fuzzy_morphisms,
@@ -18,7 +20,8 @@ from fzcover import (
     validate_fuzzy,
     validate_group,
 )
-from fzcover.errors import BudgetExceeded, ValidationError
+from fzcover import enumeration
+from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 
 F = Fraction
 
@@ -194,3 +197,139 @@ def test_budget_message_counts_candidates(z2):
     with pytest.raises(BudgetExceeded) as exc:
         enumerate_fuzzy_subgroups_filter(z2, default_grid(4), budget=15)
     assert str(exc.value) == "16 candidate assignments exceed budget 15"
+
+
+# -- the pruned filter and the iterative chain search against their definitions
+
+def filter_by_definition(group, grid, budget=DEFAULT_BUDGET):
+    """Oracle: the filter as a scan over every assignment group -> grid."""
+    n = group.n
+    k = grid.k
+    space = k ** n
+    if space > budget:
+        raise BudgetExceeded(space, budget, "candidate assignments")
+    table = group.table
+    invs = group.inverses
+    out = []
+    for ranks in product(range(k), repeat=n):
+        ok = all(ranks[invs[x]] == ranks[x] for x in range(n)) and all(
+            ranks[table[x][y]] >= min(ranks[x], ranks[y])
+            for x in range(n)
+            for y in range(n)
+        )
+        if ok:
+            out.append(validate_fuzzy(group, [grid.levels[r] for r in ranks]))
+    return out
+
+
+def chains_by_definition(group, budget=DEFAULT_BUDGET):
+    """Oracle: the chains by recursion over all subgroups below the last one."""
+    subgroups = all_subgroups(group, budget)
+    chains = []
+
+    def extend(chain):
+        if len(chains) >= budget:
+            raise BudgetExceeded(len(chains) + 1, budget, "chains")
+        chains.append(tuple(chain))
+        last = set(chain[-1])
+        for sub in subgroups:
+            if len(sub) < len(last) and set(sub) < last:
+                chain.append(sub)
+                extend(chain)
+                chain.pop()
+
+    extend([tuple(range(group.n))])
+    return chains
+
+
+def relabeled(group, order):
+    """The same group with element order[i] of ``group`` listed as element i."""
+    new = {old: i for i, old in enumerate(order)}
+    names = [group.names[old] for old in order]
+    table = [[new[group.table[a][b]] for b in order] for a in order]
+    return validate_group(names, table)
+
+
+S3_IDENTITY_LAST = relabeled(symmetric(3), [5, 3, 1, 4, 2, 0])
+FILTER_GROUPS = {
+    **{f"C{n}": cyclic(n) for n in range(1, 9)},
+    "V4": klein_four(),
+    "S3": symmetric(3),
+    "D4": dihedral(4),
+    "S3 identity last": S3_IDENTITY_LAST,
+}
+
+
+def test_relabeled_s3_moves_the_identity():
+    assert S3_IDENTITY_LAST.identity == 5
+    assert S3_IDENTITY_LAST.names[5] == "e"
+
+
+@pytest.mark.parametrize("name", FILTER_GROUPS)
+def test_filter_matches_scan_by_definition(name):
+    group = FILTER_GROUPS[name]
+    for k in range(1, 6):
+        if k ** group.n > 10 ** 5:
+            continue
+        grid = default_grid(k)
+        pruned = enumerate_fuzzy_subgroups_filter(group, grid)
+        assert [fz.mu for fz in pruned] == [
+            fz.mu for fz in filter_by_definition(group, grid)
+        ]
+
+
+def test_filter_refuses_by_the_size_of_the_space():
+    # the pruned search would visit far fewer than k^n nodes here, but the
+    # budget is still compared with the size of the space it covers
+    for group, k in ((cyclic(8), 4), (dihedral(4), 4), (S3_IDENTITY_LAST, 5)):
+        space = k ** group.n
+        messages = []
+        for enumerate_ in (enumerate_fuzzy_subgroups_filter, filter_by_definition):
+            with pytest.raises(BudgetExceeded) as exc:
+                enumerate_(group, default_grid(k), budget=space - 1)
+            messages.append(str(exc.value))
+        assert messages == [f"{space} candidate assignments exceed budget {space - 1}"] * 2
+        assert enumerate_fuzzy_subgroups_filter(group, default_grid(k), budget=space)
+
+
+CHAIN_GROUPS = [cyclic(n) for n in range(1, 17)] + [
+    klein_four(),
+    symmetric(3),
+    dihedral(4),
+    dihedral(5),
+    S3_IDENTITY_LAST,
+]
+
+
+def test_chains_match_recursion_by_definition():
+    for group in CHAIN_GROUPS:
+        assert enumerate_subgroup_chains(group) == chains_by_definition(group)
+
+
+def test_cyclic_chains_follow_the_divisor_lattice():
+    # the subgroups of C16 are those of order 1, 2, 4, 8, 16, totally ordered,
+    # so each chain from the top is a choice of the four proper ones: 2^4
+    chains = enumerate_subgroup_chains(cyclic(16))
+    assert len(chains) == 16
+    assert len(set(chains)) == 16
+
+
+def test_chain_budget_counts_chains(monkeypatch):
+    group = dihedral(4)
+    subgroups = all_subgroups(group)
+    count = len(chains_by_definition(group))
+
+    def whole_list(group, budget):
+        # all_subgroups refuses 2^n > budget first; lift that guard in both
+        # versions to reach the count of chains
+        return subgroups
+
+    monkeypatch.setattr(enumeration, "all_subgroups", whole_list)
+    monkeypatch.setitem(chains_by_definition.__globals__, "all_subgroups", whole_list)
+    assert len(enumerate_subgroup_chains(group, budget=count)) == count
+    messages = []
+    for enumerate_ in (enumerate_subgroup_chains, chains_by_definition):
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_(group, budget=count - 1)
+        messages.append(str(exc.value))
+    assert messages == [f"{count} chains exceed budget {count - 1}"] * 2

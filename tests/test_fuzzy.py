@@ -2,13 +2,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fzcover import (
     as_dual_premorphism,
     cyclic,
     derived_facts,
+    dihedral,
+    enumerate_subgroup_chains,
     is_subgroup,
     klein_four,
     level_subset,
@@ -16,12 +18,15 @@ from fzcover import (
     validate_fuzzy,
 )
 from fzcover.errors import (
+    AlgebraError,
     Axiom1Violation,
     Axiom2Violation,
     ValidationError,
     ValueNotInChain,
     ValueOutOfRange,
 )
+from fzcover.fuzzy import FuzzySubgroup
+from tests.test_enumeration import S3_IDENTITY_LAST
 
 F = Fraction
 
@@ -192,3 +197,98 @@ def test_hash_is_computed_once(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", None)
     monkeypatch.setattr(fz, "group", None)
     assert hash(fz) == before
+
+
+# -- the rank-based validator against the definition ---------------------------------
+
+def validate_fuzzy_by_definition(group, mu):
+    """Oracle: both axioms checked on the Fraction values themselves."""
+    n = group.n
+    if len(mu) != n:
+        raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
+    values = [Fraction(v) for v in mu]
+    for x, v in enumerate(values):
+        if not 0 <= v <= 1:
+            raise ValueOutOfRange(
+                f"mu({group.names[x]}) = {v} outside [0, 1]", witness=x
+            )
+    for x in range(n):
+        if values[group.inverses[x]] != values[x]:
+            raise Axiom2Violation(
+                f"mu({group.names[x]}^-1) = {values[group.inverses[x]]} "
+                f"!= mu({group.names[x]}) = {values[x]}",
+                witness=x,
+            )
+        for y in range(n):
+            bound = min(values[x], values[y])
+            if values[group.table[x][y]] < bound:
+                raise Axiom1Violation(
+                    f"mu({group.names[x]}*{group.names[y]}) = "
+                    f"{values[group.table[x][y]]} < min bound {bound}",
+                    witness=(x, y),
+                )
+    chain = tuple(sorted(set(values)))
+    fz = FuzzySubgroup(group, values, chain)
+    # mu(e) dominating every value is a consequence of the axioms
+    if fz.mu[group.identity] != fz.top:
+        raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")
+    return fz
+
+
+VALIDATION_GROUPS = [cyclic(n) for n in range(1, 9)] + [
+    klein_four(),
+    symmetric(3),
+    dihedral(4),
+    S3_IDENTITY_LAST,
+]
+VALIDATION_CHAINS = [enumerate_subgroup_chains(g) for g in VALIDATION_GROUPS]
+IN_RANGE = [F(0), F(1, 4), F(1, 3), F(1, 2), F(1)]
+# out-of-range values, and values Fraction() converts: an int and a string
+VALUES = [F(-1, 2), *IN_RANGE, F(3, 2), 1, "1/3"]
+
+
+@st.composite
+def assignments(draw):
+    """A group and an assignment: level-built (so valid) or drawn value by
+    value, then with one value replaced half of the time."""
+    which = draw(st.integers(min_value=0, max_value=len(VALIDATION_GROUPS) - 1))
+    group = VALIDATION_GROUPS[which]
+    n = group.n
+    if draw(st.booleans()):
+        chain = draw(st.sampled_from(VALIDATION_CHAINS[which]))
+        levels = sorted(
+            draw(st.lists(st.sampled_from(IN_RANGE), min_size=len(chain),
+                          max_size=len(chain), unique=True))
+        )
+        mu = [None] * n
+        for depth, sub in enumerate(chain):
+            for x in sub:
+                mu[x] = levels[depth]
+    else:
+        mu = draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        mu[draw(st.integers(min_value=0, max_value=n - 1))] = draw(st.sampled_from(VALUES))
+    return which, mu
+
+
+def outcome(validate, group, mu):
+    try:
+        fz = validate(group, mu)
+    except AlgebraError as exc:
+        return type(exc), exc.witness, str(exc)
+    return fz.mu, fz.chain, fz.top
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=assignments())
+@example(case=(9, [F(1), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 4)]))  # valid S3
+@example(case=(2, [F(1), F(1, 2), F(1, 4)]))  # C3: mu(g^-1) != mu(g)
+@example(case=(1, [F(1, 2), F(1)]))  # C2: mu(g*g) < mu(g)
+@example(case=(3, [F(1), F(3, 2), F(1, 2), F(3, 2)]))  # C4: out of range
+@example(case=(0, [F(1), F(1)]))  # wrong length
+def test_validate_fuzzy_matches_definition(case):
+    which, mu = case
+    group = VALIDATION_GROUPS[which]
+    assert outcome(validate_fuzzy, group, mu) == outcome(
+        validate_fuzzy_by_definition, group, mu
+    )

@@ -144,3 +144,37 @@ def test_homomorphisms_compose():
         for g in enumerate_group_homomorphisms(v4, z2):
             composite = tuple(g[f[x]] for x in range(z2.n))
             assert is_group_homomorphism(composite, z2, z2)
+
+
+def dihedral_by_permutations(n):
+    """Oracle: D_n as the symmetries i -> i+k and i -> k-i of n >= 3 vertices."""
+    rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+    reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
+    elems = rotations + reflections
+    index = {p: i for i, p in enumerate(elems)}
+    names = ["e"] + [f"r{k}" for k in range(1, n)] + [f"s{k}" for k in range(n)]
+    table = [
+        [index[tuple(s[t[i]] for i in range(n))] for t in elems]
+        for s in elems
+    ]
+    return validate_group(names, table)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_matches_permutation_construction(n):
+    g = dihedral(n)
+    oracle = dihedral_by_permutations(n)
+    assert g.names == oracle.names and g.table == oracle.table
+    assert g.identity == oracle.identity and g.inverses == oracle.inverses
+
+
+def test_small_dihedral_groups():
+    d1 = dihedral(1)
+    assert d1.names == ("e", "s0") and d1.table == cyclic(2).table
+    d2 = dihedral(2)
+    assert d2.names == ("e", "r1", "s0", "s1") and d2.table == klein_four().table
+    for g in (d1, d2):
+        assert oracle_group_axioms([list(r) for r in g.table])
+        assert all(g.inv(x) == x for x in range(g.n))
+    with pytest.raises(ValueError):
+        dihedral(0)

@@ -1,8 +1,10 @@
 """Static checks over the library source.
 
 Invariants are explicit errors, never ``assert`` statements, which vanish
-under ``python -O``; and no module keeps a memo cache of its own, since
-caching belongs to the caller-owned ``hom_cache`` of ``verify_embedding``.
+under ``python -O``; no module keeps a memo cache of its own, since caching
+belongs to the caller-owned ``hom_cache`` of ``verify_embedding``; and no
+module uses ``itertools.product``, since brute-force scans of a whole
+function space live only in the tests, as oracles.
 """
 
 import ast
@@ -33,6 +35,20 @@ def _offences(tree):
             yield node.lineno, f"functools.{node.attr}"
 
 
+def _product_scans(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "product" for alias in node.names):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "itertools"
+            and node.attr == "product"
+        ):
+            yield node.lineno
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"embedding.py", "cli.py", "fuzzy.py"}
 
@@ -52,3 +68,19 @@ def test_checker_flags_both_kinds():
         "    assert f\n"
     )
     assert sorted(line for line, _ in _offences(ast.parse(code))) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_product_scan(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert list(_product_scans(tree)) == []
+
+
+def test_checker_flags_product_scans():
+    code = (
+        "from itertools import combinations, product\n"
+        "from itertools import permutations\n"
+        "import itertools\n"
+        "scan = itertools.product(range(2), repeat=3)\n"
+    )
+    assert list(_product_scans(ast.parse(code))) == [1, 4]
