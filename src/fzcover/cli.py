@@ -194,22 +194,30 @@ def _cmd_levels(workspaces, args):
     return lines, payload, 0
 
 
-def _workspace_objects(ws: WorkspaceFile, grid, budget):
+def _grid(args):
+    """The ``--grid`` levels; refused above the budget before any level is built,
+    since the filter tries every level for its first element."""
+    if args.grid > args.budget:
+        raise BudgetExceeded(args.grid, args.budget, "grid levels")
+    return default_grid(args.grid)
+
+
+def _workspace_objects(ws: WorkspaceFile, args):
     """Fuzzy blocks if present, otherwise an enumeration over each group block."""
     if ws.fuzzies:
         return list(ws.fuzzies.items())
+    grid = _grid(args)
     out = []
     for gname, group in ws.groups.items():
-        for i, fz in enumerate(enumerate_fuzzy_subgroups_filter(group, grid, budget)):
+        for i, fz in enumerate(enumerate_fuzzy_subgroups_filter(group, grid, args.budget)):
             out.append((f"{gname}#{i}", fz))
     return out
 
 
 def _cmd_embed(workspaces, args):
-    grid = default_grid(args.grid)
     budget = args.budget
-    first = _workspace_objects(workspaces[0], grid, budget)
-    second = _workspace_objects(workspaces[-1], grid, budget)
+    first = _workspace_objects(workspaces[0], args)
+    second = _workspace_objects(workspaces[-1], args)
     lines = []
     payload = {"pairs": []}
     cache: dict = {}
@@ -238,7 +246,7 @@ def _cmd_embed(workspaces, args):
 
 def _cmd_enumerate(workspaces, args):
     ws = workspaces[0]
-    grid = default_grid(args.grid)
+    grid = _grid(args)
     budget = args.budget
     lines = []
     payload = {"grid": [str(v) for v in grid.levels], "groups": []}

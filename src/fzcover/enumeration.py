@@ -2,13 +2,14 @@
 and hom-sets on both sides of the embedding.
 
 Two independent routes produce the fuzzy subgroups over a grid -- a filter
-over all value assignments, searched depth first over integer ranks and
-pruned as soon as a partial assignment breaks an axiom, and a constructive
-route through strictly descending subgroup chains -- so each can serve as the
-oracle for the other.  The filter uses no subgroup lattice.  Both searches are
-iterative, so their depth is not bounded by the stack.  Everything returns
-lists in a deterministic (lexicographic) order, and every generated object
-re-passes its validator; generators never bypass validation.
+over all value assignments, run on the shared search engine as a search for
+dual premorphisms into a chain of integer ranks, so a partial assignment that
+breaks an axiom is cut at once, and a constructive route through strictly
+descending subgroup chains -- so each can serve as the oracle for the other.
+The filter uses no subgroup lattice.  Both searches are iterative, so their
+depth is not bounded by the stack.  Everything returns lists in a
+deterministic (lexicographic) order, and every generated object re-passes its
+validator; generators never bypass validation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 from .fuzzy import FuzzySubgroup, validate_fuzzy
 from .groups import FiniteGroup, enumerate_group_homomorphisms, is_subgroup
 from .monoids import enumerate_monoid_homomorphisms
+from .search import product_preserving_maps
 
 
 @dataclass(frozen=True)
@@ -62,60 +64,26 @@ def enumerate_fuzzy_subgroups_filter(
 ) -> list[FuzzySubgroup]:
     """All assignments group -> grid that satisfy both axioms.
 
-    Covers the |grid|^|group| function space, refused up front when that size
-    exceeds the budget.  The axioms depend only on the order of the values,
-    so the space is searched over integer ranks r, depth first in element
-    order, without recursion.  Each condition -- r(x^-1) = r(x) and
-    r(xy) >= min(r(x), r(y)) -- is checked once all its elements have ranks;
-    a failing prefix cannot be completed, so the survivors are those of a
-    scan over every assignment, in the same lexicographic order.  Each is
-    constructed through the validator.
+    The axioms depend only on the order of the values, so the search runs
+    over integer ranks r.  Such an r is a dual premorphism into the chain of
+    ranks under min, r(xy) >= min(r(x), r(y)), and ``product_preserving_maps``
+    lists those, cutting each prefix that breaks a product.  In a finite group
+    that axiom implies r(x^-1) = r(x), because x^-1 is a power of x.  The
+    survivors are those of a scan over every assignment, in the same
+    lexicographic order, and each is constructed through the validator, which
+    checks both axioms.  The budget counts the nodes visited: more than
+    ``budget`` ranks tried raise BudgetExceeded.
     """
-    n = group.n
-    k = grid.k
-    space = k ** n
-    if space > budget:
-        raise BudgetExceeded(space, budget, "candidate assignments")
-    table = group.table
-    invs = group.inverses
-    # checks[i]: the conditions whose elements all have ranks once r(i) is
-    # set, each a triple (a, b, c) meaning r(c) >= min(r(a), r(b)).  The
-    # equality r(x^-1) = r(x) is the two triples (x, x, x^-1) and
-    # (x^-1, x^-1, x), placed first.  Conditions that hold for every
-    # assignment (x self-inverse, xy equal to x or y) are left out, and (x, y)
-    # and (y, x) are merged when they share a product.
-    inverse: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    products: list[set[tuple[int, int, int]]] = [set() for _ in range(n)]
-    for x in range(n):
-        if invs[x] < x:
-            inverse[x] += [(x, x, invs[x]), (invs[x], invs[x], x)]
-        for y in range(x, n):
-            for p in (table[x][y], table[y][x]):
-                if p != x and p != y:
-                    products[max(y, p)].add((x, y, p))
-    checks = [inverse[i] + sorted(products[i]) for i in range(n)]
-
+    maps = product_preserving_maps(
+        group.table,
+        (),
+        [range(grid.k)] * group.n,
+        budget=budget,
+        label="fuzzy subgroup nodes",
+        _dual_chain=True,
+    )
     levels = grid.levels
-    rank = [0] * n  # also the position: the next rank to try at each element
-    out = []
-    i = 0
-    while i >= 0:
-        if rank[i] == k:
-            rank[i] = 0
-            i -= 1
-            if i >= 0:
-                rank[i] += 1
-            continue
-        for a, b, c in checks[i]:
-            if rank[c] < min(rank[a], rank[b]):
-                break
-        else:
-            if i + 1 < n:
-                i += 1
-                continue
-            out.append(validate_fuzzy(group, [levels[r] for r in rank]))
-        rank[i] += 1
-    return out
+    return [validate_fuzzy(group, [levels[r] for r in ranks]) for ranks in maps]
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:

@@ -184,5 +184,6 @@ class UnknownReference(AlgebraError):
 
 
 DEFAULT_BUDGET = 1_000_000
-"""Default cap on the candidates examined: images tried by a hom or iso search,
-assignments, subsets or chains by an enumerator."""
+"""Default cap on the candidates examined: images tried by a hom or iso search
+and ranks tried by the fuzzy-subgroup filter (the nodes each search visits),
+or subsets, chains and chain assignments by the chain enumeration."""

@@ -28,17 +28,17 @@ class FuzzySubgroup:
 
     ``chain`` is the sorted tuple of distinct values of ``mu`` (the set U);
     ``top`` is its greatest element, which always equals mu(identity).
+    ``ranks`` gives the chain index of each mu(x), as the validator found it.
     """
 
     __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash")
 
-    def __init__(self, group: FiniteGroup, mu, chain):
+    def __init__(self, group: FiniteGroup, mu, chain, ranks):
         self.group = group
         self.mu = tuple(mu)
         self.chain = tuple(chain)
         self.top = self.chain[-1]
-        rank = {v: i for i, v in enumerate(self.chain)}
-        self._rank = tuple(rank[v] for v in self.mu)
+        self._rank = tuple(ranks)
         self._hash = hash((group, self.mu))
 
     @property
@@ -108,7 +108,7 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
                     f"{values[row[y]]} < min bound {min(values[x], values[y])}",
                     witness=(x, y),
                 )
-    fz = FuzzySubgroup(group, values, chain)
+    fz = FuzzySubgroup(group, values, chain, ranks)
     # mu(e) dominating every value is a consequence of the axioms
     if fz.mu[group.identity] != fz.top:
         raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")

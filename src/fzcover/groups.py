@@ -39,12 +39,6 @@ class FiniteGroup:
     def n(self) -> int:
         return len(self.names)
 
-    def elements(self) -> range:
-        return range(self.n)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverses[a]
 

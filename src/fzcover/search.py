@@ -1,6 +1,10 @@
-"""The one search behind every homomorphism and isomorphism enumeration.
+"""The one search behind every homomorphism, isomorphism and fuzzy-subgroup
+enumeration.
 
-Callers differ only in the candidate images they allow for each element.
+Callers differ only in the candidate images they allow for each element, and
+in the test on each product: f(a*b) = f(a)*f(b) for a homomorphism, or
+f(a*b) >= min(f(a), f(b)) for a dual premorphism into a chain of ranks, which
+is how a fuzzy subgroup reads.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ def product_preserving_maps(
     label: str,
     injective: bool = False,
     first: bool = False,
+    _dual_chain: bool = False,
 ) -> list[tuple[int, ...]]:
     """Every map f with f(x) in candidates[x] and f(a*b) = f(a)*f(b).
 
@@ -26,8 +31,14 @@ def product_preserving_maps(
     brute-force filter over all choices would list them.  ``injective`` skips
     images already used; ``first`` stops at the first map.  Each product
     a*b = p is checked once a, b and p all have images.  Examining more than
-    ``budget`` candidate images raises BudgetExceeded naming ``label``.  An
-    explicit position per element replaces recursion, so depth is unbounded.
+    ``budget`` candidate images (nodes) raises BudgetExceeded naming
+    ``label``.  An explicit position per element replaces recursion, so depth
+    is unbounded.
+
+    With ``_dual_chain`` the images are integer ranks in a chain whose
+    product is min, and the test is f(a*b) >= min(f(a), f(b)): the maps are
+    the dual premorphisms into that chain.  ``target`` is then not read, so a
+    long chain needs no table.
     """
     n = len(source)
     if not all(candidates):
@@ -63,7 +74,12 @@ def product_preserving_maps(
             raise BudgetExceeded(nodes, budget, label)
         image[i] = v
         for a, b, p in checks[i]:
-            if image[p] != target[image[a]][image[b]]:
+            if _dual_chain:
+                fa = image[a]
+                fb = image[b]
+                if image[p] < (fa if fa < fb else fb):
+                    break
+            elif image[p] != target[image[a]][image[b]]:
                 break
         else:
             if i + 1 == n:

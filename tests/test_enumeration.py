@@ -193,10 +193,12 @@ def test_budget_guards(v4, s3):
         all_subgroups(symmetric(3), budget=10)
 
 
-def test_budget_message_counts_candidates(z2):
+def test_filter_budget_counts_nodes(z2):
+    # 4 ranks for e, then 4 for a under each: 20 nodes
+    assert len(enumerate_fuzzy_subgroups_filter(z2, default_grid(4), budget=20)) == 10
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_fuzzy_subgroups_filter(z2, default_grid(4), budget=15)
-    assert str(exc.value) == "16 candidate assignments exceed budget 15"
+        enumerate_fuzzy_subgroups_filter(z2, default_grid(4), budget=19)
+    assert str(exc.value) == "20 fuzzy subgroup nodes exceed budget 19"
 
 
 # -- the pruned filter and the iterative chain search against their definitions
@@ -278,18 +280,43 @@ def test_filter_matches_scan_by_definition(name):
         ]
 
 
-def test_filter_refuses_by_the_size_of_the_space():
-    # the pruned search would visit far fewer than k^n nodes here, but the
-    # budget is still compared with the size of the space it covers
-    for group, k in ((cyclic(8), 4), (dihedral(4), 4), (S3_IDENTITY_LAST, 5)):
-        space = k ** group.n
-        messages = []
-        for enumerate_ in (enumerate_fuzzy_subgroups_filter, filter_by_definition):
-            with pytest.raises(BudgetExceeded) as exc:
-                enumerate_(group, default_grid(k), budget=space - 1)
-            messages.append(str(exc.value))
-        assert messages == [f"{space} candidate assignments exceed budget {space - 1}"] * 2
-        assert enumerate_fuzzy_subgroups_filter(group, default_grid(k), budget=space)
+def test_filter_budget_is_not_the_size_of_the_space():
+    # 5^8 = 390625 assignments, but the pruned search visits 3480 nodes
+    grid = default_grid(5)
+    pruned = enumerate_fuzzy_subgroups_filter(dihedral(4), grid, budget=10_000)
+    assert [fz.mu for fz in pruned] == [
+        fz.mu for fz in filter_by_definition(dihedral(4), grid)
+    ]
+
+
+def subgroups_by_two_generators(group):
+    """Oracle for groups whose subgroups are all 2-generated: each <x, y>."""
+    subgroups = set()
+    for x in range(group.n):
+        for y in range(x, group.n):
+            sub = {group.identity}
+            while True:
+                grown = sub | {group.table[a][g] for a in sub for g in (x, y)}
+                if grown == sub:
+                    break
+                sub = grown
+            subgroups.add(frozenset(sub))
+    return subgroups
+
+
+def test_filter_lists_s4_at_the_default_budget():
+    # 3^24 assignments, far above the budget; every subgroup of S4 is
+    # 2-generated, and on a 3-level grid each chain G > H1 > ... of m <= 3
+    # subgroups takes C(3, m) value picks
+    s4 = symmetric(4)
+    subgroups = subgroups_by_two_generators(s4)
+    assert len(subgroups) == 30
+    whole = frozenset(range(24))
+    below = {h: [k for k in subgroups if k < h] for h in subgroups}
+    chains_of_three = sum(len(below[h]) for h in below[whole])
+    found = [fz.mu for fz in enumerate_fuzzy_subgroups_filter(s4, default_grid(3))]
+    assert len(found) == 3 + 3 * len(below[whole]) + chains_of_three == 181
+    assert found == sorted(set(found))
 
 
 CHAIN_GROUPS = [cyclic(n) for n in range(1, 17)] + [

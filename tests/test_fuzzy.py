@@ -228,7 +228,7 @@ def validate_fuzzy_by_definition(group, mu):
                     witness=(x, y),
                 )
     chain = tuple(sorted(set(values)))
-    fz = FuzzySubgroup(group, values, chain)
+    fz = FuzzySubgroup(group, values, chain, [chain.index(v) for v in values])
     # mu(e) dominating every value is a consequence of the axioms
     if fz.mu[group.identity] != fz.top:
         raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")

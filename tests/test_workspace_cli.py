@@ -171,10 +171,29 @@ def test_exit_code_validation_error(capsys):
 
 
 def test_exit_code_budget(capsys):
+    # S3 on the 4-level grid visits 540 filter nodes
     code, _, err = run_cli(
         capsys, "enumerate", str(WORKSPACES / "s3.fzw"), "--budget", "100"
     )
-    assert code == 3 and "budget" in err
+    assert code == 3 and err == "error: 101 fuzzy subgroup nodes exceed budget 100\n"
+
+
+def test_grid_is_built_only_when_used_and_never_above_the_budget(capsys, tmp_path):
+    huge = str(10 ** 12)
+    z2 = str(WORKSPACES / "z2.fzw")
+    # both files have fuzzy blocks, so embed reads no grid
+    code, out, _ = run_cli(capsys, "embed", z2, z2, "--grid", huge)
+    assert code == 0 and "embed: 1 pair(s), all OK" in out
+    refusal = f"error: {huge} grid levels exceed budget 1000000\n"
+    code, out, err = run_cli(capsys, "enumerate", z2, "--grid", huge)
+    assert (code, out, err) == (3, "", refusal)
+    groups_only = tmp_path / "groups_only.fzw"
+    groups_only.write_text("group z2\nelements e a\ntable\ne a\na e\nend\n")
+    code, out, err = run_cli(capsys, "embed", z2, str(groups_only), "--grid", huge)
+    assert (code, out, err) == (3, "", refusal)
+    # at the budget the grid is built, and the filter's own budget fires
+    code, out, err = run_cli(capsys, "enumerate", z2, "--grid", "5", "--budget", "5")
+    assert (code, out, err) == (3, "", "error: 6 fuzzy subgroup nodes exceed budget 5\n")
 
 
 def test_exit_code_missing_file(capsys):
