@@ -194,6 +194,8 @@ def test_grid_is_built_only_when_used_and_never_above_the_budget(capsys, tmp_pat
     # at the budget the grid is built, and the filter's own budget fires
     code, out, err = run_cli(capsys, "enumerate", z2, "--grid", "5", "--budget", "5")
     assert (code, out, err) == (3, "", "error: 6 fuzzy subgroup nodes exceed budget 5\n")
+    code, out, err = run_cli(capsys, "enumerate", z2, "--grid", "6", "--budget", "5")
+    assert (code, out, err) == (3, "", "error: 6 grid levels exceed budget 5\n")
 
 
 def test_exit_code_missing_file(capsys):
