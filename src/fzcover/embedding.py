@@ -279,7 +279,13 @@ def reconstruct_morphism(
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """Outcome of exhaustively comparing the two hom-sets of one object pair."""
+    """Outcome of exhaustively comparing the two hom-sets of one object pair.
+
+    ``composition_checks`` counts the composites a->b->a and b->a->b of the
+    two hom-sets.  Each is certified by lookup in the exhaustively enumerated
+    Hom(a, a) or Hom(b, b): it must be listed there, and the embedding of the
+    listed entry must equal the composite of the two embedded morphisms.
+    """
 
     source: FuzzySubgroup
     target: FuzzySubgroup
@@ -332,6 +338,49 @@ class EmbeddingCertificate:
         }
 
 
+def _respects_compositions(scope: _Scope, forward, reverse, hom_set) -> bool:
+    """True iff the embedding respects each composite of forward and reverse.
+
+    For m1: a -> b in ``forward`` and m2: b -> a in ``reverse``, the composites
+    m2.m1 and m1.m2 are looked up by (f, lam) in Hom(a, a) and Hom(b, b), as
+    ``hom_set`` enumerates them.  That is the same check as validating each
+    composite and its embedding again: a hom-set is exhaustive and each entry
+    passed the morphism validator, so a composite is a morphism iff it is
+    listed, and the embedding of a listed entry passed the cover-morphism
+    validator, so the composite of the two embedded morphisms is valid iff it
+    equals that embedding.  A composite that is not listed is not respected.
+    """
+    if not (forward and reverse):
+        return True
+    endos = [
+        {(m.f, m.lam): m for m in hom_set(obj, obj)}
+        for obj in (forward[0].source, reverse[0].source)
+    ]
+    for m1 in forward:
+        e1 = scope.embed(m1)
+        for m2 in reverse:
+            e2 = scope.embed(m2)
+            for outer, inner, e_outer, e_inner, endo in (
+                (m2, m1, e2, e1, endos[0]),
+                (m1, m2, e1, e2, endos[1]),
+            ):
+                listed = endo.get((_then(inner.f, outer.f), _then(inner.lam, outer.lam)))
+                if listed is None:
+                    return False
+                image = scope.embed(listed)
+                if (image.fstar, image.lam) != (
+                    _then(e_inner.fstar, e_outer.fstar),
+                    _then(e_inner.lam, e_outer.lam),
+                ):
+                    return False
+    return True
+
+
+def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
+    """The map array of first, then second."""
+    return tuple(map(second.__getitem__, first))
+
+
 def verify_embedding(
     source: FuzzySubgroup,
     target: FuzzySubgroup,
@@ -341,11 +390,14 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    Both hom-sets are enumerated exhaustively.  A shared ``hom_cache`` dict,
-    owned by the caller, keeps covers, cover triples and hom-sets across many
-    pairs; embedded morphisms are reused within this one call only.  Any
-    failed condition is recorded as a counterexample in the certificate
-    instead of raising.
+    Both hom-sets are enumerated exhaustively.  When Hom(source, target) and
+    Hom(target, source) are both non-empty, Hom(source, source) and
+    Hom(target, target) are enumerated too, to certify the composites by
+    lookup; each of these enumerations is its own search under ``budget``.
+    A shared ``hom_cache`` dict, owned by the caller, keeps covers, cover
+    triples and hom-sets across many pairs; embedded morphisms are reused
+    within this one call only.  Any failed condition is recorded as a
+    counterexample in the certificate instead of raising.
     """
     from .enumeration import enumerate_cover_morphisms, enumerate_fuzzy_morphisms
 
@@ -407,19 +459,9 @@ def verify_embedding(
                 counterexample = f"round trip differs on fuzzy morphism {i}"
 
     reverse = fuzzy_hom_set(target, source)
-    composition_checks = 0
-    composition_ok = True
-    for m1 in fuzzy_homs:
-        for m2 in reverse:
-            for outer, inner in ((m2, m1), (m1, m2)):
-                composite = compose_fuzzy_morphisms(outer, inner)
-                lhs = scope.embed(composite)
-                rhs = compose_cover_morphisms(scope.embed(outer), scope.embed(inner))
-                composition_checks += 1
-                if lhs != rhs:
-                    composition_ok = False
-                    if counterexample is None:
-                        counterexample = "embedding does not respect a composition"
+    composition_ok = _respects_compositions(scope, fuzzy_homs, reverse, fuzzy_hom_set)
+    if not composition_ok and counterexample is None:
+        counterexample = "embedding does not respect a composition"
 
     return EmbeddingCertificate(
         source=source,
@@ -431,7 +473,7 @@ def verify_embedding(
         faithful=faithful,
         full=full,
         roundtrip_ok=roundtrip_ok,
-        composition_checks=composition_checks,
+        composition_checks=2 * len(fuzzy_homs) * len(reverse),
         composition_ok=composition_ok,
         counterexample=counterexample,
     )

@@ -25,15 +25,17 @@ class FiniteGroup:
 
     Instances are produced by :func:`validate_group` (or the built-in family
     constructors) and are immutable afterwards; share them freely.
+    ``generators`` is the generating set the associativity check found.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses")
+    __slots__ = ("names", "table", "identity", "inverses", "generators")
 
-    def __init__(self, names, table, identity, inverses):
+    def __init__(self, names, table, identity, inverses, generators):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.identity = identity
         self.inverses = tuple(inverses)
+        self.generators = tuple(generators)
 
     @property
     def n(self) -> int:
@@ -58,13 +60,19 @@ class FiniteGroup:
 
 
 def _check_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
+    """Raise NotClosed, naming the first entry, row by row, that is no element index.
+
+    Rows are iterated whole rather than indexed entry by entry; the column of
+    a failing entry is found only on failure, as the first position holding
+    that same object, since any earlier copy of it would have failed first.
+    """
     n = len(names)
     if len(table) != n or any(len(row) != n for row in table):
         raise NotClosed(f"table must be {n}x{n} to match {n} element names")
-    for a in range(n):
-        for b in range(n):
-            v = table[a][b]
+    for a, row in enumerate(table):
+        for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
+                b = next(b for b, w in enumerate(row) if w is v)
                 raise NotClosed(
                     f"entry {names[a]}*{names[b]} = {v!r} is not an element index",
                     witness=(a, b),
@@ -101,26 +109,28 @@ def _generators(rows, cols) -> list[int]:
     return gens
 
 
-def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
-    """Raise NotAssociative, naming the least failing triple, unless the table is.
+def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> list[int]:
+    """Return a generating set of the table, or raise NotAssociative.
 
     The table must already be closed.  Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, 1961, 1.2): the elements g with
     (x*g)*y = x*(g*y) for all x, y form a submagma, so the table is
     associative iff every generator of a generating set is such an element.
     That costs O(n^2 |gens|); whole rows are compared at once.  Only when it
-    fails are the pairs (a, b) scanned in order for the first failing c.
+    fails are the pairs (a, b) scanned in order for the first failing c,
+    which is named as the witness.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
     if n < 2:  # a closed table on at most one element is associative
-        return
+        return list(range(n))
     cols = list(zip(*rows))
+    gens = _generators(rows, cols)
     if all(
         list(map(itemgetter(*rows[g]), rows)) == list(map(rows.__getitem__, cols[g]))
-        for g in _generators(rows, cols)
+        for g in gens
     ):
-        return
+        return gens
     for a in range(n):
         for b in range(n):
             left = rows[rows[a][b]]
@@ -131,6 +141,7 @@ def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> 
                     f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})",
                     witness=(a, b, c),
                 )
+    return gens
 
 
 def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -141,7 +152,7 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
     MissingInverse (with witness element).
     """
     _check_closed(names, table)
-    _check_associative(names, table)
+    generators = _check_associative(names, table)
     n = len(names)
     identity = None
     for e in range(n):
@@ -160,7 +171,7 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
         if y is None:
             raise MissingInverse(f"element {names[x]} has no inverse", witness=x)
         inverses.append(y)
-    return FiniteGroup(names, table, identity, inverses)
+    return FiniteGroup(names, table, identity, inverses, generators)
 
 
 # -- built-in families --------------------------------------------------------
@@ -252,15 +263,19 @@ def is_subgroup(group: FiniteGroup, subset: Iterable[int]) -> bool:
 
 
 def is_group_homomorphism(f: Sequence[int], source: FiniteGroup, target: FiniteGroup) -> bool:
-    """True iff f(x*y) = f(x)*f(y) for all x, y (identity preservation follows)."""
+    """True iff f(x*y) = f(x)*f(y) for all x, y (identity preservation follows).
+
+    Also for inverse monoids.  As both tables are associative, the x with
+    f(x*y) = f(x)*f(y) for all y are closed under products, so it is enough
+    that each of ``source.generators`` is one; each is checked on its whole row.
+    """
     if len(f) != source.n or any(not 0 <= v < target.n for v in f):
         return False
     st = source.table
     tt = target.table
     return all(
-        f[st[a][b]] == tt[f[a]][f[b]]
-        for a in range(source.n)
-        for b in range(source.n)
+        list(map(f.__getitem__, st[g])) == list(map(tt[f[g]].__getitem__, f))
+        for g in source.generators
     )
 
 

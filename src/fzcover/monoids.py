@@ -87,17 +87,19 @@ class FiniteInverseMonoid:
     """A finite inverse monoid: labels, table, unit, and inverse table.
 
     Built by :func:`validate_inverse_monoid`; the ``derived`` attribute holds
-    the cached :class:`DerivedStructure`.
+    the cached :class:`DerivedStructure`, and ``generators`` the generating
+    set the associativity check found.
     """
 
-    __slots__ = ("names", "table", "unit", "inverse", "derived")
+    __slots__ = ("names", "table", "unit", "inverse", "derived", "generators")
 
-    def __init__(self, names, table, unit, inverse, derived):
+    def __init__(self, names, table, unit, inverse, derived, generators):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
+        self.generators = tuple(generators)
 
     @property
     def n(self) -> int:
@@ -122,7 +124,8 @@ class FiniteInverseMonoid:
         return f"FiniteInverseMonoid(order={self.n}, unit={self.names[self.unit]!r})"
 
 
-def _check_table(names, table, unit):
+def _check_table(names, table, unit) -> list[int]:
+    """Check closure, unit and associativity; return a generating set."""
     _check_closed(names, table)
     n = len(names)
     if not 0 <= unit < n:
@@ -130,7 +133,7 @@ def _check_table(names, table, unit):
     for x in range(n):
         if table[unit][x] != x or table[x][unit] != x:
             raise NotUnital(f"{names[unit]} is not a unit at {names[x]}", witness=x)
-    _check_associative(names, table)
+    return _check_associative(names, table)
 
 
 def _generalized_inverses(names, table):
@@ -281,7 +284,7 @@ def validate_inverse_monoid(
     Raises NotClosed, NotUnital, NotAssociative, NoInverse or NonUniqueInverse;
     the derived structure is computed exhaustively and cached on the result.
     """
-    _check_table(names, table, unit)
+    generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table)
     n = len(names)
     for x in range(n):
@@ -293,7 +296,7 @@ def validate_inverse_monoid(
                     f"(xy)^-1 != y^-1 x^-1 at {names[x]}, {names[y]}"
                 )
     derived = _derive(names, table, unit, inverse)
-    return FiniteInverseMonoid(names, table, unit, inverse, derived)
+    return FiniteInverseMonoid(names, table, unit, inverse, derived, generators)
 
 
 # -- structure queries ---------------------------------------------------------

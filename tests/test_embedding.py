@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from fzcover import (
     compose_cover_morphisms,
     compose_fuzzy_morphisms,
     cyclic,
+    default_grid,
     embed_morphism,
     embed_object,
     enumerate_cover_morphisms,
     enumerate_fuzzy_morphisms,
+    enumerate_fuzzy_subgroups_filter,
     identity_cover_morphism,
     identity_fuzzy_morphism,
+    klein_four,
     reconstruct_morphism,
     validate_cover_morphism,
     validate_fuzzy,
@@ -20,6 +24,7 @@ from fzcover import (
     verify_embedding,
 )
 from fzcover.errors import (
+    BudgetExceeded,
     CommutationFailure,
     MaximaNotPreserved,
     NotComposable,
@@ -257,5 +262,114 @@ def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
         for m2 in reverse:
             embedded.add(compose_fuzzy_morphisms(m2, m1))
             embedded.add(compose_fuzzy_morphisms(m1, m2))
-    # the rest: the two identity cover morphisms and one composite per check
-    assert len(calls) == len(embedded) + 2 + cert.composition_checks
+    # the rest: the two identity cover morphisms; composites are looked up
+    # in their hom-sets, whose embeddings are in ``embedded``, not validated again
+    assert len(calls) == len(embedded) + 2
+
+
+# -- composites by lookup against composites by definition --------------------------------
+
+def composition_by_definition(scope, forward, reverse, hom_set):
+    """The re-validating loop that the hom-set lookup replaced, as its oracle.
+
+    Each composite is built and validated, embedded, and compared with the
+    composite of the two embedded morphisms, which is validated again.
+    """
+    ok = True
+    for m1 in forward:
+        for m2 in reverse:
+            for outer, inner in ((m2, m1), (m1, m2)):
+                lhs = scope.embed(compose_fuzzy_morphisms(outer, inner))
+                rhs = compose_cover_morphisms(scope.embed(outer), scope.embed(inner))
+                if lhs != rhs:
+                    ok = False
+    return ok
+
+
+def both_certificates(monkeypatch, source, target, hom_cache=None):
+    import fzcover.embedding as embedding
+
+    by_lookup = verify_embedding(source, target, hom_cache=hom_cache).to_json_dict()
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "_respects_compositions", composition_by_definition)
+        by_definition = verify_embedding(source, target, hom_cache=hom_cache).to_json_dict()
+    return by_lookup, by_definition
+
+
+def test_lookup_certifies_like_the_definition_on_a_pool(monkeypatch):
+    pool = [
+        fz
+        for g in (cyclic(2), cyclic(3), cyclic(4), klein_four())
+        for fz in enumerate_fuzzy_subgroups_filter(g, default_grid(3))
+    ]
+    assert len(pool) == 40
+    cache: dict = {}
+    checks = 0
+    for a in pool:
+        for b in pool:
+            by_lookup, by_definition = both_certificates(monkeypatch, a, b, cache)
+            assert by_lookup == by_definition, (a, b)
+            assert by_lookup["ok"]
+            checks += by_lookup["composition_checks"]
+    assert checks == 43352
+
+
+def test_a_wrong_embedding_is_found_by_both(monkeypatch, fz_z2, fz_z2_const):
+    import fzcover.embedding as embedding
+
+    # Z2 -> const -> Z2 composes to the endomorphism that sends all to e and
+    # every value to the top: only the composition check embeds it
+    wrong = validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
+    embed = embedding._Scope.embed
+
+    def planted(self, m):
+        em = embed(self, m)
+        if m == wrong:
+            fstar = list(em.fstar)
+            fstar[0] = (fstar[0] + 1) % len(fstar)
+            return dataclasses.replace(em, fstar=tuple(fstar))
+        return em
+
+    monkeypatch.setattr(embedding._Scope, "embed", planted)
+    by_lookup, by_definition = both_certificates(monkeypatch, fz_z2, fz_z2_const)
+    assert by_lookup == by_definition
+    assert by_lookup["composition_ok"] is False and by_lookup["ok"] is False
+    assert by_lookup["counterexample"] == "embedding does not respect a composition"
+    assert by_lookup["identity_ok"] and by_lookup["full"] and by_lookup["roundtrip_ok"]
+
+
+def test_a_composite_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, fz_z2_const):
+    import fzcover.enumeration as enumeration
+
+    missing = validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
+    enumerate_all = enumeration.enumerate_fuzzy_morphisms
+
+    def lacking(source, target, budget):
+        return [m for m in enumerate_all(source, target, budget) if m != missing]
+
+    monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", lacking)
+    cert = verify_embedding(fz_z2, fz_z2_const)
+    assert not cert.ok and not cert.composition_ok
+    assert cert.counterexample == "embedding does not respect a composition"
+    assert cert.identity_ok and cert.faithful and cert.full and cert.roundtrip_ok
+
+
+def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz):
+    import fzcover.enumeration as enumeration
+
+    searched = []
+    enumerate_all = enumeration.enumerate_fuzzy_morphisms
+
+    def recording(source, target, budget):
+        searched.append((source, target))
+        return enumerate_all(source, target, budget)
+
+    monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", recording)
+    # every search of Hom(C1, V4), Hom(V4, C1) and their covers fits in 7
+    # nodes; Hom(V4, V4), searched only to look composites up, does not
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_embedding(trivial_fz, fz_v4, budget=7)
+    assert str(exc.value) == "8 group homomorphism nodes exceed budget 7"
+    assert searched == [
+        (trivial_fz, fz_v4), (fz_v4, trivial_fz), (trivial_fz, trivial_fz), (fz_v4, fz_v4)
+    ]
