@@ -185,15 +185,21 @@ def compose_cover_morphisms(second: CoverMorphism, first: CoverMorphism) -> Cove
 # -- the embedding -------------------------------------------------------------
 
 class _Scope:
-    """What one certification reuses, and the one core of the embedding.
+    """What a certification reuses, and the one core of the embedding.
 
-    Covers with their triples, and hom-sets, live in ``store``: the caller's
-    ``hom_cache`` or a fresh dict.  Embedded morphisms live as long as the scope.
+    Everything kept is a pure function of its key and lives in ``store``: the
+    caller's ``hom_cache`` or a fresh dict.  That is covers with their
+    triples, hom-sets, embedded morphisms and, per object, the identity
+    check, so every pair certified with one ``hom_cache`` shares them, and
+    each morphism is embedded and validated once.  Nothing is stored for a
+    build that raised.
     """
 
     def __init__(self, store: dict | None = None):
         self.store = {} if store is None else store
-        self.embedded: dict[FuzzyMorphism, CoverMorphism] = {}
+        self.embedded: dict[FuzzyMorphism, CoverMorphism] = self.store.setdefault(
+            "embedded", {}
+        )
 
     def lookup(self, key, build):
         value = self.store.get(key)
@@ -207,6 +213,14 @@ class _Scope:
             return cov, cover_triple(cov.monoid, cov.base, cov.projection)
 
         return self.lookup(("cover", fz), build)
+
+    def identity_ok(self, fz: FuzzySubgroup) -> bool:
+        """Whether the embedding sends the identity of fz to that of its cover."""
+        return self.lookup(
+            ("identity ok", fz),
+            lambda: self.embed(identity_fuzzy_morphism(fz))
+            == identity_cover_morphism(self.cover(fz)[1]),
+        )
 
     def embed(self, m: FuzzyMorphism) -> CoverMorphism:
         em = self.embedded.get(m)
@@ -395,9 +409,10 @@ def verify_embedding(
     Hom(target, target) are enumerated too, to certify the composites by
     lookup; each of these enumerations is its own search under ``budget``.
     A shared ``hom_cache`` dict, owned by the caller, keeps covers, cover
-    triples and hom-sets across many pairs; embedded morphisms are reused
-    within this one call only.  Any failed condition is recorded as a
-    counterexample in the certificate instead of raising.
+    triples, hom-sets, embedded morphisms and the identity check of each
+    object across many pairs, so a pool embeds and validates each morphism
+    once.  Any failed condition is recorded as a counterexample in the
+    certificate instead of raising.
     """
     from .enumeration import enumerate_cover_morphisms, enumerate_fuzzy_morphisms
 
@@ -417,11 +432,7 @@ def verify_embedding(
     )
     counterexample = None
 
-    identity_ok = all(
-        scope.embed(identity_fuzzy_morphism(fz))
-        == identity_cover_morphism(scope.cover(fz)[1])
-        for fz in (source, target)
-    )
+    identity_ok = scope.identity_ok(source) and scope.identity_ok(target)
 
     images = []
     bijection = []
@@ -439,9 +450,10 @@ def verify_embedding(
 
     full = len(set(bijection)) == len(cover_homs) and -1 not in bijection
     roundtrip_ok = True
+    reconstructed = {}
     for j, c in enumerate(cover_homs):
         try:
-            m = scope.reconstruct(c, source, target)
+            m = reconstructed[j] = scope.reconstruct(c, source, target)
         except (ReconstructionMismatch, NotEmbeddingImage) as exc:
             full = False
             roundtrip_ok = False
@@ -453,7 +465,14 @@ def verify_embedding(
             if counterexample is None:
                 counterexample = f"cover morphism {j} reconstructs outside the hom-set"
     for i, m in enumerate(fuzzy_homs):
-        if scope.reconstruct(images[i], source, target) != m:
+        # images[i] == cover_homs[bijection[i]], whose reconstruction is known
+        back = reconstructed.get(bijection[i])
+        if back is None:
+            try:
+                back = scope.reconstruct(images[i], source, target)
+            except (ReconstructionMismatch, NotEmbeddingImage):
+                pass  # no morphism came back, so the round trip differs
+        if back != m:
             roundtrip_ok = False
             if counterexample is None:
                 counterexample = f"round trip differs on fuzzy morphism {i}"

@@ -240,11 +240,10 @@ def test_shared_cache_with_value_equal_objects(z2, fz_z2, fz_z2_const, fz_v4):
             assert cert.ok, (f1, f2, cert.counterexample)
 
 
-def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
+def counting_validations(patch) -> list:
+    """Record every call of the cover-morphism validator that embedding makes."""
     import fzcover.embedding as embedding
 
-    cache: dict = {}
-    verify_embedding(fz_z2, fz_v4, hom_cache=cache)
     calls = []
     original = embedding.validate_cover_morphism
 
@@ -252,7 +251,13 @@ def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(embedding, "validate_cover_morphism", counting)
+    patch.setattr(embedding, "validate_cover_morphism", counting)
+    return calls
+
+
+def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
+    calls = counting_validations(monkeypatch)
+    cache: dict = {}
     cert = verify_embedding(fz_z2, fz_v4, hom_cache=cache)
     assert cert.ok and cert.composition_checks > 0
     reverse = enumerate_fuzzy_morphisms(fz_v4, fz_z2)
@@ -265,6 +270,10 @@ def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
     # the rest: the two identity cover morphisms; composites are looked up
     # in their hom-sets, whose embeddings are in ``embedded``, not validated again
     assert len(calls) == len(embedded) + 2
+    # a warm cache keeps every embedding and both identity checks
+    calls.clear()
+    assert verify_embedding(fz_z2, fz_v4, hom_cache=cache) == cert
+    assert calls == []
 
 
 # -- composites by lookup against composites by definition --------------------------------
@@ -296,13 +305,19 @@ def both_certificates(monkeypatch, source, target, hom_cache=None):
     return by_lookup, by_definition
 
 
-def test_lookup_certifies_like_the_definition_on_a_pool(monkeypatch):
-    pool = [
+@pytest.fixture(scope="module")
+def pool():
+    """The 40 grid-3 fuzzy subgroups of C2, C3, C4 and V4."""
+    found = [
         fz
         for g in (cyclic(2), cyclic(3), cyclic(4), klein_four())
         for fz in enumerate_fuzzy_subgroups_filter(g, default_grid(3))
     ]
-    assert len(pool) == 40
+    assert len(found) == 40
+    return found
+
+
+def test_lookup_certifies_like_the_definition_on_a_pool(monkeypatch, pool):
     cache: dict = {}
     checks = 0
     for a in pool:
@@ -373,3 +388,98 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz)
     assert searched == [
         (trivial_fz, fz_v4), (fz_v4, trivial_fz), (trivial_fz, trivial_fz), (fz_v4, fz_v4)
     ]
+
+
+# -- one hom_cache across a pool against one per pair --------------------------------------
+
+def pool_certificates(pool, shared: bool) -> list[dict]:
+    """Every ordered pair of the pool, with one hom_cache or a fresh one per pair."""
+    cache: dict = {}
+    return [
+        verify_embedding(a, b, hom_cache=cache if shared else {}).to_json_dict()
+        for a in pool
+        for b in pool
+    ]
+
+
+def plant_wrong_embedding(patch, wrong) -> None:
+    """Make the validator hand back the embedding of ``wrong`` with one fstar entry moved.
+
+    The plant sits below the embedding memo, so a shared hom_cache keeps the
+    wrong embedding for every later pair, and a fresh one builds it again.
+    """
+    import fzcover.embedding as embedding
+
+    right = embed_morphism(wrong)
+    validate = embedding.validate_cover_morphism
+
+    def planted(*args):
+        em = validate(*args)
+        if em == right:
+            fstar = list(em.fstar)
+            fstar[0] = (fstar[0] + 1) % len(fstar)
+            return dataclasses.replace(em, fstar=tuple(fstar))
+        return em
+
+    patch.setattr(embedding, "validate_cover_morphism", planted)
+
+
+def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
+    with monkeypatch.context() as patch:
+        calls = counting_validations(patch)
+        shared = pool_certificates(pool, shared=True)
+    assert shared == pool_certificates(pool, shared=False)
+    assert all(doc["ok"] for doc in shared)
+    # one validation per morphism of the pool and one identity check per object
+    assert len(calls) == sum(doc["fuzzy_hom_count"] for doc in shared) + len(pool)
+
+
+def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, pool):
+    # the endomorphism of a two-level C2 that sends all to e and every value to the top
+    fz = next(fz for fz in pool if fz.n == 2 and len(fz.chain) == 2)
+    plant_wrong_embedding(monkeypatch, validate_fuzzy_morphism(fz, fz, (0, 0), (1, 1)))
+    shared = pool_certificates(pool, shared=True)
+    assert shared == pool_certificates(pool, shared=False)
+    named = {
+        (i, doc["counterexample"]) for i, doc in enumerate(shared) if not doc["ok"]
+    }
+    self_pair = pool.index(fz) * (len(pool) + 1)
+    assert (self_pair, "image of fuzzy morphism 0 missing from cover hom-set") in named
+    assert {text for _, text in named} == {
+        "image of fuzzy morphism 0 missing from cover hom-set",
+        "embedding does not respect a composition",
+    }
+    assert not shared[self_pair]["roundtrip_ok"]
+
+
+def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
+    cache: dict = {}
+    # the hom-sets of the pair and their embeddings fit in 7 nodes; Hom(V4, V4) does not
+    with pytest.raises(BudgetExceeded):
+        verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
+    assert cache
+    for a, b in ((trivial_fz, fz_v4), (fz_v4, trivial_fz), (fz_v4, fz_v4)):
+        expected = verify_embedding(a, b).to_json_dict()
+        assert verify_embedding(a, b, hom_cache=cache).to_json_dict() == expected
+
+
+def test_hom_caches_share_nothing(monkeypatch, fz_z2):
+    planted_cache: dict = {}
+    with monkeypatch.context() as patch:
+        plant_wrong_embedding(patch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
+        assert not verify_embedding(fz_z2, fz_z2, hom_cache=planted_cache).ok
+    # the wrong embedding is kept in the dict it was made in, and only there
+    assert not verify_embedding(fz_z2, fz_z2, hom_cache=planted_cache).ok
+    assert verify_embedding(fz_z2, fz_z2, hom_cache={}).ok
+    assert verify_embedding(fz_z2, fz_z2).ok
+
+
+def test_a_failed_round_trip_is_recorded(monkeypatch, fz_z2_const):
+    # the moved entry sends the pair over e to the pair over a, so the
+    # reconstructed f moves the identity and is not a homomorphism
+    plant_wrong_embedding(
+        monkeypatch, validate_fuzzy_morphism(fz_z2_const, fz_z2_const, (0, 0), (0,))
+    )
+    cert = verify_embedding(fz_z2_const, fz_z2_const)
+    assert not cert.ok and not cert.roundtrip_ok and not cert.full
+    assert cert.counterexample == "image of fuzzy morphism 0 missing from cover hom-set"

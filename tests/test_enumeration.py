@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from fzcover import (
     ValueGrid,
     all_subgroups,
+    chain_monoid,
     cyclic,
     default_grid,
     dihedral,
@@ -14,6 +16,7 @@ from fzcover import (
     enumerate_fuzzy_morphisms,
     enumerate_fuzzy_subgroups_chain,
     enumerate_fuzzy_subgroups_filter,
+    enumerate_monoid_homomorphisms,
     enumerate_subgroup_chains,
     klein_four,
     symmetric,
@@ -182,6 +185,20 @@ def test_hom_counts_invariant_under_relabeling(fz_z2):
         enumerate_cover_morphisms(embed_object(swapped), embed_object(swapped))
     )
     assert cert_count == 2
+
+
+def test_chain_hom_counts_are_binomials():
+    # a monotone map of a k1-chain into a k2-chain that keeps the top is a
+    # multiset of k1 - 1 values out of k2: C(k2 + k1 - 2, k1 - 1) of them
+    for k1 in range(1, 7):
+        for k2 in range(1, 7):
+            expected = comb(k2 + k1 - 2, k1 - 1)
+            maps = enumeration._monotone_top_maps(k1, k2)
+            homs = enumerate_monoid_homomorphisms(
+                chain_monoid(default_grid(k1).levels), chain_monoid(default_grid(k2).levels)
+            )
+            assert len(maps) == len(homs) == expected, (k1, k2)
+            assert maps == homs
 
 
 def test_budget_guards(v4, s3):

@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -122,6 +123,14 @@ def test_enumerate_homomorphisms_against_oracle():
     z4 = cyclic(4)
     assert enumerate_group_homomorphisms(z4, v4) == brute_force_homs(z4, v4)
     assert enumerate_group_homomorphisms(v4, z4) == brute_force_homs(v4, z4)
+
+
+def test_cyclic_hom_counts_are_gcds():
+    # |Hom(Cm, Cn)| = gcd(m, n): a generator may go to any element whose order divides m
+    groups = {n: cyclic(n) for n in range(1, 13)}
+    for m, cm in groups.items():
+        for n, cn in groups.items():
+            assert len(enumerate_group_homomorphisms(cm, cn)) == gcd(m, n), (m, n)
 
 
 def test_enumeration_contains_identity_and_is_budgeted():
