@@ -75,15 +75,14 @@ def _cmd_check(workspaces, args):
     return lines, payload, 0
 
 
-def _sigma_section(cover, lines):
-    fz = cover.source
+def _sigma_section(cover, report, lines):
+    index = cover.pair_index
     lines.append("sigma classes:")
-    for x in range(fz.group.n):
-        cls = [cover.pair_index[(u, x)] for u in range(fz.mu_index(x) + 1)]
-        mx = cover.pair_index[(fz.mu_index(x), x)]
+    names = cover.source.group.names
+    for name, cls, mx in zip(names, report.sigma_classes, report.sigma_maxima):
         lines.append(
-            f"  over {fz.group.names[x]}: {_pair_names(cover, cls)} "
-            f"max {cover.monoid.names[mx]}"
+            f"  over {name}: {_pair_names(cover, map(index.get, cls))} "
+            f"max {cover.monoid.names[index[mx]]}"
         )
     quotient = cover.monoid.derived.sigma_quotient
     lines.append(f"sigma quotient: group of order {quotient.n}")
@@ -148,7 +147,7 @@ def _cmd_cover(workspaces, args):
         if not report.all_match:
             failed = True
         if "sigma" in sections:
-            _sigma_section(cover, lines)
+            _sigma_section(cover, report, lines)
         if "green" in sections:
             _green_section(cover, lines)
         if "levels" in sections:

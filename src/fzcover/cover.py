@@ -1,7 +1,9 @@
-"""The F-inverse cover attached to a fuzzy subgroup, and its general form.
+"""The category of F-inverse covers, and the cover of a fuzzy subgroup.
 
-`build_cover` realizes the admissible-pair monoid of a fuzzy subgroup with
-the componentwise product, while `cover_from_premorphism` performs the same
+Objects are cover triples (F-inverse monoid, base, projection); morphisms are
+pairs (fstar, lam) that commute with the projections.  `build_cover` realizes
+the admissible-pair monoid of a fuzzy subgroup with the componentwise product
+and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
 each other in tests.  Closed-form descriptions of the cover's structure
@@ -13,13 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
     AlgebraError,
     BudgetExceeded,
+    CommutationFailure,
     IsomorphismSearchBudgetExceeded,
+    MaximaNotPreserved,
+    NotComposable,
+    NotHomomorphism,
     ReconstructionMismatch,
 )
 from .fuzzy import FuzzySubgroup, level_subset
@@ -28,30 +34,117 @@ from .monoids import (
     FiniteInverseMonoid,
     chain_monoid,
     check_projection,
+    is_monoid_homomorphism,
     validate_dual_premorphism,
     validate_inverse_monoid,
 )
 from .search import product_preserving_maps
 
 
+# -- cover triples and their morphisms ----------------------------------------
+
+@dataclass(frozen=True)
+class CoverTriple:
+    """A certified cover object: F-inverse monoid, base monoid, projection."""
+
+    monoid: FiniteInverseMonoid
+    base: FiniteInverseMonoid
+    projection: tuple[int, ...]
+
+
+def cover_triple(
+    monoid: FiniteInverseMonoid, base: FiniteInverseMonoid, projection: Sequence[int]
+) -> CoverTriple:
+    """Certify the triple: F-inverse, surjective idempotent-separating projection."""
+    projection = tuple(projection)
+    check_projection(monoid, base, projection)
+    return CoverTriple(monoid, base, projection)
+
+
+@dataclass(frozen=True)
+class CoverMorphism:
+    """A pair (fstar, lam) of monoid homomorphisms commuting with projections.
+
+    Both components send every class maximum to the maximum of its own class.
+    """
+
+    source: CoverTriple
+    target: CoverTriple
+    fstar: tuple[int, ...]
+    lam: tuple[int, ...]
+
+
+def _check_maxima_preserved(f, source: FiniteInverseMonoid, target: FiniteInverseMonoid, what: str):
+    td = target.derived
+    for m in source.derived.sigma_maxima:
+        if m is None:
+            continue
+        image = f[m]
+        if td.sigma_maxima[td.sigma.class_of[image]] != image:
+            raise MaximaNotPreserved(
+                f"{what} sends class maximum {source.names[m]} to non-maximum "
+                f"{target.names[image]}",
+                witness=m,
+            )
+
+
+def validate_cover_morphism(
+    source: CoverTriple,
+    target: CoverTriple,
+    fstar: Sequence[int],
+    lam: Sequence[int],
+) -> CoverMorphism:
+    """Check homomorphism, maxima-preservation and commutation conditions."""
+    fstar = tuple(fstar)
+    lam = tuple(lam)
+    if not is_monoid_homomorphism(fstar, source.monoid, target.monoid):
+        raise NotHomomorphism("fstar is not a monoid homomorphism")
+    if not is_monoid_homomorphism(lam, source.base, target.base):
+        raise NotHomomorphism("lam is not a monoid homomorphism")
+    _check_maxima_preserved(fstar, source.monoid, target.monoid, "fstar")
+    _check_maxima_preserved(lam, source.base, target.base, "lam")
+    for t in range(source.monoid.n):
+        if target.projection[fstar[t]] != lam[source.projection[t]]:
+            raise CommutationFailure(
+                f"projection(fstar({source.monoid.names[t]})) != "
+                f"lam(projection({source.monoid.names[t]}))",
+                witness=t,
+            )
+    return CoverMorphism(source, target, fstar, lam)
+
+
+def identity_cover_morphism(obj: CoverTriple) -> CoverMorphism:
+    return validate_cover_morphism(
+        obj, obj, tuple(range(obj.monoid.n)), tuple(range(obj.base.n))
+    )
+
+
+def compose_cover_morphisms(second: CoverMorphism, first: CoverMorphism) -> CoverMorphism:
+    """The composite pair, re-validated (maxima preservation included)."""
+    if first.target != second.source:
+        raise NotComposable("target of the first morphism differs from source of the second")
+    fstar = tuple(second.fstar[v] for v in first.fstar)
+    lam = tuple(second.lam[v] for v in first.lam)
+    return validate_cover_morphism(first.source, second.target, fstar, lam)
+
+
 class CoverMonoid:
     """The cover of a fuzzy subgroup: admissible pairs (value, group element).
 
     Pairs are ordered lexicographically by (group element index, chain index)
-    so every report and table iterates deterministically.  ``projection``
-    maps each pair to its chain index, an element of ``base`` (the chain
-    monoid of the value set).
+    so every report and table iterates deterministically.  ``triple`` is the
+    certified cover triple; its ``projection`` maps each pair to its chain
+    index, an element of ``base`` (the chain monoid of the value set).
     """
 
-    __slots__ = ("source", "pairs", "pair_index", "monoid", "base", "projection")
+    __slots__ = ("source", "pairs", "pair_index", "triple", "monoid", "base", "projection")
 
-    def __init__(self, source, pairs, monoid, base, projection):
+    def __init__(self, source, pairs, triple: CoverTriple):
         self.source = source
         self.pairs = tuple(pairs)
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.monoid = monoid
-        self.base = base
-        self.projection = tuple(projection)
+        self.triple = triple
+        self.monoid, self.base, self.projection = triple.monoid, triple.base, triple.projection
 
     @property
     def n(self) -> int:
@@ -88,12 +181,10 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     ]
     unit = index[(len(fz.chain) - 1, group.identity)]
     monoid = validate_inverse_monoid(names, table, unit)
-    base = chain_monoid(fz.chain)
-    projection = tuple(u for u, _ in pairs)
-    check_projection(monoid, base, projection)
+    triple = cover_triple(monoid, chain_monoid(fz.chain), (u for u, _ in pairs))
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
-    return CoverMonoid(fz, pairs, monoid, base, projection)
+    return CoverMonoid(fz, pairs, triple)
 
 
 @dataclass(frozen=True)

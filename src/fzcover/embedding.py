@@ -1,195 +1,36 @@
-"""Morphisms of fuzzy subgroups, morphisms of covers, and the embedding.
+"""The functor that fully embeds fuzzy subgroups into F-inverse covers.
 
-The embedding sends a fuzzy subgroup to its cover triple and a morphism
-(f, lambda) to (fstar, lambda) with fstar acting componentwise on admissible
-pairs.  `verify_embedding` certifies, for a pair of objects, that the
-embedding is functorial, injective on the hom-set, and surjective onto the
-cover-side hom-set, by exhaustive enumeration of both sides.
+It sends a fuzzy subgroup to its cover triple and a morphism (f, lambda) to
+(fstar, lambda) with fstar acting componentwise on admissible pairs.
+`verify_embedding` certifies, for a pair of objects, that the embedding is
+functorial, injective on the hom-set, and surjective onto the cover-side
+hom-set, by exhaustive enumeration of both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .cover import CoverMonoid, build_cover
-from .errors import (
-    DEFAULT_BUDGET,
-    CommutationFailure,
-    MaximaNotPreserved,
-    NotComposable,
-    NotEmbeddingImage,
-    NotGroupHom,
-    NotHomomorphism,
-    NotOrderPreserving,
-    ReconstructionMismatch,
-    TopNotPreserved,
-    ValidationError,
+from . import enumeration
+from .cover import (
+    CoverMonoid,
+    CoverMorphism,
+    CoverTriple,
+    build_cover,
+    identity_cover_morphism,
+    validate_cover_morphism,
 )
-from .fuzzy import FuzzySubgroup
-from .groups import is_group_homomorphism
-from .monoids import FiniteInverseMonoid, check_projection, is_monoid_homomorphism
+from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, identity_fuzzy_morphism, validate_fuzzy_morphism
 
-
-# -- morphisms of fuzzy subgroups ---------------------------------------------
-
-@dataclass(frozen=True)
-class FuzzyMorphism:
-    """A pair (f, lam): group homomorphism plus top-preserving monotone chain map.
-
-    ``lam`` maps chain indices of the source value set to chain indices of
-    the target's, and the square mu_target(f(x)) = lam(mu_source(x)) commutes.
-    """
-
-    source: FuzzySubgroup
-    target: FuzzySubgroup
-    f: tuple[int, ...]
-    lam: tuple[int, ...]
-
-
-def validate_fuzzy_morphism(
-    source: FuzzySubgroup,
-    target: FuzzySubgroup,
-    f: Sequence[int],
-    lam: Sequence[int],
-) -> FuzzyMorphism:
-    """Check all three morphism conditions and return the validated pair."""
-    f = tuple(f)
-    lam = tuple(lam)
-    if not is_group_homomorphism(f, source.group, target.group):
-        raise NotGroupHom("f is not a group homomorphism")
-    k1, k2 = len(source.chain), len(target.chain)
-    if len(lam) != k1 or any(not 0 <= v < k2 for v in lam):
-        raise NotOrderPreserving("lam must assign a target chain value to each source value")
-    for i in range(k1 - 1):
-        if lam[i] > lam[i + 1]:
-            raise NotOrderPreserving(
-                f"lam reverses {source.chain[i]} < {source.chain[i + 1]}",
-                witness=(i, i + 1),
-            )
-    if lam[k1 - 1] != k2 - 1:
-        raise TopNotPreserved(
-            f"lam sends top {source.top} to {target.chain[lam[k1 - 1]]}, not {target.top}"
-        )
-    for x in range(source.n):
-        if target.mu_index(f[x]) != lam[source.mu_index(x)]:
-            raise CommutationFailure(
-                f"mu(f({source.group.names[x]})) != lam(mu({source.group.names[x]}))",
-                witness=x,
-            )
-    return FuzzyMorphism(source, target, f, lam)
-
-
-def identity_fuzzy_morphism(fz: FuzzySubgroup) -> FuzzyMorphism:
-    return validate_fuzzy_morphism(
-        fz, fz, tuple(range(fz.n)), tuple(range(len(fz.chain)))
-    )
-
-
-def compose_fuzzy_morphisms(second: FuzzyMorphism, first: FuzzyMorphism) -> FuzzyMorphism:
-    """The composite pair, re-validated rather than assumed correct."""
-    if first.target != second.source:
-        raise NotComposable("target of the first morphism differs from source of the second")
-    f = tuple(second.f[v] for v in first.f)
-    lam = tuple(second.lam[v] for v in first.lam)
-    return validate_fuzzy_morphism(first.source, second.target, f, lam)
-
-
-# -- cover triples and their morphisms ----------------------------------------
-
-@dataclass(frozen=True)
-class CoverTriple:
-    """A certified cover object: F-inverse monoid, base monoid, projection."""
-
-    monoid: FiniteInverseMonoid
-    base: FiniteInverseMonoid
-    projection: tuple[int, ...]
-
-
-def cover_triple(
-    monoid: FiniteInverseMonoid, base: FiniteInverseMonoid, projection: Sequence[int]
-) -> CoverTriple:
-    """Certify the triple: F-inverse, surjective idempotent-separating projection."""
-    projection = tuple(projection)
-    check_projection(monoid, base, projection)
-    return CoverTriple(monoid, base, projection)
-
-
-@dataclass(frozen=True)
-class CoverMorphism:
-    """A pair (fstar, lam) of monoid homomorphisms commuting with projections.
-
-    Both components send every class maximum to the maximum of its own class.
-    """
-
-    source: CoverTriple
-    target: CoverTriple
-    fstar: tuple[int, ...]
-    lam: tuple[int, ...]
-
-
-def _check_maxima_preserved(f, source: FiniteInverseMonoid, target: FiniteInverseMonoid, what: str):
-    td = target.derived
-    for m in source.derived.sigma_maxima:
-        if m is None:
-            continue
-        image = f[m]
-        if td.sigma_maxima[td.sigma.class_of[image]] != image:
-            raise MaximaNotPreserved(
-                f"{what} sends class maximum {source.names[m]} to non-maximum "
-                f"{target.names[image]}",
-                witness=m,
-            )
-
-
-def validate_cover_morphism(
-    source: CoverTriple,
-    target: CoverTriple,
-    fstar: Sequence[int],
-    lam: Sequence[int],
-) -> CoverMorphism:
-    """Check homomorphism, maxima-preservation and commutation conditions."""
-    fstar = tuple(fstar)
-    lam = tuple(lam)
-    if not is_monoid_homomorphism(fstar, source.monoid, target.monoid):
-        raise NotHomomorphism("fstar is not a monoid homomorphism")
-    if not is_monoid_homomorphism(lam, source.base, target.base):
-        raise NotHomomorphism("lam is not a monoid homomorphism")
-    _check_maxima_preserved(fstar, source.monoid, target.monoid, "fstar")
-    _check_maxima_preserved(lam, source.base, target.base, "lam")
-    for t in range(source.monoid.n):
-        if target.projection[fstar[t]] != lam[source.projection[t]]:
-            raise CommutationFailure(
-                f"projection(fstar({source.monoid.names[t]})) != "
-                f"lam(projection({source.monoid.names[t]}))",
-                witness=t,
-            )
-    return CoverMorphism(source, target, fstar, lam)
-
-
-def identity_cover_morphism(obj: CoverTriple) -> CoverMorphism:
-    return validate_cover_morphism(
-        obj, obj, tuple(range(obj.monoid.n)), tuple(range(obj.base.n))
-    )
-
-
-def compose_cover_morphisms(second: CoverMorphism, first: CoverMorphism) -> CoverMorphism:
-    """The composite pair, re-validated (maxima preservation included)."""
-    if first.target != second.source:
-        raise NotComposable("target of the first morphism differs from source of the second")
-    fstar = tuple(second.fstar[v] for v in first.fstar)
-    lam = tuple(second.lam[v] for v in first.lam)
-    return validate_cover_morphism(first.source, second.target, fstar, lam)
-
-
-# -- the embedding -------------------------------------------------------------
 
 class _Scope:
     """What a certification reuses, and the one core of the embedding.
 
     Everything kept is a pure function of its key and lives in ``store``: the
-    caller's ``hom_cache`` or a fresh dict.  That is covers with their
-    triples, hom-sets, embedded morphisms and, per object, the identity
+    caller's ``hom_cache`` or a fresh dict.  That is covers, which carry
+    their triples, hom-sets, embedded morphisms and, per object, the identity
     check, so every pair certified with one ``hom_cache`` shares them, and
     each morphism is embedded and validated once.  Nothing is stored for a
     build that raised.
@@ -207,26 +48,22 @@ class _Scope:
             value = self.store[key] = build()
         return value
 
-    def cover(self, fz: FuzzySubgroup) -> tuple[CoverMonoid, CoverTriple]:
-        def build():
-            cov = build_cover(fz)
-            return cov, cover_triple(cov.monoid, cov.base, cov.projection)
-
-        return self.lookup(("cover", fz), build)
+    def cover(self, fz: FuzzySubgroup) -> CoverMonoid:
+        return self.lookup(("cover", fz), lambda: build_cover(fz))
 
     def identity_ok(self, fz: FuzzySubgroup) -> bool:
         """Whether the embedding sends the identity of fz to that of its cover."""
         return self.lookup(
             ("identity ok", fz),
             lambda: self.embed(identity_fuzzy_morphism(fz))
-            == identity_cover_morphism(self.cover(fz)[1]),
+            == identity_cover_morphism(self.cover(fz).triple),
         )
 
     def embed(self, m: FuzzyMorphism) -> CoverMorphism:
         em = self.embedded.get(m)
         if em is None:
-            c1, t1 = self.cover(m.source)
-            c2, t2 = self.cover(m.target)
+            c1 = self.cover(m.source)
+            c2 = self.cover(m.target)
             fstar = []
             for u, x in c1.pairs:
                 pair = (m.lam[u], m.f[x])
@@ -235,13 +72,15 @@ class _Scope:
                         f"image pair {pair} is not admissible", witness=(u, x)
                     )
                 fstar.append(c2.pair_index[pair])
-            em = self.embedded[m] = validate_cover_morphism(t1, t2, tuple(fstar), m.lam)
+            em = self.embedded[m] = validate_cover_morphism(
+                c1.triple, c2.triple, tuple(fstar), m.lam
+            )
         return em
 
     def reconstruct(self, c: CoverMorphism, source: FuzzySubgroup, target: FuzzySubgroup):
-        c1, t1 = self.cover(source)
-        c2, t2 = self.cover(target)
-        if c.source != t1 or c.target != t2:
+        c1 = self.cover(source)
+        c2 = self.cover(target)
+        if c.source != c1.triple or c.target != c2.triple:
             raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
         f = tuple(
             c2.pairs[c.fstar[c1.pair_index[(source.mu_index(x), x)]]][1]
@@ -263,7 +102,7 @@ class _Scope:
 
 def embed_object(fz: FuzzySubgroup) -> CoverTriple:
     """The cover triple of a fuzzy subgroup, fully certified."""
-    return _Scope().cover(fz)[1]
+    return build_cover(fz).triple
 
 
 def embed_morphism(m: FuzzyMorphism) -> CoverMorphism:
@@ -414,20 +253,19 @@ def verify_embedding(
     once.  Any failed condition is recorded as a counterexample in the
     certificate instead of raising.
     """
-    from .enumeration import enumerate_cover_morphisms, enumerate_fuzzy_morphisms
-
     scope = _Scope(hom_cache)
 
     def fuzzy_hom_set(s, t):
         return scope.lookup(
-            ("fuzzy homs", s, t), lambda: enumerate_fuzzy_morphisms(s, t, budget=budget)
+            ("fuzzy homs", s, t),
+            lambda: enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget),
         )
 
     fuzzy_homs = fuzzy_hom_set(source, target)
     cover_homs = scope.lookup(
         ("cover homs", source, target),
-        lambda: enumerate_cover_morphisms(
-            scope.cover(source)[1], scope.cover(target)[1], budget=budget
+        lambda: enumeration.enumerate_cover_morphisms(
+            scope.cover(source).triple, scope.cover(target).triple, budget=budget
         ),
     )
     counterexample = None

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .embedding import (
-    CoverMorphism,
-    CoverTriple,
-    FuzzyMorphism,
-    validate_cover_morphism,
-    validate_fuzzy_morphism,
-)
+from .cover import CoverMorphism, CoverTriple, validate_cover_morphism
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
-from .fuzzy import FuzzySubgroup, validate_fuzzy
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
 from .groups import FiniteGroup, enumerate_group_homomorphisms, is_subgroup
 from .monoids import enumerate_monoid_homomorphisms
 from .search import product_preserving_maps

@@ -1,4 +1,4 @@
-"""Fuzzy subgroups (G, mu, U) with exact rational membership values.
+"""The category of fuzzy subgroups (G, mu, U) and their morphisms (f, lam).
 
 Membership values are ``fractions.Fraction`` throughout; floating point is
 banned from the core so that the defining inequalities and all order
@@ -16,10 +16,15 @@ from .errors import (
     AlgebraError,
     Axiom1Violation,
     Axiom2Violation,
+    CommutationFailure,
+    NotComposable,
+    NotGroupHom,
+    NotOrderPreserving,
+    TopNotPreserved,
     ValueNotInChain,
     ValueOutOfRange,
 )
-from .groups import FiniteGroup, is_subgroup
+from .groups import FiniteGroup, is_group_homomorphism, is_subgroup
 from .monoids import DualPremorphism, chain_monoid, validate_dual_premorphism
 
 
@@ -157,3 +162,67 @@ def as_dual_premorphism(fz: FuzzySubgroup) -> DualPremorphism:
     target = chain_monoid(fz.chain)
     psi = tuple(fz.mu_index(x) for x in range(fz.n))
     return validate_dual_premorphism(fz.group, target, psi)
+
+
+# -- morphisms of fuzzy subgroups ---------------------------------------------
+
+@dataclass(frozen=True)
+class FuzzyMorphism:
+    """A pair (f, lam): group homomorphism plus top-preserving monotone chain map.
+
+    ``lam`` maps chain indices of the source value set to chain indices of
+    the target's, and the square mu_target(f(x)) = lam(mu_source(x)) commutes.
+    """
+
+    source: FuzzySubgroup
+    target: FuzzySubgroup
+    f: tuple[int, ...]
+    lam: tuple[int, ...]
+
+
+def validate_fuzzy_morphism(
+    source: FuzzySubgroup,
+    target: FuzzySubgroup,
+    f: Sequence[int],
+    lam: Sequence[int],
+) -> FuzzyMorphism:
+    """Check all three morphism conditions and return the validated pair."""
+    f = tuple(f)
+    lam = tuple(lam)
+    if not is_group_homomorphism(f, source.group, target.group):
+        raise NotGroupHom("f is not a group homomorphism")
+    k1, k2 = len(source.chain), len(target.chain)
+    if len(lam) != k1 or any(not 0 <= v < k2 for v in lam):
+        raise NotOrderPreserving("lam must assign a target chain value to each source value")
+    for i in range(k1 - 1):
+        if lam[i] > lam[i + 1]:
+            raise NotOrderPreserving(
+                f"lam reverses {source.chain[i]} < {source.chain[i + 1]}",
+                witness=(i, i + 1),
+            )
+    if lam[k1 - 1] != k2 - 1:
+        raise TopNotPreserved(
+            f"lam sends top {source.top} to {target.chain[lam[k1 - 1]]}, not {target.top}"
+        )
+    for x in range(source.n):
+        if target.mu_index(f[x]) != lam[source.mu_index(x)]:
+            raise CommutationFailure(
+                f"mu(f({source.group.names[x]})) != lam(mu({source.group.names[x]}))",
+                witness=x,
+            )
+    return FuzzyMorphism(source, target, f, lam)
+
+
+def identity_fuzzy_morphism(fz: FuzzySubgroup) -> FuzzyMorphism:
+    return validate_fuzzy_morphism(
+        fz, fz, tuple(range(fz.n)), tuple(range(len(fz.chain)))
+    )
+
+
+def compose_fuzzy_morphisms(second: FuzzyMorphism, first: FuzzyMorphism) -> FuzzyMorphism:
+    """The composite pair, re-validated rather than assumed correct."""
+    if first.target != second.source:
+        raise NotComposable("target of the first morphism differs from source of the second")
+    f = tuple(second.f[v] for v in first.f)
+    lam = tuple(second.lam[v] for v in first.lam)
+    return validate_fuzzy_morphism(first.source, second.target, f, lam)

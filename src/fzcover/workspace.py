@@ -29,13 +29,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .embedding import FuzzyMorphism, validate_fuzzy_morphism
 from .errors import (
     UnknownReference,
     ValidationError,
     WorkspaceSyntaxError,
 )
-from .fuzzy import FuzzySubgroup, validate_fuzzy
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
 from .groups import FiniteGroup, validate_group
 
 _RATIONAL = re.compile(r"^(\d+)(?:/([1-9]\d*))?$")

@@ -241,7 +241,8 @@ def test_shared_cache_with_value_equal_objects(z2, fz_z2, fz_z2_const, fz_v4):
 
 
 def counting_validations(patch) -> list:
-    """Record every call of the cover-morphism validator that embedding makes."""
+    """Record every call of the cover-morphism validator that cover or embedding makes."""
+    import fzcover.cover as cover
     import fzcover.embedding as embedding
 
     calls = []
@@ -251,7 +252,8 @@ def counting_validations(patch) -> list:
         calls.append(args)
         return original(*args)
 
-    patch.setattr(embedding, "validate_cover_morphism", counting)
+    for module in (cover, embedding):
+        patch.setattr(module, "validate_cover_morphism", counting)
     return calls
 
 
@@ -408,6 +410,7 @@ def plant_wrong_embedding(patch, wrong) -> None:
     The plant sits below the embedding memo, so a shared hom_cache keeps the
     wrong embedding for every later pair, and a fresh one builds it again.
     """
+    import fzcover.cover as cover
     import fzcover.embedding as embedding
 
     right = embed_morphism(wrong)
@@ -421,7 +424,8 @@ def plant_wrong_embedding(patch, wrong) -> None:
             return dataclasses.replace(em, fstar=tuple(fstar))
         return em
 
-    patch.setattr(embedding, "validate_cover_morphism", planted)
+    for module in (cover, embedding):
+        patch.setattr(module, "validate_cover_morphism", planted)
 
 
 def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):

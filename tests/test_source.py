@@ -4,10 +4,13 @@ Invariants are explicit errors, never ``assert`` statements, which vanish
 under ``python -O``; no module keeps a memo cache of its own, since caching
 belongs to the caller-owned ``hom_cache`` of ``verify_embedding``; and no
 module uses ``itertools.product``, since brute-force scans of a whole
-function space live only in the tests, as oracles.
+function space live only in the tests, as oracles.  The modules import each
+other without a cycle and only at module level, so each layer can be read,
+loaded and patched on its own.
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,64 @@ def test_checker_flags_product_scans():
         "scan = itertools.product(range(2), repeat=3)\n"
     )
     assert list(_product_scans(ast.parse(code))) == [1, 4]
+
+
+def _relative_imports(tree):
+    """The sibling modules named by ``from .x import`` and ``from . import x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[0]
+
+
+def _nested_imports(tree):
+    """The line of each import statement inside a function body."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
+def _cycle(graph):
+    """A cycle of the import graph as a list of modules, or None."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_import_graph_is_acyclic():
+    graph = {
+        path.stem: set(_relative_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in SOURCES
+    }
+    assert graph["embedding"] >= {"cover", "enumeration", "fuzzy"}
+    assert _cycle(graph) is None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _nested_imports(tree) == []
+
+
+def test_checker_flags_cycles_and_nested_imports():
+    code = {
+        "a": "from . import b\nimport os\n",
+        "b": "from .c.d import f\n",
+        "c": "def f():\n    import os\n    def g():\n        from .a import h\n",
+    }
+    trees = {name: ast.parse(text) for name, text in code.items()}
+    graph = {name: set(_relative_imports(tree)) for name, tree in trees.items()}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}}
+    assert set(_cycle(graph)) == {"a", "b", "c"}
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert [_nested_imports(tree) for tree in trees.values()] == [[], [], [2, 4]]

@@ -1,9 +1,14 @@
+import hashlib
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fzcover.cli import main
 from fzcover.errors import (
@@ -279,3 +284,65 @@ def test_reports_are_deterministic(capsys):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# -- robustness: mutated workspaces never end in a traceback ---------------------
+
+# a workspace as alternating runs of non-space and space, so joining gives it back
+WORKSPACE_TOKENS = [
+    re.findall(r"\S+|\s+", path.read_text(encoding="utf-8"))
+    for path in sorted(WORKSPACES.glob("*.fzw"))
+]
+SPARE_TOKENS = sorted({t for tokens in WORKSPACE_TOKENS for t in tokens}) + [
+    "0", "-1", "2", "1/0", "0/0", "x=", "=", "e=", "=1", "1.5", "#", "\n", "9" * 30,
+]
+
+
+def fuzz_runs(path: str) -> list[list[str]]:
+    """Every command on one workspace file, under a small budget."""
+    runs = [
+        ["check", path],
+        ["cover", path, "--report", "sigma,green,levels,order,table"],
+        ["levels", path],
+        ["embed", path, path],
+        ["enumerate", path],
+    ]
+    return [run + ["--budget", "20000"] for run in runs]
+
+
+@st.composite
+def mutated_workspaces(draw):
+    """A workspace file with one to three tokens deleted, inserted, replaced or duplicated."""
+    tokens = list(draw(st.sampled_from(WORKSPACE_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "insert", "replace", "duplicate")))
+        i = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if kind == "insert" or not tokens:
+            tokens.insert(i, draw(st.sampled_from(SPARE_TOKENS)))
+        elif kind == "delete":
+            del tokens[i]
+        elif kind == "replace":
+            tokens[i] = draw(st.sampled_from(SPARE_TOKENS))
+        else:
+            tokens.insert(i, tokens[i])
+    return "".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=mutated_workspaces())
+def test_mutated_workspaces_end_cleanly(fuzz_dir, text):
+    # one new file per text: truncating a file in place can be slow
+    path = fuzz_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.fzw"
+    if not path.exists():
+        path.write_text(text, encoding="utf-8")
+    for argv in fuzz_runs(str(path)):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5), argv
+        assert err.getvalue().count("error:") <= 1, err.getvalue()
