@@ -6,9 +6,15 @@ the admissible-pair monoid of a fuzzy subgroup with the componentwise product
 and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
-each other in tests.  Closed-form descriptions of the cover's structure
-(idempotents, unit, natural order, class maxima) are likewise computed as
-separate formulas and cross-checked against the generic derived structure.
+each other in tests.  `premorphism_from_cover` inverts the construction: it
+recovers psi from any F-inverse cover and certifies the round trip by the
+canonical isomorphism t -> (pi(t), sigma(t)) onto the pair table, which it
+shares with `cover_from_premorphism` but does not validate again.
+`monoid_isomorphic`, the exhaustive isomorphism search, is what the round
+trip used before; the tests keep it as the oracle of that check.
+Closed-form descriptions of the cover's structure (idempotents, unit,
+natural order, class maxima) are likewise computed as separate formulas and
+cross-checked against the generic derived structure.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from typing import Optional, Sequence
 from .errors import (
     DEFAULT_BUDGET,
     AlgebraError,
-    BudgetExceeded,
     CommutationFailure,
-    IsomorphismSearchBudgetExceeded,
     MaximaNotPreserved,
     NotComposable,
     NotHomomorphism,
@@ -324,13 +328,13 @@ class ConstructedCover:
         return len(self.pairs)
 
 
-def cover_from_premorphism(psi: DualPremorphism) -> ConstructedCover:
-    """Build the pair monoid {(u, h) : u <= psi(h)} with componentwise product.
+def _pair_table(psi: DualPremorphism):
+    """The pairs {(u, h) : u <= psi(h)}, their index, product table and unit.
 
-    Works for any certified dual premorphism with coverage, chain target or
-    not.  Closure of the product, validity as an inverse monoid, the
-    F-inverse property and the projection contract are all checked; a
-    failure would falsify the construction and raises AlgebraError.
+    Pairs are ordered by (group element, monoid element).  Each row of the
+    componentwise product is looked up whole; raises AlgebraError, naming
+    the first offending product, if one leaves the pair set, or if the unit
+    pair is not admissible.
     """
     group = psi.group
     monoid = psi.monoid
@@ -342,56 +346,95 @@ def cover_from_premorphism(psi: DualPremorphism) -> ConstructedCover:
         if leq[u][psi.psi[h]]
     ]
     index = {p: i for i, p in enumerate(pairs)}
-    names = [_pair_name(monoid.names[u], group.names[h]) for u, h in pairs]
+    us = [u for u, _ in pairs]
+    hs = [h for _, h in pairs]
     table = []
     for u, h in pairs:
-        row = []
-        for v, k in pairs:
-            prod = (monoid.table[u][v], group.table[h][k])
-            if prod not in index:
-                raise AlgebraError(
-                    f"product of {(u, h)} and {(v, k)} leaves the pair set"
-                )
-            row.append(index[prod])
+        products = zip(map(monoid.table[u].__getitem__, us), map(group.table[h].__getitem__, hs))
+        row = list(map(index.get, products))
+        if None in row:
+            v, k = pairs[row.index(None)]
+            raise AlgebraError(f"product of {(u, h)} and {(v, k)} leaves the pair set")
         table.append(row)
     unit_pair = (monoid.unit, group.identity)
     if unit_pair not in index:
         raise AlgebraError("unit pair is not admissible; coverage must be broken")
-    result = validate_inverse_monoid(names, table, index[unit_pair])
+    return pairs, index, table, index[unit_pair]
+
+
+def cover_from_premorphism(psi: DualPremorphism) -> ConstructedCover:
+    """Build the pair monoid {(u, h) : u <= psi(h)} with componentwise product.
+
+    Works for any certified dual premorphism with coverage, chain target or
+    not.  Closure of the product, validity as an inverse monoid, the
+    F-inverse property and the projection contract are all checked; a
+    failure would falsify the construction and raises AlgebraError.
+    """
+    pairs, _, table, unit = _pair_table(psi)
+    names = [_pair_name(psi.monoid.names[u], psi.group.names[h]) for u, h in pairs]
+    result = validate_inverse_monoid(names, table, unit)
     projection = tuple(u for u, _ in pairs)
-    check_projection(result, monoid, projection)
+    check_projection(result, psi.monoid, projection)
     return ConstructedCover(psi, pairs, result, projection)
 
 
 def premorphism_from_cover(
-    cover: FiniteInverseMonoid,
-    base: FiniteInverseMonoid,
-    projection,
-    budget: int = DEFAULT_BUDGET,
+    cover: FiniteInverseMonoid, base: FiniteInverseMonoid, projection
 ) -> DualPremorphism:
     """Recover the dual premorphism behind an F-inverse cover.
 
-    With H the group quotient of the cover by its least group congruence,
-    psi sends each class to the projection of its greatest element.  The
-    result is certified, and rebuilding the pair monoid from it must give a
-    monoid isomorphic to the input (checked by exhaustive search).
+    With G the group quotient of the cover by its least group congruence
+    sigma, psi sends each class of G to the projection of its greatest
+    element.  psi is certified, and the canonical map t -> (pi(t), sigma(t))
+    from the cover onto the pair monoid {(u, h) : u <= psi(h)} must be an
+    isomorphism: defined on every t, a bijection onto the pairs, unit to
+    unit pair, and product-preserving on every whole row of the table.  Any
+    failure raises ReconstructionMismatch; no search runs.
+
+    Why this certifies the round trip (Lawson, *Inverse Semigroups*, 1998):
+    once ``check_projection`` passes, the cover M is F-inverse, hence
+    E-unitary, so sigma meets Green's R only in the identity relation.  pi
+    is idempotent-separating, so pi(s) = pi(t) gives ss^-1 = tt^-1: ker pi
+    lies in H, within R.  So pi(s) = pi(t) and sigma(s) = sigma(t) force
+    s = t, and the map is injective.  Its image lies in the pairs, since t
+    lies below the greatest element m of its class and pi preserves the
+    natural order; and it is all of them: for u <= psi(h) = pi(m) write
+    u = psi(h) e with e an idempotent, lift e along the surjective pi to an
+    idempotent f (f = x^-1 x for any x with pi(x) = e), and m f maps to
+    (u, h).  pi and sigma are homomorphisms, so the map is an isomorphism
+    whenever the input checks pass.  This check therefore accepts exactly
+    the inputs on which the former one, an exhaustive isomorphism search
+    between the validated rebuilt monoid and the cover, succeeds; that
+    search is kept as a test oracle.  An exhaustively checked isomorphism
+    onto the validated cover also proves all that validating the rebuilt
+    table would: the table is a copy of the cover's, and its projection to
+    the first coordinate is pi carried across.
     """
     projection = tuple(projection)
     check_projection(cover, base, projection)
 
-    quotient = cover.derived.sigma_quotient
-    psi = tuple(projection[m] for m in cover.derived.sigma_maxima)
-    dp = validate_dual_premorphism(quotient, base, psi)
+    derived = cover.derived
+    psi = tuple(projection[m] for m in derived.sigma_maxima)
+    dp = validate_dual_premorphism(derived.sigma_quotient, base, psi)
 
-    rebuilt = cover_from_premorphism(dp)
-    try:
-        bijection = monoid_isomorphic(rebuilt.monoid, cover, budget=budget)
-    except BudgetExceeded as exc:
-        raise IsomorphismSearchBudgetExceeded(exc.needed, exc.budget, exc.what) from exc
-    if bijection is None:
+    pairs, index, table, unit = _pair_table(dp)
+    canonical = list(map(index.get, zip(projection, derived.sigma_projection)))
+    if (
+        None in canonical
+        or len(pairs) != cover.n
+        or len(set(canonical)) != cover.n
+        or canonical[cover.unit] != unit
+    ):
         raise ReconstructionMismatch(
             "rebuilt pair monoid is not isomorphic to the original cover"
         )
+    image = canonical.__getitem__
+    for t, row in enumerate(cover.table):
+        if list(map(image, row)) != list(map(table[canonical[t]].__getitem__, canonical)):
+            raise ReconstructionMismatch(
+                "rebuilt pair monoid is not isomorphic to the original cover",
+                witness=t,
+            )
     return dp
 
 

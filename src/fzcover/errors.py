@@ -30,10 +30,6 @@ class BudgetExceeded(AlgebraError):
         self.what = what
 
 
-class IsomorphismSearchBudgetExceeded(BudgetExceeded):
-    """Brute-force isomorphism search ran out of budget."""
-
-
 # -- group tables -----------------------------------------------------------
 
 class NotClosed(ValidationError):

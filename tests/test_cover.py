@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fzcover.cover as cover_module
 from fzcover import (
     as_dual_premorphism,
     build_cover,
@@ -11,17 +12,23 @@ from fzcover import (
     cover_from_premorphism,
     cover_report,
     cyclic,
+    default_grid,
+    dihedral,
+    enumerate_fuzzy_subgroups_filter,
     green_relations,
     hclass_level_isomorphism,
+    klein_four,
     level_subset,
     monoid_isomorphic,
     premorphism_from_cover,
     sigma,
+    symmetric,
     validate_dual_premorphism,
     validate_fuzzy,
     validate_inverse_monoid,
 )
 from fzcover.errors import (
+    AlgebraError,
     BudgetExceeded,
     CoverageFailure,
     NotDualPremorphism,
@@ -29,8 +36,10 @@ from fzcover.errors import (
     NotHomomorphism,
     NotIdempotentSeparating,
     NotSurjective,
+    ReconstructionMismatch,
     ValueNotInChain,
 )
+from fzcover.monoids import check_projection
 from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
 F = Fraction
@@ -195,6 +204,7 @@ def test_large_cover_round_trip():
     dp = premorphism_from_cover(cover.monoid, cover.base, cover.projection)
     assert dp.group.table == fz.group.table
     assert dp.psi == tuple(fz.mu_index(x) for x in range(fz.n))
+    assert round_trip_by_search(cover.monoid, cover.base, cover.projection) == dp
 
 
 def test_roundtrip_group_over_trivial_monoid():
@@ -219,6 +229,87 @@ def test_roundtrip_rejects_bad_projections():
         premorphism_from_cover(two, one, (0, 0))
     with pytest.raises(NotHomomorphism):
         premorphism_from_cover(two, two, (1, 0))
+
+
+# -- the former round trip, by rebuilding and searching, as an oracle ----------------
+
+def round_trip_by_search(monoid, base, projection):
+    """The dual premorphism of the cover if the validated rebuilt pair monoid
+    is isomorphic to it by exhaustive search, else None.
+
+    psi is certified through ``fzcover.cover``'s own name for the validator,
+    so a planted validator reaches both round trips.
+    """
+    check_projection(monoid, base, projection)
+    d = monoid.derived
+    psi = tuple(projection[m] for m in d.sigma_maxima)
+    dp = cover_module.validate_dual_premorphism(d.sigma_quotient, base, psi)
+    rebuilt = cover_from_premorphism(dp)
+    return dp if monoid_isomorphic(rebuilt.monoid, monoid) is not None else None
+
+
+def rejects(round_trip, cover) -> bool:
+    try:
+        return round_trip(cover.monoid, cover.base, cover.projection) is None
+    except AlgebraError:
+        return True
+
+
+def test_canonical_round_trip_agrees_with_search():
+    grid = default_grid(3)
+    groups = [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]
+    checked = 0
+    for group in groups:
+        for fz in enumerate_fuzzy_subgroups_filter(group, grid):
+            cover = build_cover(fz)
+            args = (cover.monoid, cover.base, cover.projection)
+            assert premorphism_from_cover(*args) == round_trip_by_search(*args)
+            checked += 1
+    assert checked == 151
+
+
+@pytest.fixture
+def constant_psi(monkeypatch):
+    """Plant psi = unit everywhere: certified, but its pair monoid is too big."""
+    real = cover_module.validate_dual_premorphism
+    monkeypatch.setattr(
+        cover_module,
+        "validate_dual_premorphism",
+        lambda group, monoid, psi: real(group, monoid, (monoid.unit,) * group.n),
+    )
+
+
+def test_planted_wrong_psi_is_rejected_by_both(fz_z2, fz_v4, constant_psi):
+    for fz in (fz_z2, fz_v4):
+        cover = build_cover(fz)
+        assert rejects(round_trip_by_search, cover)
+        with pytest.raises(ReconstructionMismatch):
+            premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+
+
+def test_planted_wrong_product_is_named_by_its_row(fz_v4, monkeypatch):
+    # one product of the rebuilt table is moved: the canonical map is still
+    # a bijection that keeps the unit, so only the row check can catch it
+    cover = build_cover(fz_v4)
+    real = cover_module._pair_table
+    planted = {}
+
+    def wrong_table(psi):
+        pairs, index, table, unit = real(psi)
+        row = next(r for r in range(len(pairs)) if r != unit)
+        column = next(c for c in range(len(pairs)) if c != unit)
+        table = [list(r) for r in table]
+        table[row][column] = (table[row][column] + 1) % len(pairs)
+        planted["row"] = row
+        return pairs, index, table, unit
+
+    monkeypatch.setattr(cover_module, "_pair_table", wrong_table)
+    assert rejects(round_trip_by_search, cover)
+    with pytest.raises(ReconstructionMismatch) as exc:
+        premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+    # the quotient of a fuzzy cover is indexed like its group, and both
+    # constructions order pairs alike, so the canonical map is the identity
+    assert exc.value.witness == planted["row"]
 
 
 # -- isomorphism search --------------------------------------------------------------

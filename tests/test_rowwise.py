@@ -3,7 +3,8 @@
 `groups._check_closed` must raise exactly when the entry scan below does,
 with the same exception class, witness and message; `is_group_homomorphism`,
 which checks whole rows of a generating set only, must agree with the check
-of every product.
+of every product, and so must `monoids._check_anti_involution`, which checks
+the columns of a generating set only, with the scan of every pair.
 """
 
 from fractions import Fraction
@@ -22,9 +23,10 @@ from fzcover import (
     symmetric,
     validate_fuzzy,
 )
-from fzcover.errors import NotClosed
+from fzcover.errors import AlgebraError, NotClosed
 from fzcover.groups import _check_closed
-from tests.test_monoids import symmetric_inverse_monoid_2
+from fzcover.monoids import _check_anti_involution
+from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
 F = Fraction
 
@@ -56,9 +58,9 @@ def homomorphism_by_definition(f, source, target):
     )
 
 
-def outcome(check, names, table):
+def outcome(check, *args):
     try:
-        check(names, table)
+        check(*args)
     except Exception as exc:
         return type(exc), getattr(exc, "witness", None), str(exc)
     return None
@@ -150,3 +152,47 @@ def test_homomorphism_rejects_wrong_length_and_range():
     for f in [(0,), (0, 1, 0), (0, 2), (0, -1)]:
         assert not is_group_homomorphism(f, z2, z2)
         assert not homomorphism_by_definition(f, z2, z2)
+
+
+def anti_involution_by_definition(names, table, inverse):
+    """Raise on the first x, in order, with x^-1^-1 != x or (xy)^-1 != y^-1 x^-1."""
+    n = len(names)
+    for x in range(n):
+        if inverse[inverse[x]] != x:
+            raise AlgebraError(f"inverse is not an involution at {names[x]}")
+        for y in range(n):
+            if inverse[table[x][y]] != table[inverse[y]][inverse[x]]:
+                raise AlgebraError(
+                    f"(xy)^-1 != y^-1 x^-1 at {names[x]}, {names[y]}"
+                )
+
+
+INVERSE_MONOIDS = MONOIDS + [group_as_monoid(g) for g in GROUPS]
+
+
+@st.composite
+def inverse_arrays(draw):
+    # the true inverse, often with one entry changed or two swapped, or a random array
+    monoid = draw(st.sampled_from(INVERSE_MONOIDS))
+    n = monoid.n
+    inverse = list(monoid.inverse)
+    kind = draw(st.integers(0, 3))
+    element = st.integers(0, n - 1)
+    if kind == 1:
+        inverse[draw(element)] = draw(element)
+    elif kind == 2:
+        a, b = draw(element), draw(element)
+        inverse[a], inverse[b] = inverse[b], inverse[a]
+    elif kind == 3:
+        inverse = draw(st.lists(element, min_size=n, max_size=n))
+    return monoid, inverse
+
+
+@EXAMPLES
+@given(inverse_arrays())
+def test_anti_involution_on_generators_agrees_with_every_pair(drawn):
+    monoid, inverse = drawn
+    args = (monoid.names, monoid.table, inverse)
+    assert outcome(_check_anti_involution, *args, monoid.generators) == outcome(
+        anti_involution_by_definition, *args
+    )

@@ -6,10 +6,13 @@ belongs to the caller-owned ``hom_cache`` of ``verify_embedding``; and no
 module uses ``itertools.product``, since brute-force scans of a whole
 function space live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
-loaded and patched on its own.
+loaded and patched on its own.  Every function the benchmark tracer wraps
+still exists where the tracer looks for it, so no refactor can turn a layer
+metric into a silent 0.
 """
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -148,3 +151,32 @@ def test_checker_flags_cycles_and_nested_imports():
     assert set(_cycle(graph)) == {"a", "b", "c"}
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert [_nested_imports(tree) for tree in trees.values()] == [[], [], [2, 4]]
+
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _traced_names(tree):
+    """The (module, name) pairs of the module-level SPANNED and COUNTED tuples."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANNED", "COUNTED") for t in node.targets
+        ):
+            yield from ast.literal_eval(node.value)
+
+
+def test_traced_functions_resolve():
+    # read as text, not imported: the tracer patches fzcover when it runs
+    names = list(_traced_names(ast.parse(TRACING.read_text(encoding="utf-8"))))
+    assert ("cover", "premorphism_from_cover") in names
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not callable(getattr(importlib.import_module(f"fzcover.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_traced_name_reader_finds_both_tuples():
+    code = 'SPANNED = (("a", "f"),)\nCOUNTED = (("b", "g"),)\nOTHER = (("c", "h"),)\n'
+    assert list(_traced_names(ast.parse(code))) == [("a", "f"), ("b", "g")]

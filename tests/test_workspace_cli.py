@@ -333,9 +333,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(text=mutated_workspaces())
-def test_mutated_workspaces_end_cleanly(fuzz_dir, text):
+def assert_every_command_ends_cleanly(fuzz_dir, text):
     # one new file per text: truncating a file in place can be slow
     path = fuzz_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.fzw"
     if not path.exists():
@@ -346,3 +344,21 @@ def test_mutated_workspaces_end_cleanly(fuzz_dir, text):
             code = main(argv)
         assert code in range(5), argv
         assert err.getvalue().count("error:") <= 1, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=mutated_workspaces())
+def test_mutated_workspaces_end_cleanly(fuzz_dir, text):
+    assert_every_command_ends_cleanly(fuzz_dir, text)
+
+
+# any characters, with now and then a token of a workspace file among them
+ARBITRARY_TEXT = st.lists(
+    st.one_of(st.text(max_size=20), st.sampled_from(SPARE_TOKENS)), max_size=20
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=ARBITRARY_TEXT)
+def test_arbitrary_text_ends_cleanly(fuzz_dir, text):
+    assert_every_command_ends_cleanly(fuzz_dir, text)
