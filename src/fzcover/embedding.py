@@ -1,10 +1,12 @@
 """The functor that fully embeds fuzzy subgroups into F-inverse covers.
 
 It sends a fuzzy subgroup to its cover triple and a morphism (f, lambda) to
-(fstar, lambda) with fstar acting componentwise on admissible pairs.
-`verify_embedding` certifies, for a pair of objects, that the embedding is
-functorial, injective on the hom-set, and surjective onto the cover-side
-hom-set, by exhaustive enumeration of both sides.
+(fstar, lambda) with fstar acting componentwise on admissible pairs; the way
+back reads f off the images of the class maxima.  Both directions are array
+maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
+`reconstruct_morphism` validate what they build, and `verify_embedding`
+certifies a pair of objects by index arithmetic over the two exhaustively
+enumerated hom-sets, whose entries passed their validators once.
 """
 
 from __future__ import annotations
@@ -25,79 +27,28 @@ from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, V
 from .fuzzy import FuzzyMorphism, FuzzySubgroup, identity_fuzzy_morphism, validate_fuzzy_morphism
 
 
-class _Scope:
-    """What a certification reuses, and the one core of the embedding.
+def _fstar(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> tuple[int, ...]:
+    """fstar(u, x) = (lam(u), f(x)) as pair indices, -1 where that pair is not admissible."""
+    f, lam, index = m.f, m.lam, c2.pair_index
+    return tuple(index.get((lam[u], f[x]), -1) for u, x in c1.pairs)
 
-    Everything kept is a pure function of its key and lives in ``store``: the
-    caller's ``hom_cache`` or a fresh dict.  That is covers, which carry
-    their triples, hom-sets, embedded morphisms and, per object, the identity
-    check, so every pair certified with one ``hom_cache`` shares them, and
-    each morphism is embedded and validated once.  Nothing is stored for a
-    build that raised.
-    """
 
-    def __init__(self, store: dict | None = None):
-        self.store = {} if store is None else store
-        self.embedded: dict[FuzzyMorphism, CoverMorphism] = self.store.setdefault(
-            "embedded", {}
+def _f(c1: CoverMonoid, c2: CoverMonoid, fstar) -> tuple[int, ...]:
+    """f(x) as the group component of fstar at the class maximum (mu(x), x)."""
+    fz = c1.source
+    return tuple(
+        c2.pairs[fstar[c1.pair_index[(fz.mu_index(x), x)]]][1] for x in range(fz.n)
+    )
+
+
+def _embed(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> CoverMorphism:
+    fstar = _fstar(c1, c2, m)
+    if -1 in fstar:
+        u, x = c1.pairs[fstar.index(-1)]
+        raise ReconstructionMismatch(
+            f"image pair {(m.lam[u], m.f[x])} is not admissible", witness=(u, x)
         )
-
-    def lookup(self, key, build):
-        value = self.store.get(key)
-        if value is None:
-            value = self.store[key] = build()
-        return value
-
-    def cover(self, fz: FuzzySubgroup) -> CoverMonoid:
-        return self.lookup(("cover", fz), lambda: build_cover(fz))
-
-    def identity_ok(self, fz: FuzzySubgroup) -> bool:
-        """Whether the embedding sends the identity of fz to that of its cover."""
-        return self.lookup(
-            ("identity ok", fz),
-            lambda: self.embed(identity_fuzzy_morphism(fz))
-            == identity_cover_morphism(self.cover(fz).triple),
-        )
-
-    def embed(self, m: FuzzyMorphism) -> CoverMorphism:
-        em = self.embedded.get(m)
-        if em is None:
-            c1 = self.cover(m.source)
-            c2 = self.cover(m.target)
-            fstar = []
-            for u, x in c1.pairs:
-                pair = (m.lam[u], m.f[x])
-                if pair not in c2.pair_index:
-                    raise ReconstructionMismatch(
-                        f"image pair {pair} is not admissible", witness=(u, x)
-                    )
-                fstar.append(c2.pair_index[pair])
-            em = self.embedded[m] = validate_cover_morphism(
-                c1.triple, c2.triple, tuple(fstar), m.lam
-            )
-        return em
-
-    def reconstruct(self, c: CoverMorphism, source: FuzzySubgroup, target: FuzzySubgroup):
-        c1 = self.cover(source)
-        c2 = self.cover(target)
-        if c.source != c1.triple or c.target != c2.triple:
-            raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
-        f = tuple(
-            c2.pairs[c.fstar[c1.pair_index[(source.mu_index(x), x)]]][1]
-            for x in range(source.n)
-        )
-        try:
-            m = validate_fuzzy_morphism(source, target, f, c.lam)
-        except ValidationError as exc:
-            raise ReconstructionMismatch(
-                f"reconstructed pair is not a morphism: {exc}", witness=f
-            ) from exc
-        if self.embed(m) != c:
-            raise ReconstructionMismatch(
-                "embedding of the reconstructed morphism differs from the input",
-                witness=f,
-            )
-        return m
+    return validate_cover_morphism(c1.triple, c2.triple, fstar, m.lam)
 
 
 def embed_object(fz: FuzzySubgroup) -> CoverTriple:
@@ -112,7 +63,7 @@ def embed_morphism(m: FuzzyMorphism) -> CoverMorphism:
     homomorphism, unit, maxima and commutation conditions are all verified
     by the cover-morphism validator on the constructed map.
     """
-    return _Scope().embed(m)
+    return _embed(build_cover(m.source), build_cover(m.target), m)
 
 
 def reconstruct_morphism(
@@ -125,7 +76,21 @@ def reconstruct_morphism(
     embedding equals the input exactly, otherwise the reconstruction (and
     with it the fullness claim) has failed.
     """
-    return _Scope().reconstruct(c, source, target)
+    c1, c2 = build_cover(source), build_cover(target)
+    if c.source != c1.triple or c.target != c2.triple:
+        raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
+    f = _f(c1, c2, c.fstar)
+    try:
+        m = validate_fuzzy_morphism(source, target, f, c.lam)
+    except ValidationError as exc:
+        raise ReconstructionMismatch(
+            f"reconstructed pair is not a morphism: {exc}", witness=f
+        ) from exc
+    if _embed(c1, c2, m) != c:
+        raise ReconstructionMismatch(
+            "embedding of the reconstructed morphism differs from the input", witness=f
+        )
+    return m
 
 
 # -- instance-level certification ----------------------------------------------
@@ -191,41 +156,87 @@ class EmbeddingCertificate:
         }
 
 
-def _respects_compositions(scope: _Scope, forward, reverse, hom_set) -> bool:
-    """True iff the embedding respects each composite of forward and reverse.
+@dataclass(frozen=True)
+class _Homs:
+    """Hom(s, t) on both sides, indexed once; a morphism is its position here.
 
-    For m1: a -> b in ``forward`` and m2: b -> a in ``reverse``, the composites
-    m2.m1 and m1.m2 are looked up by (f, lam) in Hom(a, a) and Hom(b, b), as
-    ``hom_set`` enumerates them.  That is the same check as validating each
-    composite and its embedding again: a hom-set is exhaustive and each entry
-    passed the morphism validator, so a composite is a morphism iff it is
-    listed, and the embedding of a listed entry passed the cover-morphism
-    validator, so the composite of the two embedded morphisms is valid iff it
-    equals that embedding.  A composite that is not listed is not respected.
+    ``fuzzy`` and ``cover`` are the hom-sets as the enumerators return them,
+    ``index`` maps (f, lam) to a position in ``fuzzy``, and ``fstars[i]`` is
+    the fstar array of the image of ``fuzzy[i]``.  ``image[i]`` is the
+    position of (fstars[i], lam) in ``cover`` and ``back[j]`` that of (f read
+    off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
     """
-    if not (forward and reverse):
-        return True
-    endos = [
-        {(m.f, m.lam): m for m in hom_set(obj, obj)}
-        for obj in (forward[0].source, reverse[0].source)
-    ]
-    for m1 in forward:
-        e1 = scope.embed(m1)
-        for m2 in reverse:
-            e2 = scope.embed(m2)
-            for outer, inner, e_outer, e_inner, endo in (
-                (m2, m1, e2, e1, endos[0]),
-                (m1, m2, e1, e2, endos[1]),
-            ):
-                listed = endo.get((_then(inner.f, outer.f), _then(inner.lam, outer.lam)))
-                if listed is None:
-                    return False
-                image = scope.embed(listed)
-                if (image.fstar, image.lam) != (
-                    _then(e_inner.fstar, e_outer.fstar),
-                    _then(e_inner.lam, e_outer.lam),
-                ):
-                    return False
+
+    fuzzy: list[FuzzyMorphism]
+    cover: list[CoverMorphism]
+    index: dict[tuple, int]
+    fstars: list[tuple[int, ...]]
+    image: list[int]
+    back: list[int]
+
+
+class _Scope:
+    """What a certification reuses: covers, hom records and identity checks.
+
+    Everything kept is a pure function of its key and lives in ``store``: the
+    caller's ``hom_cache`` or a fresh dict, so every pair certified with one
+    ``hom_cache`` shares it and each hom-set is enumerated and indexed once.
+    Nothing is stored for a build that raised.
+    """
+
+    def __init__(self, store: dict | None, budget: int):
+        self.store = {} if store is None else store
+        self.budget = budget
+
+    def lookup(self, key, build):
+        value = self.store.get(key)
+        if value is None:
+            value = self.store[key] = build()
+        return value
+
+    def cover(self, fz: FuzzySubgroup) -> CoverMonoid:
+        return self.lookup(("cover", fz), lambda: build_cover(fz))
+
+    def identity_ok(self, fz: FuzzySubgroup) -> bool:
+        """Whether E(id) = id: E keeps lam, so the fstar arrays decide."""
+        c = self.cover(fz)
+        return self.lookup(
+            ("identity ok", fz),
+            lambda: _fstar(c, c, identity_fuzzy_morphism(fz))
+            == identity_cover_morphism(c.triple).fstar,
+        )
+
+    def homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
+        return self.lookup(("homs", s, t), lambda: self._index(s, t))
+
+    def _index(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
+        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=self.budget)
+        c1, c2 = self.cover(s), self.cover(t)
+        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=self.budget)
+        index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
+        listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
+        fstars = [_fstar(c1, c2, m) for m in fuzzy]
+        image = [listed.get((e, m.lam), -1) for e, m in zip(fstars, fuzzy)]
+        back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
+        return _Homs(fuzzy, cover, index, fstars, image, back)
+
+
+def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
+    """Whether E(m2.m1) = E(m2).E(m1) for each m1 of Hom(a, b) and m2 of Hom(b, a).
+
+    ``first``, ``second`` and ``loops`` are the records of Hom(a, b),
+    Hom(b, a) and Hom(a, a).  m2.m1 is a morphism iff its arrays are listed
+    in ``loops``, and E(m1), E(m2) and E(m2.m1) are cover morphisms iff their
+    images are listed.  Then both sides share lam, so they are equal iff the
+    fstar arrays compose.
+    """
+    if -1 in first.image or -1 in second.image:
+        return False
+    for m1, e1 in zip(first.fuzzy, first.fstars):
+        for m2, e2 in zip(second.fuzzy, second.fstars):
+            at = loops.index.get((_then(m1.f, m2.f), _then(m1.lam, m2.lam)), -1)
+            if at < 0 or loops.image[at] < 0 or loops.fstars[at] != _then(e1, e2):
+                return False
     return True
 
 
@@ -243,94 +254,81 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    Both hom-sets are enumerated exhaustively.  When Hom(source, target) and
-    Hom(target, source) are both non-empty, Hom(source, source) and
-    Hom(target, target) are enumerated too, to certify the composites by
-    lookup; each of these enumerations is its own search under ``budget``.
-    A shared ``hom_cache`` dict, owned by the caller, keeps covers, cover
-    triples, hom-sets, embedded morphisms and the identity check of each
-    object across many pairs, so a pool embeds and validates each morphism
-    once.  Any failed condition is recorded as a counterexample in the
-    certificate instead of raising.
+    Hom(source, target) and Hom(target, source) are enumerated on both
+    sides, and, when both are non-empty, so are Hom(source, source) and
+    Hom(target, target), to certify the composites; each enumeration is its
+    own search under ``budget``.  Each is indexed once into a `_Homs`
+    record, and the certificate is index arithmetic over the records: no
+    morphism is embedded, validated or reconstructed again.  That decides
+    the same conditions, because a hom-set is exhaustive and each of its
+    entries passed its validator, and E and R keep lam:
+
+    - E(m) is a cover morphism iff its arrays are listed, so image[i] >= 0;
+    - R(c) is a morphism of Hom(a, b) iff its arrays are listed, so
+      back[j] >= 0;
+    - E(R(c_j)) = c_j iff image[back[j]] == j, and R(E(m_i)) = m_i iff
+      back[image[i]] == i;
+    - composites as in `_respects_compositions`.
+
+    So the certificate accepts exactly the pairs that embedding and
+    validating every morphism accepts, and a broken enumerator or embedding
+    is recorded as the first failed condition instead of raising.  A shared
+    ``hom_cache`` dict, owned by the caller, keeps covers, hom records and
+    the identity check of each object across many pairs, so a pool
+    enumerates, validates and indexes each hom-set once.
     """
-    scope = _Scope(hom_cache)
-
-    def fuzzy_hom_set(s, t):
-        return scope.lookup(
-            ("fuzzy homs", s, t),
-            lambda: enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget),
-        )
-
-    fuzzy_homs = fuzzy_hom_set(source, target)
-    cover_homs = scope.lookup(
-        ("cover homs", source, target),
-        lambda: enumeration.enumerate_cover_morphisms(
-            scope.cover(source).triple, scope.cover(target).triple, budget=budget
-        ),
-    )
-    counterexample = None
+    scope = _Scope(hom_cache, budget)
+    homs = scope.homs(source, target)
+    reverse = scope.homs(target, source)
+    image, back = homs.image, homs.back
 
     identity_ok = scope.identity_ok(source) and scope.identity_ok(target)
+    failures = [] if identity_ok else ["embedding does not send an identity to an identity"]
+    failures += [
+        f"image of fuzzy morphism {i} missing from cover hom-set"
+        for i, j in enumerate(image)
+        if j < 0
+    ]
+    faithful = len(set(image)) == len(image)
+    if not faithful:
+        failures.append("two fuzzy morphisms share one image")
 
-    images = []
-    bijection = []
-    for i, m in enumerate(fuzzy_homs):
-        em = scope.embed(m)
-        images.append(em)
-        try:
-            bijection.append(cover_homs.index(em))
-        except ValueError:
-            counterexample = f"image of fuzzy morphism {i} missing from cover hom-set"
-            bijection.append(-1)
-    faithful = len(set(bijection)) == len(bijection)
-    if not faithful and counterexample is None:
-        counterexample = "two fuzzy morphisms share one image"
-
-    full = len(set(bijection)) == len(cover_homs) and -1 not in bijection
+    full = -1 not in image
     roundtrip_ok = True
-    reconstructed = {}
-    for j, c in enumerate(cover_homs):
-        try:
-            m = reconstructed[j] = scope.reconstruct(c, source, target)
-        except (ReconstructionMismatch, NotEmbeddingImage) as exc:
-            full = False
+    for j, i in enumerate(back):
+        if i < 0 or image[i] != j:
+            full = roundtrip_ok = False
+            failures.append(
+                f"cover morphism {j} reconstructs outside the hom-set"
+                if i < 0
+                else f"cover morphism {j}: embedding of the reconstructed morphism "
+                "differs from the input"
+            )
+    for i, j in enumerate(image):
+        if j < 0 or back[j] != i:
             roundtrip_ok = False
-            if counterexample is None:
-                counterexample = f"cover morphism {j}: {exc}"
-            continue
-        if m not in fuzzy_homs:
-            full = False
-            if counterexample is None:
-                counterexample = f"cover morphism {j} reconstructs outside the hom-set"
-    for i, m in enumerate(fuzzy_homs):
-        # images[i] == cover_homs[bijection[i]], whose reconstruction is known
-        back = reconstructed.get(bijection[i])
-        if back is None:
-            try:
-                back = scope.reconstruct(images[i], source, target)
-            except (ReconstructionMismatch, NotEmbeddingImage):
-                pass  # no morphism came back, so the round trip differs
-        if back != m:
-            roundtrip_ok = False
-            if counterexample is None:
-                counterexample = f"round trip differs on fuzzy morphism {i}"
+            failures.append(f"round trip differs on fuzzy morphism {i}")
 
-    reverse = fuzzy_hom_set(target, source)
-    composition_ok = _respects_compositions(scope, fuzzy_homs, reverse, fuzzy_hom_set)
-    if not composition_ok and counterexample is None:
-        counterexample = "embedding does not respect a composition"
+    composition_ok = True
+    if homs.fuzzy and reverse.fuzzy:
+        loops = scope.homs(source, source), scope.homs(target, target)
+        composition_ok = _respects_compositions(
+            homs, reverse, loops[0]
+        ) and _respects_compositions(reverse, homs, loops[1])
+    if not composition_ok:
+        failures.append("embedding does not respect a composition")
 
     return EmbeddingCertificate(
         source=source,
         target=target,
-        fuzzy_homs=tuple(fuzzy_homs),
-        cover_homs=tuple(cover_homs),
-        bijection=tuple(bijection),
+        fuzzy_homs=tuple(homs.fuzzy),
+        cover_homs=tuple(homs.cover),
+        bijection=tuple(image),
         identity_ok=identity_ok,
         faithful=faithful,
         full=full,
         roundtrip_ok=roundtrip_ok,
-        composition_checks=2 * len(fuzzy_homs) * len(reverse),
+        composition_checks=2 * len(homs.fuzzy) * len(reverse.fuzzy),
         composition_ok=composition_ok,
-        counterexample=counterexample,
+        counterexample=failures[0] if failures else None,
     )

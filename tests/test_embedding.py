@@ -1,9 +1,12 @@
-import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from fzcover import (
+    EmbeddingCertificate,
+    FuzzyMorphism,
     build_cover,
     compose_cover_morphisms,
     compose_fuzzy_morphisms,
@@ -31,7 +34,9 @@ from fzcover.errors import (
     NotEmbeddingImage,
     NotGroupHom,
     NotOrderPreserving,
+    ReconstructionMismatch,
     TopNotPreserved,
+    ValidationError,
 )
 
 F = Fraction
@@ -240,71 +245,182 @@ def test_shared_cache_with_value_equal_objects(z2, fz_z2, fz_z2_const, fz_v4):
             assert cert.ok, (f1, f2, cert.counterexample)
 
 
-def counting_validations(patch) -> list:
-    """Record every call of the cover-morphism validator that cover or embedding makes."""
+def counting_validations(patch) -> dict:
+    """Count the calls of both morphism validators, wherever the library makes them."""
     import fzcover.cover as cover
     import fzcover.embedding as embedding
+    import fzcover.enumeration as enumeration
+    import fzcover.fuzzy as fuzzy
 
-    calls = []
-    original = embedding.validate_cover_morphism
+    calls = {"fuzzy": 0, "cover": 0}
+    for side, home, name in (
+        ("fuzzy", fuzzy, "validate_fuzzy_morphism"),
+        ("cover", cover, "validate_cover_morphism"),
+    ):
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+        def counting(*args, side=side, original=getattr(home, name)):
+            calls[side] += 1
+            return original(*args)
 
-    for module in (cover, embedding):
-        patch.setattr(module, "validate_cover_morphism", counting)
+        for module in (fuzzy, cover, enumeration, embedding):
+            if hasattr(module, name):
+                patch.setattr(module, name, counting)
     return calls
 
 
 def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
+    # the pair, its reverse, and Hom(a, a) and Hom(b, b) for the composites
+    pairs = [(fz_z2, fz_v4), (fz_v4, fz_z2), (fz_z2, fz_z2), (fz_v4, fz_v4)]
+    fuzzy_entries = sum(len(enumerate_fuzzy_morphisms(s, t)) for s, t in pairs)
+    cover_entries = sum(
+        len(enumerate_cover_morphisms(embed_object(s), embed_object(t))) for s, t in pairs
+    )
     calls = counting_validations(monkeypatch)
     cache: dict = {}
     cert = verify_embedding(fz_z2, fz_v4, hom_cache=cache)
     assert cert.ok and cert.composition_checks > 0
-    reverse = enumerate_fuzzy_morphisms(fz_v4, fz_z2)
-    embedded = {identity_fuzzy_morphism(fz_z2), identity_fuzzy_morphism(fz_v4)}
-    embedded.update(cert.fuzzy_homs, reverse)
-    for m1 in cert.fuzzy_homs:
-        for m2 in reverse:
-            embedded.add(compose_fuzzy_morphisms(m2, m1))
-            embedded.add(compose_fuzzy_morphisms(m1, m2))
-    # the rest: the two identity cover morphisms; composites are looked up
-    # in their hom-sets, whose embeddings are in ``embedded``, not validated again
-    assert len(calls) == len(embedded) + 2
-    # a warm cache keeps every embedding and both identity checks
-    calls.clear()
+    # each hom-set entry is validated by its enumerator, and each identity
+    # check validates both identities; nothing is embedded, reconstructed or
+    # composed and validated again
+    assert calls == {"fuzzy": fuzzy_entries + 2, "cover": cover_entries + 2}
+    # a warm cache keeps every hom-set and both identity checks
+    calls.update(fuzzy=0, cover=0)
     assert verify_embedding(fz_z2, fz_v4, hom_cache=cache) == cert
-    assert calls == []
+    assert calls == {"fuzzy": 0, "cover": 0}
 
 
-# -- composites by lookup against composites by definition --------------------------------
+# -- the certificate against its definition -----------------------------------------------
 
-def composition_by_definition(scope, forward, reverse, hom_set):
-    """The re-validating loop that the hom-set lookup replaced, as its oracle.
+def attempt(build, *args):
+    """build(*args), or None where it raises a validation or reconstruction error."""
+    try:
+        return build(*args)
+    except (ValidationError, ReconstructionMismatch):
+        return None
 
-    Each composite is built and validated, embedded, and compared with the
-    composite of the two embedded morphisms, which is validated again.
+
+def hom_sets():
+    """Both enumerated hom-sets of an ordered pair, each pair enumerated once."""
+    found = {}
+
+    def homs(s, t):
+        if (s, t) not in found:
+            found[s, t] = (
+                enumerate_fuzzy_morphisms(s, t),
+                enumerate_cover_morphisms(embed_object(s), embed_object(t)),
+            )
+        return found[s, t]
+
+    return homs
+
+
+def embedder():
+    """embed_morphism, once per morphism, with None where it raises."""
+    images = {}
+
+    def embedded(m):
+        if m not in images:
+            images[m] = attempt(embed_morphism, m)
+        return images[m]
+
+    return embedded
+
+
+def certificate_by_definition(a, b, homs, embedded) -> dict:
+    """The certificate of (a, b) by its definition, as the hom-set index replaced it.
+
+    Every morphism is embedded and looked up by equality, every cover
+    morphism is reconstructed, and every composite a->b->a and b->a->b is
+    composed on both sides, each through the public, validating functions.
+    A condition whose check raises has failed.
     """
-    ok = True
-    for m1 in forward:
+    fuzzy, cover = homs(a, b)
+    reverse, _ = homs(b, a)
+    failures = []
+    identity_ok = all(
+        embedded(identity_fuzzy_morphism(x)) == identity_cover_morphism(embed_object(x))
+        for x in (a, b)
+    )
+    if not identity_ok:
+        failures.append("embedding does not send an identity to an identity")
+    images = [embedded(m) for m in fuzzy]
+    bijection = [cover.index(e) if e in cover else -1 for e in images]
+    failures += [
+        f"image of fuzzy morphism {i} missing from cover hom-set"
+        for i, j in enumerate(bijection)
+        if j < 0
+    ]
+    faithful = len(set(bijection)) == len(bijection)
+    if not faithful:
+        failures.append("two fuzzy morphisms share one image")
+
+    full = len(set(bijection)) == len(cover) and -1 not in bijection
+    roundtrip_ok = True
+    reconstructed = {}
+    for j, c in enumerate(cover):
+        outside = f"cover morphism {j} reconstructs outside the hom-set"
+        differs = (
+            f"cover morphism {j}: embedding of the reconstructed morphism differs from the input"
+        )
+        try:
+            m = reconstructed[j] = reconstruct_morphism(c, a, b)
+            text = None if m in fuzzy else outside
+        except ReconstructionMismatch as exc:
+            # raised from the validator when R(c) is no morphism, else E(R(c)) is not c
+            text = outside if exc.__cause__ else differs
+        except ValidationError:  # E(R(c)) is no cover morphism
+            text = differs
+        if text:
+            full = roundtrip_ok = False
+            failures.append(text)
+    for i, (m, j) in enumerate(zip(fuzzy, bijection)):
+        if reconstructed.get(j) != m:
+            roundtrip_ok = False
+            failures.append(f"round trip differs on fuzzy morphism {i}")
+
+    composition_ok = True
+    for m1 in fuzzy:
         for m2 in reverse:
             for outer, inner in ((m2, m1), (m1, m2)):
-                lhs = scope.embed(compose_fuzzy_morphisms(outer, inner))
-                rhs = compose_cover_morphisms(scope.embed(outer), scope.embed(inner))
-                if lhs != rhs:
-                    ok = False
-    return ok
+                composite = attempt(compose_fuzzy_morphisms, outer, inner)
+                parts = (embedded(outer), embedded(inner))
+                rhs = None if None in parts else attempt(compose_cover_morphisms, *parts)
+                if composite is None or rhs is None or embedded(composite) != rhs:
+                    composition_ok = False
+    if not composition_ok:
+        failures.append("embedding does not respect a composition")
+
+    return EmbeddingCertificate(
+        source=a,
+        target=b,
+        fuzzy_homs=tuple(fuzzy),
+        cover_homs=tuple(cover),
+        bijection=tuple(bijection),
+        identity_ok=identity_ok,
+        faithful=faithful,
+        full=full,
+        roundtrip_ok=roundtrip_ok,
+        composition_checks=2 * len(fuzzy) * len(reverse),
+        composition_ok=composition_ok,
+        counterexample=failures[0] if failures else None,
+    ).to_json_dict()
 
 
-def both_certificates(monkeypatch, source, target, hom_cache=None):
+def share_covers(patch) -> None:
+    """Build each cover once, for the public functions too.
+
+    A cover is a pure function of its object, so only the time changes.
+    """
     import fzcover.embedding as embedding
 
-    by_lookup = verify_embedding(source, target, hom_cache=hom_cache).to_json_dict()
-    with monkeypatch.context() as patch:
-        patch.setattr(embedding, "_respects_compositions", composition_by_definition)
-        by_definition = verify_embedding(source, target, hom_cache=hom_cache).to_json_dict()
-    return by_lookup, by_definition
+    covers = {}
+
+    def cover_of(fz):
+        if fz not in covers:
+            covers[fz] = build_cover(fz)
+        return covers[fz]
+
+    patch.setattr(embedding, "build_cover", cover_of)
 
 
 @pytest.fixture(scope="module")
@@ -319,40 +435,107 @@ def pool():
     return found
 
 
+# sha256 of the pool's certificates in pair order, each as sorted-key JSON,
+# as the embedding that validated every morphism again made them
+POOL_CERTIFICATES_SHA256 = "d3094832f92193cc448bdfa8678be41c38475ceeda405542f0aa166c58ceb607"
+
+
 def test_lookup_certifies_like_the_definition_on_a_pool(monkeypatch, pool):
+    share_covers(monkeypatch)
+    homs, embedded = hom_sets(), embedder()
     cache: dict = {}
+    digest = hashlib.sha256()
     checks = 0
     for a in pool:
         for b in pool:
-            by_lookup, by_definition = both_certificates(monkeypatch, a, b, cache)
-            assert by_lookup == by_definition, (a, b)
-            assert by_lookup["ok"]
-            checks += by_lookup["composition_checks"]
+            doc = verify_embedding(a, b, hom_cache=cache).to_json_dict()
+            assert doc == certificate_by_definition(a, b, homs, embedded), (a, b)
+            assert doc["ok"]
+            checks += doc["composition_checks"]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
     assert checks == 43352
+    assert digest.hexdigest() == POOL_CERTIFICATES_SHA256
+
+
+def plant_wrong_embedding(patch, wrong, like=None) -> None:
+    """Make the fstar array of the embedding of ``wrong`` move one entry, or
+    be that of the embedding of ``like``.
+
+    The plant sits below the hom records, so a shared hom_cache keeps the
+    wrong embedding for every later pair, and a fresh one builds it again.
+    """
+    import fzcover.embedding as embedding
+
+    fstar_of = embedding._fstar
+
+    def planted(c1, c2, m):
+        if m != wrong:
+            return fstar_of(c1, c2, m)
+        if like is not None:
+            return fstar_of(c1, c2, like)
+        moved = list(fstar_of(c1, c2, m))
+        moved[0] = (moved[0] + 1) % len(moved)
+        return tuple(moved)
+
+    patch.setattr(embedding, "_fstar", planted)
 
 
 def test_a_wrong_embedding_is_found_by_both(monkeypatch, fz_z2, fz_z2_const):
-    import fzcover.embedding as embedding
-
     # Z2 -> const -> Z2 composes to the endomorphism that sends all to e and
-    # every value to the top: only the composition check embeds it
-    wrong = validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
-    embed = embedding._Scope.embed
+    # every value to the top: only the composition check reaches it
+    plant_wrong_embedding(monkeypatch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
+    doc = verify_embedding(fz_z2, fz_z2_const).to_json_dict()
+    assert doc == certificate_by_definition(fz_z2, fz_z2_const, hom_sets(), embedder())
+    assert doc["composition_ok"] is False and doc["ok"] is False
+    assert doc["counterexample"] == "embedding does not respect a composition"
+    assert doc["identity_ok"] and doc["full"] and doc["roundtrip_ok"]
 
-    def planted(self, m):
-        em = embed(self, m)
-        if m == wrong:
-            fstar = list(em.fstar)
-            fstar[0] = (fstar[0] + 1) % len(fstar)
-            return dataclasses.replace(em, fstar=tuple(fstar))
-        return em
 
-    monkeypatch.setattr(embedding._Scope, "embed", planted)
-    by_lookup, by_definition = both_certificates(monkeypatch, fz_z2, fz_z2_const)
-    assert by_lookup == by_definition
-    assert by_lookup["composition_ok"] is False and by_lookup["ok"] is False
-    assert by_lookup["counterexample"] == "embedding does not respect a composition"
-    assert by_lookup["identity_ok"] and by_lookup["full"] and by_lookup["roundtrip_ok"]
+def test_an_embedding_onto_another_listed_morphism_is_found_by_both(
+    monkeypatch, fz_z2_const, trivial_fz
+):
+    # E sends the trivial endomorphism of the constant Z2 where the identity goes
+    trivial = validate_fuzzy_morphism(fz_z2_const, fz_z2_const, (0, 0), (0,))
+    plant_wrong_embedding(monkeypatch, trivial, like=identity_fuzzy_morphism(fz_z2_const))
+    homs, embedded = hom_sets(), embedder()
+    loop = verify_embedding(fz_z2_const, fz_z2_const).to_json_dict()
+    assert loop == certificate_by_definition(fz_z2_const, fz_z2_const, homs, embedded)
+    assert loop["counterexample"] == "two fuzzy morphisms share one image"
+    assert not (loop["faithful"] or loop["full"] or loop["roundtrip_ok"])
+    # through C1 and back is the trivial endomorphism: only the composite sees it
+    through = verify_embedding(fz_z2_const, trivial_fz).to_json_dict()
+    assert through == certificate_by_definition(fz_z2_const, trivial_fz, homs, embedded)
+    assert through["counterexample"] == "embedding does not respect a composition"
+    assert through["faithful"] and through["full"] and through["roundtrip_ok"]
+
+
+def test_a_wrong_identity_is_named(monkeypatch, fz_z2, trivial_fz):
+    # no composite of Hom(Z2, C1) and Hom(C1, Z2) is the identity of Z2
+    plant_wrong_embedding(monkeypatch, identity_fuzzy_morphism(fz_z2))
+    doc = verify_embedding(fz_z2, trivial_fz).to_json_dict()
+    assert doc == certificate_by_definition(fz_z2, trivial_fz, hom_sets(), embedder())
+    assert doc["identity_ok"] is False and doc["ok"] is False
+    assert doc["counterexample"] == "embedding does not send an identity to an identity"
+    assert doc["faithful"] and doc["full"] and doc["roundtrip_ok"] and doc["composition_ok"]
+
+
+def test_an_image_that_fails_the_validator_is_recorded(monkeypatch, fz_z2):
+    import fzcover.enumeration as enumeration
+
+    # f sends a, at 1/2, to e, at the top, while lam keeps 1/2: no morphism,
+    # and its image sends a class maximum to a non-maximum
+    stray = FuzzyMorphism(fz_z2, fz_z2, (0, 0), (0, 1))
+    with pytest.raises(MaximaNotPreserved):
+        embed_morphism(stray)
+    enumerate_all = enumeration.enumerate_fuzzy_morphisms
+
+    def with_stray(source, target, budget):
+        return enumerate_all(source, target, budget) + [stray]
+
+    monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", with_stray)
+    cert = verify_embedding(fz_z2, fz_z2)
+    assert not cert.ok and not cert.counts_equal and not cert.full
+    assert cert.counterexample == "image of fuzzy morphism 2 missing from cover hom-set"
 
 
 def test_a_composite_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, fz_z2_const):
@@ -365,6 +548,24 @@ def test_a_composite_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, fz
         return [m for m in enumerate_all(source, target, budget) if m != missing]
 
     monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", lacking)
+    cert = verify_embedding(fz_z2, fz_z2_const)
+    assert not cert.ok and not cert.composition_ok
+    assert cert.counterexample == "embedding does not respect a composition"
+    assert cert.identity_ok and cert.faithful and cert.full and cert.roundtrip_ok
+
+
+def test_an_image_missing_from_a_loop_hom_set_is_recorded(monkeypatch, fz_z2, fz_z2_const):
+    import fzcover.enumeration as enumeration
+
+    # the embedding of the composite Z2 -> const -> Z2 must be listed in the
+    # cover Hom(Z2, Z2) too
+    missing = embed_morphism(validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
+    enumerate_all = enumeration.enumerate_cover_morphisms
+
+    def lacking(source, target, budget):
+        return [c for c in enumerate_all(source, target, budget) if c != missing]
+
+    monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", lacking)
     cert = verify_embedding(fz_z2, fz_z2_const)
     assert not cert.ok and not cert.composition_ok
     assert cert.counterexample == "embedding does not respect a composition"
@@ -404,38 +605,15 @@ def pool_certificates(pool, shared: bool) -> list[dict]:
     ]
 
 
-def plant_wrong_embedding(patch, wrong) -> None:
-    """Make the validator hand back the embedding of ``wrong`` with one fstar entry moved.
-
-    The plant sits below the embedding memo, so a shared hom_cache keeps the
-    wrong embedding for every later pair, and a fresh one builds it again.
-    """
-    import fzcover.cover as cover
-    import fzcover.embedding as embedding
-
-    right = embed_morphism(wrong)
-    validate = embedding.validate_cover_morphism
-
-    def planted(*args):
-        em = validate(*args)
-        if em == right:
-            fstar = list(em.fstar)
-            fstar[0] = (fstar[0] + 1) % len(fstar)
-            return dataclasses.replace(em, fstar=tuple(fstar))
-        return em
-
-    for module in (cover, embedding):
-        patch.setattr(module, "validate_cover_morphism", planted)
-
-
 def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
     with monkeypatch.context() as patch:
         calls = counting_validations(patch)
         shared = pool_certificates(pool, shared=True)
     assert shared == pool_certificates(pool, shared=False)
     assert all(doc["ok"] for doc in shared)
-    # one validation per morphism of the pool and one identity check per object
-    assert len(calls) == sum(doc["fuzzy_hom_count"] for doc in shared) + len(pool)
+    # one validation per hom-set entry on each side, and one identity check per object
+    entries = sum(doc["fuzzy_hom_count"] for doc in shared) + len(pool)
+    assert calls == {"fuzzy": entries, "cover": entries}
 
 
 def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, pool):
@@ -458,7 +636,7 @@ def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, 
 
 def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
     cache: dict = {}
-    # the hom-sets of the pair and their embeddings fit in 7 nodes; Hom(V4, V4) does not
+    # the hom-sets of the pair, its reverse and Hom(C1, C1) fit in 7 nodes; Hom(V4, V4) does not
     with pytest.raises(BudgetExceeded):
         verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
     assert cache
@@ -479,8 +657,8 @@ def test_hom_caches_share_nothing(monkeypatch, fz_z2):
 
 
 def test_a_failed_round_trip_is_recorded(monkeypatch, fz_z2_const):
-    # the moved entry sends the pair over e to the pair over a, so the
-    # reconstructed f moves the identity and is not a homomorphism
+    # the moved entry sends the pair over e to the pair over a, so the image
+    # is no homomorphism and is not listed: fuzzy morphism 0 has no round trip
     plant_wrong_embedding(
         monkeypatch, validate_fuzzy_morphism(fz_z2_const, fz_z2_const, (0, 0), (0,))
     )
