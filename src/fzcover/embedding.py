@@ -45,9 +45,8 @@ def _embed(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> CoverMorphism:
     fstar = _fstar(c1, c2, m)
     if -1 in fstar:
         u, x = c1.pairs[fstar.index(-1)]
-        raise ReconstructionMismatch(
-            f"image pair {(m.lam[u], m.f[x])} is not admissible", witness=(u, x)
-        )
+        pair = (m.lam[u], m.f[x])
+        raise ReconstructionMismatch(f"image pair {pair} is not admissible", witness=(u, x))
     return validate_cover_morphism(c1.triple, c2.triple, fstar, m.lam)
 
 
@@ -100,9 +99,9 @@ class EmbeddingCertificate:
     """Outcome of exhaustively comparing the two hom-sets of one object pair.
 
     ``composition_checks`` counts the composites a->b->a and b->a->b of the
-    two hom-sets.  Each is certified by lookup in the exhaustively enumerated
-    Hom(a, a) or Hom(b, b): it must be listed there, and the embedding of the
-    listed entry must equal the composite of the two embedded morphisms.
+    two hom-sets.  Each must be listed in the enumerated Hom(a, a) or Hom(b,
+    b), and the embedding of that entry must equal the composite of the two
+    embedded morphisms.
     """
 
     source: FuzzySubgroup
@@ -161,10 +160,10 @@ class _Homs:
     """Hom(s, t) on both sides, indexed once; a morphism is its position here.
 
     ``fuzzy`` and ``cover`` are the hom-sets as the enumerators return them,
-    ``index`` maps (f, lam) to a position in ``fuzzy``, and ``fstars[i]`` is
-    the fstar array of the image of ``fuzzy[i]``.  ``image[i]`` is the
-    position of (fstars[i], lam) in ``cover`` and ``back[j]`` that of (f read
-    off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
+    ``index`` maps (f, lam) to a position in ``fuzzy``, ``fstars[i]`` is the
+    fstar array of the image of ``fuzzy[i]``, ``image[i]`` the position of
+    (fstars[i], lam) in ``cover`` and ``back[j]`` that of (f read off
+    ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
     """
 
     fuzzy: list[FuzzyMorphism]
@@ -179,8 +178,8 @@ class _Scope:
     """What a certification reuses: covers, hom records and identity checks.
 
     Everything kept is a pure function of its key and lives in ``store``: the
-    caller's ``hom_cache`` or a fresh dict, so every pair certified with one
-    ``hom_cache`` shares it and each hom-set is enumerated and indexed once.
+    caller's ``hom_cache`` or a fresh dict.  A fuzzy hom-set is kept apart
+    from its record, so a pair can read Hom(b, a) without its cover search.
     Nothing is stored for a build that raised.
     """
 
@@ -206,11 +205,15 @@ class _Scope:
             == identity_cover_morphism(c.triple).fstar,
         )
 
+    def fuzzy_homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> list[FuzzyMorphism]:
+        search = enumeration.enumerate_fuzzy_morphisms
+        return self.lookup(("fuzzy homs", s, t), lambda: search(s, t, budget=self.budget))
+
     def homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
         return self.lookup(("homs", s, t), lambda: self._index(s, t))
 
     def _index(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
-        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=self.budget)
+        fuzzy = self.fuzzy_homs(s, t)
         c1, c2 = self.cover(s), self.cover(t)
         cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=self.budget)
         index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
@@ -254,14 +257,15 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    Hom(source, target) and Hom(target, source) are enumerated on both
-    sides, and, when both are non-empty, so are Hom(source, source) and
-    Hom(target, target), to certify the composites; each enumeration is its
-    own search under ``budget``.  Each is indexed once into a `_Homs`
-    record, and the certificate is index arithmetic over the records: no
-    morphism is embedded, validated or reconstructed again.  That decides
-    the same conditions, because a hom-set is exhaustive and each of its
-    entries passed its validator, and E and R keep lam:
+    Hom(source, target) is enumerated on both sides and Hom(target, source)
+    on the fuzzy side.  When both are non-empty the composites are certified:
+    the fuzzy sides of Hom(source, source) and Hom(target, target) are
+    enumerated, then the cover sides of Hom(target, source), Hom(source,
+    source) and Hom(target, target).  Each enumeration is its own search
+    under ``budget``.  The certificate is index arithmetic over the `_Homs`
+    records: no morphism is embedded, validated or reconstructed again.
+    That decides the same conditions, because a hom-set is exhaustive, each
+    of its entries passed its validator, and E and R keep lam:
 
     - E(m) is a cover morphism iff its arrays are listed, so image[i] >= 0;
     - R(c) is a morphism of Hom(a, b) iff its arrays are listed, so
@@ -273,22 +277,18 @@ def verify_embedding(
     So the certificate accepts exactly the pairs that embedding and
     validating every morphism accepts, and a broken enumerator or embedding
     is recorded as the first failed condition instead of raising.  A shared
-    ``hom_cache`` dict, owned by the caller, keeps covers, hom records and
-    the identity check of each object across many pairs, so a pool
-    enumerates, validates and indexes each hom-set once.
+    ``hom_cache`` dict, owned by the caller, keeps covers, hom-sets, records
+    and identity checks across many pairs, so each is searched once.
     """
     scope = _Scope(hom_cache, budget)
     homs = scope.homs(source, target)
-    reverse = scope.homs(target, source)
+    reverse = scope.fuzzy_homs(target, source)
     image, back = homs.image, homs.back
 
     identity_ok = scope.identity_ok(source) and scope.identity_ok(target)
     failures = [] if identity_ok else ["embedding does not send an identity to an identity"]
-    failures += [
-        f"image of fuzzy morphism {i} missing from cover hom-set"
-        for i, j in enumerate(image)
-        if j < 0
-    ]
+    missing = [i for i, j in enumerate(image) if j < 0]
+    failures += [f"image of fuzzy morphism {i} missing from cover hom-set" for i in missing]
     faithful = len(set(image)) == len(image)
     if not faithful:
         failures.append("two fuzzy morphisms share one image")
@@ -298,23 +298,22 @@ def verify_embedding(
     for j, i in enumerate(back):
         if i < 0 or image[i] != j:
             full = roundtrip_ok = False
-            failures.append(
-                f"cover morphism {j} reconstructs outside the hom-set"
-                if i < 0
-                else f"cover morphism {j}: embedding of the reconstructed morphism "
-                "differs from the input"
-            )
+            failures.append(f"cover morphism {j}" + (
+                " reconstructs outside the hom-set" if i < 0
+                else ": embedding of the reconstructed morphism differs from the input"
+            ))
     for i, j in enumerate(image):
         if j < 0 or back[j] != i:
             roundtrip_ok = False
             failures.append(f"round trip differs on fuzzy morphism {i}")
 
     composition_ok = True
-    if homs.fuzzy and reverse.fuzzy:
-        loops = scope.homs(source, source), scope.homs(target, target)
-        composition_ok = _respects_compositions(
-            homs, reverse, loops[0]
-        ) and _respects_compositions(reverse, homs, loops[1])
+    if homs.fuzzy and reverse:
+        # every fuzzy search first, then the cover sides only the composites read
+        scope.fuzzy_homs(source, source), scope.fuzzy_homs(target, target)
+        ab, ba = homs, scope.homs(target, source)
+        aa, bb = scope.homs(source, source), scope.homs(target, target)
+        composition_ok = _respects_compositions(ab, ba, aa) and _respects_compositions(ba, ab, bb)
     if not composition_ok:
         failures.append("embedding does not respect a composition")
 
@@ -328,7 +327,7 @@ def verify_embedding(
         faithful=faithful,
         full=full,
         roundtrip_ok=roundtrip_ok,
-        composition_checks=2 * len(homs.fuzzy) * len(reverse.fuzzy),
+        composition_checks=2 * len(homs.fuzzy) * len(reverse),
         composition_ok=composition_ok,
         counterexample=failures[0] if failures else None,
     )

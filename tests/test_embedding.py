@@ -593,6 +593,48 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz)
     ]
 
 
+def recording_searches(patch) -> list[tuple]:
+    """Patch both hom-set enumerators to log (side, source, target) per search."""
+    import fzcover.enumeration as enumeration
+
+    searched = []
+    for side in ("fuzzy", "cover"):
+        name = f"enumerate_{side}_morphisms"
+
+        def recording(source, target, budget, side=side, search=getattr(enumeration, name)):
+            searched.append((side, source, target))
+            return search(source, target, budget)
+
+        patch.setattr(enumeration, name, recording)
+    return searched
+
+
+def test_the_cover_sides_only_the_composites_read_are_searched_last(monkeypatch, fz_z2, fz_v4):
+    a, b = fz_z2, fz_v4
+    ca, cb = build_cover(a).triple, build_cover(b).triple
+    with monkeypatch.context() as patch:
+        searched = recording_searches(patch)
+        assert verify_embedding(a, b).ok
+    assert searched == [
+        ("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a), ("fuzzy", a, a), ("fuzzy", b, b),
+        ("cover", cb, ca), ("cover", ca, ca), ("cover", cb, cb),
+    ]
+    # with Hom(b, a) empty no composite is checked, so only the pair itself has a cover search
+    import fzcover.enumeration as enumeration
+
+    enumerate_all = enumeration.enumerate_fuzzy_morphisms
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            enumeration,
+            "enumerate_fuzzy_morphisms",
+            lambda s, t, budget: [] if (s, t) == (b, a) else enumerate_all(s, t, budget),
+        )
+        searched = recording_searches(patch)
+        cert = verify_embedding(a, b)
+    assert searched == [("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a)]
+    assert cert.ok and cert.composition_checks == 0
+
+
 # -- one hom_cache across a pool against one per pair --------------------------------------
 
 def pool_certificates(pool, shared: bool) -> list[dict]:
