@@ -5,8 +5,9 @@ It sends a fuzzy subgroup to its cover triple and a morphism (f, lambda) to
 back reads f off the images of the class maxima.  Both directions are array
 maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
 `reconstruct_morphism` validate what they build, and `verify_embedding`
-certifies a pair of objects by index arithmetic over the two exhaustively
-enumerated hom-sets, whose entries passed their validators once.
+certifies a pair of objects by index arithmetic over the exhaustively
+enumerated hom-sets between them and of each to itself, whose entries passed
+their validators once.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .cover import (
     CoverMorphism,
     CoverTriple,
     build_cover,
-    identity_cover_morphism,
     validate_cover_morphism,
 )
 from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
-from .fuzzy import FuzzyMorphism, FuzzySubgroup, identity_fuzzy_morphism, validate_fuzzy_morphism
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy_morphism
 
 
 def _fstar(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> tuple[int, ...]:
@@ -175,12 +175,12 @@ class _Homs:
 
 
 class _Scope:
-    """What a certification reuses: covers, hom records and identity checks.
+    """What a certification reuses: covers and hom records.
 
     Everything kept is a pure function of its key and lives in ``store``: the
-    caller's ``hom_cache`` or a fresh dict.  A fuzzy hom-set is kept apart
-    from its record, so a pair can read Hom(b, a) without its cover search.
-    Nothing is stored for a build that raised.
+    caller's ``hom_cache`` or a fresh dict.  The record of an ordered pair is
+    built one way, the fuzzy search and then the cover search.  Nothing is
+    stored for a build that raised.
     """
 
     def __init__(self, store: dict | None, budget: int):
@@ -196,24 +196,11 @@ class _Scope:
     def cover(self, fz: FuzzySubgroup) -> CoverMonoid:
         return self.lookup(("cover", fz), lambda: build_cover(fz))
 
-    def identity_ok(self, fz: FuzzySubgroup) -> bool:
-        """Whether E(id) = id: E keeps lam, so the fstar arrays decide."""
-        c = self.cover(fz)
-        return self.lookup(
-            ("identity ok", fz),
-            lambda: _fstar(c, c, identity_fuzzy_morphism(fz))
-            == identity_cover_morphism(c.triple).fstar,
-        )
-
-    def fuzzy_homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> list[FuzzyMorphism]:
-        search = enumeration.enumerate_fuzzy_morphisms
-        return self.lookup(("fuzzy homs", s, t), lambda: search(s, t, budget=self.budget))
-
     def homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
         return self.lookup(("homs", s, t), lambda: self._index(s, t))
 
     def _index(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
-        fuzzy = self.fuzzy_homs(s, t)
+        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=self.budget)
         c1, c2 = self.cover(s), self.cover(t)
         cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=self.budget)
         index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
@@ -233,14 +220,22 @@ def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
     images are listed.  Then both sides share lam, so they are equal iff the
     fstar arrays compose.
     """
-    if -1 in first.image or -1 in second.image:
-        return False
-    for m1, e1 in zip(first.fuzzy, first.fstars):
-        for m2, e2 in zip(second.fuzzy, second.fstars):
+    for m1, e1, i1 in zip(first.fuzzy, first.fstars, first.image):
+        for m2, e2, i2 in zip(second.fuzzy, second.fstars, second.image):
             at = loops.index.get((_then(m1.f, m2.f), _then(m1.lam, m2.lam)), -1)
-            if at < 0 or loops.image[at] < 0 or loops.fstars[at] != _then(e1, e2):
+            if -1 in (i1, i2, at) or loops.image[at] < 0 or loops.fstars[at] != _then(e1, e2):
                 return False
     return True
+
+
+def _keeps_identity(loops: _Homs, fz: FuzzySubgroup) -> bool:
+    """Whether E(id) = id, read off the record of Hom(fz, fz)."""
+    at = loops.index.get((tuple(range(fz.n)), tuple(range(len(fz.chain)))), -1)
+    return (
+        at >= 0
+        and loops.image[at] >= 0
+        and loops.fstars[at] == tuple(range(len(loops.fstars[at])))
+    )
 
 
 def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,16 +252,17 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    Hom(source, target) is enumerated on both sides and Hom(target, source)
-    on the fuzzy side.  When both are non-empty the composites are certified:
-    the fuzzy sides of Hom(source, source) and Hom(target, target) are
-    enumerated, then the cover sides of Hom(target, source), Hom(source,
-    source) and Hom(target, target).  Each enumeration is its own search
-    under ``budget``.  The certificate is index arithmetic over the `_Homs`
-    records: no morphism is embedded, validated or reconstructed again.
-    That decides the same conditions, because a hom-set is exhaustive, each
-    of its entries passed its validator, and E and R keep lam:
+    The `_Homs` records of (source, target), (target, source), (source,
+    source) and (target, target) are built in that order, each by its fuzzy
+    search and then its cover search; each search has the whole ``budget``.
+    The certificate is index arithmetic over those four records: no
+    morphism is embedded, validated or reconstructed again.  That decides
+    the same conditions, because a hom-set is exhaustive, each of its
+    entries passed its validator, and E and R keep lam:
 
+    - id_a is a morphism iff it is listed in Hom(a, a), and E(id_a) is the
+      identity cover morphism iff its fstar array is the identity array
+      and its image is listed;
     - E(m) is a cover morphism iff its arrays are listed, so image[i] >= 0;
     - R(c) is a morphism of Hom(a, b) iff its arrays are listed, so
       back[j] >= 0;
@@ -277,15 +273,15 @@ def verify_embedding(
     So the certificate accepts exactly the pairs that embedding and
     validating every morphism accepts, and a broken enumerator or embedding
     is recorded as the first failed condition instead of raising.  A shared
-    ``hom_cache`` dict, owned by the caller, keeps covers, hom-sets, records
-    and identity checks across many pairs, so each is searched once.
+    ``hom_cache`` dict, owned by the caller, keeps covers and records across
+    many pairs, so each hom-set is searched once.
     """
     scope = _Scope(hom_cache, budget)
-    homs = scope.homs(source, target)
-    reverse = scope.fuzzy_homs(target, source)
-    image, back = homs.image, homs.back
+    ab, ba = scope.homs(source, target), scope.homs(target, source)
+    aa, bb = scope.homs(source, source), scope.homs(target, target)
+    image, back = ab.image, ab.back
 
-    identity_ok = scope.identity_ok(source) and scope.identity_ok(target)
+    identity_ok = _keeps_identity(aa, source) and _keeps_identity(bb, target)
     failures = [] if identity_ok else ["embedding does not send an identity to an identity"]
     missing = [i for i, j in enumerate(image) if j < 0]
     failures += [f"image of fuzzy morphism {i} missing from cover hom-set" for i in missing]
@@ -307,27 +303,21 @@ def verify_embedding(
             roundtrip_ok = False
             failures.append(f"round trip differs on fuzzy morphism {i}")
 
-    composition_ok = True
-    if homs.fuzzy and reverse:
-        # every fuzzy search first, then the cover sides only the composites read
-        scope.fuzzy_homs(source, source), scope.fuzzy_homs(target, target)
-        ab, ba = homs, scope.homs(target, source)
-        aa, bb = scope.homs(source, source), scope.homs(target, target)
-        composition_ok = _respects_compositions(ab, ba, aa) and _respects_compositions(ba, ab, bb)
+    composition_ok = _respects_compositions(ab, ba, aa) and _respects_compositions(ba, ab, bb)
     if not composition_ok:
         failures.append("embedding does not respect a composition")
 
     return EmbeddingCertificate(
         source=source,
         target=target,
-        fuzzy_homs=tuple(homs.fuzzy),
-        cover_homs=tuple(homs.cover),
+        fuzzy_homs=tuple(ab.fuzzy),
+        cover_homs=tuple(ab.cover),
         bijection=tuple(image),
         identity_ok=identity_ok,
         faithful=faithful,
         full=full,
         roundtrip_ok=roundtrip_ok,
-        composition_checks=2 * len(homs.fuzzy) * len(reverse),
+        composition_checks=2 * len(ab.fuzzy) * len(ba.fuzzy),
         composition_ok=composition_ok,
         counterexample=failures[0] if failures else None,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .cover import CoverMorphism, CoverTriple, validate_cover_morphism
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
@@ -159,28 +159,26 @@ def enumerate_fuzzy_subgroups_chain(
     return out
 
 
-def _monotone_top_maps(k_source: int, k_target: int) -> list[tuple[int, ...]]:
-    # order-preserving chain-index maps sending top to top, lexicographic
-    return [
-        prefix + (k_target - 1,)
-        for prefix in combinations_with_replacement(range(k_target), k_source - 1)
-    ]
-
-
 def enumerate_fuzzy_morphisms(
     source: FuzzySubgroup, target: FuzzySubgroup, budget: int = DEFAULT_BUDGET
 ) -> list[FuzzyMorphism]:
-    """All morphisms source -> target, lexicographic by (f, lam)."""
+    """All morphisms source -> target, lexicographic by (f, lam).
+
+    mu is onto its chain, so a group hom f forces lam(mu(x)) = mu'(f(x)).
+    f gives one morphism when that lam is well defined (each rank meets one
+    target rank), monotone and top-preserving, validated in full, and none
+    otherwise.
+    """
     homs = enumerate_group_homomorphisms(source.group, target.group, budget)
-    lams = _monotone_top_maps(len(source.chain), len(target.chain))
+    ranks = [source.mu_index(x) for x in range(source.n)]
+    target_ranks = [target.mu_index(y) for y in range(target.n)]
+    k1, top = len(source.chain), len(target.chain) - 1
     out = []
     for f in homs:
-        for lam in lams:
-            if all(
-                target.mu_index(f[x]) == lam[source.mu_index(x)]
-                for x in range(source.n)
-            ):
-                out.append(validate_fuzzy_morphism(source, target, f, lam))
+        forced = sorted(set(zip(ranks, map(target_ranks.__getitem__, f))))
+        lam = tuple(v for _, v in forced)
+        if len(lam) == k1 and list(lam) == sorted(lam) and lam[-1] == top:
+            out.append(validate_fuzzy_morphism(source, target, f, lam))
     return out
 
 

@@ -60,8 +60,10 @@ def _parse_rational(text: str, lineno: int, col: int) -> Fraction:
     m = _RATIONAL.match(text)
     if not m:
         raise WorkspaceSyntaxError(lineno, col, f"expected a rational p/q, got {text!r}")
-    value = Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
-    return value
+    try:
+        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    except ValueError as exc:  # more digits than int() converts
+        raise WorkspaceSyntaxError(lineno, col, "rational has too many digits") from exc
 
 
 def _parse_assignments(tokens, lineno):

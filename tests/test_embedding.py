@@ -27,6 +27,7 @@ from fzcover import (
     verify_embedding,
 )
 from fzcover.errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CommutationFailure,
     MaximaNotPreserved,
@@ -279,11 +280,11 @@ def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
     cache: dict = {}
     cert = verify_embedding(fz_z2, fz_v4, hom_cache=cache)
     assert cert.ok and cert.composition_checks > 0
-    # each hom-set entry is validated by its enumerator, and each identity
-    # check validates both identities; nothing is embedded, reconstructed or
-    # composed and validated again
-    assert calls == {"fuzzy": fuzzy_entries + 2, "cover": cover_entries + 2}
-    # a warm cache keeps every hom-set and both identity checks
+    # each hom-set entry is validated by its enumerator, and nothing else:
+    # the identities are read off the loop records, and nothing is embedded,
+    # reconstructed or composed and validated again
+    assert calls == {"fuzzy": fuzzy_entries, "cover": cover_entries}
+    # a warm cache keeps every hom-set
     calls.update(fuzzy=0, cover=0)
     assert verify_embedding(fz_z2, fz_v4, hom_cache=cache) == cert
     assert calls == {"fuzzy": 0, "cover": 0}
@@ -572,6 +573,42 @@ def test_an_image_missing_from_a_loop_hom_set_is_recorded(monkeypatch, fz_z2, fz
     assert cert.identity_ok and cert.faithful and cert.full and cert.roundtrip_ok
 
 
+@pytest.mark.parametrize("side", ["fuzzy", "cover"])
+def test_an_identity_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, trivial_fz, side):
+    import fzcover.enumeration as enumeration
+
+    identity = {
+        "fuzzy": identity_fuzzy_morphism(fz_z2),
+        "cover": identity_cover_morphism(embed_object(fz_z2)),
+    }[side]
+    name = f"enumerate_{side}_morphisms"
+
+    def lacking(source, target, budget, search=getattr(enumeration, name)):
+        return [m for m in search(source, target, budget) if m != identity]
+
+    monkeypatch.setattr(enumeration, name, lacking)
+    # no composite of Hom(Z2, C1) and Hom(C1, Z2) is the identity of Z2
+    doc = verify_embedding(fz_z2, trivial_fz).to_json_dict()
+    assert doc["identity_ok"] is False and doc["ok"] is False
+    assert doc["counterexample"] == "embedding does not send an identity to an identity"
+    assert doc["faithful"] and doc["full"] and doc["roundtrip_ok"] and doc["composition_ok"]
+
+
+def test_every_hom_set_lists_the_map_to_the_identity(acceptance_pools):
+    import fzcover.embedding as embedding
+
+    # x -> e with lam constant at the top is a morphism between any two fuzzy
+    # subgroups, so no hom-set is empty and every pair has composites to check
+    for pool in acceptance_pools:
+        scope = embedding._Scope({}, DEFAULT_BUDGET)
+        for a in pool:
+            for b in pool:
+                homs = scope.homs(a, b)
+                to_e = ((b.group.identity,) * a.n, (len(b.chain) - 1,) * len(a.chain))
+                at = homs.index.get(to_e, -1)
+                assert at >= 0 and homs.image[at] >= 0, (a, b)
+
+
 def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz):
     import fzcover.enumeration as enumeration
 
@@ -609,17 +646,18 @@ def recording_searches(patch) -> list[tuple]:
     return searched
 
 
-def test_the_cover_sides_only_the_composites_read_are_searched_last(monkeypatch, fz_z2, fz_v4):
+def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(monkeypatch, fz_z2, fz_v4):
     a, b = fz_z2, fz_v4
     ca, cb = build_cover(a).triple, build_cover(b).triple
+    in_order = [
+        ("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a), ("cover", cb, ca),
+        ("fuzzy", a, a), ("cover", ca, ca), ("fuzzy", b, b), ("cover", cb, cb),
+    ]
     with monkeypatch.context() as patch:
         searched = recording_searches(patch)
         assert verify_embedding(a, b).ok
-    assert searched == [
-        ("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a), ("fuzzy", a, a), ("fuzzy", b, b),
-        ("cover", cb, ca), ("cover", ca, ca), ("cover", cb, cb),
-    ]
-    # with Hom(b, a) empty no composite is checked, so only the pair itself has a cover search
+    assert searched == in_order
+    # an empty Hom(b, a) leaves no composite to check, and changes no search
     import fzcover.enumeration as enumeration
 
     enumerate_all = enumeration.enumerate_fuzzy_morphisms
@@ -631,7 +669,7 @@ def test_the_cover_sides_only_the_composites_read_are_searched_last(monkeypatch,
         )
         searched = recording_searches(patch)
         cert = verify_embedding(a, b)
-    assert searched == [("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a)]
+    assert searched == in_order
     assert cert.ok and cert.composition_checks == 0
 
 
@@ -653,8 +691,8 @@ def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
         shared = pool_certificates(pool, shared=True)
     assert shared == pool_certificates(pool, shared=False)
     assert all(doc["ok"] for doc in shared)
-    # one validation per hom-set entry on each side, and one identity check per object
-    entries = sum(doc["fuzzy_hom_count"] for doc in shared) + len(pool)
+    # one validation per hom-set entry on each side, and nothing else
+    entries = sum(doc["fuzzy_hom_count"] for doc in shared)
     assert calls == {"fuzzy": entries, "cover": entries}
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -16,11 +16,13 @@ from fzcover import (
     enumerate_fuzzy_morphisms,
     enumerate_fuzzy_subgroups_chain,
     enumerate_fuzzy_subgroups_filter,
+    enumerate_group_homomorphisms,
     enumerate_monoid_homomorphisms,
     enumerate_subgroup_chains,
     klein_four,
     symmetric,
     validate_fuzzy,
+    validate_fuzzy_morphism,
     validate_group,
 )
 from fzcover import enumeration
@@ -187,13 +189,39 @@ def test_hom_counts_invariant_under_relabeling(fz_z2):
     assert cert_count == 2
 
 
+def monotone_top_maps(k1: int, k2: int) -> list[tuple[int, ...]]:
+    """Every monotone map of a k1-chain into a k2-chain that keeps the top,
+    lexicographic: a multiset of k1 - 1 values out of k2, then the top."""
+    return [prefix + (k2 - 1,) for prefix in combinations_with_replacement(range(k2), k1 - 1)]
+
+
+def fuzzy_morphisms_over_every_lam(source, target):
+    """Oracle: each group hom f with every monotone top-preserving lam, kept
+    where the square commutes, as the enumerator did before lam was forced."""
+    lams = monotone_top_maps(len(source.chain), len(target.chain))
+    out = []
+    for f in enumerate_group_homomorphisms(source.group, target.group):
+        for lam in lams:
+            if all(
+                target.mu_index(f[x]) == lam[source.mu_index(x)] for x in range(source.n)
+            ):
+                out.append(validate_fuzzy_morphism(source, target, f, lam))
+    return out
+
+
+def test_forced_lam_lists_what_every_lam_lists(acceptance_pools):
+    for pool in acceptance_pools:
+        for a in pool:
+            for b in pool:
+                assert enumerate_fuzzy_morphisms(a, b) == fuzzy_morphisms_over_every_lam(a, b)
+
+
 def test_chain_hom_counts_are_binomials():
-    # a monotone map of a k1-chain into a k2-chain that keeps the top is a
-    # multiset of k1 - 1 values out of k2: C(k2 + k1 - 2, k1 - 1) of them
+    # C(k2 + k1 - 2, k1 - 1) multisets of k1 - 1 values out of k2
     for k1 in range(1, 7):
         for k2 in range(1, 7):
             expected = comb(k2 + k1 - 2, k1 - 1)
-            maps = enumeration._monotone_top_maps(k1, k2)
+            maps = monotone_top_maps(k1, k2)
             homs = enumerate_monoid_homomorphisms(
                 chain_monoid(default_grid(k1).levels), chain_monoid(default_grid(k2).levels)
             )

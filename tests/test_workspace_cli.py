@@ -169,6 +169,18 @@ def test_exit_code_parse_error(capsys):
     assert code == 1 and "ghost" in err
 
 
+@pytest.mark.parametrize(
+    "value", ["1" + "0" * 5000, "1/1" + "0" * 5000], ids=["numerator", "denominator"]
+)
+def test_a_rational_past_the_int_conversion_limit_is_a_syntax_error(capsys, tmp_path, value):
+    # int() refuses strings of more than 4300 digits unless the limit is raised
+    long = tmp_path / "long.fzw"
+    long.write_text(Z2_TEXT.replace("a=1/2", f"a={value}"))
+    code, out, err = run_cli(capsys, "check", str(long))
+    assert (code, out) == (1, "")
+    assert err == f"error: {long}: line 10, col 12: rational has too many digits\n"
+
+
 def test_exit_code_validation_error(capsys):
     code, out, err = run_cli(capsys, "check", str(WORKSPACES / "bad_axiom.fzw"))
     assert code == 2 and out == ""
@@ -309,6 +321,7 @@ WORKSPACE_TOKENS = [
 ]
 SPARE_TOKENS = sorted({t for tokens in WORKSPACE_TOKENS for t in tokens}) + [
     "0", "-1", "2", "1/0", "0/0", "x=", "=", "e=", "=1", "1.5", "#", "\n", "9" * 30,
+    "1" + "0" * 5000,
 ]
 
 
