@@ -160,55 +160,45 @@ class _Homs:
     """Hom(s, t) on both sides, indexed once; a morphism is its position here.
 
     ``fuzzy`` and ``cover`` are the hom-sets as the enumerators return them,
-    ``index`` maps (f, lam) to a position in ``fuzzy``, ``fstars[i]`` is the
-    fstar array of the image of ``fuzzy[i]``, ``image[i]`` the position of
-    (fstars[i], lam) in ``cover`` and ``back[j]`` that of (f read off
-    ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
+    ``index`` maps (f, lam) to a position in ``fuzzy``, ``image[i]`` is the
+    position of the embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]``
+    that of (f read off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is
+    not listed.  So where ``image[i] >= 0``, ``cover[image[i]]`` is the
+    embedding of ``fuzzy[i]``.
     """
 
     fuzzy: list[FuzzyMorphism]
     cover: list[CoverMorphism]
     index: dict[tuple, int]
-    fstars: list[tuple[int, ...]]
     image: list[int]
     back: list[int]
 
 
-class _Scope:
-    """What a certification reuses: covers and hom records.
+# A certification keeps covers and hom records in ``store``, the caller's
+# ``hom_cache`` or a fresh dict, under ("cover", fz) and ("homs", s, t).  Each
+# is a pure function of its key, and nothing is stored for a build that raised.
 
-    Everything kept is a pure function of its key and lives in ``store``: the
-    caller's ``hom_cache`` or a fresh dict.  The record of an ordered pair is
-    built one way, the fuzzy search and then the cover search.  Nothing is
-    stored for a build that raised.
-    """
+def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
+    cover = store.get(("cover", fz))
+    if cover is None:
+        cover = store[("cover", fz)] = build_cover(fz)
+    return cover
 
-    def __init__(self, store: dict | None, budget: int):
-        self.store = {} if store is None else store
-        self.budget = budget
 
-    def lookup(self, key, build):
-        value = self.store.get(key)
-        if value is None:
-            value = self.store[key] = build()
-        return value
-
-    def cover(self, fz: FuzzySubgroup) -> CoverMonoid:
-        return self.lookup(("cover", fz), lambda: build_cover(fz))
-
-    def homs(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
-        return self.lookup(("homs", s, t), lambda: self._index(s, t))
-
-    def _index(self, s: FuzzySubgroup, t: FuzzySubgroup) -> _Homs:
-        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=self.budget)
-        c1, c2 = self.cover(s), self.cover(t)
-        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=self.budget)
-        index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
-        listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
-        fstars = [_fstar(c1, c2, m) for m in fuzzy]
-        image = [listed.get((e, m.lam), -1) for e, m in zip(fstars, fuzzy)]
-        back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
-        return _Homs(fuzzy, cover, index, fstars, image, back)
+def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs:
+    """The record of Hom(s, t), built by the fuzzy search and then the cover search."""
+    homs = store.get(("homs", s, t))
+    if homs is not None:
+        return homs
+    fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget)
+    c1, c2 = _cover(store, s), _cover(store, t)
+    cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
+    index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
+    listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
+    image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
+    back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
+    homs = store[("homs", s, t)] = _Homs(fuzzy, cover, index, image, back)
+    return homs
 
 
 def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
@@ -217,13 +207,16 @@ def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
     ``first``, ``second`` and ``loops`` are the records of Hom(a, b),
     Hom(b, a) and Hom(a, a).  m2.m1 is a morphism iff its arrays are listed
     in ``loops``, and E(m1), E(m2) and E(m2.m1) are cover morphisms iff their
-    images are listed.  Then both sides share lam, so they are equal iff the
-    fstar arrays compose.
+    images are listed.  Then all three share lam, so they are equal iff the
+    fstar arrays of the listed images compose.
     """
-    for m1, e1, i1 in zip(first.fuzzy, first.fstars, first.image):
-        for m2, e2, i2 in zip(second.fuzzy, second.fstars, second.image):
+    for m1, i1 in zip(first.fuzzy, first.image):
+        for m2, i2 in zip(second.fuzzy, second.image):
             at = loops.index.get((_then(m1.f, m2.f), _then(m1.lam, m2.lam)), -1)
-            if -1 in (i1, i2, at) or loops.image[at] < 0 or loops.fstars[at] != _then(e1, e2):
+            if -1 in (i1, i2, at) or loops.image[at] < 0:
+                return False
+            composite = _then(first.cover[i1].fstar, second.cover[i2].fstar)
+            if loops.cover[loops.image[at]].fstar != composite:
                 return False
     return True
 
@@ -231,11 +224,10 @@ def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
 def _keeps_identity(loops: _Homs, fz: FuzzySubgroup) -> bool:
     """Whether E(id) = id, read off the record of Hom(fz, fz)."""
     at = loops.index.get((tuple(range(fz.n)), tuple(range(len(fz.chain)))), -1)
-    return (
-        at >= 0
-        and loops.image[at] >= 0
-        and loops.fstars[at] == tuple(range(len(loops.fstars[at])))
-    )
+    if at < 0 or loops.image[at] < 0:
+        return False
+    fstar = loops.cover[loops.image[at]].fstar
+    return fstar == tuple(range(len(fstar)))
 
 
 def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
@@ -261,8 +253,8 @@ def verify_embedding(
     entries passed its validator, and E and R keep lam:
 
     - id_a is a morphism iff it is listed in Hom(a, a), and E(id_a) is the
-      identity cover morphism iff its fstar array is the identity array
-      and its image is listed;
+      identity cover morphism iff its image is listed and the fstar array
+      of that listed cover morphism is the identity array;
     - E(m) is a cover morphism iff its arrays are listed, so image[i] >= 0;
     - R(c) is a morphism of Hom(a, b) iff its arrays are listed, so
       back[j] >= 0;
@@ -276,9 +268,9 @@ def verify_embedding(
     ``hom_cache`` dict, owned by the caller, keeps covers and records across
     many pairs, so each hom-set is searched once.
     """
-    scope = _Scope(hom_cache, budget)
-    ab, ba = scope.homs(source, target), scope.homs(target, source)
-    aa, bb = scope.homs(source, source), scope.homs(target, target)
+    store = {} if hom_cache is None else hom_cache
+    ab, ba = _homs(store, source, target, budget), _homs(store, target, source, budget)
+    aa, bb = _homs(store, source, source, budget), _homs(store, target, target, budget)
     image, back = ab.image, ab.back
 
     identity_ok = _keeps_identity(aa, source) and _keeps_identity(bb, target)

@@ -101,29 +101,23 @@ def enumerate_subgroup_chains(
     """All strictly descending subgroup chains starting at the whole group.
 
     Depth first, each chain listed before its extensions and the subgroups
-    below its last member tried in ``all_subgroups`` order; an explicit stack
-    replaces recursion.  More than ``budget`` chains raise BudgetExceeded.
+    below its last member tried in ``all_subgroups`` order; a last-in,
+    first-out list of index paths replaces recursion.  More than ``budget``
+    chains raise BudgetExceeded.
     """
     subgroups = all_subgroups(group, budget)
     members = [frozenset(sub) for sub in subgroups]
     below = [[i for i in range(j) if members[i] < members[j]] for j in range(len(members))]
     chains: list[tuple[tuple[int, ...], ...]] = []
-    path: list[int] = []
-    # stack[d]: the subgroups still to try at depth d; depth 0 holds only the
-    # whole group, the last of ``subgroups``
-    stack = [iter([len(subgroups) - 1])]
-    while stack:
-        sub = next(stack[-1], None)
-        if sub is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
+    # the whole group is the last of ``subgroups``; children go on in reverse,
+    # so the first of them comes off next
+    todo = [(len(subgroups) - 1,)]
+    while todo:
+        path = todo.pop()
         if len(chains) >= budget:
             raise BudgetExceeded(len(chains) + 1, budget, "chains")
-        path.append(sub)
         chains.append(tuple(subgroups[i] for i in path))
-        stack.append(iter(below[sub]))
+        todo.extend(path + (i,) for i in reversed(below[path[-1]]))
     return chains
 
 

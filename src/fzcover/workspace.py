@@ -132,6 +132,10 @@ class _Parser:
         labels = [t for t, _ in tokens[1:]]
         if not labels:
             self.error(tokens[0][1], "elements line must list at least one label")
+        for text, col in tokens[1:]:
+            if text == "end" or text.startswith("#"):
+                kind = "end" if text == "end" else "a comment"
+                self.error(col, f"element label {text!r} would start a table row read as {kind}")
         if len(set(labels)) != len(labels):
             self.error(tokens[0][1], "element labels must be distinct")
         index = {lbl: i for i, lbl in enumerate(labels)}

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 from fractions import Fraction
 
@@ -325,22 +326,30 @@ def test_chain_not_isomorphic_to_group():
     assert monoid_isomorphic(two, z2) is None
 
 
+def relabeled_monoid(m, perm):
+    """The same monoid with element i of ``m`` listed as element perm[i]."""
+    inv = [perm.index(i) for i in range(m.n)]
+    table = [[perm[m.table[inv[i]][inv[j]]] for j in range(m.n)] for i in range(m.n)]
+    return validate_inverse_monoid([m.names[inv[i]] for i in range(m.n)], table, perm[m.unit])
+
+
 def test_relabeled_cover_is_isomorphic(fz_z2):
-    m = build_cover(fz_z2).monoid
-    perm = (2, 0, 1)
-    inv = [perm.index(i) for i in range(3)]
-    table = [
-        [perm[m.table[inv[i]][inv[j]]] for j in range(3)]
-        for i in range(3)
-    ]
-    relabeled = validate_inverse_monoid(
-        [m.names[inv[i]] for i in range(3)], table, perm[m.unit]
-    )
-    bij = monoid_isomorphic(m, relabeled)
-    assert bij is not None
-    for i in range(3):
-        for j in range(3):
-            assert bij[m.table[i][j]] == relabeled.table[bij[i]][bij[j]]
+    # the D4 covers run the injective search's release of an image it
+    # backtracks past
+    rng = random.Random(0)
+    monoids = [build_cover(fz_z2).monoid]
+    for fz in enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(3)):
+        monoids.append(build_cover(fz).monoid)
+    assert len(monoids) == 46
+    for i, m in enumerate(monoids):
+        perm = [2, 0, 1] if i == 0 else rng.sample(range(m.n), m.n)
+        relabeled = relabeled_monoid(m, perm)
+        bij = monoid_isomorphic(m, relabeled)
+        assert bij is not None and sorted(bij) == list(range(m.n)), i
+        assert bij[m.unit] == relabeled.unit
+        for x in range(m.n):
+            for y in range(m.n):
+                assert bij[m.table[x][y]] == relabeled.table[bij[x]][bij[y]]
 
 
 def test_isomorphism_budget():

@@ -600,10 +600,10 @@ def test_every_hom_set_lists_the_map_to_the_identity(acceptance_pools):
     # x -> e with lam constant at the top is a morphism between any two fuzzy
     # subgroups, so no hom-set is empty and every pair has composites to check
     for pool in acceptance_pools:
-        scope = embedding._Scope({}, DEFAULT_BUDGET)
+        store: dict = {}
         for a in pool:
             for b in pool:
-                homs = scope.homs(a, b)
+                homs = embedding._homs(store, a, b, DEFAULT_BUDGET)
                 to_e = ((b.group.identity,) * a.n, (len(b.chain) - 1,) * len(a.chain))
                 at = homs.index.get(to_e, -1)
                 assert at >= 0 and homs.image[at] >= 0, (a, b)

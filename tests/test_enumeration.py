@@ -236,6 +236,11 @@ def test_budget_guards(v4, s3):
         enumerate_fuzzy_subgroups_chain(v4, default_grid(4), budget=3)
     with pytest.raises(BudgetExceeded):
         all_subgroups(symmetric(3), budget=10)
+    # 16 subsets and 8 chains fit in 20, but not the value picks: 4 for the
+    # chain V4 alone, then 6 for each of the 4 chains V4 > H
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_fuzzy_subgroups_chain(v4, default_grid(4), budget=20)
+    assert str(exc.value) == "21 chain assignments exceed budget 20"
 
 
 def test_filter_budget_counts_nodes(z2):
@@ -369,6 +374,7 @@ CHAIN_GROUPS = [cyclic(n) for n in range(1, 17)] + [
     symmetric(3),
     dihedral(4),
     dihedral(5),
+    dihedral(6),
     S3_IDENTITY_LAST,
 ]
 

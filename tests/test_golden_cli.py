@@ -2,7 +2,8 @@
 
 Every command runs in process through ``cli.main`` over every
 ``workspaces/*.fzw`` in both formats, and the sha256 of its stdout and its
-exit code are compared with the committed table ``golden_cli.json``.  A change
+exit code are compared with the committed table ``golden_cli.json``; one run
+also goes through ``python -m fzcover.cli`` in a new interpreter.  A change
 meant to alter CLI output regenerates the table with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -15,6 +16,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -60,6 +64,18 @@ def test_cli_outputs_match_the_golden_table():
     assert sorted(actual) == sorted(expected)
     changed = [run for run in expected if actual[run] != expected[run]]
     assert not changed, f"{len(changed)} run(s) changed, first: {changed[0]}"
+
+
+def test_module_entry_point_prints_the_golden_check():
+    # ``python -m fzcover.cli`` as the README documents it, in a new interpreter
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "fzcover.cli", "check", "workspaces/z2.fzw"],
+        cwd=HERE.parent, env=env, capture_output=True, timeout=60,
+    )
+    golden = json.loads(TABLE.read_text(encoding="utf-8"))["check workspaces/z2.fzw --format text"]
+    assert (run.returncode, run.stderr) == (golden["exit"], b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == golden["stdout_sha256"]
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from fzcover.workspace import parse_workspace
 
 F = Fraction
 WORKSPACES = Path(__file__).resolve().parent.parent / "workspaces"
+MORPHISMS_TEXT = (WORKSPACES / "morphisms.fzw").read_text(encoding="utf-8")
 
 Z2_TEXT = """
 group z2
@@ -181,10 +183,21 @@ def test_a_rational_past_the_int_conversion_limit_is_a_syntax_error(capsys, tmp_
     assert err == f"error: {long}: line 10, col 12: rational has too many digits\n"
 
 
-def test_exit_code_validation_error(capsys):
+def test_exit_code_validation_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(WORKSPACES / "bad_axiom.fzw"))
     assert code == 2 and out == ""
     assert "mu(a*a)" in err
+    # a group table and a morphism that parse but fail their validators
+    for text, message in (
+        (Z2_TEXT.replace("a e\nend", "a a\nend"), "group z2: element a has no inverse"),
+        (
+            MORPHISMS_TEXT.replace("map e=e a=a", "map e=a a=e"),
+            "morphism collapse: f is not a group homomorphism",
+        ),
+    ):
+        path = tmp_path / "invalid.fzw"
+        path.write_text(text)
+        assert run_cli(capsys, "check", str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_exit_code_budget(capsys):
@@ -257,9 +270,116 @@ def test_budget_below_one_is_a_usage_error(capsys, budget):
     assert f"budget must be at least 1, got {budget}" in captured.err
 
 
+Z2_PATH = str(WORKSPACES / "z2.fzw")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["cover", Z2_PATH, "--report", "sigma,bogus"],
+            "unknown section 'bogus'; choose from sigma,green,levels,order,table",
+        ),
+        (["check", Z2_PATH, "--budget", "ten"], "invalid int value: 'ten'"),
+        (["embed", Z2_PATH, Z2_PATH, Z2_PATH], "embed takes at most two files"),
+    ],
+    ids=["report section", "budget", "embed files"],
+)
+def test_a_usage_error_exits_2_naming_its_fault(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("usage:") == 1
+    assert message in captured.err
+
+
 def test_short_table_row_rejected():
     with pytest.raises(WorkspaceSyntaxError):
         parse_workspace("group z2\nelements e a\ntable\ne a\na\nend\n")
+    # a table cut short by end
+    with pytest.raises(WorkspaceSyntaxError) as exc:
+        parse_workspace("group z2\nelements e a\ntable\ne a\nend\n")
+    assert (exc.value.line, exc.value.col) == (5, 1)
+    assert "table needs 2 rows of 2 labels" in str(exc.value)
+
+
+# the workspace text, the text it replaces, its replacement, and the error
+MALFORMED = {
+    "empty elements line": (
+        Z2_TEXT, "elements e a", "elements",
+        "line 3, col 1: elements line must list at least one label",
+    ),
+    "duplicate labels": (
+        Z2_TEXT, "elements e a", "elements e e", "line 3, col 1: element labels must be distinct",
+    ),
+    "group without end": (Z2_TEXT, "a e\nend", "a e", "line 8, col 1: expected end"),
+    "fuzzy without end": (
+        Z2_TEXT, "1/2\nend", "1/2", "line 10, col 1: fuzzy mu1 not closed with end",
+    ),
+    "value twice": (
+        Z2_TEXT, "a=1/2", "a=1/2 a=1/2", "line 10, col 18: value for 'a' given twice",
+    ),
+    "value missing": (Z2_TEXT, "a=1/2", "a=", "line 10, col 12: expected key=value, got 'a='"),
+    "morphism without end": (
+        MORPHISMS_TEXT, "1=1\nend", "1=1",
+        "line 19, col 1: morphism collapse not closed with end",
+    ),
+    "unknown fuzzy": (
+        MORPHISMS_TEXT, "to mu2", "to ghost", "morphism collapse refers to unknown fuzzy 'ghost'",
+    ),
+    "image twice": (
+        MORPHISMS_TEXT, "a=a", "a=a a=e", "line 18, col 13: image of 'a' given twice",
+    ),
+    "lambda image twice": (
+        MORPHISMS_TEXT, "1=1\n", "1=1 1/2=1\n", "line 19, col 18: image of 1/2 given twice",
+    ),
+    "unknown source element": (
+        MORPHISMS_TEXT, "map e=e", "map e=e q=e", "line 18, col 9: unknown source element 'q'",
+    ),
+    "unknown target element": (
+        MORPHISMS_TEXT, "a=a", "a=q", "line 18, col 9: unknown target element 'q'",
+    ),
+    "lambda outside the source chain": (
+        MORPHISMS_TEXT, "1/2=1", "1/4=1", "line 19, col 8: value 1/4 is not in the chain of mu1",
+    ),
+    "lambda outside the target chain": (
+        MORPHISMS_TEXT, "1/2=1", "1/2=1/2",
+        "line 19, col 8: value 1/2 is not in the chain of mu2",
+    ),
+    "map misses an element": (
+        MORPHISMS_TEXT, "map e=e a=a", "map e=e",
+        "line 20, col 1: morphism collapse must map every element of mu1",
+    ),
+    "lambda misses a value": (
+        MORPHISMS_TEXT, "lambda 1/2=1 1=1", "lambda 1=1",
+        "line 20, col 1: morphism collapse must map every chain value of mu1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_block_exits_1_naming_its_fault(capsys, tmp_path, case):
+    text, old, new, message = MALFORMED[case]
+    assert text.count(old) == 1
+    path = tmp_path / "malformed.fzw"
+    path.write_text(text.replace(old, new))
+    assert run_cli(capsys, "check", str(path)) == (1, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "label, reading", [("end", "end"), ("#x", "a comment")], ids=["end", "comment"]
+)
+def test_a_label_that_cannot_start_a_table_row_is_refused(capsys, tmp_path, label, reading):
+    # before, the row starting with the label read as the block's end or as
+    # a comment, and the error blamed the table
+    path = tmp_path / "label.fzw"
+    path.write_text(f"group g\nelements {label} x\ntable\n{label} x\nx {label}\nend\n")
+    expected = (
+        f"error: {path}: line 2, col 10: "
+        f"element label {label!r} would start a table row read as {reading}\n"
+    )
+    assert run_cli(capsys, "check", str(path)) == (1, "", expected)
 
 
 def test_degenerate_grid_flag_exits_cleanly(capsys):
@@ -277,6 +397,39 @@ def test_exit_code_check_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cover", str(WORKSPACES / "z2.fzw"))
     assert code == 4
     assert "FAIL" in out
+
+
+def test_exit_code_failed_certificate(capsys, monkeypatch):
+    # a failed certificate prints its counterexample under the pair's line
+    import fzcover.cli as cli
+
+    certify = cli.verify_embedding
+    shared = "two fuzzy morphisms share one image"
+    monkeypatch.setattr(
+        cli,
+        "verify_embedding",
+        lambda a, b, **kw: dataclasses.replace(
+            certify(a, b, **kw), faithful=False, counterexample=shared
+        ),
+    )
+    code, out, err = run_cli(capsys, "embed", Z2_PATH, Z2_PATH)
+    assert (code, err) == (4, "")
+    assert out.splitlines()[1:] == [f"  counterexample: {shared}", "embed: 1 pair(s), FAIL"]
+    assert "faithful: FAIL, full: OK" in out.splitlines()[0]
+
+
+def test_exit_code_routes_disagree(capsys, monkeypatch):
+    # the chain route losing a fuzzy subgroup is a check failure
+    import fzcover.cli as cli
+
+    chain_route = cli.enumerate_fuzzy_subgroups_chain
+    monkeypatch.setattr(
+        cli, "enumerate_fuzzy_subgroups_chain", lambda *args: chain_route(*args)[:-1]
+    )
+    code, out, err = run_cli(capsys, "enumerate", str(WORKSPACES / "z2.fzw"), "--grid", "2")
+    assert (code, err) == (4, "")
+    assert "(chain method agrees: NO)" in out
+    assert out.endswith("enumerate: 1 group(s), FAIL\n")
 
 
 def test_exit_code_failed_derived_fact(capsys, monkeypatch):
@@ -322,6 +475,9 @@ WORKSPACE_TOKENS = [
 SPARE_TOKENS = sorted({t for tokens in WORKSPACE_TOKENS for t in tokens}) + [
     "0", "-1", "2", "1/0", "0/0", "x=", "=", "e=", "=1", "1.5", "#", "\n", "9" * 30,
     "1" + "0" * 5000,
+    # a values line of its own: inserted into a fuzzy block ahead of the block's
+    # own line, it reaches the rational parser past int()'s digit limit
+    "\nvalues e=1/1" + "0" * 5000 + "\n",
 ]
 
 
