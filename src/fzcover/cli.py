@@ -216,7 +216,8 @@ def _workspace_objects(ws: WorkspaceFile, args):
 def _cmd_embed(workspaces, args):
     budget = args.budget
     first = _workspace_objects(workspaces[0], args)
-    second = _workspace_objects(workspaces[-1], args)
+    # with one file, both ends are the same workspace: list its objects once
+    second = first if len(workspaces) == 1 else _workspace_objects(workspaces[-1], args)
     lines = []
     payload = {"pairs": []}
     cache: dict = {}

@@ -174,9 +174,11 @@ class _Homs:
     back: list[int]
 
 
-# A certification keeps covers and hom records in ``store``, the caller's
-# ``hom_cache`` or a fresh dict, under ("cover", fz) and ("homs", s, t).  Each
-# is a pure function of its key, and nothing is stored for a build that raised.
+# A certification keeps covers, hom records, group hom-sets and composite
+# checks in ``store``, the caller's ``hom_cache`` or a fresh dict, under
+# ("cover", fz), ("homs", s, t), ("group homs", g, h) and ("composites", a, b).
+# Each is a pure function of its key, and nothing is stored for a build that
+# raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -190,7 +192,7 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs
     homs = store.get(("homs", s, t))
     if homs is not None:
         return homs
-    fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget)
+    fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
     c1, c2 = _cover(store, s), _cover(store, t)
     cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
     index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
@@ -219,6 +221,16 @@ def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
             if loops.cover[loops.image[at]].fstar != composite:
                 return False
     return True
+
+
+def _composites_ok(store: dict, a: FuzzySubgroup, b: FuzzySubgroup) -> bool:
+    """`_respects_compositions` of the records of Hom(a, b), Hom(b, a) and Hom(a, a)."""
+    ok = store.get(("composites", a, b))
+    if ok is None:
+        ok = store[("composites", a, b)] = _respects_compositions(
+            store[("homs", a, b)], store[("homs", b, a)], store[("homs", a, a)]
+        )
+    return ok
 
 
 def _keeps_identity(loops: _Homs, fz: FuzzySubgroup) -> bool:
@@ -265,8 +277,11 @@ def verify_embedding(
     So the certificate accepts exactly the pairs that embedding and
     validating every morphism accepts, and a broken enumerator or embedding
     is recorded as the first failed condition instead of raising.  A shared
-    ``hom_cache`` dict, owned by the caller, keeps covers and records across
-    many pairs, so each hom-set is searched once.
+    ``hom_cache`` dict, owned by the caller, keeps covers, records, group
+    hom-sets and composite checks across many pairs, so each hom-set is
+    searched once, each group hom-set once per group pair, and the composites
+    a->b->a once per ordered pair (a, b), whether certified from (a, b) or
+    from (b, a).  A search read from it makes no budget check again.
     """
     store = {} if hom_cache is None else hom_cache
     ab, ba = _homs(store, source, target, budget), _homs(store, target, source, budget)
@@ -295,7 +310,9 @@ def verify_embedding(
             roundtrip_ok = False
             failures.append(f"round trip differs on fuzzy morphism {i}")
 
-    composition_ok = _respects_compositions(ab, ba, aa) and _respects_compositions(ba, ab, bb)
+    composition_ok = _composites_ok(store, source, target) and _composites_ok(
+        store, target, source
+    )
     if not composition_ok:
         failures.append("embedding does not respect a composition")
 

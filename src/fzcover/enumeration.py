@@ -154,7 +154,11 @@ def enumerate_fuzzy_subgroups_chain(
 
 
 def enumerate_fuzzy_morphisms(
-    source: FuzzySubgroup, target: FuzzySubgroup, budget: int = DEFAULT_BUDGET
+    source: FuzzySubgroup,
+    target: FuzzySubgroup,
+    budget: int = DEFAULT_BUDGET,
+    *,
+    hom_cache: dict | None = None,
 ) -> list[FuzzyMorphism]:
     """All morphisms source -> target, lexicographic by (f, lam).
 
@@ -162,8 +166,19 @@ def enumerate_fuzzy_morphisms(
     f gives one morphism when that lam is well defined (each rank meets one
     target rank), monotone and top-preserving, validated in full, and none
     otherwise.
+
+    A ``hom_cache`` dict, owned by the caller as in ``verify_embedding``,
+    keeps the group hom-set under ("group homs", source.group, target.group),
+    so each group pair is searched once across the calls that share it.  It
+    is stored only once its search has finished within ``budget``, and a
+    later call that reads it makes no budget check.
     """
-    homs = enumerate_group_homomorphisms(source.group, target.group, budget)
+    key = ("group homs", source.group, target.group)
+    homs = None if hom_cache is None else hom_cache.get(key)
+    if homs is None:
+        homs = enumerate_group_homomorphisms(source.group, target.group, budget)
+        if hom_cache is not None:
+            hom_cache[key] = homs
     ranks = [source.mu_index(x) for x in range(source.n)]
     target_ranks = [target.mu_index(y) for y in range(target.n)]
     k1, top = len(source.chain), len(target.chain) - 1

@@ -136,6 +136,10 @@ class _Parser:
             if text == "end" or text.startswith("#"):
                 kind = "end" if text == "end" else "a comment"
                 self.error(col, f"element label {text!r} would start a table row read as {kind}")
+            if "=" in text:
+                self.error(
+                    col, f"element label {text!r} contains '=', so no assignment can name it"
+                )
         if len(set(labels)) != len(labels):
             self.error(tokens[0][1], "element labels must be distinct")
         index = {lbl: i for i, lbl in enumerate(labels)}

@@ -530,8 +530,8 @@ def test_an_image_that_fails_the_validator_is_recorded(monkeypatch, fz_z2):
         embed_morphism(stray)
     enumerate_all = enumeration.enumerate_fuzzy_morphisms
 
-    def with_stray(source, target, budget):
-        return enumerate_all(source, target, budget) + [stray]
+    def with_stray(source, target, budget, **kw):
+        return enumerate_all(source, target, budget, **kw) + [stray]
 
     monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", with_stray)
     cert = verify_embedding(fz_z2, fz_z2)
@@ -545,8 +545,8 @@ def test_a_composite_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, fz
     missing = validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
     enumerate_all = enumeration.enumerate_fuzzy_morphisms
 
-    def lacking(source, target, budget):
-        return [m for m in enumerate_all(source, target, budget) if m != missing]
+    def lacking(source, target, budget, **kw):
+        return [m for m in enumerate_all(source, target, budget, **kw) if m != missing]
 
     monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", lacking)
     cert = verify_embedding(fz_z2, fz_z2_const)
@@ -563,8 +563,8 @@ def test_an_image_missing_from_a_loop_hom_set_is_recorded(monkeypatch, fz_z2, fz
     missing = embed_morphism(validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
     enumerate_all = enumeration.enumerate_cover_morphisms
 
-    def lacking(source, target, budget):
-        return [c for c in enumerate_all(source, target, budget) if c != missing]
+    def lacking(source, target, budget, **kw):
+        return [c for c in enumerate_all(source, target, budget, **kw) if c != missing]
 
     monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", lacking)
     cert = verify_embedding(fz_z2, fz_z2_const)
@@ -583,8 +583,8 @@ def test_an_identity_missing_from_its_hom_set_is_recorded(monkeypatch, fz_z2, tr
     }[side]
     name = f"enumerate_{side}_morphisms"
 
-    def lacking(source, target, budget, search=getattr(enumeration, name)):
-        return [m for m in search(source, target, budget) if m != identity]
+    def lacking(source, target, budget, search=getattr(enumeration, name), **kw):
+        return [m for m in search(source, target, budget, **kw) if m != identity]
 
     monkeypatch.setattr(enumeration, name, lacking)
     # no composite of Hom(Z2, C1) and Hom(C1, Z2) is the identity of Z2
@@ -615,9 +615,9 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz)
     searched = []
     enumerate_all = enumeration.enumerate_fuzzy_morphisms
 
-    def recording(source, target, budget):
+    def recording(source, target, budget, **kw):
         searched.append((source, target))
-        return enumerate_all(source, target, budget)
+        return enumerate_all(source, target, budget, **kw)
 
     monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", recording)
     # every search of Hom(C1, V4), Hom(V4, C1) and their covers fits in 7
@@ -638,9 +638,11 @@ def recording_searches(patch) -> list[tuple]:
     for side in ("fuzzy", "cover"):
         name = f"enumerate_{side}_morphisms"
 
-        def recording(source, target, budget, side=side, search=getattr(enumeration, name)):
+        def recording(
+            source, target, budget, side=side, search=getattr(enumeration, name), **kw
+        ):
             searched.append((side, source, target))
-            return search(source, target, budget)
+            return search(source, target, budget, **kw)
 
         patch.setattr(enumeration, name, recording)
     return searched
@@ -665,7 +667,9 @@ def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(monkeypatch, fz_
         patch.setattr(
             enumeration,
             "enumerate_fuzzy_morphisms",
-            lambda s, t, budget: [] if (s, t) == (b, a) else enumerate_all(s, t, budget),
+            lambda s, t, budget, **kw: [] if (s, t) == (b, a) else enumerate_all(
+                s, t, budget, **kw
+            ),
         )
         searched = recording_searches(patch)
         cert = verify_embedding(a, b)
@@ -694,6 +698,73 @@ def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
     # one validation per hom-set entry on each side, and nothing else
     entries = sum(doc["fuzzy_hom_count"] for doc in shared)
     assert calls == {"fuzzy": entries, "cover": entries}
+
+
+def counting_searches(patch) -> dict:
+    """Log each group hom-set search and count each composite check."""
+    import fzcover.embedding as embedding
+    import fzcover.enumeration as enumeration
+
+    calls = {"group homs": [], "composites": 0}
+    search = enumeration.enumerate_group_homomorphisms
+    check = embedding._respects_compositions
+
+    def searching(source, target, budget):
+        calls["group homs"].append((source, target))
+        return search(source, target, budget)
+
+    def checking(*records):
+        calls["composites"] += 1
+        return check(*records)
+
+    patch.setattr(enumeration, "enumerate_group_homomorphisms", searching)
+    patch.setattr(embedding, "_respects_compositions", checking)
+    return calls
+
+
+def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
+    monkeypatch, pool
+):
+    calls = counting_searches(monkeypatch)
+    assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
+    groups = {fz.group for fz in pool}
+    assert len(calls["group homs"]) == len(set(calls["group homs"])) == len(groups) ** 2
+    # a->b->a once per ordered pair (a, b), from (a, b) or from (b, a)
+    assert calls["composites"] == len(pool) ** 2
+
+
+def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool):
+    pairs = [(a, b) for a in pool[::4] for b in pool[::4]]
+    # within one pair, a group pair or an ordered object pair met twice is
+    # searched or checked once
+    group_searches = sum(
+        len({(g, h) for g in (a.group, b.group) for h in (a.group, b.group)}) for a, b in pairs
+    )
+    composite_checks = sum(len({(a, b), (b, a)}) for a, b in pairs)
+    for fresh in (dict, lambda: None):
+        with monkeypatch.context() as patch:
+            calls = counting_searches(patch)
+            assert all(verify_embedding(a, b, hom_cache=fresh()).ok for a, b in pairs)
+        assert len(calls["group homs"]) == group_searches
+        assert calls["composites"] == composite_checks
+
+
+def test_a_pool_leaves_only_the_known_entry_kinds(pool):
+    # a new memo in the caller's dict needs this test and the README changed
+    cache: dict = {}
+    for a in pool:
+        for b in pool:
+            verify_embedding(a, b, hom_cache=cache)
+    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "composites"}
+
+
+def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):
+    cache: dict = {}
+    with pytest.raises(BudgetExceeded):
+        verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
+    c1, v4 = trivial_fz.group, fz_v4.group
+    searched = {key[1:] for key in cache if key[0] == "group homs"}
+    assert searched == {(c1, v4), (v4, c1), (c1, c1)}
 
 
 def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, pool):

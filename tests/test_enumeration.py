@@ -216,6 +216,33 @@ def test_forced_lam_lists_what_every_lam_lists(acceptance_pools):
                 assert enumerate_fuzzy_morphisms(a, b) == fuzzy_morphisms_over_every_lam(a, b)
 
 
+def test_a_hom_cache_changes_no_fuzzy_hom_set(acceptance_pools):
+    for pool in acceptance_pools:
+        cache: dict = {}
+        for a in pool:
+            for b in pool:
+                assert enumerate_fuzzy_morphisms(a, b, hom_cache=cache) == (
+                    enumerate_fuzzy_morphisms(a, b)
+                ), (a, b)
+        # one group hom-set per group pair, and nothing else
+        groups = {fz.group for fz in pool}
+        assert set(cache) == {("group homs", g, h) for g in groups for h in groups}
+
+
+def test_a_group_search_over_budget_stores_nothing(fz_v4):
+    cache: dict = {}
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7, hom_cache=cache)
+    assert str(exc.value) == "8 group homomorphism nodes exceed budget 7"
+    assert cache == {}
+    # a search within its budget is stored, and a stored one is read without a budget check
+    listed = enumerate_fuzzy_morphisms(fz_v4, fz_v4, hom_cache=cache)
+    assert list(cache) == [("group homs", fz_v4.group, fz_v4.group)]
+    assert enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7, hom_cache=cache) == listed
+    with pytest.raises(BudgetExceeded):
+        enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7)
+
+
 def test_chain_hom_counts_are_binomials():
     # C(k2 + k1 - 2, k1 - 1) multisets of k1 - 1 values out of k2
     for k1 in range(1, 7):

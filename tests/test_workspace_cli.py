@@ -144,6 +144,27 @@ def test_embed_enumerates_when_no_fuzzy_blocks(capsys, tmp_path):
     assert "z2#0 -> z2#0" in out
 
 
+def test_embed_with_one_file_lists_its_objects_once(capsys, monkeypatch, tmp_path):
+    import fzcover.cli as cli
+
+    path = tmp_path / "groups_only.fzw"
+    path.write_text("group z2\nelements e a\ntable\ne a\na e\nend\n")
+    expected = run_cli(capsys, "embed", str(path), "--grid", "2")
+    enumerate_all = cli.enumerate_fuzzy_subgroups_filter
+    groups = []
+
+    def counting(group, grid, budget):
+        groups.append(group)
+        return enumerate_all(group, grid, budget)
+
+    monkeypatch.setattr(cli, "enumerate_fuzzy_subgroups_filter", counting)
+    assert run_cli(capsys, "embed", str(path), "--grid", "2") == expected
+    assert len(groups) == 1
+    # two files are two workspaces, each enumerated, even when they are one file
+    run_cli(capsys, "embed", str(path), str(path), "--grid", "2")
+    assert len(groups) == 3
+
+
 def test_enumerate_command(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", str(WORKSPACES / "z2.fzw"), "--grid", "2"
@@ -312,6 +333,10 @@ MALFORMED = {
     ),
     "duplicate labels": (
         Z2_TEXT, "elements e a", "elements e e", "line 3, col 1: element labels must be distinct",
+    ),
+    "label with =": (
+        Z2_TEXT, "elements e a", "elements e a=b",
+        "line 3, col 12: element label 'a=b' contains '=', so no assignment can name it",
     ),
     "group without end": (Z2_TEXT, "a e\nend", "a e", "line 8, col 1: expected end"),
     "fuzzy without end": (
