@@ -8,8 +8,10 @@ construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
 each other in tests.  `premorphism_from_cover` inverts the construction: it
 recovers psi from any F-inverse cover and certifies the round trip by the
-canonical isomorphism t -> (pi(t), sigma(t)) onto the pair table, which it
-shares with `cover_from_premorphism` but does not validate again.
+canonical isomorphism t -> (pi(t), sigma(t)) onto the pairs, checked on the
+columns of the cover's generators; it shares the pair list with
+`cover_from_premorphism`, and builds the shared pair table only to name a
+fault.
 `monoid_isomorphic`, the exhaustive isomorphism search, is what the round
 trip used before; the tests keep it as the oracle of that check.
 Closed-form descriptions of the cover's structure (idempotents, unit,
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
@@ -177,13 +181,19 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
         for x in range(group.n)
         for u in range(fz.mu_index(x) + 1)
     ]
-    index = {p: i for i, p in enumerate(pairs)}
-    names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
-    table = [
-        [index[(min(u, v), group.table[x][y])] for v, y in pairs]
-        for u, x in pairs
+    # pairs are ordered by element, then rank, so (w, z) sits at start[z] + w;
+    # the product of (u, x) and (v, y) is (min(u, v), x*y), and each row is
+    # added up whole from the starts of its products and the clamped ranks
+    start = list(accumulate((fz.mu_index(x) + 1 for x in range(group.n)), initial=0))
+    ranks = [u for u, _ in pairs]
+    elements = [x for _, x in pairs]
+    starts = [
+        list(map(start.__getitem__, map(row.__getitem__, elements))) for row in group.table
     ]
-    unit = index[(len(fz.chain) - 1, group.identity)]
+    clamped = [[v if v < u else u for v in ranks] for u in range(len(fz.chain))]
+    names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
+    table = [list(map(add, starts[x], clamped[u])) for u, x in pairs]
+    unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
     triple = cover_triple(monoid, chain_monoid(fz.chain), (u for u, _ in pairs))
     if not monoid.derived.clifford:
@@ -328,6 +338,21 @@ class ConstructedCover:
         return len(self.pairs)
 
 
+def _pairs(psi: DualPremorphism):
+    """The pairs {(u, h) : u <= psi(h)} and their index.
+
+    Pairs are ordered by (group element, monoid element).
+    """
+    leq = psi.monoid.derived.natural_leq
+    pairs = [
+        (u, h)
+        for h in range(psi.group.n)
+        for u in range(psi.monoid.n)
+        if leq[u][psi.psi[h]]
+    ]
+    return pairs, {p: i for i, p in enumerate(pairs)}
+
+
 def _pair_table(psi: DualPremorphism):
     """The pairs {(u, h) : u <= psi(h)}, their index, product table and unit.
 
@@ -338,14 +363,7 @@ def _pair_table(psi: DualPremorphism):
     """
     group = psi.group
     monoid = psi.monoid
-    leq = monoid.derived.natural_leq
-    pairs = [
-        (u, h)
-        for h in range(group.n)
-        for u in range(monoid.n)
-        if leq[u][psi.psi[h]]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
+    pairs, index = _pairs(psi)
     us = [u for u, _ in pairs]
     hs = [h for _, h in pairs]
     table = []
@@ -386,10 +404,21 @@ def premorphism_from_cover(
     With G the group quotient of the cover by its least group congruence
     sigma, psi sends each class of G to the projection of its greatest
     element.  psi is certified, and the canonical map t -> (pi(t), sigma(t))
-    from the cover onto the pair monoid {(u, h) : u <= psi(h)} must be an
-    isomorphism: defined on every t, a bijection onto the pairs, unit to
-    unit pair, and product-preserving on every whole row of the table.  Any
-    failure raises ReconstructionMismatch; no search runs.
+    from the cover onto the pairs {(u, h) : u <= psi(h)} must be an
+    isomorphism onto their componentwise product: defined on every t, a
+    bijection onto the pairs, unit to unit pair, and product-preserving on
+    the column of every generator of the cover, phi(t*g) = phi(t)*phi(g),
+    where a pair product is read off the base table and the table of G.  No
+    search runs, and the pair table is not built unless a check fails.
+
+    Raises what ``check_projection`` raises (NotFInverse, NotHomomorphism,
+    NotSurjective, NotIdempotentSeparating) and NotDualPremorphism or
+    CoverageFailure from certifying psi.  If a later check fails, the pair
+    table is built and every row compared, as a full check: a product that
+    leaves the pair set, or an inadmissible unit pair, raises AlgebraError
+    from ``_pair_table``; a map that is undefined, no bijection or misses
+    the unit raises ReconstructionMismatch; and a product it does not keep
+    raises ReconstructionMismatch naming the first failing row as witness.
 
     Why this certifies the round trip (Lawson, *Inverse Semigroups*, 1998):
     once ``check_projection`` passes, the cover M is F-inverse, hence
@@ -409,6 +438,14 @@ def premorphism_from_cover(
     onto the validated cover also proves all that validating the rebuilt
     table would: the table is a copy of the cover's, and its projection to
     the first coordinate is pi carried across.
+
+    Generator columns suffice: the componentwise product of the base and
+    G is associative, so the s with phi(t*s) = phi(t)*phi(s) for every t
+    are closed under products (phi(t*s*s') = phi(t*s)*phi(s') =
+    phi(t)*phi(s)*phi(s') = phi(t)*phi(s*s')).  A bijection onto the pairs
+    that keeps the unit and every product with a generator therefore keeps
+    every product and is an isomorphism, and its image, the pair set, is
+    then closed under the product, as ``_pair_table`` would check.
     """
     projection = tuple(projection)
     check_projection(cover, base, projection)
@@ -417,14 +454,32 @@ def premorphism_from_cover(
     psi = tuple(projection[m] for m in derived.sigma_maxima)
     dp = validate_dual_premorphism(derived.sigma_quotient, base, psi)
 
-    pairs, index, table, unit = _pair_table(dp)
-    canonical = list(map(index.get, zip(projection, derived.sigma_projection)))
-    if (
-        None in canonical
-        or len(pairs) != cover.n
-        or len(set(canonical)) != cover.n
-        or canonical[cover.unit] != unit
+    pairs, index = _pairs(dp)
+    sigma = derived.sigma_projection
+    canonical = list(map(index.get, zip(projection, sigma)))
+
+    def onto_pairs(unit):  # defined everywhere, a bijection onto the pairs, unit to unit
+        return (
+            None not in canonical
+            and len(pairs) == cover.n
+            and len(set(canonical)) == cover.n
+            and canonical[cover.unit] == unit
+        )
+
+    def keeps_products(g):  # phi(t*g) == phi(t)*phi(g) for every t
+        base_col = tuple(row[projection[g]] for row in dp.monoid.table)
+        group_col = tuple(row[sigma[g]] for row in dp.group.table)
+        products = zip(map(base_col.__getitem__, projection), map(group_col.__getitem__, sigma))
+        return list(map(index.get, products)) == [canonical[row[g]] for row in cover.table]
+
+    if onto_pairs(index.get((dp.monoid.unit, dp.group.identity))) and all(
+        map(keeps_products, cover.generators)
     ):
+        return dp
+
+    # a check failed: the full check over the pair table names the fault
+    _, _, table, unit = _pair_table(dp)
+    if not onto_pairs(unit):
         raise ReconstructionMismatch(
             "rebuilt pair monoid is not isomorphic to the original cover"
         )

@@ -25,7 +25,9 @@ class FiniteGroup:
 
     Instances are produced by :func:`validate_group` (or the built-in family
     constructors) and are immutable afterwards; share them freely.
-    ``generators`` is the generating set the associativity check found.
+    ``generators`` is the generating set the associativity check found,
+    picked greedily from the highest index down; the checks of a law on
+    products (homomorphisms, Light's test) read one row per generator.
     """
 
     __slots__ = ("names", "table", "identity", "inverses", "generators")
@@ -80,17 +82,21 @@ def _check_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
 
 
 def _generators(rows, cols) -> list[int]:
-    """A generating set of a closed table, picked greedily in index order.
+    """A generating set of a closed table, picked greedily from the highest index down.
 
     Each element not yet in the closure of the generators so far becomes a
     generator.  ``members`` is that closure in order of discovery; the first
     ``done`` of them have been multiplied with each other on both sides.
+    Descending order keeps the set small: the least index is the identity
+    of every built-in group and the least idempotent of every cover, and
+    neither generates anything, while the high indices of a cover lie at
+    the top of its order and generate most of it.
     """
     members: list[int] = []
     inside: set[int] = set()
     gens = []
     done = 0
-    for g in range(len(rows)):
+    for g in reversed(range(len(rows))):
         if g in inside:
             continue
         gens.append(g)
@@ -154,20 +160,24 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
     _check_closed(names, table)
     generators = _check_associative(names, table)
     n = len(names)
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    rows = [tuple(row) for row in table]
+    cols = list(zip(*rows))
+    # the first e whose row and column are both 0..n-1, as whole rows
+    ids = tuple(range(n))
+    identity = next((e for e in range(n) if rows[e] == ids and cols[e] == ids), None)
     if identity is None:
         raise NoIdentity("no two-sided identity element")
     inverses = []
-    for x in range(n):
-        # in an associative unital table a two-sided inverse is unique
-        y = next(
-            (y for y in range(n) if table[x][y] == identity and table[y][x] == identity),
-            None,
-        )
+    for x, row in enumerate(rows):
+        # in an associative unital table a two-sided inverse is unique; the
+        # first y with x*y = identity is the inverse if y*x = identity too,
+        # and only otherwise are all y scanned, for a later one or none
+        y = row.index(identity) if identity in row else None
+        if y is None or cols[x][y] != identity:
+            y = next(
+                (y for y in range(n) if row[y] == identity and cols[x][y] == identity),
+                None,
+            )
         if y is None:
             raise MissingInverse(f"element {names[x]} has no inverse", witness=x)
         inverses.append(y)

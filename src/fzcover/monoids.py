@@ -88,7 +88,10 @@ class FiniteInverseMonoid:
 
     Built by :func:`validate_inverse_monoid`; the ``derived`` attribute holds
     the cached :class:`DerivedStructure`, and ``generators`` the generating
-    set the associativity check found.
+    set the associativity check found, picked greedily from the highest
+    index down.  The checks of a law on products read one row or column per
+    generator: homomorphisms, the inverse anti-involution, the least group
+    congruence in ``_derive`` and the round trip of ``premorphism_from_cover``.
     """
 
     __slots__ = ("names", "table", "unit", "inverse", "derived", "generators")
@@ -168,7 +171,7 @@ def _members(bits: int):
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _derive(names, table, unit, inverse) -> DerivedStructure:
+def _derive(names, table, unit, inverse, generators) -> DerivedStructure:
     """Derive the structure of a validated inverse monoid.
 
     Relations are kept as rows of Python-int bitsets (bit b of row a set iff
@@ -176,6 +179,16 @@ def _derive(names, table, unit, inverse) -> DerivedStructure:
     operations.  The closed forms used here hold in every inverse monoid
     (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests compare
     them with the definitions.
+
+    ``generators`` generate the associative table, as returned by
+    ``_check_table``; a caller without a generating set passes every
+    element.  The least group congruence sigma is checked to be a
+    congruence on them alone, in O(n |gens|) steps: if x*g ~ rep(x)*g and
+    g*x ~ g*rep(x) for every x and generator g, where rep(x) is the least
+    member of the class of x, then x ~ y gives x*g ~ y*g and g*x ~ g*y,
+    and induction on the length of a word in the generators, by
+    associativity, gives x*z ~ y*z and z*x ~ z*y for every z.  Only on
+    failure are the triples scanned, to name the first failing one.
     """
     n = len(names)
     rows = tuple(map(tuple, table))
@@ -221,15 +234,19 @@ def _derive(names, table, unit, inverse) -> DerivedStructure:
         seen |= rel[x]
     sigma = Partition.from_class_of([(r & -r).bit_length() - 1 for r in rel])
     # an equivalence is a congruence iff each element multiplies like the
-    # least member of its class; on failure, name the first failing triple
+    # least member of its class, here checked with each generator only (see
+    # above); on failure, name the first failing triple
     class_of = sigma.class_of
     reps = [cls[0] for cls in sigma.classes]
-    right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
-    left = [tuple(map(class_of.__getitem__, col)) for col in cols]  # [z*x] over z
-    if any(
-        right[x] != right[reps[class_of[x]]] or left[x] != left[reps[class_of[x]]]
-        for x in range(n)
-    ):
+    rep_of = [reps[c] for c in class_of]
+
+    def like_rep(line):  # the classes of a column's or row's products agree at x and rep(x)
+        classes = list(map(class_of.__getitem__, line))
+        return classes == list(map(classes.__getitem__, rep_of))
+
+    if not all(like_rep(cols[g]) and like_rep(rows[g]) for g in generators):
+        right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
+        left = [tuple(map(class_of.__getitem__, col)) for col in cols]  # [z*x] over z
         for x in range(n):
             for y in _members(rel[x]):
                 for z in range(n):
@@ -316,7 +333,7 @@ def validate_inverse_monoid(
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table)
     _check_anti_involution(names, table, inverse, generators)
-    derived = _derive(names, table, unit, inverse)
+    derived = _derive(names, table, unit, inverse, generators)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators)
 
 

@@ -124,12 +124,12 @@ def test_greedy_generators_generate(table):
                 return reached
             reached |= more
 
-    assert gens == sorted(gens)
+    assert gens == sorted(gens, reverse=True)
     assert closure(gens) == set(range(len(rows)))
     for i, g in enumerate(gens):
         assert g not in closure(gens[:i])
-        # greedy in index order: every element before g is already generated
-        assert set(range(g)) <= closure(gens[:i])
+        # greedy from the highest index down: every element above g is already generated
+        assert set(range(g + 1, len(rows))) <= closure(gens[:i])
 
 
 def test_corruption_is_named_like_the_cubic_scan():

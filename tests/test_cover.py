@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from fzcover.errors import (
     ReconstructionMismatch,
     ValueNotInChain,
 )
+from fzcover.groups import FiniteGroup
 from fzcover.monoids import check_projection
 from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
@@ -288,29 +290,65 @@ def test_planted_wrong_psi_is_rejected_by_both(fz_z2, fz_v4, constant_psi):
             premorphism_from_cover(cover.monoid, cover.base, cover.projection)
 
 
+def plant_wrong_product(monkeypatch, cover):
+    """Move one product of the quotient that the generator columns read to the identity.
+
+    psi is certified as before, but its group table gets (a, sigma(g)) -> e for
+    the first generator g of the cover and the first class a != e with
+    a*sigma(g) != e.  The pairs depend on psi alone, so the canonical map is
+    still a bijection that keeps the unit; each pair product with the
+    identity in it is admissible, so the pair set stays closed, and only the
+    product check can catch the fault.  Returns the row that must be named:
+    the first t with sigma(t) = a.
+    """
+    d = cover.monoid.derived
+    q = d.sigma_quotient
+    b = d.sigma_projection[cover.monoid.generators[0]]
+    a = next(a for a in range(q.n) if a != q.identity and q.table[a][b] != q.identity)
+    table = [list(row) for row in q.table]
+    table[a][b] = q.identity
+    wrong = FiniteGroup(q.names, table, q.identity, q.inverses, q.generators)
+    real = cover_module.validate_dual_premorphism
+    monkeypatch.setattr(
+        cover_module,
+        "validate_dual_premorphism",
+        lambda group, monoid, psi: replace(real(group, monoid, psi), group=wrong),
+    )
+    return d.sigma_projection.index(a)
+
+
 def test_planted_wrong_product_is_named_by_its_row(fz_v4, monkeypatch):
-    # one product of the rebuilt table is moved: the canonical map is still
-    # a bijection that keeps the unit, so only the row check can catch it
+    # one product that the generator columns read is moved: the canonical map
+    # is still a bijection that keeps the unit, so only the product check can
+    # catch it, and the full row scan it falls back to names the first bad row
     cover = build_cover(fz_v4)
-    real = cover_module._pair_table
-    planted = {}
-
-    def wrong_table(psi):
-        pairs, index, table, unit = real(psi)
-        row = next(r for r in range(len(pairs)) if r != unit)
-        column = next(c for c in range(len(pairs)) if c != unit)
-        table = [list(r) for r in table]
-        table[row][column] = (table[row][column] + 1) % len(pairs)
-        planted["row"] = row
-        return pairs, index, table, unit
-
-    monkeypatch.setattr(cover_module, "_pair_table", wrong_table)
+    row = plant_wrong_product(monkeypatch, cover)
     assert rejects(round_trip_by_search, cover)
     with pytest.raises(ReconstructionMismatch) as exc:
         premorphism_from_cover(cover.monoid, cover.base, cover.projection)
-    # the quotient of a fuzzy cover is indexed like its group, and both
-    # constructions order pairs alike, so the canonical map is the identity
-    assert exc.value.witness == planted["row"]
+    assert exc.value.witness == row
+    # the first failing row, not the first row: the fault is past row 0
+    assert row > 0
+
+
+def test_round_trip_builds_the_pair_table_only_on_failure(fz_v4, monkeypatch):
+    real = cover_module._pair_table
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return real(psi)
+
+    monkeypatch.setattr(cover_module, "_pair_table", counted)
+    for fz in enumerate_fuzzy_subgroups_filter(klein_four(), default_grid(3)):
+        cover = build_cover(fz)
+        premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+    assert calls == []
+    cover = build_cover(fz_v4)
+    plant_wrong_product(monkeypatch, cover)
+    with pytest.raises(ReconstructionMismatch):
+        premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+    assert len(calls) == 1
 
 
 # -- isomorphism search --------------------------------------------------------------

@@ -5,28 +5,62 @@ with the same exception class, witness and message; `is_group_homomorphism`,
 which checks whole rows of a generating set only, must agree with the check
 of every product, and so must `monoids._check_anti_involution`, which checks
 the columns of a generating set only, with the scan of every pair.
+
+Each check that now reads whole rows or generator columns is kept below in
+its former form, as an oracle with the same outcome: the identity and
+inverses of `validate_group`, the sigma-congruence check of `_derive`, the
+rows of `build_cover` and the round trip of `premorphism_from_cover`.
 """
 
+import random
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import and_
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import fzcover.cover as cover_module
 from fzcover import (
+    as_dual_premorphism,
     build_cover,
     chain_monoid,
+    cover_from_premorphism,
     cyclic,
+    default_grid,
     dihedral,
+    enumerate_fuzzy_subgroups_filter,
     enumerate_group_homomorphisms,
     enumerate_monoid_homomorphisms,
     is_group_homomorphism,
     klein_four,
+    premorphism_from_cover,
     symmetric,
+    validate_dual_premorphism,
     validate_fuzzy,
 )
-from fzcover.errors import AlgebraError, NotClosed
-from fzcover.groups import _check_closed
-from fzcover.monoids import _check_anti_involution
-from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
+from fzcover.errors import (
+    AlgebraError,
+    MissingInverse,
+    NoIdentity,
+    NotClosed,
+    QuotientNotGroup,
+    ReconstructionMismatch,
+)
+from fzcover.groups import FiniteGroup, _check_associative, _check_closed, validate_group
+from fzcover.monoids import (
+    _BINARY_DIGITS,
+    DerivedStructure,
+    Partition,
+    _check_anti_involution,
+    _check_table,
+    _derive,
+    _members,
+    check_projection,
+)
+from tests.test_cover import plant_wrong_product
+from tests.test_derivation import fuzzy_subgroups, reversed_copy, symmetric_inverse_monoid
+from tests.test_monoids import _fixture_monoids, group_as_monoid, symmetric_inverse_monoid_2
 
 F = Fraction
 
@@ -196,3 +230,397 @@ def test_anti_involution_on_generators_agrees_with_every_pair(drawn):
     assert outcome(_check_anti_involution, *args, monoid.generators) == outcome(
         anti_involution_by_definition, *args
     )
+
+
+# -- identity and inverses of validate_group, by whole rows ---------------------
+
+
+def group_by_scan(names, table):
+    """validate_group with the identity and each inverse found by a scan of every pair."""
+    _check_closed(names, table)
+    generators = _check_associative(names, table)
+    n = len(names)
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided identity element")
+    inverses = []
+    for x in range(n):
+        y = next(
+            (y for y in range(n) if table[x][y] == identity and table[y][x] == identity),
+            None,
+        )
+        if y is None:
+            raise MissingInverse(f"element {names[x]} has no inverse", witness=x)
+        inverses.append(y)
+    return FiniteGroup(names, table, identity, inverses, generators)
+
+
+def group_outcome(check, names, table):
+    try:
+        g = check(names, table)
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+    return g.names, g.table, g.identity, g.inverses, g.generators
+
+
+def _semigroup_tables():
+    # associative tables: groups pass; monoids that are no groups miss an
+    # inverse; bands, null semigroups and a group times a left-zero band
+    # have no identity
+    groups = [cyclic(n) for n in (1, 2, 3, 6)] + [klein_four(), symmetric(3), dihedral(4)]
+    c3 = cyclic(3).table
+    return (
+        [g.table for g in groups]
+        + [m.table for m in MONOIDS + [chain_monoid([F(1)])]]
+        + [[[a] * n for a in range(n)] for n in (2, 3)]  # left zero: x*y = x
+        + [[list(range(n))] * n for n in (2, 3)]  # right zero: x*y = y
+        + [[[1] * 3] * 3, [[0, 0, 0], [0, 2, 0], [0, 0, 0]]]  # constant, nilpotent
+        + [[[2 * (a // 2) + b % 2 for b in range(4)] for a in range(4)]]  # 2x2 rectangular band
+        # a left-zero band of two times C3
+        + [[[3 * (a // 3) + c3[a % 3][b % 3] for b in range(6)] for a in range(6)]]
+    )
+
+
+SEMIGROUP_TABLES = _semigroup_tables()
+
+
+@st.composite
+def relabeled_semigroups(draw):
+    # an associative table with its elements listed in a random order
+    table = draw(st.sampled_from(SEMIGROUP_TABLES))
+    n = len(table)
+    perm = draw(st.permutations(range(n)))
+    relabeled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabeled[perm[a]][perm[b]] = perm[table[a][b]]
+    return relabeled
+
+
+@EXAMPLES
+@given(relabeled_semigroups())
+def test_identity_and_inverses_by_rows_agree_with_scan(table):
+    names = [f"x{i}" for i in range(len(table))]
+    assert group_outcome(validate_group, names, table) == group_outcome(group_by_scan, names, table)
+
+
+def test_semigroup_tables_reach_each_outcome():
+    outcomes = set()
+    for table in SEMIGROUP_TABLES:
+        names = [f"x{i}" for i in range(len(table))]
+        expected = group_outcome(group_by_scan, names, table)
+        assert group_outcome(validate_group, names, table) == expected
+        outcomes.add(expected[0] if isinstance(expected[0], type) else FiniteGroup)
+    assert outcomes == {FiniteGroup, NoIdentity, MissingInverse}
+
+
+# -- the sigma-congruence check of _derive, on generators --------------------------
+
+
+def derive_by_class_rows(names, table, unit, inverse) -> DerivedStructure:
+    """_derive as it was before the generator rule: sigma is checked to be a
+    congruence on the whole class rows [x*z] and [z*x] of every element x.
+    """
+    n = len(names)
+    rows = tuple(map(tuple, table))
+    cols = tuple(zip(*rows))
+    idem = tuple(x for x in range(n) if rows[x][x] == x)
+    dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
+    ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
+
+    # natural partial order: a <= b iff a = b*e for some idempotent e,
+    # iff a = b*(a^-1 a)
+    leq = tuple(tuple(map(a.__eq__, cols[dom[a]])) for a in range(n))
+    up = [int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in leq]
+    for a in range(n):
+        if not leq[a][a]:
+            raise AlgebraError(f"natural order not reflexive at {names[a]}")
+        for b in compress(range(n), leq[a]):
+            if b == a:
+                continue
+            if leq[b][a]:
+                raise AlgebraError(
+                    f"natural order not antisymmetric on {names[a]}, {names[b]}"
+                )
+            if up[b] & ~up[a]:
+                raise AlgebraError("natural order not transitive")
+
+    # least group congruence: x ~ y iff x*e = y*e for some idempotent e;
+    # symmetric and reflexive by construction
+    rel = [0] * n
+    for e in idem:
+        buckets: dict[int, int] = {}
+        for x, v in enumerate(cols[e]):
+            buckets[v] = buckets.get(v, 0) | 1 << x
+        for x, v in enumerate(cols[e]):
+            rel[x] |= buckets[v]
+    # transitive iff related elements have equal rows: check the members of
+    # each row of an element that no earlier row contains
+    seen = 0
+    for x in range(n):
+        if seen >> x & 1:
+            continue
+        if any(rel[y] != rel[x] for y in _members(rel[x])):
+            raise QuotientNotGroup("congruence witness relation not transitive")
+        seen |= rel[x]
+    sigma = Partition.from_class_of([(r & -r).bit_length() - 1 for r in rel])
+    # an equivalence is a congruence iff each element multiplies like the
+    # least member of its class; on failure, name the first failing triple
+    class_of = sigma.class_of
+    reps = [cls[0] for cls in sigma.classes]
+    right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
+    left = [tuple(map(class_of.__getitem__, col)) for col in cols]  # [z*x] over z
+    if any(
+        right[x] != right[reps[class_of[x]]] or left[x] != left[reps[class_of[x]]]
+        for x in range(n)
+    ):
+        for x in range(n):
+            for y in _members(rel[x]):
+                for z in range(n):
+                    if right[x][z] != right[y][z] or left[x][z] != left[y][z]:
+                        raise QuotientNotGroup(
+                            f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
+                        )
+    qtable = [
+        [sigma.class_of[table[a][b]] for b in reps]
+        for a in reps
+    ]
+    qnames = [f"[{names[r]}]" for r in reps]
+    try:
+        quotient = validate_group(qnames, qtable)
+    except AlgebraError as exc:
+        raise QuotientNotGroup(f"congruence quotient is not a group: {exc}") from exc
+
+    maxima = []
+    for cls in sigma.classes:
+        # the members above every member of the class: its greatest, if any
+        greatest = reduce(and_, (up[x] for x in cls), rel[cls[0]])
+        maxima.append((greatest & -greatest).bit_length() - 1 if greatest else None)
+
+    # Green's relations: a R b iff aa^-1 = bb^-1, a L b iff a^-1a = b^-1b
+    green_r = Partition.from_class_of(ran)
+    green_l = Partition.from_class_of(dom)
+    green_h = Partition.from_class_of([ran[a] * n + dom[a] for a in range(n)])
+
+    f_inverse = all(m is not None for m in maxima)
+    clifford = all(rows[e] == cols[e] for e in idem)
+
+    return DerivedStructure(
+        idempotents=idem,
+        natural_leq=leq,
+        sigma=sigma,
+        sigma_quotient=quotient,
+        sigma_projection=sigma.class_of,
+        sigma_maxima=tuple(maxima),
+        green_h=green_h,
+        green_r=green_r,
+        green_l=green_l,
+        f_inverse=f_inverse,
+        clifford=clifford,
+    )
+
+
+def derived_outcome(derive, *args):
+    try:
+        return derive(*args)
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+def assert_derived_on_generators_like_class_rows(m):
+    args = (m.names, m.table, m.unit, m.inverse)
+    generators = _check_table(m.names, m.table, m.unit)
+    assert derived_outcome(_derive, *args, generators) == derived_outcome(
+        derive_by_class_rows, *args
+    )
+
+
+def test_fixture_monoids_derive_on_generators_like_class_rows(fz_z2, fz_v4):
+    monoids = _fixture_monoids(fz_z2, fz_v4) + [symmetric_inverse_monoid(3)]
+    for m in monoids + [reversed_copy(m) for m in monoids]:
+        assert_derived_on_generators_like_class_rows(m)
+
+
+@st.composite
+def unital_tables(draw):
+    # closed unital tables with an inverse array, mostly no inverse monoids,
+    # so that every check of _derive can fail: an inverse monoid, or its
+    # opposite, with one product changed off the unit's row and column, or a
+    # random table with unit n - 1 and a random inverse array
+    if draw(st.booleans()):
+        monoid = draw(st.sampled_from(INVERSE_MONOIDS))
+        n, unit = monoid.n, monoid.unit
+        table = [list(row) for row in monoid.table]
+        if draw(st.booleans()):
+            table = [list(col) for col in zip(*table)]
+        others = [x for x in range(n) if x != unit]
+        if others:
+            a, b = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+            table[a][b] = draw(st.integers(0, n - 1))
+        return table, unit, list(monoid.inverse)
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    table = [[draw(element) for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        table[n - 1][x] = table[x][n - 1] = x
+    inverse = draw(st.one_of(st.just(list(range(n))), st.lists(element, min_size=n, max_size=n)))
+    return table, n - 1, inverse
+
+
+@EXAMPLES
+@given(unital_tables())
+# sigma multiplies like its class representatives on the right, not on the left
+@example(([[2, 2, 0], [0, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
+def test_derive_on_every_element_fails_like_class_rows(drawn):
+    # with no generating set at hand, _derive gets every element as one
+    table, unit, inverse = drawn
+    n = len(table)
+    args = ([f"x{i}" for i in range(n)], table, unit, inverse)
+    assert derived_outcome(_derive, *args, range(n)) == derived_outcome(
+        derive_by_class_rows, *args
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzzy_subgroups())
+def test_covers_derive_on_generators_like_class_rows(fz):
+    cover = build_cover(fz)
+    built = cover_from_premorphism(as_dual_premorphism(fz))
+    maxima = tuple(cover.pair_index[(fz.mu_index(x), x)] for x in range(fz.n))
+    over_cover = cover_from_premorphism(
+        validate_dual_premorphism(fz.group, cover.monoid, maxima)
+    )
+    for m in (cover.monoid, built.monoid, over_cover.monoid):
+        assert_derived_on_generators_like_class_rows(m)
+
+
+# -- build_cover's rows, added up whole ----------------------------------------------
+
+
+def cover_table_by_entries(fz):
+    """The cover table and unit as build_cover made them, one dict lookup per entry."""
+    group = fz.group
+    pairs = [(u, x) for x in range(group.n) for u in range(fz.mu_index(x) + 1)]
+    index = {p: i for i, p in enumerate(pairs)}
+    table = [
+        [index[(min(u, v), group.table[x][y])] for v, y in pairs]
+        for u, x in pairs
+    ]
+    return table, index[(len(fz.chain) - 1, group.identity)]
+
+
+@EXAMPLES
+@given(fuzzy_subgroups())
+def test_cover_rows_agree_with_entries(fz):
+    table, unit = cover_table_by_entries(fz)
+    monoid = build_cover(fz).monoid
+    assert monoid.table == tuple(map(tuple, table))
+    assert monoid.unit == unit
+
+
+# -- the round trip, on generator columns ----------------------------------------------
+
+
+def round_trip_by_full_table(monoid, base, projection):
+    """premorphism_from_cover as it was before the generator rule: the pair
+    table is always built, and every row of the cover compared with it.
+
+    psi and the pair table come through ``fzcover.cover``'s own names, so a
+    planted validator or table reaches both round trips.
+    """
+    projection = tuple(projection)
+    check_projection(monoid, base, projection)
+    derived = monoid.derived
+    psi = tuple(projection[m] for m in derived.sigma_maxima)
+    dp = cover_module.validate_dual_premorphism(derived.sigma_quotient, base, psi)
+    pairs, index, table, unit = cover_module._pair_table(dp)
+    canonical = list(map(index.get, zip(projection, derived.sigma_projection)))
+    if (
+        None in canonical
+        or len(pairs) != monoid.n
+        or len(set(canonical)) != monoid.n
+        or canonical[monoid.unit] != unit
+    ):
+        raise ReconstructionMismatch(
+            "rebuilt pair monoid is not isomorphic to the original cover"
+        )
+    image = canonical.__getitem__
+    for t, row in enumerate(monoid.table):
+        if list(map(image, row)) != list(map(table[canonical[t]].__getitem__, canonical)):
+            raise ReconstructionMismatch(
+                "rebuilt pair monoid is not isomorphic to the original cover",
+                witness=t,
+            )
+    return dp
+
+
+def assert_round_trip_like_full_table(monoid, base, projection):
+    args = (monoid, base, projection)
+    expected = derived_outcome(round_trip_by_full_table, *args)
+    assert derived_outcome(premorphism_from_cover, *args) == expected
+    return expected
+
+
+def _grid_covers():
+    grid = default_grid(3)
+    groups = [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]
+    return [
+        build_cover(fz) for group in groups for fz in enumerate_fuzzy_subgroups_filter(group, grid)
+    ]
+
+
+def test_round_trip_on_generators_agrees_with_full_table():
+    covers = _grid_covers()
+    assert len(covers) == 151
+    for cover in covers:
+        dp = assert_round_trip_like_full_table(cover.monoid, cover.base, cover.projection)
+        assert dp.psi == tuple(cover.source.mu_index(x) for x in range(cover.source.n))
+
+
+def _small_covers(fz_z2, fz_v4):
+    c4 = validate_fuzzy(cyclic(4), [F(1), F(1, 3), F(2, 3), F(1, 3)])
+    s3 = symmetric(3)
+    mu = [F(1) if name == "e" else F(1, 2) if len(name) == 5 else F(1, 4) for name in s3.names]
+    return [build_cover(fz) for fz in (fz_z2, fz_v4, c4, validate_fuzzy(s3, mu))]
+
+
+def test_round_trip_with_constant_psi_fails_like_full_table(fz_z2, fz_v4, monkeypatch):
+    real = cover_module.validate_dual_premorphism
+    monkeypatch.setattr(
+        cover_module,
+        "validate_dual_premorphism",
+        lambda group, monoid, psi: real(group, monoid, (monoid.unit,) * group.n),
+    )
+    for cover in _small_covers(fz_z2, fz_v4):
+        expected = assert_round_trip_like_full_table(cover.monoid, cover.base, cover.projection)
+        assert expected[0] is ReconstructionMismatch
+
+
+def test_round_trip_with_permuted_projection_fails_like_full_table(fz_z2, fz_v4):
+    rng = random.Random(7)
+    for cover in _small_covers(fz_z2, fz_v4):
+        n = cover.n
+        perms = [list(range(n)) for _ in range(n)]
+        for i, perm in enumerate(perms):  # each element swapped with the next
+            perm[i], perm[(i + 1) % n] = perm[(i + 1) % n], perm[i]
+        perms += [rng.sample(range(n), n) for _ in range(10)]
+        for perm in perms:
+            projection = [cover.projection[p] for p in perm]
+            assert_round_trip_like_full_table(cover.monoid, cover.base, projection)
+
+
+def test_round_trip_with_planted_product_fails_like_full_table(fz_v4, monkeypatch):
+    for fz in enumerate_fuzzy_subgroups_filter(klein_four(), default_grid(3)) + [fz_v4]:
+        cover = build_cover(fz)
+        if cover.monoid.derived.sigma_quotient.n < 3:
+            continue
+        with monkeypatch.context() as patch:
+            row = plant_wrong_product(patch, cover)
+            expected = assert_round_trip_like_full_table(
+                cover.monoid, cover.base, cover.projection
+            )
+        assert expected[:2] == (ReconstructionMismatch, row)
