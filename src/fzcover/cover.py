@@ -313,11 +313,14 @@ def hclass_level_isomorphism(cover: CoverMonoid, u: Fraction) -> dict[int, int]:
     level = level_subset(fz, Fraction(u))
     if set(mapping.values()) != set(level) or len(set(mapping.values())) != len(mapping):
         raise AlgebraError(f"H-class at value {u} is not in bijection with the level subset")
-    for i in hclass:
-        for j in hclass:
-            prod = cover.monoid.table[i][j]
-            if prod not in mapping or mapping[prod] != fz.group.table[mapping[i]][mapping[j]]:
-                raise AlgebraError(f"H-class at value {u} projection is not a homomorphism")
+    # each member's row on the class, mapped, against the group row of its
+    # image; a product outside the class maps to None, in no group row
+    images = list(map(mapping.__getitem__, hclass))
+    image = mapping.get
+    for i, x in zip(hclass, images):
+        row, group_row = cover.monoid.table[i], fz.group.table[x]
+        if [image(row[j]) for j in hclass] != [group_row[y] for y in images]:
+            raise AlgebraError(f"H-class at value {u} projection is not a homomorphism")
     return mapping
 
 

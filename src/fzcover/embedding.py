@@ -42,12 +42,8 @@ def _f(c1: CoverMonoid, c2: CoverMonoid, fstar) -> tuple[int, ...]:
 
 
 def _embed(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> CoverMorphism:
-    fstar = _fstar(c1, c2, m)
-    if -1 in fstar:
-        u, x = c1.pairs[fstar.index(-1)]
-        pair = (m.lam[u], m.f[x])
-        raise ReconstructionMismatch(f"image pair {pair} is not admissible", witness=(u, x))
-    return validate_cover_morphism(c1.triple, c2.triple, fstar, m.lam)
+    """E(m), validated; an inadmissible image pair, -1 in fstar, fails as NotHomomorphism."""
+    return validate_cover_morphism(c1.triple, c2.triple, _fstar(c1, c2, m), m.lam)
 
 
 def embed_object(fz: FuzzySubgroup) -> CoverTriple:

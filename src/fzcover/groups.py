@@ -81,37 +81,32 @@ def _check_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> None:
                 )
 
 
-def _generators(rows, cols) -> list[int]:
+def _generators(rows) -> list[int]:
     """A generating set of a closed table, picked greedily from the highest index down.
 
-    Each element not yet in the closure of the generators so far becomes a
-    generator.  ``members`` is that closure in order of discovery; the first
-    ``done`` of them have been multiplied with each other on both sides.
+    Each element not yet reached becomes a generator.  ``reached`` is closed
+    under right multiplication by the generators: a new g pushes g and m*g
+    for each member m, and each newly reached member is multiplied by every
+    generator, at most 2 n |gens| products.  In an associative table the
+    subsemigroup generated by S, all products s1*...*sk, is the closure of S
+    under x -> x*s, so the picks are those of a closure under all products.
     Descending order keeps the set small: the least index is the identity
     of every built-in group and the least idempotent of every cover, and
     neither generates anything, while the high indices of a cover lie at
     the top of its order and generate most of it.
     """
-    members: list[int] = []
-    inside: set[int] = set()
-    gens = []
-    done = 0
+    reached: set[int] = set()
+    gens: list[int] = []
     for g in reversed(range(len(rows))):
-        if g in inside:
+        if g in reached:
             continue
         gens.append(g)
-        members.append(g)
-        inside.add(g)
-        while done < len(members):
-            a = members[done]
-            done += 1
-            earlier = members[:done]
-            fresh = (
-                set(map(rows[a].__getitem__, earlier))
-                | set(map(cols[a].__getitem__, earlier))
-            ) - inside
-            members.extend(fresh)
-            inside |= fresh
+        todo = [g, *(rows[m][g] for m in reached)]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo.extend(map(rows[x].__getitem__, gens))
     return gens
 
 
@@ -122,18 +117,20 @@ def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> 
     Algebraic Theory of Semigroups* I, 1961, 1.2): the elements g with
     (x*g)*y = x*(g*y) for all x, y form a submagma, so the table is
     associative iff every generator of a generating set is such an element.
-    That costs O(n^2 |gens|); whole rows are compared at once.  Only when it
-    fails are the pairs (a, b) scanned in order for the first failing c,
-    which is named as the witness.
+    They need only generate it under right multiplication, as a submagma
+    is closed under it.  That costs O(n^2 |gens|); whole rows are compared
+    at once, the row of x*g, with x*g read as ``rows[x][g]``, against the
+    row of x read at the row of g.  Only when it fails are the pairs (a, b)
+    scanned in order for the first failing c, which is named as the witness.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
-    if n < 2:  # a closed table on at most one element is associative
+    if n < 2:  # associative; and itemgetter of one index returns no tuple
         return list(range(n))
-    cols = list(zip(*rows))
-    gens = _generators(rows, cols)
+    gens = _generators(rows)
     if all(
-        list(map(itemgetter(*rows[g]), rows)) == list(map(rows.__getitem__, cols[g]))
+        list(map(itemgetter(*rows[g]), rows))
+        == list(map(rows.__getitem__, map(itemgetter(g), rows)))
         for g in gens
     ):
         return gens
@@ -161,10 +158,9 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
     generators = _check_associative(names, table)
     n = len(names)
     rows = [tuple(row) for row in table]
-    cols = list(zip(*rows))
-    # the first e whose row and column are both 0..n-1, as whole rows
+    # the first e whose row, and then whose column, is 0..n-1 as a whole
     ids = tuple(range(n))
-    identity = next((e for e in range(n) if rows[e] == ids and cols[e] == ids), None)
+    identity = next((e for e in range(n) if rows[e] == ids == tuple(r[e] for r in rows)), None)
     if identity is None:
         raise NoIdentity("no two-sided identity element")
     inverses = []
@@ -173,9 +169,9 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
         # first y with x*y = identity is the inverse if y*x = identity too,
         # and only otherwise are all y scanned, for a later one or none
         y = row.index(identity) if identity in row else None
-        if y is None or cols[x][y] != identity:
+        if y is None or rows[y][x] != identity:
             y = next(
-                (y for y in range(n) if row[y] == identity and cols[x][y] == identity),
+                (y for y in range(n) if row[y] == identity and rows[y][x] == identity),
                 None,
             )
         if y is None:

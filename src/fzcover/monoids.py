@@ -45,7 +45,11 @@ from .search import product_preserving_maps
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered partition of 0..n-1: classes sorted by least member."""
+    """An ordered partition of 0..n-1: classes sorted by least member.
+
+    ``from_class_of`` needs no sort: its buckets fill in ascending x, and
+    each is made, in dict order, at its least member.
+    """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
@@ -55,12 +59,9 @@ class Partition:
         buckets: dict[int, list[int]] = {}
         for x, c in enumerate(class_ids):
             buckets.setdefault(c, []).append(x)
-        classes = tuple(tuple(sorted(b)) for b in sorted(buckets.values(), key=min))
-        class_of = [0] * len(class_ids)
-        for i, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = i
-        return Partition(classes, tuple(class_of))
+        position = {c: i for i, c in enumerate(buckets)}
+        classes = tuple(map(tuple, buckets.values()))
+        return Partition(classes, tuple(map(position.__getitem__, class_ids)))
 
     def size_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(len(c) for c in self.classes))

@@ -114,12 +114,14 @@ def test_single_entry_corruptions_agree_with_cubic_scan(table):
 @given(closed_tables())
 def test_greedy_generators_generate(table):
     rows = [tuple(row) for row in table]
-    gens = _generators(rows, list(zip(*rows)))
+    gens = _generators(rows)
 
     def closure(subset):
+        # closure under right multiplication by the subset: on any closed
+        # table, associative or not, the picks generate the table this way
         reached = set(subset)
         while True:
-            more = {rows[a][b] for a in reached for b in reached} - reached
+            more = {rows[a][b] for a in reached for b in subset} - reached
             if not more:
                 return reached
             reached |= more

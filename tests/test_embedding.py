@@ -34,6 +34,7 @@ from fzcover.errors import (
     NotComposable,
     NotEmbeddingImage,
     NotGroupHom,
+    NotHomomorphism,
     NotOrderPreserving,
     ReconstructionMismatch,
     TopNotPreserved,
@@ -154,6 +155,14 @@ def test_embedding_respects_composition(fz_z2, fz_z2_const):
         lhs = embed_morphism(compose_fuzzy_morphisms(second, first))
         rhs = compose_cover_morphisms(embed_morphism(second), embed_morphism(first))
         assert lhs == rhs
+
+
+def test_an_inadmissible_image_pair_is_no_homomorphism(fz_z2):
+    # lam lifts the level 1/2 of a to the top, where a has no pair: fstar
+    # has no image for (1/2, a), and the cover-morphism validator refuses it
+    unchecked = FuzzyMorphism(fz_z2, fz_z2, (0, 1), (1, 1))
+    with pytest.raises(NotHomomorphism, match="fstar is not a monoid homomorphism"):
+        embed_morphism(unchecked)
 
 
 def test_lambda_component_is_preserved_literally(fz_z2, fz_v4):
@@ -567,6 +576,25 @@ def test_an_image_missing_from_a_loop_hom_set_is_recorded(monkeypatch, fz_z2, fz
         return [c for c in enumerate_all(source, target, budget, **kw) if c != missing]
 
     monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", lacking)
+    cert = verify_embedding(fz_z2, fz_z2_const)
+    assert not cert.ok and not cert.composition_ok
+    assert cert.counterexample == "embedding does not respect a composition"
+    assert cert.identity_ok and cert.faithful and cert.full and cert.roundtrip_ok
+
+
+def test_an_empty_cover_side_of_the_way_back_is_recorded(monkeypatch, fz_z2, fz_z2_const):
+    import fzcover.enumeration as enumeration
+
+    # the cover side of Hom(const, Z2) is planted empty while its fuzzy side
+    # keeps the one morphism: no a->b->a composite has an image to compose
+    back = (embed_object(fz_z2_const), embed_object(fz_z2))
+    enumerate_all = enumeration.enumerate_cover_morphisms
+
+    def emptied(source, target, budget, **kw):
+        found = enumerate_all(source, target, budget, **kw)
+        return [] if (source, target) == back else found
+
+    monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", emptied)
     cert = verify_embedding(fz_z2, fz_z2_const)
     assert not cert.ok and not cert.composition_ok
     assert cert.counterexample == "embedding does not respect a composition"

@@ -21,6 +21,7 @@ from fzcover import (
 from fzcover.errors import (
     BudgetExceeded,
     EmptyChain,
+    NoInverse,
     NonUniqueInverse,
     NotUnital,
     OutOfRange,
@@ -83,6 +84,19 @@ def test_left_zero_with_unit_has_non_unique_inverses():
     with pytest.raises(NonUniqueInverse) as exc:
         validate_inverse_monoid(["a", "b", "u"], table, 2)
     assert exc.value.witness[0] == 0
+
+
+def test_nilpotent_element_has_no_inverse():
+    # {1, a, 0} with a*a = 0: a*y*a is 0 for every y, never a
+    table = [
+        [0, 1, 2],
+        [1, 2, 2],
+        [2, 2, 2],
+    ]
+    with pytest.raises(NoInverse) as exc:
+        validate_inverse_monoid(["1", "a", "0"], table, 0)
+    assert exc.value.witness == 1
+    assert str(exc.value) == "element a has no generalized inverse"
 
 
 def test_not_unital():

@@ -9,11 +9,15 @@ the columns of a generating set only, with the scan of every pair.
 Each check that now reads whole rows or generator columns is kept below in
 its former form, as an oracle with the same outcome: the identity and
 inverses of `validate_group`, the sigma-congruence check of `_derive`, the
-rows of `build_cover` and the round trip of `premorphism_from_cover`.
+rows of `build_cover`, the round trip of `premorphism_from_cover` and the
+H-class products of `hclass_level_isomorphism`.  So are the two-sided
+closure that `groups._generators` replaced with a closure under right
+multiplication, and the sorting that `Partition.from_class_of` no longer does.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from functools import reduce
 from itertools import compress
 from operator import and_
@@ -32,12 +36,14 @@ from fzcover import (
     enumerate_fuzzy_subgroups_filter,
     enumerate_group_homomorphisms,
     enumerate_monoid_homomorphisms,
+    hclass_level_isomorphism,
     is_group_homomorphism,
     klein_four,
     premorphism_from_cover,
     symmetric,
     validate_dual_premorphism,
     validate_fuzzy,
+    validate_inverse_monoid,
 )
 from fzcover.errors import (
     AlgebraError,
@@ -47,7 +53,14 @@ from fzcover.errors import (
     QuotientNotGroup,
     ReconstructionMismatch,
 )
-from fzcover.groups import FiniteGroup, _check_associative, _check_closed, validate_group
+from fzcover.fuzzy import level_subset
+from fzcover.groups import (
+    FiniteGroup,
+    _check_associative,
+    _check_closed,
+    _generators,
+    validate_group,
+)
 from fzcover.monoids import (
     _BINARY_DIGITS,
     DerivedStructure,
@@ -624,3 +637,193 @@ def test_round_trip_with_planted_product_fails_like_full_table(fz_v4, monkeypatc
                 cover.monoid, cover.base, cover.projection
             )
         assert expected[:2] == (ReconstructionMismatch, row)
+
+
+# -- generating sets by one right closure, partitions in one pass ------------------
+
+
+def generators_by_two_sided_closure(rows):
+    """_generators as it was before the right closure: each new member is
+    multiplied with every earlier one on both sides, O(n^2) products.
+    """
+    cols = list(zip(*rows))
+    members: list[int] = []
+    inside: set[int] = set()
+    gens = []
+    done = 0
+    for g in reversed(range(len(rows))):
+        if g in inside:
+            continue
+        gens.append(g)
+        members.append(g)
+        inside.add(g)
+        while done < len(members):
+            a = members[done]
+            done += 1
+            earlier = members[:done]
+            fresh = (
+                set(map(rows[a].__getitem__, earlier))
+                | set(map(cols[a].__getitem__, earlier))
+            ) - inside
+            members.extend(fresh)
+            inside |= fresh
+    return gens
+
+
+def partition_by_sorting(class_ids):
+    """Partition.from_class_of as it was before one pass: each bucket sorted,
+    then the buckets sorted by least member.
+    """
+    buckets: dict[int, list[int]] = {}
+    for x, c in enumerate(class_ids):
+        buckets.setdefault(c, []).append(x)
+    classes = tuple(tuple(sorted(b)) for b in sorted(buckets.values(), key=min))
+    class_of = [0] * len(class_ids)
+    for i, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = i
+    return Partition(classes, tuple(class_of))
+
+
+def assert_picks_like_two_sided_closure(table):
+    rows = [tuple(row) for row in table]
+    assert _generators(rows) == generators_by_two_sided_closure(rows)
+
+
+def _generated_monoids(fz_z2, fz_v4):
+    return _fixture_monoids(fz_z2, fz_v4) + [symmetric_inverse_monoid(3)]
+
+
+def test_generators_of_groups_and_monoids_pick_like_two_sided_closure(fz_z2, fz_v4):
+    groups = GROUPS + [cyclic(12), dihedral(6), symmetric(4)]
+    for m in groups + _generated_monoids(fz_z2, fz_v4):
+        assert_picks_like_two_sided_closure(m.table)
+
+
+@EXAMPLES
+@given(relabeled_semigroups())
+def test_generators_of_relabeled_semigroups_pick_like_two_sided_closure(table):
+    assert_picks_like_two_sided_closure(table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzzy_subgroups())
+def test_generators_of_covers_pick_like_two_sided_closure(fz):
+    cover = build_cover(fz)
+    built = cover_from_premorphism(as_dual_premorphism(fz))
+    for m in (cover.monoid, built.monoid, cover.monoid.derived.sigma_quotient):
+        assert_picks_like_two_sided_closure(m.table)
+
+
+def test_generators_make_at_most_two_products_per_element_and_generator():
+    # the 120-element cover of C64 in tests/test_cover.py: the two-sided
+    # closure reads about n^2 products of it, the right closure 2 n |gens|
+    levels = (F(1, 4), F(1, 2), F(3, 4), F(1))
+    mu = [levels[sum(x % d == 0 for d in (2, 4, 8))] for x in range(64)]
+    m = build_cover(validate_fuzzy(cyclic(64), mu)).monoid
+    products = []
+
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            products.append(i)
+            return tuple.__getitem__(self, i)
+
+    gens = _generators(tuple(map(CountingRow, m.table)))
+    assert gens == list(m.generators) == generators_by_two_sided_closure(m.table)
+    assert len(products) <= 2 * m.n * len(gens)
+
+
+@EXAMPLES
+@given(st.lists(st.integers(0, 6), max_size=12))
+def test_partition_in_one_pass_like_sorting(class_ids):
+    assert Partition.from_class_of(class_ids) == partition_by_sorting(class_ids)
+
+
+def test_derived_partitions_in_one_pass_like_sorting(monkeypatch, fz_z2, fz_v4):
+    # every class-id list that _derive hands to from_class_of: sigma, R, L, H
+    inputs = []
+    one_pass = Partition.from_class_of
+
+    def recording(class_ids):
+        inputs.append(tuple(class_ids))
+        return one_pass(class_ids)
+
+    covers = _grid_covers()
+    monoids = (
+        _generated_monoids(fz_z2, fz_v4)
+        + [group_as_monoid(g) for g in GROUPS + [symmetric(4)]]
+        + [c.monoid for c in covers]
+        + [cover_from_premorphism(as_dual_premorphism(c.source)).monoid for c in covers]
+    )
+    monkeypatch.setattr(Partition, "from_class_of", staticmethod(recording))
+    for m in monoids:
+        validate_inverse_monoid(m.names, m.table, m.unit)
+    assert len(inputs) == 4 * len(monoids)
+    for class_ids in inputs:
+        assert one_pass(class_ids) == partition_by_sorting(class_ids)
+
+
+# -- H-class products, by whole rows ------------------------------------------------
+
+
+def hclass_by_pairs(cover, u):
+    """hclass_level_isomorphism as it was before whole rows: each product of
+    the H-class, one pair at a time, with two dict lookups.
+    """
+    fz = cover.source
+    uidx = fz.chain_index(F(u))
+    e_pair = cover.pair_index[(uidx, fz.group.identity)]
+    h_part = cover.monoid.derived.green_h
+    hclass = h_part.classes[h_part.class_of[e_pair]]
+    expected = tuple(
+        cover.pair_index[(uidx, h)] for h in range(fz.group.n) if fz.mu_index(h) >= uidx
+    )
+    if tuple(sorted(hclass)) != tuple(sorted(expected)):
+        raise AlgebraError(f"H-class at value {u} differs from its closed form")
+    mapping = {i: cover.pairs[i][1] for i in sorted(hclass)}
+    level = level_subset(fz, F(u))
+    if set(mapping.values()) != set(level) or len(set(mapping.values())) != len(mapping):
+        raise AlgebraError(f"H-class at value {u} is not in bijection with the level subset")
+    for i in hclass:
+        for j in hclass:
+            prod = cover.monoid.table[i][j]
+            if prod not in mapping or mapping[prod] != fz.group.table[mapping[i]][mapping[j]]:
+                raise AlgebraError(f"H-class at value {u} projection is not a homomorphism")
+    return mapping
+
+
+def assert_hclass_like_pairs(cover):
+    outcomes = []
+    for u in cover.source.chain:
+        expected = derived_outcome(hclass_by_pairs, cover, u)
+        assert derived_outcome(hclass_level_isomorphism, cover, u) == expected
+        outcomes.append(expected)
+    return outcomes
+
+
+def test_hclass_rows_agree_with_pairs_on_grid_covers():
+    for cover in _grid_covers():
+        assert all(isinstance(o, dict) for o in assert_hclass_like_pairs(cover))
+
+
+def test_hclass_with_a_changed_product_fails_like_pairs(fz_v4):
+    # one product inside the H-class of the lowest level is moved, to another
+    # member of the class or out of it; the other levels stay isomorphisms
+    cover = build_cover(fz_v4)
+    low = cover.source.chain[0]
+    members = sorted(hclass_level_isomorphism(cover, low))
+    j, k = members[1], members[2]
+    for wrong in (k, cover.monoid.unit):
+        table = [list(row) for row in cover.monoid.table]
+        table[j][k] = wrong
+        changed = SimpleNamespace(
+            source=cover.source,
+            pairs=cover.pairs,
+            pair_index=cover.pair_index,
+            monoid=SimpleNamespace(derived=cover.monoid.derived, table=table),
+        )
+        outcomes = assert_hclass_like_pairs(changed)
+        assert outcomes[0] == (
+            AlgebraError, None, f"H-class at value {low} projection is not a homomorphism"
+        )
+        assert all(isinstance(o, dict) for o in outcomes[1:])
