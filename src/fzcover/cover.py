@@ -111,13 +111,18 @@ def validate_cover_morphism(
         raise NotHomomorphism("lam is not a monoid homomorphism")
     _check_maxima_preserved(fstar, source.monoid, target.monoid, "fstar")
     _check_maxima_preserved(lam, source.base, target.base, "lam")
-    for t in range(source.monoid.n):
-        if target.projection[fstar[t]] != lam[source.projection[t]]:
-            raise CommutationFailure(
-                f"projection(fstar({source.monoid.names[t]})) != "
-                f"lam(projection({source.monoid.names[t]}))",
-                witness=t,
-            )
+    # projection . fstar against lam . projection as whole arrays; only on
+    # failure is t scanned, to name the first that fails
+    if list(map(target.projection.__getitem__, fstar)) != list(
+        map(lam.__getitem__, source.projection)
+    ):
+        for t in range(source.monoid.n):
+            if target.projection[fstar[t]] != lam[source.projection[t]]:
+                raise CommutationFailure(
+                    f"projection(fstar({source.monoid.names[t]})) != "
+                    f"lam(projection({source.monoid.names[t]}))",
+                    witness=t,
+                )
     return CoverMorphism(source, target, fstar, lam)
 
 
@@ -251,10 +256,14 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
     idem_generic = tuple(cover.pairs[i] for i in d.idempotents)
     idempotents_match = idem_closed == idem_generic
 
+    # the pairs over x sit together in ascending rank, so the row of the
+    # i-th pair (u, x) holds True exactly from i up to the pair (mu(x), x)
+    # and is compared whole; ``ends[i]`` is one past that pair
+    n = cover.n
+    ends = [cover.pair_index[(fz.mu_index(x), x)] + 1 for _, x in cover.pairs]
     order_match = all(
-        d.natural_leq[i][j] == (pi[1] == pj[1] and pi[0] <= pj[0])
-        for i, pi in enumerate(cover.pairs)
-        for j, pj in enumerate(cover.pairs)
+        row == (False,) * i + (True,) * (end - i) + (False,) * (n - end)
+        for i, (row, end) in enumerate(zip(d.natural_leq, ends))
     )
 
     sigma_closed = tuple(

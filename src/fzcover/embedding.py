@@ -170,9 +170,10 @@ class _Homs:
     back: list[int]
 
 
-# A certification keeps covers, hom records, group hom-sets and composite
-# checks in ``store``, the caller's ``hom_cache`` or a fresh dict, under
-# ("cover", fz), ("homs", s, t), ("group homs", g, h) and ("composites", a, b).
+# A certification keeps covers, hom records, group hom-sets, cover hom arrays
+# and composite checks in ``store``, the caller's ``hom_cache`` or a fresh
+# dict, under ("cover", fz), ("homs", s, t), ("group homs", g, h),
+# ("cover homs", s.group, s._rank, t.group, t._rank) and ("composites", a, b).
 # Each is a pure function of its key, and nothing is stored for a build that
 # raised.
 
@@ -190,13 +191,40 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs
         return homs
     fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
     c1, c2 = _cover(store, s), _cover(store, t)
-    cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
+    cover = _cover_homs(store, s, t, c1, c2, budget)
     index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
     listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
     image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
     back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
     homs = store[("homs", s, t)] = _Homs(fuzzy, cover, index, image, back)
     return homs
+
+
+def _cover_homs(
+    store: dict, s: FuzzySubgroup, t: FuzzySubgroup, c1: CoverMonoid, c2: CoverMonoid, budget: int
+) -> list[CoverMorphism]:
+    """The cover Hom(c1, c2), searched once per pair of shapes.
+
+    The shape of a fuzzy subgroup is its group and its rank vector, and the
+    (fstar, lam) arrays of the search are kept under ("cover homs", s.group,
+    s._rank, t.group, t._rank).  That key decides the arrays: `build_cover`
+    reads only ``group.table`` and the ranks to make the pairs, the table,
+    the unit, the projection and the base (the chain monoid of a chain as
+    long as the ranks are many), and reads the values and labels only to
+    name elements.  The search reads tables, units, projections and class
+    maxima, all derived from those tables, and never a name.  So two
+    objects of one shape have covers with equal tables, equal projections
+    and equal bases, and equal hom arrays in the same order.  On a hit each
+    entry is validated between this pair's own triples, as the search
+    validates what it finds, and a budget failure stores nothing.
+    """
+    key = ("cover homs", s.group, s._rank, t.group, t._rank)
+    arrays = store.get(key)
+    if arrays is None:
+        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
+        store[key] = [(c.fstar, c.lam) for c in cover]
+        return cover
+    return [validate_cover_morphism(c1.triple, c2.triple, fstar, lam) for fstar, lam in arrays]
 
 
 def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:

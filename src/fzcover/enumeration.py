@@ -199,7 +199,11 @@ def enumerate_cover_morphisms(
     For each base-component lam, the commutation condition pins the projection
     of every fstar image, so fstar candidates are enumerated inside those
     fibers (plus the maxima restriction) and filtered by the homomorphism
-    constraints; every pair still passes the full validator.
+    constraints; every pair still passes the full validator.  Both lam and
+    fstar are searched by the images of the generators of their source
+    alone (`enumerate_monoid_homomorphisms`), and each of those searches
+    has the whole budget: more than ``budget`` generator images tried in
+    one of them raise BudgetExceeded.
     """
     lams = enumerate_monoid_homomorphisms(
         source.base, target.base, preserve_maxima=True, budget=budget

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -121,11 +122,13 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
 
 
 def level_subset(fz: FuzzySubgroup, u: Fraction) -> frozenset[int]:
-    """The level subset at u: all elements with mu >= u.  Always a subgroup."""
+    """The level subset at u: all elements with mu >= u.  Always a subgroup.
+
+    mu(x) >= u iff the rank of mu(x) is at least the rank of u in the chain.
+    """
     u = Fraction(u)
-    if u not in fz.chain:
-        raise ValueNotInChain(f"value {u} is not taken by mu", witness=u)
-    subset = frozenset(x for x in range(fz.n) if fz.mu[x] >= u)
+    rank = fz.chain_index(u)
+    subset = frozenset(compress(range(fz.n), map(rank.__le__, fz._rank)))
     if not is_subgroup(fz.group, subset):
         raise AlgebraError(f"level subset at {u} is not a subgroup")
     return subset
@@ -204,12 +207,15 @@ def validate_fuzzy_morphism(
         raise TopNotPreserved(
             f"lam sends top {source.top} to {target.chain[lam[k1 - 1]]}, not {target.top}"
         )
-    for x in range(source.n):
-        if target.mu_index(f[x]) != lam[source.mu_index(x)]:
-            raise CommutationFailure(
-                f"mu(f({source.group.names[x]})) != lam(mu({source.group.names[x]}))",
-                witness=x,
-            )
+    # the ranks of f against lam of the ranks, as whole arrays; only on
+    # failure is x scanned, to name the first that fails
+    if list(map(target._rank.__getitem__, f)) != list(map(lam.__getitem__, source._rank)):
+        for x in range(source.n):
+            if target.mu_index(f[x]) != lam[source.mu_index(x)]:
+                raise CommutationFailure(
+                    f"mu(f({source.group.names[x]})) != lam(mu({source.group.names[x]}))",
+                    witness=x,
+                )
     return FuzzyMorphism(source, target, f, lam)
 
 

@@ -17,7 +17,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
 )
-from .search import product_preserving_maps
+from .search import generated_maps, generator_plan
 
 
 class FiniteGroup:
@@ -27,10 +27,11 @@ class FiniteGroup:
     constructors) and are immutable afterwards; share them freely.
     ``generators`` is the generating set the associativity check found,
     picked greedily from the highest index down; the checks of a law on
-    products (homomorphisms, Light's test) read one row per generator.
+    products (homomorphisms, Light's test) read one row per generator, and
+    ``plan``, the `generator_plan` of the table, is made on first use.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses", "generators")
+    __slots__ = ("names", "table", "identity", "inverses", "generators", "_plan")
 
     def __init__(self, names, table, identity, inverses, generators):
         self.names = tuple(names)
@@ -38,10 +39,17 @@ class FiniteGroup:
         self.identity = identity
         self.inverses = tuple(inverses)
         self.generators = tuple(generators)
+        self._plan = None
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def plan(self) -> tuple:
+        if self._plan is None:
+            self._plan = generator_plan(self.table, self.generators)
+        return self._plan
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -259,13 +267,23 @@ def dihedral(n: int) -> FiniteGroup:
 # -- subgroup and homomorphism predicates -------------------------------------
 
 def is_subgroup(group: FiniteGroup, subset: Iterable[int]) -> bool:
-    """True iff subset contains the identity and is closed under * and inverse."""
+    """True iff subset contains the identity and is closed under * and inverse.
+
+    Closure is checked row by row: each member's row, read at the members,
+    stops at the first product outside the subset.  In a finite group a
+    subset closed under products is closed under inverses too, as x^-1 is
+    a power of x.
+    """
     s = frozenset(subset)
     if group.identity not in s:
         return False
-    return all(
-        group.table[a][b] in s for a in s for b in s
-    ) and all(group.inverses[a] in s for a in s)
+    table = group.table
+    for a in s:
+        row = table[a]
+        for b in s:
+            if row[b] not in s:
+                return False
+    return True
 
 
 def is_group_homomorphism(f: Sequence[int], source: FiniteGroup, target: FiniteGroup) -> bool:
@@ -275,14 +293,15 @@ def is_group_homomorphism(f: Sequence[int], source: FiniteGroup, target: FiniteG
     f(x*y) = f(x)*f(y) for all y are closed under products, so it is enough
     that each of ``source.generators`` is one; each is checked on its whole row.
     """
-    if len(f) != source.n or any(not 0 <= v < target.n for v in f):
+    if len(f) != source.n or min(f, default=0) < 0 or max(f, default=0) >= target.n:
         return False
     st = source.table
     tt = target.table
-    return all(
-        list(map(f.__getitem__, st[g])) == list(map(tt[f[g]].__getitem__, f))
-        for g in source.generators
-    )
+    image = f.__getitem__
+    for g in source.generators:
+        if list(map(image, st[g])) != list(map(tt[f[g]].__getitem__, f)):
+            return False
+    return True
 
 
 def enumerate_group_homomorphisms(
@@ -290,13 +309,15 @@ def enumerate_group_homomorphisms(
 ) -> list[tuple[int, ...]]:
     """All homomorphisms source -> target, in lexicographic order.
 
-    The identity goes to the identity, any other element anywhere; raises
-    BudgetExceeded when more than ``budget`` candidate images are examined.
+    Only the images of ``source.generators`` are searched, each anywhere in
+    the target, and the rest of each map is forced (`generated_maps`); the
+    identity must go to the identity.  The budget counts generator images
+    tried: more than ``budget`` raise BudgetExceeded.
     """
     candidates = [
-        [target.identity] if x == source.identity else list(range(target.n))
+        [target.identity] if x == source.identity else range(target.n)
         for x in range(source.n)
     ]
-    return product_preserving_maps(
-        source.table, target.table, candidates, budget=budget, label="group homomorphism nodes"
+    return generated_maps(
+        source.plan, target.table, candidates, budget=budget, label="group homomorphism nodes"
     )

@@ -40,7 +40,7 @@ from .groups import (
     is_group_homomorphism,
     validate_group,
 )
-from .search import product_preserving_maps
+from .search import generated_maps, generator_plan
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ class FiniteInverseMonoid:
     index down.  The checks of a law on products read one row or column per
     generator: homomorphisms, the inverse anti-involution, the least group
     congruence in ``_derive`` and the round trip of ``premorphism_from_cover``.
+    ``plan``, the `generator_plan` of the table, is made on first use.
     """
 
-    __slots__ = ("names", "table", "unit", "inverse", "derived", "generators")
+    __slots__ = ("names", "table", "unit", "inverse", "derived", "generators", "_plan")
 
     def __init__(self, names, table, unit, inverse, derived, generators):
         self.names = tuple(names)
@@ -104,10 +105,17 @@ class FiniteInverseMonoid:
         self.inverse = tuple(inverse)
         self.derived = derived
         self.generators = tuple(generators)
+        self._plan = None
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def plan(self) -> tuple:
+        if self._plan is None:
+            self._plan = generator_plan(self.table, self.generators)
+        return self._plan
 
     def index(self, label: str) -> int:
         return self.names.index(label)
@@ -440,8 +448,10 @@ def enumerate_monoid_homomorphisms(
     ``allowed`` optionally restricts the candidate images of each source
     element (used for commutation constraints); ``preserve_maxima`` further
     restricts sigma-class maxima of the source to land on sigma-class maxima
-    of the target.  Raises BudgetExceeded when more than ``budget``
-    candidate images are examined.
+    of the target.  Only the images of ``source.generators`` are searched,
+    and the rest of each map is forced (`generated_maps`).  The budget
+    counts generator images tried: more than ``budget`` raise
+    BudgetExceeded.
     """
     n = source.n
     if allowed is None:
@@ -458,8 +468,8 @@ def enumerate_monoid_homomorphisms(
         tgt_max = {m for m in target.derived.sigma_maxima if m is not None}
         for x in src_max:
             domains[x] = [v for v in domains[x] if v in tgt_max]
-    return product_preserving_maps(
-        source.table, target.table, domains, budget=budget, label="monoid homomorphism nodes"
+    return generated_maps(
+        source.plan, target.table, domains, budget=budget, label="monoid homomorphism nodes"
     )
 
 

@@ -777,13 +777,49 @@ def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, p
         assert calls["composites"] == composite_checks
 
 
+def test_a_shared_cache_certifies_the_acceptance_pools_like_a_fresh_one(acceptance_pools):
+    # a fresh dict per pair for a quarter of each pool against each other quarter
+    for pool in acceptance_pools:
+        cache: dict = {}
+        shared = {
+            (a, b): verify_embedding(a, b, hom_cache=cache).to_json_dict()
+            for a in pool
+            for b in pool
+        }
+        assert all(doc["ok"] for doc in shared.values())
+        for a in pool[::4]:
+            for b in pool[::4]:
+                assert verify_embedding(a, b, hom_cache={}).to_json_dict() == shared[a, b]
+
+
+def test_a_shared_cache_searches_each_cover_shape_pair_once(monkeypatch, pool):
+    import fzcover.enumeration as enumeration
+
+    # the shape of a fuzzy subgroup is its group and its ranks
+    shape = {build_cover(fz).triple: (fz.group, fz._rank) for fz in pool}
+    searched = []
+    search = enumeration.enumerate_cover_morphisms
+
+    def recording(source, target, budget):
+        searched.append((shape[source], shape[target]))
+        return search(source, target, budget)
+
+    monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", recording)
+    assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
+    shapes = set(shape.values())
+    assert len(shapes) == 16 < len(pool)
+    assert len(searched) == len(set(searched)) == len(shapes) ** 2
+
+
 def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     # a new memo in the caller's dict needs this test and the README changed
     cache: dict = {}
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "composites"}
+    assert {key[0] for key in cache} == {
+        "cover", "homs", "group homs", "cover homs", "composites"
+    }
 
 
 def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):

@@ -290,10 +290,11 @@ def test_enumerate_monoid_homomorphisms_examples():
 def test_monoid_homomorphism_budget_counts_candidates():
     two = chain_monoid([F(1, 2), F(1)])
     other = chain_monoid([F(1, 4), F(1)])
-    # element 0 tries images 0 and 1, and after each the unit tries its one image
-    assert enumerate_monoid_homomorphisms(two, other, budget=4) == [(0, 1), (1, 1)]
-    with pytest.raises(BudgetExceeded, match="monoid homomorphism nodes"):
-        enumerate_monoid_homomorphisms(two, other, budget=3)
+    # both elements are generators: the unit tries its one image, then
+    # element 0 tries images 0 and 1
+    assert enumerate_monoid_homomorphisms(two, other, budget=3) == [(0, 1), (1, 1)]
+    with pytest.raises(BudgetExceeded, match="3 monoid homomorphism nodes exceed budget 2"):
+        enumerate_monoid_homomorphisms(two, other, budget=2)
 
 
 def test_cover_endomorphism_count_matches_hom_set(fz_z2):

@@ -13,8 +13,13 @@ rows of `build_cover`, the round trip of `premorphism_from_cover` and the
 H-class products of `hclass_level_isomorphism`.  So are the two-sided
 closure that `groups._generators` replaced with a closure under right
 multiplication, and the sorting that `Partition.from_class_of` no longer does.
+So are the commutation loops of both morphism validators, which now compare
+whole arrays, the per-entry range check of `is_group_homomorphism`, the pair
+scan of `is_subgroup`, the value comparisons of `level_subset` and the
+per-entry order check of `cover_report`.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,30 +35,43 @@ from fzcover import (
     build_cover,
     chain_monoid,
     cover_from_premorphism,
+    cover_report,
     cyclic,
     default_grid,
     dihedral,
+    enumerate_cover_morphisms,
+    enumerate_fuzzy_morphisms,
     enumerate_fuzzy_subgroups_filter,
     enumerate_group_homomorphisms,
     enumerate_monoid_homomorphisms,
     hclass_level_isomorphism,
     is_group_homomorphism,
+    is_subgroup,
     klein_four,
     premorphism_from_cover,
     symmetric,
+    validate_cover_morphism,
     validate_dual_premorphism,
     validate_fuzzy,
+    validate_fuzzy_morphism,
     validate_inverse_monoid,
 )
+from fzcover.cover import CoverMorphism, _check_maxima_preserved
 from fzcover.errors import (
     AlgebraError,
+    CommutationFailure,
     MissingInverse,
     NoIdentity,
     NotClosed,
+    NotGroupHom,
+    NotHomomorphism,
+    NotOrderPreserving,
     QuotientNotGroup,
     ReconstructionMismatch,
+    TopNotPreserved,
+    ValueNotInChain,
 )
-from fzcover.fuzzy import level_subset
+from fzcover.fuzzy import FuzzyMorphism, level_subset
 from fzcover.groups import (
     FiniteGroup,
     _check_associative,
@@ -827,3 +845,239 @@ def test_hclass_with_a_changed_product_fails_like_pairs(fz_v4):
             AlgebraError, None, f"H-class at value {low} projection is not a homomorphism"
         )
         assert all(isinstance(o, dict) for o in outcomes[1:])
+
+
+# -- morphism validators, subgroups and the cover's order, by whole arrays ----------
+
+
+def cover_morphism_by_loop(source, target, fstar, lam):
+    """validate_cover_morphism as it was before whole arrays: commutation
+    checked one element at a time.
+    """
+    fstar = tuple(fstar)
+    lam = tuple(lam)
+    if not homomorphism_by_definition(fstar, source.monoid, target.monoid) or (
+        fstar[source.monoid.unit] != target.monoid.unit
+    ):
+        raise NotHomomorphism("fstar is not a monoid homomorphism")
+    if not homomorphism_by_definition(lam, source.base, target.base) or (
+        lam[source.base.unit] != target.base.unit
+    ):
+        raise NotHomomorphism("lam is not a monoid homomorphism")
+    _check_maxima_preserved(fstar, source.monoid, target.monoid, "fstar")
+    _check_maxima_preserved(lam, source.base, target.base, "lam")
+    for t in range(source.monoid.n):
+        if target.projection[fstar[t]] != lam[source.projection[t]]:
+            raise CommutationFailure(
+                f"projection(fstar({source.monoid.names[t]})) != "
+                f"lam(projection({source.monoid.names[t]}))",
+                witness=t,
+            )
+    return CoverMorphism(source, target, fstar, lam)
+
+
+def fuzzy_morphism_by_loop(source, target, f, lam):
+    """validate_fuzzy_morphism as it was before whole arrays: the range of f
+    checked one entry at a time, and commutation one element at a time.
+    """
+    f = tuple(f)
+    lam = tuple(lam)
+    if not homomorphism_by_definition(f, source.group, target.group):
+        raise NotGroupHom("f is not a group homomorphism")
+    k1, k2 = len(source.chain), len(target.chain)
+    if len(lam) != k1 or any(not 0 <= v < k2 for v in lam):
+        raise NotOrderPreserving("lam must assign a target chain value to each source value")
+    for i in range(k1 - 1):
+        if lam[i] > lam[i + 1]:
+            raise NotOrderPreserving(
+                f"lam reverses {source.chain[i]} < {source.chain[i + 1]}", witness=(i, i + 1)
+            )
+    if lam[k1 - 1] != k2 - 1:
+        raise TopNotPreserved(
+            f"lam sends top {source.top} to {target.chain[lam[k1 - 1]]}, not {target.top}"
+        )
+    for x in range(source.n):
+        if target.mu_index(f[x]) != lam[source.mu_index(x)]:
+            raise CommutationFailure(
+                f"mu(f({source.group.names[x]})) != lam(mu({source.group.names[x]}))",
+                witness=x,
+            )
+    return FuzzyMorphism(source, target, f, lam)
+
+
+def _morphism_pairs():
+    # object pairs whose hom-sets hold several morphisms, so that the arrays
+    # of two of them can be mixed
+    c4 = cyclic(4)
+    objects = [
+        validate_fuzzy(cyclic(2), [F(1), F(1, 2)]),
+        validate_fuzzy(cyclic(2), [F(1), F(1)]),
+        validate_fuzzy(c4, [F(1), F(1, 3), F(2, 3), F(1, 3)]),
+        validate_fuzzy(c4, [F(1), F(1, 2), F(1), F(1, 2)]),
+        validate_fuzzy(klein_four(), [F(1), F(1, 2), F(1, 4), F(1, 4)]),
+    ]
+    covers = {fz: build_cover(fz).triple for fz in objects}
+    return [
+        (a, b, covers[a], covers[b], enumerate_fuzzy_morphisms(a, b),
+         enumerate_cover_morphisms(covers[a], covers[b]))
+        for a in objects
+        for b in objects
+    ]
+
+
+MORPHISM_PAIRS = _morphism_pairs()
+
+
+@st.composite
+def mixed_arrays(draw, side):
+    # the map array of one listed morphism and the lam of another, often with
+    # one entry moved, or arrays drawn at random
+    a, b, ca, cb, fuzzy, cover = draw(st.sampled_from(MORPHISM_PAIRS))
+    if side == "fuzzy":
+        listed = [(m.f, m.lam) for m in fuzzy]
+        objects, size, images = (a, b), a.n, b.n
+    else:
+        listed = [(c.fstar, c.lam) for c in cover]
+        objects, size, images = (ca, cb), ca.monoid.n, cb.monoid.n
+    steps = len(a.chain)
+    kind = draw(st.integers(0, 3))
+    if kind == 3:
+        f = draw(st.lists(st.integers(-1, images), min_size=size, max_size=size))
+        lam = draw(st.lists(st.integers(0, len(b.chain) - 1), min_size=steps, max_size=steps))
+        return (*objects, f, lam)
+    f = list(draw(st.sampled_from(listed))[0])
+    lam = list(draw(st.sampled_from(listed))[1])
+    if kind == 1:
+        f[draw(st.integers(0, size - 1))] = draw(st.integers(0, images - 1))
+    elif kind == 2:
+        lam[draw(st.integers(0, steps - 1))] = draw(st.integers(0, len(b.chain) - 1))
+    return (*objects, f, lam)
+
+
+@EXAMPLES
+@given(mixed_arrays("cover"))
+def test_cover_morphism_by_arrays_fails_like_the_loop(drawn):
+    assert outcome(validate_cover_morphism, *drawn) == outcome(cover_morphism_by_loop, *drawn)
+
+
+@EXAMPLES
+@given(mixed_arrays("fuzzy"))
+def test_fuzzy_morphism_by_arrays_fails_like_the_loop(drawn):
+    assert outcome(validate_fuzzy_morphism, *drawn) == outcome(fuzzy_morphism_by_loop, *drawn)
+
+
+def test_mixed_arrays_reach_each_commutation_failure():
+    # a listed map with another listed lam commutes in no hom-set here but fails
+    a, b, ca, cb, fuzzy, cover = MORPHISM_PAIRS[2 * 5 + 3]  # C4 at 1/3, 2/3 -> C4 at 1/2
+    f, lam = fuzzy[0].f, fuzzy[-1].lam
+    assert lam != fuzzy[0].lam
+    for validate, oracle, args in (
+        (validate_fuzzy_morphism, fuzzy_morphism_by_loop, (a, b, f, lam)),
+        (validate_cover_morphism, cover_morphism_by_loop, (ca, cb, cover[0].fstar, cover[-1].lam)),
+    ):
+        failed = outcome(validate, *args)
+        assert failed == outcome(oracle, *args)
+        assert failed[0] is CommutationFailure
+
+
+@EXAMPLES
+@given(maps(), st.integers(0, 30), st.sampled_from([-3, -1, 1, 2, 7]))
+def test_homomorphism_range_by_min_and_max_agrees_with_every_entry(drawn, at, shift):
+    # an image moved out of range, below 0 or at or above target.n
+    f, source, target = drawn
+    moved = list(f)
+    i = at % len(moved)
+    moved[i] = -1 - moved[i] if shift < 0 else target.n + moved[i] + shift - 1
+    for g in (f, tuple(moved)):
+        assert is_group_homomorphism(g, source, target) == homomorphism_by_definition(
+            g, source, target
+        )
+
+
+def subgroup_by_pairs(group, subset):
+    """is_subgroup as it was before whole rows: every product of two members."""
+    s = frozenset(subset)
+    if group.identity not in s:
+        return False
+    return all(group.table[a][b] in s for a in s for b in s) and all(
+        group.inverses[a] in s for a in s
+    )
+
+
+@EXAMPLES
+@given(st.sampled_from(GROUPS).flatmap(
+    lambda g: st.tuples(st.just(g), st.sets(st.integers(0, g.n - 1)))
+))
+def test_subgroup_by_rows_agrees_with_pairs(drawn):
+    group, subset = drawn
+    assert is_subgroup(group, subset) == subgroup_by_pairs(group, subset)
+
+
+def test_subgroup_by_rows_on_every_subset_of_small_groups():
+    found = 0
+    for group in GROUPS[:6]:
+        for bits in range(2 ** group.n):
+            subset = [x for x in range(group.n) if bits >> x & 1]
+            expected = subgroup_by_pairs(group, subset)
+            assert is_subgroup(group, subset) == expected
+            found += expected
+    # subgroups of C1, C2, C3, C4, C6 and V4
+    assert found == 1 + 2 + 2 + 3 + 4 + 5
+
+
+def level_by_values(fz, u):
+    """level_subset as it was before ranks: mu(x) >= u compared as values."""
+    u = F(u)
+    if u not in fz.chain:
+        raise ValueNotInChain(f"value {u} is not taken by mu", witness=u)
+    subset = frozenset(x for x in range(fz.n) if fz.mu[x] >= u)
+    if not subgroup_by_pairs(fz.group, subset):
+        raise AlgebraError(f"level subset at {u} is not a subgroup")
+    return subset
+
+
+def test_levels_by_ranks_agree_with_values():
+    for cover in _grid_covers():
+        fz = cover.source
+        for u in (*fz.chain, F(1, 7), 0):
+            assert derived_outcome(level_subset, fz, u) == derived_outcome(level_by_values, fz, u)
+
+
+def order_match_by_entries(cover, leq):
+    """cover_report's order check as it was before whole rows: every entry."""
+    return all(
+        leq[i][j] == (pi[1] == pj[1] and pi[0] <= pj[0])
+        for i, pi in enumerate(cover.pairs)
+        for j, pj in enumerate(cover.pairs)
+    )
+
+
+def report_with_order(cover, leq):
+    """cover_report of the cover with its natural order replaced by ``leq``."""
+    derived = dataclasses.replace(cover.monoid.derived, natural_leq=leq)
+    changed = SimpleNamespace(
+        source=cover.source,
+        pairs=cover.pairs,
+        pair_index=cover.pair_index,
+        n=cover.n,
+        monoid=SimpleNamespace(derived=derived, unit=cover.monoid.unit),
+    )
+    return cover_report(changed)
+
+
+def test_order_by_rows_agrees_with_entries():
+    covers = _grid_covers()
+    for cover in covers:
+        leq = cover.monoid.derived.natural_leq
+        assert cover_report(cover).order_match is order_match_by_entries(cover, leq) is True
+    # one entry of the order flipped, in every position of a few covers
+    for cover in covers[::30]:
+        leq = cover.monoid.derived.natural_leq
+        for i in range(cover.n):
+            for j in range(cover.n):
+                rows = [list(row) for row in leq]
+                rows[i][j] = not rows[i][j]
+                flipped = tuple(map(tuple, rows))
+                report = report_with_order(cover, flipped)
+                assert report.order_match is order_match_by_entries(cover, flipped) is False
+                assert report.unit_match and report.sigma_match and report.maxima_match

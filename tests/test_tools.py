@@ -1,0 +1,47 @@
+"""tools/certify_pool.py: every ordered pair of one group's filter pool."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tools.certify_pool import certify_pool, group_named
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "certify_pool.py"
+
+# sha256 of the certificates of the S4 pool at k = 2, as the search over
+# every element and one cover search per object pair made them
+S4_K2_CERTIFICATES_SHA256 = "bbb573984a7bef3b01aa05a74f012b013d42d25142a2fed78f34eeafa3074998"
+
+
+def test_the_script_certifies_the_c2_pool():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "C2", "2"], capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    lines = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+    assert list(lines) == ["pairs", "ok", "seconds", "sha256"]
+    assert lines["pairs"] == lines["ok"] == "9"
+    assert float(lines["seconds"]) >= 0
+    assert lines["sha256"] == "d970153d3b1144b004dbdd15b00d852c9b8f050487c68fad39141d295c87d17d"
+
+
+def test_the_script_refuses_a_bad_group_or_grid():
+    for args in (["Q8", "2"], ["C2", "0"], ["C2"]):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, check=False
+        )
+        assert done.returncode == 2 and done.stdout == ""
+
+
+def test_group_names():
+    assert [group_named(name).n for name in ("C1", "C5", "D8", "S3", "V4")] == [1, 5, 8, 6, 4]
+    with pytest.raises(ValueError):
+        group_named("D7")
+
+
+def test_the_s4_pool_at_two_levels_keeps_its_certificates():
+    result = certify_pool("S4", 2)
+    assert (result["pairs"], result["ok"]) == (31**2, 31**2)
+    assert result["sha256"] == S4_K2_CERTIFICATES_SHA256

@@ -232,14 +232,14 @@ def test_exit_code_budget(capsys):
 def test_embed_budget_bounds_the_cover_searches_of_the_composites(capsys):
     # morphisms.fzw holds mu1 and mu2 on Z2, z2.fzw that same mu1.  Every fuzzy
     # search and the cover searches of the pairs from morphisms.fzw to z2.fzw fit
-    # in 4 nodes, but the composites through Hom(mu1, mu2) read its cover side,
-    # whose search takes 5; with the files swapped that is one of the pairs
+    # in 3 generator images, but the composites through Hom(mu1, mu2) read its
+    # cover side, whose search tries 4; with the files swapped that is one of the pairs
     morphisms, z2 = str(WORKSPACES / "morphisms.fzw"), str(WORKSPACES / "z2.fzw")
     for first, second in ((morphisms, z2), (z2, morphisms)):
-        code, out, err = run_cli(capsys, "embed", first, second, "--budget", "4")
+        code, out, err = run_cli(capsys, "embed", first, second, "--budget", "3")
         assert code == 3 and out == ""
-        assert err == "error: 5 monoid homomorphism nodes exceed budget 4\n"
-        code, out, _ = run_cli(capsys, "embed", first, second, "--budget", "5")
+        assert err == "error: 4 monoid homomorphism nodes exceed budget 3\n"
+        code, out, _ = run_cli(capsys, "embed", first, second, "--budget", "4")
         assert code == 0 and "embed: 2 pair(s), all OK" in out
 
 
