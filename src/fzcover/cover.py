@@ -40,7 +40,6 @@ from .fuzzy import FuzzySubgroup, level_subset
 from .monoids import (
     DualPremorphism,
     FiniteInverseMonoid,
-    chain_monoid,
     check_projection,
     is_monoid_homomorphism,
     validate_dual_premorphism,
@@ -179,6 +178,10 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     to be a surjective idempotent-separating homomorphism with unit
     (mu(identity), identity).  Failures here signal a library bug, not bad
     input, hence plain AlgebraError.
+
+    The base is ``fz.base``, validated once per chain and dict of bases:
+    covers of subgroups listed by one grid enumeration with equal value
+    chains share one base object.
     """
     group = fz.group
     pairs = [
@@ -200,7 +203,7 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     table = [list(map(add, starts[x], clamped[u])) for u, x in pairs]
     unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
-    triple = cover_triple(monoid, chain_monoid(fz.chain), (u for u, _ in pairs))
+    triple = cover_triple(monoid, fz.base, (u for u, _ in pairs))
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
     return CoverMonoid(fz, pairs, triple)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .cover import CoverMorphism, CoverTriple, validate_cover_morphism
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
@@ -67,6 +68,10 @@ def enumerate_fuzzy_subgroups_filter(
     lexicographic order, and each is constructed through the validator, which
     checks both axioms.  The budget counts the nodes visited: more than
     ``budget`` ranks tried raise BudgetExceeded.
+
+    The listed subgroups share one fresh dict of chain monoids: those with
+    equal value chains get the same ``base``, validated once, for as long as
+    any of them lives.  Subgroups of another call never share it.
     """
     maps = product_preserving_maps(
         group.table,
@@ -77,7 +82,8 @@ def enumerate_fuzzy_subgroups_filter(
         _dual_chain=True,
     )
     levels = grid.levels
-    return [validate_fuzzy(group, [levels[r] for r in ranks]) for ranks in maps]
+    bases: dict = {}
+    return [validate_fuzzy(group, [levels[r] for r in ranks], bases) for ranks in maps]
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -129,28 +135,33 @@ def enumerate_fuzzy_subgroups_chain(
     Each descending chain G = H1 > H2 > ... > Hm paired with values
     v1 < ... < vm from the grid yields mu(x) = v_j for the deepest Hj
     containing x.  Returned in the same order as the filter route so the two
-    lists can be compared directly.
+    lists can be compared directly: sorted by the grid index of each mu(x).
+    As in the filter route, the listed subgroups share one fresh dict of
+    chain monoids, so those with equal value chains get the same ``base``,
+    validated once, for as long as any of them lives.
     """
     chains = enumerate_subgroup_chains(group, budget)
     k = grid.k
-    rank = {v: i for i, v in enumerate(grid.levels)}
-    out = []
+    levels = grid.levels
+    bases: dict = {}
+    keyed = []
     total = 0
     for chain in chains:
         m = len(chain)
         if m > k:
             continue
-        for values in combinations(grid.levels, m):
+        for picks in combinations(range(k), m):
             total += 1
             if total > budget:
                 raise BudgetExceeded(total, budget, "chain assignments")
-            mu = [None] * group.n
+            code = [0] * group.n
             for depth, sub in enumerate(chain):
                 for x in sub:
-                    mu[x] = values[depth]
-            out.append(validate_fuzzy(group, mu))
-    out.sort(key=lambda fz: tuple(rank[v] for v in fz.mu))
-    return out
+                    code[x] = picks[depth]
+            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code], bases)))
+    # mu determines its grid indices, so no two keys are equal
+    keyed.sort(key=itemgetter(0))
+    return [fz for _, fz in keyed]
 
 
 def enumerate_fuzzy_morphisms(

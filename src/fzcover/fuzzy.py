@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -26,7 +27,12 @@ from .errors import (
     ValueOutOfRange,
 )
 from .groups import FiniteGroup, is_group_homomorphism, is_subgroup
-from .monoids import DualPremorphism, chain_monoid, validate_dual_premorphism
+from .monoids import (
+    DualPremorphism,
+    FiniteInverseMonoid,
+    chain_monoid,
+    validate_dual_premorphism,
+)
 
 
 class FuzzySubgroup:
@@ -35,17 +41,35 @@ class FuzzySubgroup:
     ``chain`` is the sorted tuple of distinct values of ``mu`` (the set U);
     ``top`` is its greatest element, which always equals mu(identity).
     ``ranks`` gives the chain index of each mu(x), as the validator found it.
+
+    ``base`` is the validated chain monoid (U, min, top) of ``chain``, built
+    on first use and kept in a dict of chain monoids keyed by chain.  The
+    grid enumerators hand all the subgroups of one listing a single shared
+    dict at construction, so subgroups with equal chains share one base;
+    any other subgroup keeps its base to itself.  The hash, of (group, mu),
+    is computed on the first ``hash`` call and kept.
     """
 
-    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash")
+    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_bases")
 
-    def __init__(self, group: FiniteGroup, mu, chain, ranks):
+    def __init__(self, group: FiniteGroup, mu, chain, ranks, bases: dict | None = None):
         self.group = group
         self.mu = tuple(mu)
         self.chain = tuple(chain)
         self.top = self.chain[-1]
         self._rank = tuple(ranks)
-        self._hash = hash((group, self.mu))
+        self._hash = None
+        self._bases = bases
+
+    @property
+    def base(self) -> FiniteInverseMonoid:
+        """The chain monoid of ``chain``, validated once per dict of bases."""
+        if self._bases is None:
+            self._bases = {}
+        base = self._bases.get(self.chain)
+        if base is None:
+            base = self._bases[self.chain] = chain_monoid(self.chain)
+        return base
 
     @property
     def n(self) -> int:
@@ -68,6 +92,8 @@ class FuzzySubgroup:
         return self.group == other.group and self.mu == other.mu
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.group, self.mu))
         return self._hash
 
     def __repr__(self) -> str:
@@ -75,7 +101,9 @@ class FuzzySubgroup:
         return f"FuzzySubgroup({vals})"
 
 
-def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
+def validate_fuzzy(
+    group: FiniteGroup, mu: Sequence[Fraction], _bases: dict | None = None
+) -> FuzzySubgroup:
     """Check the two fuzzy subgroup axioms and derive the value chain.
 
     Raises ValueOutOfRange, Axiom1Violation (witness pair) or Axiom2Violation
@@ -83,19 +111,41 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
     The axioms depend only on the order of the values, so they are checked
     on each value's rank in the chain; the values are read only to word an
     error.
+
+    Values drawn from a grid are a few objects shared by many elements, so
+    each distinct value object is converted (when it is not already a
+    ``Fraction``) and ranked once, by one sort of those objects, and the
+    elements look their value and rank up by the object's ``id``.  No value
+    is hashed.  Equal values held in different objects merge in the chain.
+    ``mu`` is first copied into a list, which holds its objects alive, so no
+    two of them share an ``id`` even when the sequence builds a new object
+    on each access.
+
+    ``_bases``, the dict of chain monoids the subgroup's ``base`` is kept
+    in, is for the grid enumerators, which share one among a listing.
     """
     n = group.n
     if len(mu) != n:
         raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
-    values = [Fraction(v) for v in mu]
-    chain = tuple(sorted(set(values)))
+    mu = list(mu)
+    ids = list(map(id, mu))
+    objects = dict(zip(ids, mu))
+    exact = {i: v if type(v) is Fraction else Fraction(v) for i, v in objects.items()}
+    values = list(map(exact.__getitem__, ids))
+    # one walk over the distinct objects in order of value builds the chain
+    # and ranks each object; equal values in different objects merge
+    chain = []
+    rank_of = {}
+    for i, v in sorted(exact.items(), key=itemgetter(1)):
+        if not chain or v != chain[-1]:
+            chain.append(v)
+        rank_of[i] = len(chain) - 1
     if not 0 <= chain[0] <= chain[-1] <= 1:
         x = next(x for x, v in enumerate(values) if not 0 <= v <= 1)
         raise ValueOutOfRange(
             f"mu({group.names[x]}) = {values[x]} outside [0, 1]", witness=x
         )
-    position = {v: r for r, v in enumerate(chain)}
-    ranks = [position[v] for v in values]
+    ranks = list(map(rank_of.__getitem__, ids))
     table = group.table
     invs = group.inverses
     for x in range(n):
@@ -114,9 +164,9 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
                     f"{values[row[y]]} < min bound {min(values[x], values[y])}",
                     witness=(x, y),
                 )
-    fz = FuzzySubgroup(group, values, chain, ranks)
+    fz = FuzzySubgroup(group, values, chain, ranks, _bases)
     # mu(e) dominating every value is a consequence of the axioms
-    if fz.mu[group.identity] != fz.top:
+    if ranks[group.identity] != len(chain) - 1:
         raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")
     return fz
 
@@ -162,9 +212,7 @@ def as_dual_premorphism(fz: FuzzySubgroup) -> DualPremorphism:
     mu is inverse-symmetric), the product inequality is the first axiom, and
     coverage follows from surjectivity; all three are certified anyway.
     """
-    target = chain_monoid(fz.chain)
-    psi = tuple(fz.mu_index(x) for x in range(fz.n))
-    return validate_dual_premorphism(fz.group, target, psi)
+    return validate_dual_premorphism(fz.group, fz.base, fz._rank)
 
 
 # -- morphisms of fuzzy subgroups ---------------------------------------------

@@ -494,29 +494,37 @@ class DualPremorphism:
 def validate_dual_premorphism(
     group: FiniteGroup, monoid: FiniteInverseMonoid, psi: Sequence[int]
 ) -> DualPremorphism:
-    """Certify psi: group -> monoid as a dual premorphism with coverage."""
+    """Certify psi: group -> monoid as a dual premorphism with coverage.
+
+    One pass over the group rows, x in order, checks psi(x^-1) = psi(x)^-1
+    and then psi(x)psi(y) <= psi(xy) for every y: the row of psi(x) in the
+    table gives each product psi(x)psi(y), whose row of ``natural_leq`` is
+    read at psi(xy).  A group row is a permutation, so the first failing
+    y is found from its product xy.  The coverage witness of u is the first
+    h whose image lies above u, found on the row of u.
+    """
     if len(psi) != group.n or any(not 0 <= v < monoid.n for v in psi):
         raise NotDualPremorphism("psi must assign a monoid element to every group element")
+    psi = tuple(psi)
     leq = monoid.derived.natural_leq
-    for x in range(group.n):
+    names = group.names
+    for x, row in enumerate(group.table):
         if psi[group.inverses[x]] != monoid.inverse[psi[x]]:
-            raise NotDualPremorphism(
-                f"psi({group.names[x]}^-1) != psi({group.names[x]})^-1", witness=x
-            )
-        for y in range(group.n):
-            prod = monoid.table[psi[x]][psi[y]]
-            if not leq[prod][psi[group.table[x][y]]]:
+            raise NotDualPremorphism(f"psi({names[x]}^-1) != psi({names[x]})^-1", witness=x)
+        products = monoid.table[psi[x]]
+        for py, xy in zip(psi, row):
+            if not leq[products[py]][psi[xy]]:
+                y = row.index(xy)
                 raise NotDualPremorphism(
-                    f"psi({group.names[x]}*{group.names[y]}) is not above "
-                    f"psi({group.names[x]})*psi({group.names[y]})",
+                    f"psi({names[x]}*{names[y]}) is not above psi({names[x]})*psi({names[y]})",
                     witness=(x, y),
                 )
     witnesses = []
-    for u in range(monoid.n):
-        h = next((h for h in range(group.n) if leq[u][psi[h]]), None)
+    for u, row in enumerate(leq):
+        h = next(compress(range(group.n), map(row.__getitem__, psi)), None)
         if h is None:
             raise CoverageFailure(
                 f"monoid element {monoid.names[u]} is below no psi image", witness=u
             )
         witnesses.append(h)
-    return DualPremorphism(group, monoid, tuple(psi), tuple(witnesses))
+    return DualPremorphism(group, monoid, psi, tuple(witnesses))

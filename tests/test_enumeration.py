@@ -4,9 +4,12 @@ from math import comb
 
 import pytest
 
+import fzcover.cover as cover_module
+import fzcover.monoids as monoids_module
 from fzcover import (
     ValueGrid,
     all_subgroups,
+    build_cover,
     chain_monoid,
     cyclic,
     default_grid,
@@ -20,6 +23,7 @@ from fzcover import (
     enumerate_monoid_homomorphisms,
     enumerate_subgroup_chains,
     klein_four,
+    parse_workspace,
     symmetric,
     validate_fuzzy,
     validate_fuzzy_morphism,
@@ -438,3 +442,72 @@ def test_chain_budget_counts_chains(monkeypatch):
             enumerate_(group, budget=count - 1)
         messages.append(str(exc.value))
     assert messages == [f"{count} chains exceed budget {count - 1}"] * 2
+
+
+# -- one chain monoid per value chain of an enumeration -------------------------
+
+ENUMERATORS = (enumerate_fuzzy_subgroups_filter, enumerate_fuzzy_subgroups_chain)
+
+
+@pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)
+def test_equal_chains_of_one_listing_share_one_base(enumerate_):
+    listed = enumerate_(dihedral(4), default_grid(3))
+    first = {}
+    for fz in listed:
+        base = first.setdefault(fz.chain, fz.base)
+        assert fz.base is base
+        assert base == chain_monoid(fz.chain)
+    assert 1 < len(first) < len(listed)
+
+
+def test_bases_are_never_shared_across_listings_or_parses():
+    group, grid = klein_four(), default_grid(3)
+    listings = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
+    listings.append(enumerate_fuzzy_subgroups_filter(group, grid))
+    for i, one in enumerate(listings):
+        for other in listings[i + 1 :]:
+            bases = {id(fz.base) for fz in one}
+            assert not any(id(fz.base) in bases for fz in other)
+    ws = parse_workspace(
+        "group z2\nelements e a\ntable\ne a\na e\nend\n"
+        "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
+        "fuzzy q on z2\nvalues e=1 a=1/2\nend\n"
+    )
+    p, q = ws.fuzzies["p"], ws.fuzzies["q"]
+    assert p.chain == q.chain and p.base == q.base and p.base is not q.base
+    assert p.base is p.base
+    assert validate_fuzzy(p.group, p.mu).base is not p.base
+
+
+def test_d4_covers_validate_one_monoid_each_plus_one_chain_each(monkeypatch):
+    calls = []
+    real = monoids_module.validate_inverse_monoid
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monoids_module, "validate_inverse_monoid", counting)
+    monkeypatch.setattr(cover_module, "validate_inverse_monoid", counting)
+    listed = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(4))
+    assert calls == []
+    covers = [build_cover(fz) for fz in listed]
+    chains = {fz.chain for fz in listed}
+    assert len(calls) == len(covers) + len(chains)
+    assert len(chains) < len(covers)
+
+
+@pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)
+def test_enumerators_validate_each_listed_subgroup_once(enumerate_, monkeypatch):
+    calls = []
+    real = enumeration.validate_fuzzy
+
+    def counting(group, mu, *rest):
+        calls.append(tuple(mu))
+        return real(group, mu, *rest)
+
+    monkeypatch.setattr(enumeration, "validate_fuzzy", counting)
+    for group in (cyclic(6), klein_four(), symmetric(3)):
+        calls.clear()
+        listed = enumerate_(group, default_grid(3))
+        assert sorted(calls) == sorted(fz.mu for fz in listed)

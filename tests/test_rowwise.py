@@ -16,12 +16,20 @@ multiplication, and the sorting that `Partition.from_class_of` no longer does.
 So are the commutation loops of both morphism validators, which now compare
 whole arrays, the per-entry range check of `is_group_homomorphism`, the pair
 scan of `is_subgroup`, the value comparisons of `level_subset` and the
-per-entry order check of `cover_report`.
+per-entry order check of `cover_report`.  So are the pair loop and the
+witness scan of `validate_dual_premorphism`, which now reads one row of
+the monoid table per x and finds a failing y from its product, and the
+`validate_fuzzy` that converted, hashed and looked up every value, where
+each distinct value object is now handled once, also on sequences that
+build a new object on each access.
 """
 
 import dataclasses
 import random
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from functools import reduce
 from itertools import compress
@@ -30,6 +38,7 @@ from operator import and_
 from hypothesis import example, given, settings, strategies as st
 
 import fzcover.cover as cover_module
+import fzcover.workspace as workspace_module
 from fzcover import (
     as_dual_premorphism,
     build_cover,
@@ -48,6 +57,7 @@ from fzcover import (
     is_group_homomorphism,
     is_subgroup,
     klein_four,
+    parse_workspace,
     premorphism_from_cover,
     symmetric,
     validate_cover_morphism,
@@ -59,19 +69,24 @@ from fzcover import (
 from fzcover.cover import CoverMorphism, _check_maxima_preserved
 from fzcover.errors import (
     AlgebraError,
+    Axiom1Violation,
+    Axiom2Violation,
     CommutationFailure,
+    CoverageFailure,
     MissingInverse,
     NoIdentity,
     NotClosed,
     NotGroupHom,
+    NotDualPremorphism,
     NotHomomorphism,
     NotOrderPreserving,
     QuotientNotGroup,
     ReconstructionMismatch,
     TopNotPreserved,
     ValueNotInChain,
+    ValueOutOfRange,
 )
-from fzcover.fuzzy import FuzzyMorphism, level_subset
+from fzcover.fuzzy import FuzzyMorphism, FuzzySubgroup, level_subset
 from fzcover.groups import (
     FiniteGroup,
     _check_associative,
@@ -82,6 +97,7 @@ from fzcover.groups import (
 from fzcover.monoids import (
     _BINARY_DIGITS,
     DerivedStructure,
+    DualPremorphism,
     Partition,
     _check_anti_involution,
     _check_table,
@@ -1081,3 +1097,250 @@ def test_order_by_rows_agrees_with_entries():
                 report = report_with_order(cover, flipped)
                 assert report.order_match is order_match_by_entries(cover, flipped) is False
                 assert report.unit_match and report.sigma_match and report.maxima_match
+
+
+# -- dual premorphisms on whole arrays and natural-order rows -----------------------
+
+def dual_premorphism_by_loop(group, monoid, psi):
+    """validate_dual_premorphism as it was: every pair, each witness by a scan."""
+    if len(psi) != group.n or any(not 0 <= v < monoid.n for v in psi):
+        raise NotDualPremorphism("psi must assign a monoid element to every group element")
+    leq = monoid.derived.natural_leq
+    for x in range(group.n):
+        if psi[group.inverses[x]] != monoid.inverse[psi[x]]:
+            raise NotDualPremorphism(
+                f"psi({group.names[x]}^-1) != psi({group.names[x]})^-1", witness=x
+            )
+        for y in range(group.n):
+            prod = monoid.table[psi[x]][psi[y]]
+            if not leq[prod][psi[group.table[x][y]]]:
+                raise NotDualPremorphism(
+                    f"psi({group.names[x]}*{group.names[y]}) is not above "
+                    f"psi({group.names[x]})*psi({group.names[y]})",
+                    witness=(x, y),
+                )
+    witnesses = []
+    for u in range(monoid.n):
+        h = next((h for h in range(group.n) if leq[u][psi[h]]), None)
+        if h is None:
+            raise CoverageFailure(
+                f"monoid element {monoid.names[u]} is below no psi image", witness=u
+            )
+        witnesses.append(h)
+    return DualPremorphism(group, monoid, tuple(psi), tuple(witnesses))
+
+
+def _premorphism_targets():
+    # each grid-3 subgroup with its own chain, and a few with the monoid of
+    # a cover or a non-Clifford inverse monoid as the target instead
+    covers = _grid_covers()
+    targets = [(cover.source.group, cover.base, cover.source._rank) for cover in covers]
+    others = [cover.monoid for cover in covers[:4]] + [symmetric_inverse_monoid_2()]
+    for monoid in others:
+        for cover in covers[:12]:
+            targets.append((cover.source.group, monoid, (monoid.unit,) * cover.source.n))
+    return targets
+
+
+PREMORPHISM_TARGETS = _premorphism_targets()
+
+
+def test_dual_premorphisms_of_grid_subgroups_agree_with_the_loop():
+    for group, monoid, psi in PREMORPHISM_TARGETS:
+        assert derived_outcome(validate_dual_premorphism, group, monoid, psi) == (
+            derived_outcome(dual_premorphism_by_loop, group, monoid, psi)
+        )
+
+
+@st.composite
+def premorphism_arrays(draw):
+    # a listed psi with one entry moved, or a psi drawn at random
+    group, monoid, psi = draw(st.sampled_from(PREMORPHISM_TARGETS))
+    psi = list(psi)
+    if draw(st.booleans()):
+        psi[draw(st.integers(0, group.n - 1))] = draw(st.integers(0, monoid.n - 1))
+    else:
+        psi = draw(st.lists(st.integers(0, monoid.n - 1), min_size=group.n, max_size=group.n))
+    if draw(st.integers(0, 9)) == 0:
+        psi[-1] = monoid.n  # out of range
+    return group, monoid, psi
+
+
+@EXAMPLES
+@given(premorphism_arrays())
+def test_dual_premorphism_by_rows_fails_like_the_loop(drawn):
+    assert derived_outcome(validate_dual_premorphism, *drawn) == derived_outcome(
+        dual_premorphism_by_loop, *drawn
+    )
+
+
+def test_premorphism_arrays_reach_each_outcome():
+    c4 = validate_fuzzy(cyclic(4), [F(1), F(1, 3), F(2, 3), F(1, 3)])
+    base = c4.base
+    cases = {
+        "ok": c4._rank,  # (2, 0, 1, 0)
+        "inverse": (2, 1, 1, 0),  # psi(g1^-1) = psi(g3) differs from psi(g1)
+        "product": (2, 1, 0, 1),  # psi(g1 g1) = 0 is below psi(g1) psi(g1) = 1
+        "coverage": (1, 1, 1, 1),  # nothing is above the top
+    }
+    seen = {}
+    for kind, psi in cases.items():
+        got = derived_outcome(validate_dual_premorphism, c4.group, base, psi)
+        assert got == derived_outcome(dual_premorphism_by_loop, c4.group, base, psi)
+        seen[kind] = got if kind == "ok" else got[:2]
+    assert seen["ok"].coverage_witness == (0, 0, 0)
+    assert seen["inverse"] == (NotDualPremorphism, 1)
+    assert seen["product"] == (NotDualPremorphism, (1, 1))
+    assert seen["coverage"] == (CoverageFailure, 2)
+
+
+# -- validate_fuzzy on distinct value objects ---------------------------------------
+
+def validate_fuzzy_by_hashing(group, mu):
+    """validate_fuzzy as it was: every value converted, hashed and looked up."""
+    n = group.n
+    if len(mu) != n:
+        raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
+    values = [Fraction(v) for v in mu]
+    chain = tuple(sorted(set(values)))
+    if not 0 <= chain[0] <= chain[-1] <= 1:
+        x = next(x for x, v in enumerate(values) if not 0 <= v <= 1)
+        raise ValueOutOfRange(
+            f"mu({group.names[x]}) = {values[x]} outside [0, 1]", witness=x
+        )
+    position = {v: r for r, v in enumerate(chain)}
+    ranks = [position[v] for v in values]
+    table = group.table
+    invs = group.inverses
+    for x in range(n):
+        rx = ranks[x]
+        if ranks[invs[x]] != rx:
+            raise Axiom2Violation(
+                f"mu({group.names[x]}^-1) = {values[invs[x]]} "
+                f"!= mu({group.names[x]}) = {values[x]}",
+                witness=x,
+            )
+        row = table[x]
+        for y in range(n):
+            if ranks[row[y]] < min(rx, ranks[y]):
+                raise Axiom1Violation(
+                    f"mu({group.names[x]}*{group.names[y]}) = "
+                    f"{values[row[y]]} < min bound {min(values[x], values[y])}",
+                    witness=(x, y),
+                )
+    fz = FuzzySubgroup(group, values, chain, ranks)
+    if fz.mu[group.identity] != fz.top:
+        raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")
+    return fz
+
+
+def fuzzy_outcome(validate, group, mu):
+    """Chain, ranks, values and value types of the result, or the error."""
+    try:
+        fz = validate(group, mu)
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+    return fz.chain, fz._rank, fz.mu, tuple(map(type, fz.mu))
+
+
+def assert_fuzzy_like_hashing(group, mu):
+    expected = fuzzy_outcome(validate_fuzzy_by_hashing, group, mu)
+    assert fuzzy_outcome(validate_fuzzy, group, mu) == expected
+    return expected
+
+
+FUZZY_GROUPS = [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]
+
+
+def test_validate_fuzzy_on_grid_subgroups_like_hashing():
+    found = 0
+    for group in FUZZY_GROUPS:
+        for fz in enumerate_fuzzy_subgroups_filter(group, default_grid(3)):
+            assert_fuzzy_like_hashing(group, fz.mu)
+            # the same values as separate objects, one per element
+            assert_fuzzy_like_hashing(group, [F(v.numerator, v.denominator) for v in fz.mu])
+            found += 1
+    assert found == 151
+
+
+def test_validate_fuzzy_on_workspace_files_like_hashing(monkeypatch):
+    calls = []
+
+    def recording(group, mu):
+        calls.append((group, list(mu)))
+        return validate_fuzzy(group, mu)
+
+    monkeypatch.setattr(workspace_module, "validate_fuzzy", recording)
+    files = sorted((Path(__file__).resolve().parent.parent / "workspaces").glob("*.fzw"))
+    assert len(files) == 7
+    for path in files:
+        try:
+            parse_workspace(path.read_text(encoding="utf-8"))
+        except AlgebraError:
+            pass
+    outcomes = [assert_fuzzy_like_hashing(group, mu) for group, mu in calls]
+    assert len(outcomes) == 6
+    assert [o[0] for o in outcomes if isinstance(o[0], type)] == [Axiom1Violation]
+
+
+HALF = F(1, 2)
+# equal values in different objects and of different types
+VALUE_OBJECTS = [HALF, F(2, 4), "1/2", 0.5, F(1), 1, "1", True, F(1, 4), "1/4", 0, F(0),
+                 F(3, 2), -1, "5/4"]
+
+
+@EXAMPLES
+@given(st.sampled_from(FUZZY_GROUPS).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(
+        st.sampled_from(VALUE_OBJECTS), min_size=g.n, max_size=g.n))))
+def test_validate_fuzzy_on_mixed_value_objects_like_hashing(drawn):
+    assert_fuzzy_like_hashing(*drawn)
+
+
+def test_mixed_value_objects_merge_and_fail_like_hashing():
+    v4, c4 = klein_four(), cyclic(4)
+    second_half = F(2, 4)
+    assert second_half is not HALF
+    chain, ranks, mu, types = assert_fuzzy_like_hashing(v4, [1, HALF, second_half, "1/2"])
+    assert (chain, ranks, mu, types) == ((HALF, F(1)), (1, 0, 0, 0), (1, HALF, HALF, HALF),
+                                         (Fraction,) * 4)
+    failed = assert_fuzzy_like_hashing(c4, ["1", HALF, "1/4", second_half])
+    assert failed == (Axiom1Violation, (1, 1), "mu(g*g) = 1/4 < min bound 1/2")
+    failed = assert_fuzzy_like_hashing(c4, [1, HALF, 1, "1/4"])
+    assert failed[:2] == (Axiom2Violation, 1)
+    failed = assert_fuzzy_like_hashing(c4, [1, HALF, "3/2", HALF])
+    assert failed == (ValueOutOfRange, 2, "mu(g2) = 3/2 outside [0, 1]")
+    failed = assert_fuzzy_like_hashing(c4, [HALF, HALF, 1, HALF])
+    assert failed[0] in (Axiom1Violation, AlgebraError)
+    assert assert_fuzzy_like_hashing(c4, [1, 1])[0] is ValueOutOfRange
+
+
+class FreshValues(Sequence):
+    """A sequence that builds a new value object on each access."""
+
+    def __init__(self, values):
+        self._values = [(v.numerator, v.denominator) for v in values]
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, x):
+        return F(*self._values[x])
+
+
+def test_sequences_of_fresh_objects_validate_like_hashing():
+    # each access frees the object it made, so ids repeat across elements
+    # unless the validator holds every object while it reads their ids
+    found = 0
+    for group in FUZZY_GROUPS:
+        for fz in enumerate_fuzzy_subgroups_filter(group, default_grid(3)):
+            assert assert_fuzzy_like_hashing(group, FreshValues(fz.mu))[2] == fz.mu
+            floats = array("d", map(float, fz.mu))
+            assert assert_fuzzy_like_hashing(group, floats)[2] == tuple(map(F, floats))
+            found += 1
+    assert found == 151
+    c4 = cyclic(4)
+    failed = assert_fuzzy_like_hashing(c4, array("d", [1.0, 0.5, 0.25, 0.5]))
+    assert failed == (Axiom1Violation, (1, 1), "mu(g*g) = 1/4 < min bound 1/2")
+    failed = assert_fuzzy_like_hashing(c4, FreshValues([F(1), F(1, 2), F(3, 2), F(1, 2)]))
+    assert failed == (ValueOutOfRange, 2, "mu(g2) = 3/2 outside [0, 1]")

@@ -1,5 +1,8 @@
-"""tools/certify_pool.py: every ordered pair of one group's filter pool."""
+"""The tools: certify_pool.py certifies every ordered pair of one group's
+filter pool; interleave.py times two source trees in turns on one benchmark
+workload and compares their observations."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +48,43 @@ def test_the_s4_pool_at_two_levels_keeps_its_certificates():
     result = certify_pool("S4", 2)
     assert (result["pairs"], result["ok"]) == (31**2, 31**2)
     assert result["sha256"] == S4_K2_CERTIFICATES_SHA256
+
+
+INTERLEAVE = SCRIPT.parent / "interleave.py"
+ROOT = SCRIPT.parent.parent
+
+
+def _interleave(src_a, src_b):
+    return subprocess.run(
+        [sys.executable, str(INTERLEAVE), str(src_a), str(src_b),
+         "--workload", "cover-ladder", "--rounds", "1", "--passes", "1"],
+        capture_output=True, text=True, check=False, cwd=ROOT,
+    )
+
+
+def test_interleave_times_one_tree_against_itself():
+    done = _interleave("src", "src")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["round 1", "median"]
+    digests = [line.split() for line in lines[2:]]
+    assert [d[:2] for d in digests] == [["sha256", "a"], ["sha256", "b"]]
+    assert digests[0][2] == digests[1][2] and len(digests[0][2]) == 64
+
+
+def test_interleave_exits_1_when_observations_differ(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "fzcover", changed / "fzcover")
+    fuzzy = changed / "fzcover" / "fuzzy.py"
+    # every level one element short, so the observed level sizes differ
+    fuzzy.write_text(
+        fuzzy.read_text(encoding="utf-8")
+        + "\n\n_level_subset = level_subset\n\n\n"
+        "def level_subset(fz, u):\n"
+        "    return _level_subset(fz, u) - {fz.group.identity}\n",
+        encoding="utf-8",
+    )
+    done = _interleave("src", changed)
+    assert done.returncode == 1, done.stderr
+    digests = [line.split()[2] for line in done.stdout.splitlines() if line.startswith("sha256")]
+    assert len(digests) == 2 and digests[0] != digests[1]
