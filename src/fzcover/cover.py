@@ -12,8 +12,9 @@ canonical isomorphism t -> (pi(t), sigma(t)) onto the pairs, checked on the
 columns of the cover's generators; it shares the pair list with
 `cover_from_premorphism`, and builds the shared pair table only to name a
 fault.
-`monoid_isomorphic`, the exhaustive isomorphism search, is what the round
-trip used before; the tests keep it as the oracle of that check.
+`monoid_isomorphic`, the exhaustive isomorphism search by generator images
+(`search.generated_maps`), is what the round trip used before; the tests
+keep it as the oracle of that check.
 Closed-form descriptions of the cover's structure (idempotents, unit,
 natural order, class maxima) are likewise computed as separate formulas and
 cross-checked against the generic derived structure.
@@ -45,7 +46,7 @@ from .monoids import (
     validate_dual_premorphism,
     validate_inverse_monoid,
 )
-from .search import product_preserving_maps
+from .search import generated_maps
 
 
 # -- cover triples and their morphisms ----------------------------------------
@@ -528,33 +529,25 @@ def monoid_isomorphic(
     b: FiniteInverseMonoid,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[tuple[int, ...]]:
-    """A product- and unit-preserving bijection a -> b, or None if none exists.
+    """The least product- and unit-preserving bijection a -> b, or None if none exists.
 
-    Cheap invariants (idempotent count, class size multisets, per-element
-    signatures) prune the search before lexicographic backtracking; raises
-    BudgetExceeded when more than ``budget`` candidate images are examined.
+    An isomorphism keeps each element's signature (unit, idempotent,
+    self-inverse, class sizes, places in the natural order), so there is
+    none unless the two monoids have the same signatures, counted with
+    multiplicity.  Otherwise every homomorphism that keeps signatures, and
+    so the unit, is listed in lexicographic order by `generated_maps`, and
+    the first bijection among them is returned.  The budget counts the
+    generator images tried: more than ``budget`` raise BudgetExceeded.
     """
-    if a.n != b.n:
+    sig_a = [_element_signature(a, x) for x in range(a.n)]
+    sig_b = [_element_signature(b, y) for y in range(b.n)]
+    if sorted(sig_a) != sorted(sig_b):
         return None
-    da, db = a.derived, b.derived
-    if len(da.idempotents) != len(db.idempotents):
-        return None
-    if da.sigma.size_multiset() != db.sigma.size_multiset():
-        return None
-    if da.green_h.size_multiset() != db.green_h.size_multiset():
-        return None
-
-    sig_b: dict = {}
-    for y in range(b.n):
-        sig_b.setdefault(_element_signature(b, y), []).append(y)
-    candidates = [sig_b.get(_element_signature(a, x), []) for x in range(a.n)]
-    found = product_preserving_maps(
-        a.table,
-        b.table,
-        candidates,
-        budget=budget,
-        label="monoid isomorphism nodes",
-        injective=True,
-        first=True,
+    with_sig: dict = {}
+    for y, sig in enumerate(sig_b):
+        with_sig.setdefault(sig, []).append(y)
+    domains = [with_sig[sig] for sig in sig_a]
+    maps = generated_maps(
+        a.plan, b.table, domains, budget=budget, label="monoid isomorphism nodes"
     )
-    return found[0] if found else None
+    return next((f for f in maps if len(set(f)) == a.n), None)

@@ -2,9 +2,9 @@
 and hom-sets on both sides of the embedding.
 
 Two independent routes produce the fuzzy subgroups over a grid -- a filter
-over all value assignments, run on the shared search engine as a search for
-dual premorphisms into a chain of integer ranks, so a partial assignment that
-breaks an axiom is cut at once, and a constructive route through strictly
+over all value assignments, run as the search for dual premorphisms into a
+chain of integer ranks (`search.dual_chain_ranks`), so a partial assignment
+that breaks an axiom is cut at once, and a constructive route through strictly
 descending subgroup chains -- so each can serve as the oracle for the other.
 The filter uses no subgroup lattice.  Both searches are iterative, so their
 depth is not bounded by the stack.  Everything returns lists in a
@@ -24,7 +24,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
 from .groups import FiniteGroup, enumerate_group_homomorphisms, is_subgroup
 from .monoids import enumerate_monoid_homomorphisms
-from .search import product_preserving_maps
+from .search import dual_chain_ranks
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,19 @@ def enumerate_fuzzy_subgroups_filter(
 
     The axioms depend only on the order of the values, so the search runs
     over integer ranks r.  Such an r is a dual premorphism into the chain of
-    ranks under min, r(xy) >= min(r(x), r(y)), and ``product_preserving_maps``
-    lists those, cutting each prefix that breaks a product.  In a finite group
-    that axiom implies r(x^-1) = r(x), because x^-1 is a power of x.  The
-    survivors are those of a scan over every assignment, in the same
-    lexicographic order, and each is constructed through the validator, which
-    checks both axioms.  The budget counts the nodes visited: more than
+    ranks under min, r(xy) >= min(r(x), r(y)), and `dual_chain_ranks` lists
+    those, element by element, cutting each prefix that breaks a product.  In
+    a finite group that axiom implies r(x^-1) = r(x), because x^-1 is a power
+    of x.  The survivors are those of a scan over every assignment, in the
+    same lexicographic order, and each is constructed through the validator,
+    which checks both axioms.  The budget counts the nodes visited: more than
     ``budget`` ranks tried raise BudgetExceeded.
 
     The listed subgroups share one fresh dict of chain monoids: those with
     equal value chains get the same ``base``, validated once, for as long as
     any of them lives.  Subgroups of another call never share it.
     """
-    maps = product_preserving_maps(
-        group.table,
-        (),
-        [range(grid.k)] * group.n,
-        budget=budget,
-        label="fuzzy subgroup nodes",
-        _dual_chain=True,
-    )
+    maps = dual_chain_ranks(group.table, grid.k, budget=budget, label="fuzzy subgroup nodes")
     levels = grid.levels
     bases: dict = {}
     return [validate_fuzzy(group, [levels[r] for r in ranks], bases) for ranks in maps]

@@ -1,12 +1,11 @@
 """The two searches behind every homomorphism, isomorphism and fuzzy-subgroup
-enumeration.
+enumeration, one per kind of map.
 
-`generated_maps` lists homomorphisms by the images of a generating set
-alone: the rest of each map is forced.  `product_preserving_maps` assigns
-every element in turn; callers differ only in the candidate images they
-allow for each element, and in the test on each product: f(a*b) = f(a)*f(b)
-for an isomorphism, or f(a*b) >= min(f(a), f(b)) for a dual premorphism into
-a chain of ranks, which is how a fuzzy subgroup reads.
+`generated_maps` lists homomorphisms, and so isomorphisms, by the images of
+a generating set alone: the rest of each map is forced.  `dual_chain_ranks`
+assigns every element a rank in turn, with the test r(a*b) >= min(r(a),
+r(b)) on each product: the maps it lists are the dual premorphisms into a
+chain of ranks, which is how a fuzzy subgroup reads.
 """
 
 from __future__ import annotations
@@ -186,80 +185,57 @@ def generated_maps(
     return results
 
 
-def product_preserving_maps(
+def dual_chain_ranks(
     source: Sequence[Sequence[int]],
-    target: Sequence[Sequence[int]],
-    candidates: Sequence[Sequence[int]],
+    k: int,
     *,
     budget: int,
     label: str,
-    injective: bool = False,
-    first: bool = False,
-    _dual_chain: bool = False,
 ) -> list[tuple[int, ...]]:
-    """Every map f with f(x) in candidates[x] and f(a*b) = f(a)*f(b).
+    """Every r: source -> range(k) with r(a*b) >= min(r(a), r(b)), in lexicographic order.
 
-    With sorted candidate lists the maps come in lexicographic order, as a
-    brute-force filter over all choices would list them.  ``injective`` skips
-    images already used; ``first`` stops at the first map.  Each product
-    a*b = p is checked once a, b and p all have images.  Examining more than
-    ``budget`` candidate images (nodes) raises BudgetExceeded naming
-    ``label``.  An explicit position per element replaces recursion, so depth
-    is unbounded.
-
-    With ``_dual_chain`` the images are integer ranks in a chain whose
-    product is min, and the test is f(a*b) >= min(f(a), f(b)): the maps are
-    the dual premorphisms into that chain.  ``target`` is then not read, so a
-    long chain needs no table.
+    The ranks form a chain whose product is min, so the maps are the dual
+    premorphisms into that chain; no chain table is read, so a long chain
+    needs none.  Elements get ranks in turn, each tried from 0 up, and each
+    product a*b = p is checked once a, b and p all have ranks.  Two kinds of
+    check cut nothing and are not listed: one with p = a or p = b, which
+    every assignment passes, and that of (a, b) with a > b when b*a = a*b,
+    which is the check of (b, a).  Trying more than ``budget`` ranks (nodes)
+    raises BudgetExceeded naming ``label``.  The rank kept per element
+    replaces recursion, so depth is unbounded.
     """
     n = len(source)
-    if not all(candidates):
-        return []
-    # checks[i]: the products whose three elements all have images once f(i) is set
+    # checks[i]: the products whose three elements all have ranks once r(i) is set
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for a in range(n):
         row = source[a]
         for b in range(n):
             p = row[b]
-            checks[max(a, b, p)].append((a, b, p))
+            if p != a and p != b and (b >= a or source[b][a] != p):
+                checks[max(a, b, p)].append((a, b, p))
 
-    image = [0] * n
-    used = [False] * len(target)
-    position = [0] * n
+    rank = [-1] * n
     results: list[tuple[int, ...]] = []
     nodes = 0
     i = 0
     while i >= 0:
-        cands = candidates[i]
-        if position[i] == len(cands):
-            position[i] = 0
+        r = rank[i] + 1
+        if r == k:
+            rank[i] = -1
             i -= 1
-            if i >= 0 and injective:
-                used[image[i]] = False
             continue
-        v = cands[position[i]]
-        position[i] += 1
-        if injective and used[v]:
-            continue
+        rank[i] = r
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes, budget, label)
-        image[i] = v
         for a, b, p in checks[i]:
-            if _dual_chain:
-                fa = image[a]
-                fb = image[b]
-                if image[p] < (fa if fa < fb else fb):
-                    break
-            elif image[p] != target[image[a]][image[b]]:
+            ra = rank[a]
+            rb = rank[b]
+            if rank[p] < (ra if ra < rb else rb):
                 break
         else:
             if i + 1 == n:
-                results.append(tuple(image))
-                if first:
-                    return results
+                results.append(tuple(rank))
             else:
-                if injective:
-                    used[v] = True
                 i += 1
     return results

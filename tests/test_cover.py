@@ -372,8 +372,6 @@ def relabeled_monoid(m, perm):
 
 
 def test_relabeled_cover_is_isomorphic(fz_z2):
-    # the D4 covers run the injective search's release of an image it
-    # backtracks past
     rng = random.Random(0)
     monoids = [build_cover(fz_z2).monoid]
     for fz in enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(3)):

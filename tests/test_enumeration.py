@@ -282,6 +282,21 @@ def test_filter_budget_counts_nodes(z2):
     assert str(exc.value) == "20 fuzzy subgroup nodes exceed budget 19"
 
 
+@pytest.mark.parametrize(
+    "group, k, nodes, found",
+    [(dihedral(4), 4, 1324, 125), (cyclic(8), 5, 4600, 70), (symmetric(4), 2, 1116, 31)],
+    ids=["D8-k4", "C8-k5", "S4-k2"],
+)
+def test_filter_node_counts_are_pinned(group, k, nodes, found):
+    # the smallest budgets that work: a check whose product is one of its
+    # factors, or that repeats the swapped pair of a commuting product,
+    # would cut nothing, so leaving those checks out moves none of them
+    assert len(enumerate_fuzzy_subgroups_filter(group, default_grid(k), budget=nodes)) == found
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_fuzzy_subgroups_filter(group, default_grid(k), budget=nodes - 1)
+    assert str(exc.value) == f"{nodes} fuzzy subgroup nodes exceed budget {nodes - 1}"
+
+
 # -- the pruned filter and the iterative chain search against their definitions
 
 def filter_by_definition(group, grid, budget=DEFAULT_BUDGET):

@@ -1,16 +1,20 @@
-"""The search by generator images against the engine's homomorphism mode.
+"""The search by generator images against the old element-by-element search.
 
 `search.generated_maps` tries images for a generating set of the source
-only, and every other image is forced. `search.product_preserving_maps`
-assigns every element in turn and checks each product once its three
-elements have images. It listed the group and monoid homomorphisms before,
-and here it is the oracle: both searches must list the same maps in the
-same order. They are compared on every group pair and every cover search
-of the acceptance pools, and on tables with their elements relabeled at
+only, and every other image is forced. `product_preserving_maps`, kept
+here as the oracle, assigns every element in turn and checks each product
+once its three elements have images. It listed the group and monoid
+homomorphisms and the isomorphisms before: both searches must list the same
+homomorphisms in the same order, and `monoid_isomorphic` must give the
+least isomorphism the old injective search found first. They are compared
+on every group pair and every cover search of the acceptance pools, on
+pairs of covers and monoids, and on tables with their elements relabeled at
 random, so the generating sets differ from those of the built-in tables.
 """
 
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,21 +24,94 @@ from fzcover import (
     build_cover,
     chain_monoid,
     cyclic,
+    default_grid,
     dihedral,
     enumerate_cover_morphisms,
+    enumerate_fuzzy_subgroups_filter,
     enumerate_group_homomorphisms,
     enumerate_monoid_homomorphisms,
     klein_four,
+    monoid_isomorphic,
     symmetric,
     validate_fuzzy,
     validate_group,
     validate_inverse_monoid,
 )
+from fzcover.cover import _element_signature
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
-from fzcover.search import generator_plan, product_preserving_maps
+from fzcover.search import generator_plan
+from tests.test_cover import relabeled_monoid
 from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
 F = Fraction
+
+
+def product_preserving_maps(
+    source: Sequence[Sequence[int]],
+    target: Sequence[Sequence[int]],
+    candidates: Sequence[Sequence[int]],
+    *,
+    budget: int,
+    label: str,
+    injective: bool = False,
+    first: bool = False,
+) -> list[tuple[int, ...]]:
+    """Every map f with f(x) in candidates[x] and f(a*b) = f(a)*f(b).
+
+    With sorted candidate lists the maps come in lexicographic order, as a
+    brute-force filter over all choices would list them.  ``injective`` skips
+    images already used; ``first`` stops at the first map.  Each product
+    a*b = p is checked once a, b and p all have images.  Examining more than
+    ``budget`` candidate images (nodes) raises BudgetExceeded naming
+    ``label``.  An explicit position per element replaces recursion, so depth
+    is unbounded.
+    """
+    n = len(source)
+    if not all(candidates):
+        return []
+    # checks[i]: the products whose three elements all have images once f(i) is set
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        row = source[a]
+        for b in range(n):
+            p = row[b]
+            checks[max(a, b, p)].append((a, b, p))
+
+    image = [0] * n
+    used = [False] * len(target)
+    position = [0] * n
+    results: list[tuple[int, ...]] = []
+    nodes = 0
+    i = 0
+    while i >= 0:
+        cands = candidates[i]
+        if position[i] == len(cands):
+            position[i] = 0
+            i -= 1
+            if i >= 0 and injective:
+                used[image[i]] = False
+            continue
+        v = cands[position[i]]
+        position[i] += 1
+        if injective and used[v]:
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes, budget, label)
+        image[i] = v
+        for a, b, p in checks[i]:
+            if image[p] != target[image[a]][image[b]]:
+                break
+        else:
+            if i + 1 == n:
+                results.append(tuple(image))
+                if first:
+                    return results
+            else:
+                if injective:
+                    used[v] = True
+                i += 1
+    return results
 
 
 def homs_by_engine(source, target, domains, budget=DEFAULT_BUDGET):
@@ -200,3 +277,85 @@ def test_the_budget_counts_generator_images():
     two = chain_monoid([F(1, 2), F(1)])
     assert enumerate_monoid_homomorphisms(two, group_as_monoid(cyclic(3)), budget=2) == [(0, 0)]
 
+
+def isomorphism_by_engine(a, b, budget=DEFAULT_BUDGET):
+    """The search `monoid_isomorphic` made before: the first injective map."""
+    if a.n != b.n:
+        return None
+    da, db = a.derived, b.derived
+    if len(da.idempotents) != len(db.idempotents):
+        return None
+    if da.sigma.size_multiset() != db.sigma.size_multiset():
+        return None
+    if da.green_h.size_multiset() != db.green_h.size_multiset():
+        return None
+    sig_b: dict = {}
+    for y in range(b.n):
+        sig_b.setdefault(_element_signature(b, y), []).append(y)
+    candidates = [sig_b.get(_element_signature(a, x), []) for x in range(a.n)]
+    found = product_preserving_maps(
+        a.table,
+        b.table,
+        candidates,
+        budget=budget,
+        label="monoid isomorphism nodes",
+        injective=True,
+        first=True,
+    )
+    return found[0] if found else None
+
+
+def _isomorphism_pool():
+    # the covers of test_relabeled_cover_is_isomorphic, the 120-element cover
+    # of C64, and two monoids that are not covers
+    monoids = [build_cover(validate_fuzzy(cyclic(2), [F(1), F(1, 2)])).monoid]
+    for fz in enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(3)):
+        monoids.append(build_cover(fz).monoid)
+    levels = (F(1, 4), F(1, 2), F(3, 4), F(1))
+    mu = [levels[sum(x % d == 0 for d in (2, 4, 8))] for x in range(64)]
+    monoids.append(build_cover(validate_fuzzy(cyclic(64), mu)).monoid)
+    monoids += [group_as_monoid(symmetric(4)), symmetric_inverse_monoid_2()]
+    return monoids
+
+
+def _is_isomorphism(f, a, b):
+    return (
+        sorted(f) == list(range(b.n))
+        and f[a.unit] == b.unit
+        and all(
+            f[a.table[x][y]] == b.table[f[x]][f[y]] for x in range(a.n) for y in range(a.n)
+        )
+    )
+
+
+def test_isomorphisms_match_the_engine():
+    # the D4 covers run the injective search's release of an image it
+    # backtracks past
+    rng = random.Random(0)
+    monoids = _isomorphism_pool()
+    assert len(monoids) == 49 and monoids[46].n == 120
+    relabeled = [relabeled_monoid(m, rng.sample(range(m.n), m.n)) for m in monoids]
+    pairs = [(m, m) for m in monoids] + list(zip(monoids, relabeled))
+    everything = monoids + relabeled
+    pairs += [(rng.choice(everything), rng.choice(everything)) for _ in range(300)]
+    # monoids of one size, where the signatures alone rarely tell them apart
+    by_size: dict = {}
+    for m in everything:
+        by_size.setdefault(m.n, []).append(m)
+    same_size = [ms for ms in by_size.values() if len(ms) > 1]
+    pairs += [tuple(rng.sample(rng.choice(same_size), 2)) for _ in range(300)]
+    isomorphic = beyond_engine = 0
+    for a, b in pairs:
+        found = monoid_isomorphic(a, b)
+        isomorphic += found is not None
+        try:
+            expected = isomorphism_by_engine(a, b, budget=10**5)
+        except BudgetExceeded:
+            # from the relabeled C64 cover to the cover, the old search tries
+            # more than 10**5 images, and more than 10**6 at the default
+            # budget; the new one tries fewer than 10**3
+            assert a.n == 120 and a is not b and _is_isomorphism(found, a, b)
+            beyond_engine += 1
+            continue
+        assert found == expected
+    assert isomorphic == 392 and beyond_engine == 15

@@ -8,7 +8,8 @@ function space live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
 loaded and patched on its own.  Every function the benchmark tracer wraps
 still exists where the tracer looks for it, so no refactor can turn a layer
-metric into a silent 0.
+metric into a silent 0.  Every public function of ``search`` has a caller in
+another module of the library, so no search mode lives on for tests alone.
 """
 
 import ast
@@ -180,3 +181,42 @@ def test_traced_functions_resolve():
 def test_traced_name_reader_finds_both_tuples():
     code = 'SPANNED = (("a", "f"),)\nCOUNTED = (("b", "g"),)\nOTHER = (("c", "h"),)\n'
     assert list(_traced_names(ast.parse(code))) == [("a", "f"), ("b", "g")]
+
+
+def _public_functions(tree):
+    """The names of the module-level functions not starting with an underscore."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _referenced_names(tree):
+    """Every name the module reads or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_search_function_has_a_caller_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    public = _public_functions(trees["search"])
+    assert "generated_maps" in public
+    used = set().union(
+        *(_referenced_names(tree) for name, tree in trees.items() if name != "search")
+    )
+    assert sorted(set(public) - used) == []
+
+
+def test_caller_check_reads_definitions_and_references():
+    search = ast.parse("def f():\n    pass\ndef _g():\n    pass\ndef h():\n    pass\n")
+    other = ast.parse("from .search import f as found\nimport search\nsearch.h\n")
+    assert _public_functions(search) == ["f", "h"]
+    assert {"f", "search", "h"} <= _referenced_names(other)
