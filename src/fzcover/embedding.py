@@ -6,13 +6,17 @@ back reads f off the images of the class maxima.  Both directions are array
 maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
 `reconstruct_morphism` validate what they build, and `verify_embedding`
 certifies a pair of objects by index arithmetic over the exhaustively
-enumerated hom-sets between them and of each to itself, whose entries passed
-their validators once.
+enumerated hom-sets between them and of each to itself.  The arrays of those
+hom-sets, their index and the composite verdicts depend only on the shapes of
+the objects (group and rank vector), so they are found once per ordered pair
+of shapes; each entry passed its validator once between the pair's own
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from . import enumeration
@@ -152,14 +156,31 @@ class EmbeddingCertificate:
 
 
 @dataclass(frozen=True)
-class _Homs:
-    """Hom(s, t) on both sides, indexed once; a morphism is its position here.
+class _Arrays:
+    """Hom(s, t) of one ordered pair of shapes: both hom-sets as arrays, indexed once.
 
-    ``fuzzy`` and ``cover`` are the hom-sets as the enumerators return them,
-    ``index`` maps (f, lam) to a position in ``fuzzy``, ``image[i]`` is the
-    position of the embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]``
-    that of (f read off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is
-    not listed.  So where ``image[i] >= 0``, ``cover[image[i]]`` is the
+    ``fuzzy`` lists the (f, lam) and ``cover`` the (fstar, lam) arrays of
+    the two hom-sets as the enumerators return them, ``index`` maps (f, lam)
+    to a position in ``fuzzy``, ``image[i]`` is the position of the
+    embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]`` that of (f read
+    off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
+    """
+
+    fuzzy: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    cover: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    index: dict[tuple, int]
+    image: list[int]
+    back: list[int]
+
+
+@dataclass(frozen=True)
+class _Homs:
+    """Hom(s, t) of one ordered pair of objects; a morphism is its position here.
+
+    ``fuzzy`` and ``cover`` are the morphisms of the pair's own objects and
+    covers, each validated between them, at the positions of the `_Arrays`
+    of the pair's shapes, whose ``index``, ``image`` and ``back`` this record
+    shares.  So where ``image[i] >= 0``, ``cover[image[i]]`` is the
     embedding of ``fuzzy[i]``.
     """
 
@@ -170,12 +191,12 @@ class _Homs:
     back: list[int]
 
 
-# A certification keeps covers, hom records, group hom-sets, cover hom arrays
-# and composite checks in ``store``, the caller's ``hom_cache`` or a fresh
-# dict, under ("cover", fz), ("homs", s, t), ("group homs", g, h),
-# ("cover homs", s.group, s._rank, t.group, t._rank) and ("composites", a, b).
-# Each is a pure function of its key, and nothing is stored for a build that
-# raised.
+# A certification keeps covers, hom records, hom arrays, group hom-sets and
+# composite checks in ``store``, the caller's ``hom_cache`` or a fresh dict,
+# under ("cover", fz), ("morphisms", s, t), ("homs", s.group, s._rank,
+# t.group, t._rank), ("group homs", g, h) and ("composites", a.group,
+# a._rank, b.group, b._rank).  Each is a pure function of its key, and
+# nothing is stored for a build that raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -184,76 +205,102 @@ def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     return cover
 
 
+def _shapes(kind: str, s: FuzzySubgroup, t: FuzzySubgroup) -> tuple:
+    """The key of ``kind`` for the ordered pair of the shapes of s and t."""
+    return (kind, s.group, s._rank, t.group, t._rank)
+
+
 def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs:
-    """The record of Hom(s, t), built by the fuzzy search and then the cover search."""
-    homs = store.get(("homs", s, t))
+    """The record of Hom(s, t), validated once per ordered pair of objects.
+
+    Where the arrays of the pair's shapes are stored, each entry is
+    validated between s and t and between their cover triples, as the
+    searches validate what they find; otherwise `_search` finds them.
+    """
+    homs = store.get(("morphisms", s, t))
     if homs is not None:
         return homs
+    arrays = store.get(_shapes("homs", s, t))
+    if arrays is None:
+        homs = _search(store, s, t, budget)
+    else:
+        c1, c2 = _cover(store, s).triple, _cover(store, t).triple
+        homs = _Homs(
+            [validate_fuzzy_morphism(s, t, f, lam) for f, lam in arrays.fuzzy],
+            [validate_cover_morphism(c1, c2, fstar, lam) for fstar, lam in arrays.cover],
+            arrays.index,
+            arrays.image,
+            arrays.back,
+        )
+    store[("morphisms", s, t)] = homs
+    return homs
+
+
+def _search(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs:
+    """Hom(s, t) by the fuzzy search and then the cover search, once per pair of shapes.
+
+    The shape of a fuzzy subgroup is its group and its rank vector, and the
+    `_Arrays` of the two hom-sets are kept under ("homs", s.group, s._rank,
+    t.group, t._rank).  That key decides them, and the values are only
+    names.  `enumerate_fuzzy_morphisms` reads the two groups (their tables
+    and generators, for the group hom-set), the ranks and the chain
+    lengths.  `build_cover` reads only ``group.table`` and the ranks to make
+    the pairs, the table, the unit, the projection and the base (the chain
+    monoid of a chain as long as the ranks are many).  The cover search
+    reads tables, units, projections and class maxima, all derived from
+    those tables.  `_fstar` and `_f` read the pair lists and the ranks, so
+    ``index``, ``image`` and ``back`` follow from the arrays; and
+    `_keeps_identity` and `_respects_compositions` read only those, the
+    group order and the chain length.  None of them reads a value or a
+    label, except to word an error.  So two pairs of objects of the same
+    shapes have equal hom arrays in the same order, equal index arrays and
+    equal verdicts.  A budget failure stores nothing.
+    """
     fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
     c1, c2 = _cover(store, s), _cover(store, t)
-    cover = _cover_homs(store, s, t, c1, c2, budget)
+    cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
     index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
     listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
     image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
     back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
-    homs = store[("homs", s, t)] = _Homs(fuzzy, cover, index, image, back)
-    return homs
+    store[_shapes("homs", s, t)] = _Arrays(
+        [(m.f, m.lam) for m in fuzzy], [(c.fstar, c.lam) for c in cover], index, image, back
+    )
+    return _Homs(fuzzy, cover, index, image, back)
 
 
-def _cover_homs(
-    store: dict, s: FuzzySubgroup, t: FuzzySubgroup, c1: CoverMonoid, c2: CoverMonoid, budget: int
-) -> list[CoverMorphism]:
-    """The cover Hom(c1, c2), searched once per pair of shapes.
-
-    The shape of a fuzzy subgroup is its group and its rank vector, and the
-    (fstar, lam) arrays of the search are kept under ("cover homs", s.group,
-    s._rank, t.group, t._rank).  That key decides the arrays: `build_cover`
-    reads only ``group.table`` and the ranks to make the pairs, the table,
-    the unit, the projection and the base (the chain monoid of a chain as
-    long as the ranks are many), and reads the values and labels only to
-    name elements.  The search reads tables, units, projections and class
-    maxima, all derived from those tables, and never a name.  So two
-    objects of one shape have covers with equal tables, equal projections
-    and equal bases, and equal hom arrays in the same order.  On a hit each
-    entry is validated between this pair's own triples, as the search
-    validates what it finds, and a budget failure stores nothing.
-    """
-    key = ("cover homs", s.group, s._rank, t.group, t._rank)
-    arrays = store.get(key)
-    if arrays is None:
-        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
-        store[key] = [(c.fstar, c.lam) for c in cover]
-        return cover
-    return [validate_cover_morphism(c1.triple, c2.triple, fstar, lam) for fstar, lam in arrays]
-
-
-def _respects_compositions(first: _Homs, second: _Homs, loops: _Homs) -> bool:
+def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> bool:
     """Whether E(m2.m1) = E(m2).E(m1) for each m1 of Hom(a, b) and m2 of Hom(b, a).
 
-    ``first``, ``second`` and ``loops`` are the records of Hom(a, b),
+    ``first``, ``second`` and ``loops`` are the arrays of Hom(a, b),
     Hom(b, a) and Hom(a, a).  m2.m1 is a morphism iff its arrays are listed
     in ``loops``, and E(m1), E(m2) and E(m2.m1) are cover morphisms iff their
     images are listed.  Then all three share lam, so they are equal iff the
-    fstar arrays of the listed images compose.
+    fstar arrays of the listed images compose.  Each composite array is
+    read by one `_after` call on the array of m2 or E(m2).
     """
-    for m1, i1 in zip(first.fuzzy, first.image):
-        for m2, i2 in zip(second.fuzzy, second.image):
-            at = loops.index.get((_then(m1.f, m2.f), _then(m1.lam, m2.lam)), -1)
-            if -1 in (i1, i2, at) or loops.image[at] < 0:
-                return False
-            composite = _then(first.cover[i1].fstar, second.cover[i2].fstar)
-            if loops.cover[loops.image[at]].fstar != composite:
+    if not (first.fuzzy and second.fuzzy):
+        return True
+    if -1 in first.image or -1 in second.image:
+        return False
+    seconds = [(f, lam, second.cover[i][0]) for (f, lam), i in zip(second.fuzzy, second.image)]
+    index, image, cover = loops.index, loops.image, loops.cover
+    for (f, lam), i in zip(first.fuzzy, first.image):
+        f_then, lam_then, fstar_then = _after(f), _after(lam), _after(first.cover[i][0])
+        for f2, lam2, fstar2 in seconds:
+            at = index.get((f_then(f2), lam_then(lam2)), -1)
+            if at < 0 or image[at] < 0 or cover[image[at]][0] != fstar_then(fstar2):
                 return False
     return True
 
 
 def _composites_ok(store: dict, a: FuzzySubgroup, b: FuzzySubgroup) -> bool:
-    """`_respects_compositions` of the records of Hom(a, b), Hom(b, a) and Hom(a, a)."""
-    ok = store.get(("composites", a, b))
+    """`_respects_compositions` of Hom(a, b), Hom(b, a) and Hom(a, a), once per pair of shapes."""
+    key = _shapes("composites", a, b)
+    ok = store.get(key)
     if ok is None:
-        ok = store[("composites", a, b)] = _respects_compositions(
-            store[("homs", a, b)], store[("homs", b, a)], store[("homs", a, a)]
-        )
+        first, second, loops = (store[_shapes("homs", s, t)] for s, t in ((a, b), (b, a), (a, a)))
+        ok = store[key] = _respects_compositions(first, second, loops)
     return ok
 
 
@@ -266,9 +313,12 @@ def _keeps_identity(loops: _Homs, fz: FuzzySubgroup) -> bool:
     return fstar == tuple(range(len(fstar)))
 
 
-def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
-    """The map array of first, then second."""
-    return tuple(map(second.__getitem__, first))
+def _after(first: tuple[int, ...]):
+    """The map from an array ``second`` to the array of first, then second."""
+    if len(first) == 1:
+        (x,) = first
+        return lambda second: (second[x],)
+    return itemgetter(*first)
 
 
 def verify_embedding(
@@ -281,8 +331,10 @@ def verify_embedding(
     """Certify functoriality, faithfulness and fullness on one object pair.
 
     The `_Homs` records of (source, target), (target, source), (source,
-    source) and (target, target) are built in that order, each by its fuzzy
-    search and then its cover search; each search has the whole ``budget``.
+    source) and (target, target) are built in that order.  A record whose
+    pair of shapes (group and rank vector) has no arrays yet is found by its
+    fuzzy search and then its cover search, each with the whole ``budget``;
+    any other validates the arrays of its shapes between its own objects.
     The certificate is index arithmetic over those four records: no
     morphism is embedded, validated or reconstructed again.  That decides
     the same conditions, because a hom-set is exhaustive, each of its
@@ -301,11 +353,14 @@ def verify_embedding(
     So the certificate accepts exactly the pairs that embedding and
     validating every morphism accepts, and a broken enumerator or embedding
     is recorded as the first failed condition instead of raising.  A shared
-    ``hom_cache`` dict, owned by the caller, keeps covers, records, group
-    hom-sets and composite checks across many pairs, so each hom-set is
-    searched once, each group hom-set once per group pair, and the composites
-    a->b->a once per ordered pair (a, b), whether certified from (a, b) or
-    from (b, a).  A search read from it makes no budget check again.
+    ``hom_cache`` dict, owned by the caller, keeps covers, records, hom
+    arrays, group hom-sets and composite checks across many pairs.  So each
+    hom-set is searched and indexed once per ordered pair of shapes, and its
+    entries validated once per ordered pair of objects; each group hom-set is
+    searched once per group pair; and the composites a->b->a are checked
+    once per ordered pair of the shapes of a and b, whether certified from
+    (a, b), from (b, a) or from another pair of those shapes.  A search read
+    from it makes no budget check again.
     """
     store = {} if hom_cache is None else hom_cache
     ab, ba = _homs(store, source, target, budget), _homs(store, target, source, budget)

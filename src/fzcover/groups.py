@@ -28,10 +28,12 @@ class FiniteGroup:
     ``generators`` is the generating set the associativity check found,
     picked greedily from the highest index down; the checks of a law on
     products (homomorphisms, Light's test) read one row per generator, and
-    ``plan``, the `generator_plan` of the table, is made on first use.
+    ``plan``, the `generator_plan` of the table, is made on first use.  The
+    hash, of names and table, is computed on the first ``hash`` call and
+    kept, since every cache key that holds a group hashes it.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses", "generators", "_plan")
+    __slots__ = ("names", "table", "identity", "inverses", "generators", "_plan", "_hash")
 
     def __init__(self, names, table, identity, inverses, generators):
         self.names = tuple(names)
@@ -40,6 +42,7 @@ class FiniteGroup:
         self.inverses = tuple(inverses)
         self.generators = tuple(generators)
         self._plan = None
+        self._hash = None
 
     @property
     def n(self) -> int:
@@ -63,7 +66,9 @@ class FiniteGroup:
         return self.names == other.names and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.names, self.table))
+        if self._hash is None:
+            self._hash = hash((self.names, self.table))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.n}, names={list(self.names)})"

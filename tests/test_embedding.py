@@ -445,6 +445,11 @@ def pool():
     return found
 
 
+def shape(fz) -> tuple:
+    """The shape of a fuzzy subgroup, its group and its ranks, which decides its hom arrays."""
+    return fz.group, fz._rank
+
+
 # sha256 of the pool's certificates in pair order, each as sorted-key JSON,
 # as the embedding that validated every morphism again made them
 POOL_CERTIFICATES_SHA256 = "d3094832f92193cc448bdfa8678be41c38475ceeda405542f0aa166c58ceb607"
@@ -471,15 +476,20 @@ def plant_wrong_embedding(patch, wrong, like=None) -> None:
     """Make the fstar array of the embedding of ``wrong`` move one entry, or
     be that of the embedding of ``like``.
 
-    The plant sits below the hom records, so a shared hom_cache keeps the
-    wrong embedding for every later pair, and a fresh one builds it again.
+    The plant matches a morphism by the shapes of its ends and its arrays,
+    as the hom arrays are kept by shape, so it reaches every pair of objects
+    of those shapes.  It sits below the hom records: a shared hom_cache keeps
+    the wrong embedding for every later pair, and a fresh one builds it again.
     """
     import fzcover.embedding as embedding
 
     fstar_of = embedding._fstar
 
+    def arrays(m):
+        return shape(m.source), shape(m.target), m.f, m.lam
+
     def planted(c1, c2, m):
-        if m != wrong:
+        if arrays(m) != arrays(wrong):
             return fstar_of(c1, c2, m)
         if like is not None:
             return fstar_of(c1, c2, like)
@@ -757,18 +767,23 @@ def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
     assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
     groups = {fz.group for fz in pool}
     assert len(calls["group homs"]) == len(set(calls["group homs"])) == len(groups) ** 2
-    # a->b->a once per ordered pair (a, b), from (a, b) or from (b, a)
-    assert calls["composites"] == len(pool) ** 2
+    # a->b->a once per ordered pair of the shapes of a and b, from (a, b),
+    # from (b, a) or from any other pair of objects of those shapes
+    shapes = {shape(fz) for fz in pool}
+    assert len(shapes) == 16 < len(pool)
+    assert calls["composites"] == len(shapes) ** 2
 
 
 def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool):
     pairs = [(a, b) for a in pool[::4] for b in pool[::4]]
-    # within one pair, a group pair or an ordered object pair met twice is
+    # within one pair, a group pair or an ordered pair of shapes met twice is
     # searched or checked once
     group_searches = sum(
         len({(g, h) for g in (a.group, b.group) for h in (a.group, b.group)}) for a, b in pairs
     )
-    composite_checks = sum(len({(a, b), (b, a)}) for a, b in pairs)
+    composite_checks = sum(
+        len({(shape(a), shape(b)), (shape(b), shape(a))}) for a, b in pairs
+    )
     for fresh in (dict, lambda: None):
         with monkeypatch.context() as patch:
             calls = counting_searches(patch)
@@ -811,6 +826,15 @@ def test_a_shared_cache_searches_each_cover_shape_pair_once(monkeypatch, pool):
     assert len(searched) == len(set(searched)) == len(shapes) ** 2
 
 
+def test_a_shared_cache_searches_each_fuzzy_shape_pair_once(monkeypatch, pool):
+    log = recording_searches(monkeypatch)
+    assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
+    searched = [(shape(s), shape(t)) for side, s, t in log if side == "fuzzy"]
+    shapes = {shape(fz) for fz in pool}
+    assert len(shapes) == 16 < len(pool)
+    assert len(searched) == len(set(searched)) == len(shapes) ** 2
+
+
 def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     # a new memo in the caller's dict needs this test and the README changed
     cache: dict = {}
@@ -818,7 +842,7 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
     assert {key[0] for key in cache} == {
-        "cover", "homs", "group homs", "cover homs", "composites"
+        "cover", "morphisms", "homs", "group homs", "composites"
     }
 
 

@@ -187,3 +187,13 @@ def test_small_dihedral_groups():
         assert all(g.inv(x) == x for x in range(g.n))
     with pytest.raises(ValueError):
         dihedral(0)
+
+
+def test_hash_is_computed_once(monkeypatch):
+    g = symmetric(3)
+    before = hash(g)
+    assert hash(symmetric(3)) == before and symmetric(3) == g
+    # a later hash reads neither the names nor the table
+    monkeypatch.setattr(g, "names", None)
+    monkeypatch.setattr(g, "table", None)
+    assert hash(g) == before
