@@ -8,9 +8,9 @@ maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
 certifies a pair of objects by index arithmetic over the exhaustively
 enumerated hom-sets between them and of each to itself.  The arrays of those
 hom-sets, their index and the composite verdicts depend only on the shapes of
-the objects (group and rank vector), so they are found once per ordered pair
-of shapes; each entry passed its validator once between the pair's own
-objects.
+the objects (group and rank vector), and so does whether an array passes its
+validator; so they are found, and each entry validated, once per ordered
+pair of shapes.
 """
 
 from __future__ import annotations
@@ -173,30 +173,11 @@ class _Arrays:
     back: list[int]
 
 
-@dataclass(frozen=True)
-class _Homs:
-    """Hom(s, t) of one ordered pair of objects; a morphism is its position here.
-
-    ``fuzzy`` and ``cover`` are the morphisms of the pair's own objects and
-    covers, each validated between them, at the positions of the `_Arrays`
-    of the pair's shapes, whose ``index``, ``image`` and ``back`` this record
-    shares.  So where ``image[i] >= 0``, ``cover[image[i]]`` is the
-    embedding of ``fuzzy[i]``.
-    """
-
-    fuzzy: list[FuzzyMorphism]
-    cover: list[CoverMorphism]
-    index: dict[tuple, int]
-    image: list[int]
-    back: list[int]
-
-
-# A certification keeps covers, hom records, hom arrays, group hom-sets and
-# composite checks in ``store``, the caller's ``hom_cache`` or a fresh dict,
-# under ("cover", fz), ("morphisms", s, t), ("homs", s.group, s._rank,
-# t.group, t._rank), ("group homs", g, h) and ("composites", a.group,
-# a._rank, b.group, b._rank).  Each is a pure function of its key, and
-# nothing is stored for a build that raised.
+# A certification keeps covers, hom arrays, group hom-sets and composite
+# checks in ``store``, the caller's ``hom_cache`` or a fresh dict, under
+# ("cover", fz), ("homs", s.group, s._rank, t.group, t._rank), ("group homs",
+# g, h) and ("composites", a.group, a._rank, b.group, b._rank).  Each is a
+# pure function of its key, and nothing is stored for a build that raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -210,33 +191,7 @@ def _shapes(kind: str, s: FuzzySubgroup, t: FuzzySubgroup) -> tuple:
     return (kind, s.group, s._rank, t.group, t._rank)
 
 
-def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs:
-    """The record of Hom(s, t), validated once per ordered pair of objects.
-
-    Where the arrays of the pair's shapes are stored, each entry is
-    validated between s and t and between their cover triples, as the
-    searches validate what they find; otherwise `_search` finds them.
-    """
-    homs = store.get(("morphisms", s, t))
-    if homs is not None:
-        return homs
-    arrays = store.get(_shapes("homs", s, t))
-    if arrays is None:
-        homs = _search(store, s, t, budget)
-    else:
-        c1, c2 = _cover(store, s).triple, _cover(store, t).triple
-        homs = _Homs(
-            [validate_fuzzy_morphism(s, t, f, lam) for f, lam in arrays.fuzzy],
-            [validate_cover_morphism(c1, c2, fstar, lam) for fstar, lam in arrays.cover],
-            arrays.index,
-            arrays.image,
-            arrays.back,
-        )
-    store[("morphisms", s, t)] = homs
-    return homs
-
-
-def _search(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Homs:
+def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arrays:
     """Hom(s, t) by the fuzzy search and then the cover search, once per pair of shapes.
 
     The shape of a fuzzy subgroup is its group and its rank vector, and the
@@ -248,25 +203,32 @@ def _search(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Ho
     the pairs, the table, the unit, the projection and the base (the chain
     monoid of a chain as long as the ranks are many).  The cover search
     reads tables, units, projections and class maxima, all derived from
-    those tables.  `_fstar` and `_f` read the pair lists and the ranks, so
-    ``index``, ``image`` and ``back`` follow from the arrays; and
-    `_keeps_identity` and `_respects_compositions` read only those, the
-    group order and the chain length.  None of them reads a value or a
-    label, except to word an error.  So two pairs of objects of the same
-    shapes have equal hom arrays in the same order, equal index arrays and
-    equal verdicts.  A budget failure stores nothing.
+    those tables.  The validators the searches run on each entry read no
+    more: `validate_fuzzy_morphism` the group tables and generators, the
+    chain lengths and the ranks, and `validate_cover_morphism` the cover and
+    base tables, generators and units, the projection and the class maxima.
+    `_fstar` and `_f` read the pair lists and the ranks, so ``index``,
+    ``image`` and ``back`` follow from the arrays; and `_keeps_identity` and
+    `_respects_compositions` read only those, the group order and the chain
+    length.  None of them reads a value or a label, except to word an error.
+    So two pairs of objects of the same shapes have equal hom arrays in the
+    same order, each valid between either pair (or their covers), equal
+    index arrays and equal verdicts.  A budget failure stores nothing.
     """
-    fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
-    c1, c2 = _cover(store, s), _cover(store, t)
-    cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
-    index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
-    listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
-    image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
-    back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
-    store[_shapes("homs", s, t)] = _Arrays(
-        [(m.f, m.lam) for m in fuzzy], [(c.fstar, c.lam) for c in cover], index, image, back
-    )
-    return _Homs(fuzzy, cover, index, image, back)
+    key = _shapes("homs", s, t)
+    arrays = store.get(key)
+    if arrays is None:
+        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
+        c1, c2 = _cover(store, s), _cover(store, t)
+        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
+        index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
+        listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
+        image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
+        back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
+        arrays = store[key] = _Arrays(
+            [(m.f, m.lam) for m in fuzzy], [(c.fstar, c.lam) for c in cover], index, image, back
+        )
+    return arrays
 
 
 def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> bool:
@@ -304,12 +266,12 @@ def _composites_ok(store: dict, a: FuzzySubgroup, b: FuzzySubgroup) -> bool:
     return ok
 
 
-def _keeps_identity(loops: _Homs, fz: FuzzySubgroup) -> bool:
-    """Whether E(id) = id, read off the record of Hom(fz, fz)."""
+def _keeps_identity(loops: _Arrays, fz: FuzzySubgroup) -> bool:
+    """Whether E(id) = id, read off the arrays of Hom(fz, fz)."""
     at = loops.index.get((tuple(range(fz.n)), tuple(range(len(fz.chain)))), -1)
     if at < 0 or loops.image[at] < 0:
         return False
-    fstar = loops.cover[loops.image[at]].fstar
+    fstar = loops.cover[loops.image[at]][0]
     return fstar == tuple(range(len(fstar)))
 
 
@@ -330,15 +292,15 @@ def verify_embedding(
 ) -> EmbeddingCertificate:
     """Certify functoriality, faithfulness and fullness on one object pair.
 
-    The `_Homs` records of (source, target), (target, source), (source,
-    source) and (target, target) are built in that order.  A record whose
-    pair of shapes (group and rank vector) has no arrays yet is found by its
-    fuzzy search and then its cover search, each with the whole ``budget``;
-    any other validates the arrays of its shapes between its own objects.
-    The certificate is index arithmetic over those four records: no
-    morphism is embedded, validated or reconstructed again.  That decides
-    the same conditions, because a hom-set is exhaustive, each of its
-    entries passed its validator, and E and R keep lam:
+    The arrays of Hom(source, target), Hom(target, source), Hom(source,
+    source) and Hom(target, target) are read in that order (`_homs`).  Those
+    of a pair of shapes (group and rank vector) not met yet are found by its
+    fuzzy search and then its cover search, each with the whole ``budget``.
+    The certificate is index arithmetic over those four: no morphism is
+    embedded, validated or reconstructed again.  That decides the same
+    conditions, because a hom-set is exhaustive, each of its entries passed
+    its validator between objects of the same shapes, which is passing it
+    between any such objects, and E and R keep lam:
 
     - id_a is a morphism iff it is listed in Hom(a, a), and E(id_a) is the
       identity cover morphism iff its image is listed and the fstar array
@@ -352,15 +314,16 @@ def verify_embedding(
 
     So the certificate accepts exactly the pairs that embedding and
     validating every morphism accepts, and a broken enumerator or embedding
-    is recorded as the first failed condition instead of raising.  A shared
-    ``hom_cache`` dict, owned by the caller, keeps covers, records, hom
-    arrays, group hom-sets and composite checks across many pairs.  So each
-    hom-set is searched and indexed once per ordered pair of shapes, and its
-    entries validated once per ordered pair of objects; each group hom-set is
-    searched once per group pair; and the composites a->b->a are checked
-    once per ordered pair of the shapes of a and b, whether certified from
-    (a, b), from (b, a) or from another pair of those shapes.  A search read
-    from it makes no budget check again.
+    is recorded as the first failed condition instead of raising.  Its
+    morphisms are those of the arrays of Hom(source, target), between source
+    and target and between their covers.  A shared ``hom_cache`` dict, owned
+    by the caller, keeps covers, hom arrays, group hom-sets and composite
+    checks across many pairs.  So each hom-set is searched, validated and
+    indexed once per ordered pair of shapes; each group hom-set is searched
+    once per group pair; and the composites a->b->a are checked once per
+    ordered pair of the shapes of a and b, whether certified from (a, b),
+    from (b, a) or from another pair of those shapes.  A search read from it
+    makes no budget check again.
     """
     store = {} if hom_cache is None else hom_cache
     ab, ba = _homs(store, source, target, budget), _homs(store, target, source, budget)
@@ -395,11 +358,12 @@ def verify_embedding(
     if not composition_ok:
         failures.append("embedding does not respect a composition")
 
+    c1, c2 = _cover(store, source).triple, _cover(store, target).triple
     return EmbeddingCertificate(
         source=source,
         target=target,
-        fuzzy_homs=tuple(ab.fuzzy),
-        cover_homs=tuple(ab.cover),
+        fuzzy_homs=tuple(FuzzyMorphism(source, target, f, lam) for f, lam in ab.fuzzy),
+        cover_homs=tuple(CoverMorphism(c1, c2, fstar, lam) for fstar, lam in ab.cover),
         bijection=tuple(image),
         identity_ok=identity_ok,
         faithful=faithful,

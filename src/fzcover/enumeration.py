@@ -171,9 +171,9 @@ def enumerate_fuzzy_morphisms(
     target rank), monotone and top-preserving, validated in full, and none
     otherwise.  The search reads the two groups, the ranks and the chain
     lengths, and a value only to word an error, so two pairs of objects
-    with equal groups and ranks get equal (f, lam) arrays in the same order:
-    ``verify_embedding`` searches once per pair of such shapes and
-    validates those arrays between the objects of every other pair.
+    with equal groups and ranks get equal (f, lam) arrays in the same order,
+    each valid between either pair: ``verify_embedding`` searches once per
+    pair of such shapes and reads those arrays for every other pair.
 
     A ``hom_cache`` dict, owned by the caller as in ``verify_embedding``,
     keeps the group hom-set under ("group homs", source.group, target.group),

@@ -290,8 +290,8 @@ def test_each_embedded_morphism_is_built_once(monkeypatch, fz_z2, fz_v4):
     cert = verify_embedding(fz_z2, fz_v4, hom_cache=cache)
     assert cert.ok and cert.composition_checks > 0
     # each hom-set entry is validated by its enumerator, and nothing else:
-    # the identities are read off the loop records, and nothing is embedded,
-    # reconstructed or composed and validated again
+    # the identities are read off the arrays of Hom(a, a) and Hom(b, b), and
+    # nothing is embedded, reconstructed or composed and validated again
     assert calls == {"fuzzy": fuzzy_entries, "cover": cover_entries}
     # a warm cache keeps every hom-set
     calls.update(fuzzy=0, cover=0)
@@ -478,7 +478,7 @@ def plant_wrong_embedding(patch, wrong, like=None) -> None:
 
     The plant matches a morphism by the shapes of its ends and its arrays,
     as the hom arrays are kept by shape, so it reaches every pair of objects
-    of those shapes.  It sits below the hom records: a shared hom_cache keeps
+    of those shapes.  It sits below the hom arrays: a shared hom_cache keeps
     the wrong embedding for every later pair, and a fresh one builds it again.
     """
     import fzcover.embedding as embedding
@@ -733,9 +733,52 @@ def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
         shared = pool_certificates(pool, shared=True)
     assert shared == pool_certificates(pool, shared=False)
     assert all(doc["ok"] for doc in shared)
-    # one validation per hom-set entry on each side, and nothing else
-    entries = sum(doc["fuzzy_hom_count"] for doc in shared)
-    assert calls == {"fuzzy": entries, "cover": entries}
+    # one validation per hom-set entry on each side, once per ordered pair of
+    # shapes, and nothing else
+    pairs = [(a, b) for a in pool for b in pool]
+    by_shapes = {(shape(a), shape(b)): doc for (a, b), doc in zip(pairs, shared)}
+    assert len(by_shapes) == 16**2 < len(pairs)
+    assert calls == {
+        "fuzzy": sum(doc["fuzzy_hom_count"] for doc in by_shapes.values()),
+        "cover": sum(doc["cover_hom_count"] for doc in by_shapes.values()),
+    }
+
+
+def certify_validating_each_morphism(pool) -> dict:
+    """Certify every ordered pair of the pool with one hom_cache, and return it.
+
+    Each morphism of each certificate is validated again between the
+    certificate's own objects, or their covers: the validator must return it.
+    """
+    covers = {fz: build_cover(fz).triple for fz in pool}
+    cache: dict = {}
+    for a in pool:
+        for b in pool:
+            cert = verify_embedding(a, b, hom_cache=cache)
+            assert cert.ok and cert.source is a and cert.target is b
+            for m in cert.fuzzy_homs:
+                assert m.source is a and m.target is b
+                assert validate_fuzzy_morphism(a, b, m.f, m.lam) == m
+            for c in cert.cover_homs:
+                assert (c.source, c.target) == (covers[a], covers[b])
+                assert validate_cover_morphism(covers[a], covers[b], c.fstar, c.lam) == c
+    return cache
+
+
+def test_each_morphism_is_valid_between_its_own_objects(pool, acceptance_pools):
+    for objects in (pool, *acceptance_pools):
+        certify_validating_each_morphism(objects)
+
+
+def test_objects_of_one_shape_keep_their_own_endpoints(z2, fz_z2):
+    # one shape, two value sets: the arrays are searched once and shared
+    third = validate_fuzzy(z2, [F(1), F(1, 3)])
+    assert shape(third) == shape(fz_z2) and third != fz_z2
+    assert build_cover(third).triple != build_cover(fz_z2).triple
+    cache = certify_validating_each_morphism([fz_z2, third])
+    assert [key for key in cache if key[0] == "homs"] == [
+        ("homs", *shape(fz_z2), *shape(fz_z2))
+    ]
 
 
 def counting_searches(patch) -> dict:
@@ -751,9 +794,9 @@ def counting_searches(patch) -> dict:
         calls["group homs"].append((source, target))
         return search(source, target, budget)
 
-    def checking(*records):
+    def checking(*arrays):
         calls["composites"] += 1
-        return check(*records)
+        return check(*arrays)
 
     patch.setattr(enumeration, "enumerate_group_homomorphisms", searching)
     patch.setattr(embedding, "_respects_compositions", checking)
@@ -841,9 +884,7 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {
-        "cover", "morphisms", "homs", "group homs", "composites"
-    }
+    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "composites"}
 
 
 def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):

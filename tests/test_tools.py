@@ -17,6 +17,10 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "certify_pool.py"
 # every element and one cover search per object pair made them
 S4_K2_CERTIFICATES_SHA256 = "bbb573984a7bef3b01aa05a74f012b013d42d25142a2fed78f34eeafa3074998"
 
+# sha256 of the certificates of the D8 pool at k = 3, as the embedding that
+# validated every morphism once per ordered pair of objects made them
+D8_K3_CERTIFICATES_SHA256 = "593b54dfc673db0f24f156f582e3650f9ecfd783161715d9deed6565c16f6105"
+
 
 def test_the_script_certifies_the_c2_pool():
     done = subprocess.run(
@@ -48,6 +52,13 @@ def test_the_s4_pool_at_two_levels_keeps_its_certificates():
     result = certify_pool("S4", 2)
     assert (result["pairs"], result["ok"]) == (31**2, 31**2)
     assert result["sha256"] == S4_K2_CERTIFICATES_SHA256
+
+
+def test_the_d8_pool_at_three_levels_keeps_its_certificates():
+    # 45 objects of 25 shapes: most pairs read arrays another pair found
+    result = certify_pool("D8", 3)
+    assert (result["pairs"], result["ok"]) == (45**2, 45**2)
+    assert result["sha256"] == D8_K3_CERTIFICATES_SHA256
 
 
 INTERLEAVE = SCRIPT.parent / "interleave.py"
