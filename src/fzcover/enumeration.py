@@ -204,33 +204,41 @@ def enumerate_cover_morphisms(
 ) -> list[CoverMorphism]:
     """All cover morphisms source -> target, lexicographic by (lam, fstar).
 
-    For each base-component lam, the commutation condition pins the projection
-    of every fstar image, so fstar candidates are enumerated inside those
-    fibers (plus the maxima restriction) and filtered by the homomorphism
-    constraints; every pair still passes the full validator.  Both lam and
-    fstar are searched by the images of the generators of their source
-    alone (`enumerate_monoid_homomorphisms`), and each of those searches
-    has the whole budget: more than ``budget`` generator images tried in
-    one of them raise BudgetExceeded.
+    The two conditions beyond being homomorphisms are the domains of the
+    searches.  lam may send a sigma-class maximum of the source base only to
+    a maximum of the target base.  fstar(t) lies in the fiber of the target
+    projection over lam(projection(t)), cut to the target's maxima when t is
+    a maximum; the fibers, whole and cut, are built once per call.  lam and
+    fstar are each searched by the images of their source's generators
+    (`enumerate_monoid_homomorphisms`), and each search has the whole
+    budget: more than ``budget`` generator images tried in one of them raise
+    BudgetExceeded.  Every pair found still passes the full validator.
     """
+
+    def maxima(monoid):
+        return {m for m in monoid.derived.sigma_maxima if m is not None}
+
+    source_base_max, target_base_max = maxima(source.base), maxima(target.base)
+    lam_domains = [
+        target_base_max if x in source_base_max else range(target.base.n)
+        for x in range(source.base.n)
+    ]
     lams = enumerate_monoid_homomorphisms(
-        source.base, target.base, preserve_maxima=True, budget=budget
+        source.base, target.base, allowed=lam_domains, budget=budget
     )
     fibers: dict[int, list[int]] = {}
     for s in range(target.monoid.n):
         fibers.setdefault(target.projection[s], []).append(s)
+    target_max = maxima(target.monoid)
+    cut = {b: [s for s in fiber if s in target_max] for b, fiber in fibers.items()}
+    source_max = maxima(source.monoid)
+    # the fibers each t takes its image from: the cut ones at a maximum
+    over = [cut if t in source_max else fibers for t in range(source.monoid.n)]
     out = []
     for lam in lams:
-        allowed = [
-            fibers.get(lam[source.projection[t]], [])
-            for t in range(source.monoid.n)
-        ]
+        allowed = [over[t].get(lam[b], []) for t, b in enumerate(source.projection)]
         for fstar in enumerate_monoid_homomorphisms(
-            source.monoid,
-            target.monoid,
-            allowed=allowed,
-            preserve_maxima=True,
-            budget=budget,
+            source.monoid, target.monoid, allowed=allowed, budget=budget
         ):
             out.append(validate_cover_morphism(source, target, fstar, lam))
     return out

@@ -40,7 +40,7 @@ class FuzzySubgroup:
 
     ``chain`` is the sorted tuple of distinct values of ``mu`` (the set U);
     ``top`` is its greatest element, which always equals mu(identity).
-    ``ranks`` gives the chain index of each mu(x), as the validator found it.
+    ``mu_index(x)`` gives the chain index of mu(x), as the validator found it.
 
     ``base`` is the validated chain monoid (U, min, top) of ``chain``, built
     on first use and kept in a dict of chain monoids keyed by chain.  The

@@ -178,16 +178,11 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
         raise NoIdentity("no two-sided identity element")
     inverses = []
     for x, row in enumerate(rows):
-        # in an associative unital table a two-sided inverse is unique; the
-        # first y with x*y = identity is the inverse if y*x = identity too,
-        # and only otherwise are all y scanned, for a later one or none
+        # in a finite monoid x*y = e forces y*x = e: z -> y*z is one-to-one,
+        # as x undoes it, so onto, and y*w = e gives x = x*y*w = w; so the
+        # first y with x*y = e is the only candidate for the inverse
         y = row.index(identity) if identity in row else None
         if y is None or rows[y][x] != identity:
-            y = next(
-                (y for y in range(n) if row[y] == identity and rows[y][x] == identity),
-                None,
-            )
-        if y is None:
             raise MissingInverse(f"element {names[x]} has no inverse", witness=x)
         inverses.append(y)
     return FiniteGroup(names, table, identity, inverses, generators)

@@ -440,17 +440,16 @@ def enumerate_monoid_homomorphisms(
     target: FiniteInverseMonoid,
     *,
     allowed: Sequence[Iterable] | None = None,
-    preserve_maxima: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All monoid homomorphisms source -> target, lexicographic by image tuple.
 
-    ``allowed`` optionally restricts the candidate images of each source
-    element (used for commutation constraints); ``preserve_maxima`` further
-    restricts sigma-class maxima of the source to land on sigma-class maxima
-    of the target.  Only the images of ``source.generators`` are searched,
-    and the rest of each map is forced (`generated_maps`).  The budget
-    counts generator images tried: more than ``budget`` raise
+    ``allowed``, if given, holds the candidate images of each source
+    element, and is the one way to restrict images: the cover search passes
+    its fibers and maxima through it.  A wrong length, or an image outside
+    the target, raises ValueError.  Only the images of ``source.generators``
+    are searched, and the rest of each map is forced (`generated_maps`).
+    The budget counts generator images tried: more than ``budget`` raise
     BudgetExceeded.
     """
     n = source.n
@@ -460,14 +459,9 @@ def enumerate_monoid_homomorphisms(
         if len(allowed) != n:
             raise ValueError("allowed must give a candidate set per source element")
         domains = [sorted(set(a)) for a in allowed]
-    domains[source.unit] = [
-        v for v in domains[source.unit] if v == target.unit
-    ]
-    if preserve_maxima:
-        src_max = {m for m in source.derived.sigma_maxima if m is not None}
-        tgt_max = {m for m in target.derived.sigma_maxima if m is not None}
-        for x in src_max:
-            domains[x] = [v for v in domains[x] if v in tgt_max]
+        if any(d and (d[0] < 0 or d[-1] >= target.n) for d in domains):
+            raise ValueError("allowed images must be elements of the target")
+    domains[source.unit] = [v for v in domains[source.unit] if v == target.unit]
     return generated_maps(
         source.plan, target.table, domains, budget=budget, label="monoid homomorphism nodes"
     )

@@ -11,6 +11,7 @@ from fzcover import (
     as_dual_premorphism,
     build_cover,
     chain_monoid,
+    compose_cover_morphisms,
     cover_from_premorphism,
     cover_report,
     cyclic,
@@ -19,6 +20,7 @@ from fzcover import (
     enumerate_fuzzy_subgroups_filter,
     green_relations,
     hclass_level_isomorphism,
+    identity_cover_morphism,
     klein_four,
     level_subset,
     monoid_isomorphic,
@@ -33,6 +35,7 @@ from fzcover.errors import (
     AlgebraError,
     BudgetExceeded,
     CoverageFailure,
+    NotComposable,
     NotDualPremorphism,
     NotFInverse,
     NotHomomorphism,
@@ -134,6 +137,13 @@ def test_hclass_at_top_is_top_level_subgroup(v4):
 
 
 # -- the general pair construction ------------------------------------------------
+
+def test_cover_morphisms_compose_only_end_to_end(fz_z2, fz_v4):
+    first = identity_cover_morphism(build_cover(fz_z2).triple)
+    second = identity_cover_morphism(build_cover(fz_v4).triple)
+    with pytest.raises(NotComposable):
+        compose_cover_morphisms(second, first)
+
 
 def test_construction_matches_fuzzy_cover(fz_z2, fz_v4):
     for fz in (fz_z2, fz_v4):

@@ -26,6 +26,7 @@ from fzcover import (
     validate_fuzzy_morphism,
     verify_embedding,
 )
+from fzcover.cover import CoverMorphism
 from fzcover.errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -210,6 +211,15 @@ def test_reconstruct_rejects_wrong_endpoints(fz_z2, fz_v4):
     c = identity_cover_morphism(embed_object(fz_z2))
     with pytest.raises(NotEmbeddingImage):
         reconstruct_morphism(c, fz_v4, fz_v4)
+
+
+def test_reconstruct_rejects_a_pair_whose_f_is_no_homomorphism(fz_z2):
+    # fstar swaps the class maxima (1, e) and (0, a), so the f read back
+    # sends e to a; the pair is built past the cover-morphism validator
+    obj = embed_object(fz_z2)
+    c = CoverMorphism(obj, obj, (0, 2, 1), (0, 1))
+    with pytest.raises(ReconstructionMismatch, match="reconstructed pair is not a morphism"):
+        reconstruct_morphism(c, fz_z2, fz_z2)
 
 
 # -- instance certificates ---------------------------------------------------------------

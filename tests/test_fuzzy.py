@@ -16,11 +16,13 @@ from fzcover import (
     level_subset,
     symmetric,
     validate_fuzzy,
+    validate_fuzzy_morphism,
 )
 from fzcover.errors import (
     AlgebraError,
     Axiom1Violation,
     Axiom2Violation,
+    NotOrderPreserving,
     ValidationError,
     ValueNotInChain,
     ValueOutOfRange,
@@ -94,6 +96,13 @@ def test_mu_recovered_from_level_family(fz_z2, fz_v4):
     for fz in (fz_z2, fz_v4):
         for x in range(fz.n):
             assert fz.mu[x] == max(u for u in fz.chain if x in level_subset(fz, u))
+
+
+def test_morphism_lambda_must_give_each_source_value_a_target_value(fz_z2):
+    # too short, and one index past the target chain
+    for lam in ((1,), (0, 2)):
+        with pytest.raises(NotOrderPreserving, match="lam must assign"):
+            validate_fuzzy_morphism(fz_z2, fz_z2, (0, 1), lam)
 
 
 def test_derived_facts(fz_z2):

@@ -129,20 +129,13 @@ def group_homs_by_engine(source, target, budget=DEFAULT_BUDGET):
     return homs_by_engine(source, target, domains, budget)
 
 
-def monoid_homs_by_engine(
-    source, target, *, allowed=None, preserve_maxima=False, budget=DEFAULT_BUDGET
-):
+def monoid_homs_by_engine(source, target, *, allowed=None, budget=DEFAULT_BUDGET):
     """The search `enumerate_monoid_homomorphisms` made before."""
     if allowed is None:
         domains = [list(range(target.n)) for _ in range(source.n)]
     else:
         domains = [sorted(set(a)) for a in allowed]
     domains[source.unit] = [v for v in domains[source.unit] if v == target.unit]
-    if preserve_maxima:
-        src_max = {m for m in source.derived.sigma_maxima if m is not None}
-        tgt_max = {m for m in target.derived.sigma_maxima if m is not None}
-        for x in src_max:
-            domains[x] = [v for v in domains[x] if v in tgt_max]
     return homs_by_engine(source, target, domains, budget)
 
 
@@ -234,13 +227,13 @@ def relabeled_monoids(draw):
 @st.composite
 def monoid_searches(draw):
     # two relabeled monoids, and now and then a random candidate set per
-    # element and the maxima restriction, as the cover search passes them
+    # element, as the cover search passes its fibers and maxima
     source, target = draw(relabeled_monoids()), draw(relabeled_monoids())
     allowed = None
     if draw(st.booleans()):
         images = st.sets(st.integers(0, target.n - 1), min_size=1)
         allowed = [draw(images) for _ in range(source.n)]
-    return source, target, {"allowed": allowed, "preserve_maxima": draw(st.booleans())}
+    return source, target, {"allowed": allowed}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

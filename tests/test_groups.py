@@ -54,6 +54,11 @@ def test_missing_inverse():
     assert exc.value.witness == 1
 
 
+def test_cyclic_order_must_be_positive():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        cyclic(0)
+
+
 def test_klein_four_by_oracle():
     g = klein_four()
     assert oracle_group_axioms([list(r) for r in g.table])

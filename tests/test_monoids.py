@@ -107,6 +107,12 @@ def test_not_unital():
         validate_inverse_monoid(["x", "y"], [[1, 0], [1, 1]], 0)
 
 
+def test_unit_index_out_of_range():
+    for unit in (2, -1):
+        with pytest.raises(NotUnital, match=f"unit index {unit} out of range"):
+            validate_inverse_monoid(["a", "b"], [[0, 1], [1, 1]], unit)
+
+
 def test_chain_monoid_errors():
     with pytest.raises(EmptyChain):
         chain_monoid([])
@@ -295,6 +301,27 @@ def test_monoid_homomorphism_budget_counts_candidates():
     assert enumerate_monoid_homomorphisms(two, other, budget=3) == [(0, 1), (1, 1)]
     with pytest.raises(BudgetExceeded, match="3 monoid homomorphism nodes exceed budget 2"):
         enumerate_monoid_homomorphisms(two, other, budget=2)
+
+
+def test_allowed_must_give_a_candidate_set_per_element():
+    two = chain_monoid([F(1, 2), F(1)])
+    three = chain_monoid([F(1, 4), F(1, 2), F(1)])
+    with pytest.raises(ValueError, match="a candidate set per source element"):
+        enumerate_monoid_homomorphisms(two, three, allowed=[[0, 1, 2]])
+
+
+def test_allowed_images_must_be_elements_of_the_target():
+    # a negative image would read a target row from its end
+    two = chain_monoid([F(1, 2), F(1)])
+    three = chain_monoid([F(1, 4), F(1, 2), F(1)])
+    for image in (7, 3, -1, -4):
+        with pytest.raises(ValueError, match="elements of the target"):
+            enumerate_monoid_homomorphisms(two, three, allowed=[[image], [2]])
+    assert enumerate_monoid_homomorphisms(two, three, allowed=[[0, 1, 2], [2]]) == [
+        (0, 2),
+        (1, 2),
+        (2, 2),
+    ]
 
 
 def test_cover_endomorphism_count_matches_hom_set(fz_z2):
