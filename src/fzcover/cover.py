@@ -41,6 +41,7 @@ from .fuzzy import FuzzySubgroup
 from .monoids import (
     DualPremorphism,
     FiniteInverseMonoid,
+    _relabeled,
     check_projection,
     is_monoid_homomorphism,
     validate_dual_premorphism,
@@ -174,39 +175,56 @@ def _pair_name(value, label) -> str:
 def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     """Build the admissible-pair cover of a fuzzy subgroup.
 
-    The monoid passes full inverse-monoid validation and is checked to be
-    F-inverse and Clifford; the projection onto the chain monoid is checked
-    to be a surjective idempotent-separating homomorphism with unit
-    (mu(identity), identity).  Failures here signal a library bug, not bad
-    input, hence plain AlgebraError.
+    The monoid of each shape passes full inverse-monoid validation and is
+    checked to be F-inverse and Clifford; the projection onto the chain
+    monoid is checked to be a surjective idempotent-separating homomorphism
+    with unit (mu(identity), identity).  Failures here signal a library bug,
+    not bad input, hence plain AlgebraError.
 
-    The base is ``fz.base``, validated once per chain and dict of bases:
-    covers of subgroups listed by one grid enumeration with equal value
-    chains share one base object.
+    The base is ``fz.base``.  A subgroup listed by a grid enumerator shares
+    the listing's dict of validated monoids, and its cover is certified
+    once per shape of the listing: the validated monoid is kept there under
+    ("cover", group, ranks), only once all three checks have passed, and a
+    subgroup of the same shape gets it under its own names with no check
+    re-run.  That is sound because the key decides every check.  The pairs
+    are ordered by element, then rank, so the table and the unit are
+    functions of ``group.table`` and the ranks; the values only name the
+    pairs.  `validate_inverse_monoid`, `check_projection` and the Clifford
+    check read names only to word an error and, in `_derive`, to label the
+    sigma-quotient, which `monoids._relabeled` labels anew.  The projection
+    is the ranks, and the base, whatever the values, is the min table on
+    max(rank) + 1 elements with the greatest as unit.  Any other subgroup
+    shares nothing, so its cover is validated on every call and kept by no
+    one but the caller.
     """
     group = fz.group
-    pairs = [
-        (u, x)
-        for x in range(group.n)
-        for u in range(fz.mu_index(x) + 1)
-    ]
-    # pairs are ordered by element, then rank, so (w, z) sits at start[z] + w;
-    # the product of (u, x) and (v, y) is (min(u, v), x*y), and each row is
-    # added up whole from the starts of its products and the clamped ranks
-    start = list(accumulate((fz.mu_index(x) + 1 for x in range(group.n)), initial=0))
-    ranks = [u for u, _ in pairs]
+    ranks = fz._rank
+    pairs = [(u, x) for x, r in enumerate(ranks) for u in range(r + 1)]
+    names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
+    projection = tuple(u for u, _ in pairs)
+    monoids = fz._monoids
+    key = ("cover", group, ranks)
+    shared = None if monoids is None else monoids.get(key)
+    if shared is not None:
+        triple = CoverTriple(_relabeled(shared, names), fz.base, projection)
+        return CoverMonoid(fz, pairs, triple)
+    # (w, z) sits at start[z] + w; the product of (u, x) and (v, y) is
+    # (min(u, v), x*y), and each row is added up whole from the starts of
+    # its products and the clamped ranks
+    start = list(accumulate((r + 1 for r in ranks), initial=0))
     elements = [x for _, x in pairs]
     starts = [
         list(map(start.__getitem__, map(row.__getitem__, elements))) for row in group.table
     ]
-    clamped = [[v if v < u else u for v in ranks] for u in range(len(fz.chain))]
-    names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
+    clamped = [[v if v < u else u for v in projection] for u in range(len(fz.chain))]
     table = [list(map(add, starts[x], clamped[u])) for u, x in pairs]
     unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
-    triple = cover_triple(monoid, fz.base, (u for u, _ in pairs))
+    triple = cover_triple(monoid, fz.base, projection)
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
+    if monoids is not None:
+        monoids[key] = monoid
     return CoverMonoid(fz, pairs, triple)
 
 

@@ -69,14 +69,16 @@ def enumerate_fuzzy_subgroups_filter(
     which checks both axioms.  The budget counts the nodes visited: more than
     ``budget`` ranks tried raise BudgetExceeded.
 
-    The listed subgroups share one fresh dict of chain monoids: those with
-    equal value chains get the same ``base``, validated once, for as long as
-    any of them lives.  Subgroups of another call never share it.
+    The listed subgroups share one fresh dict of validated monoids: those
+    with equal value chains get the same ``base``, and those with equal rank
+    vectors one certified cover table (`build_cover`), each validated once,
+    for as long as any of them lives.  Subgroups of another call never share
+    it.
     """
     maps = dual_chain_ranks(group.table, grid.k, budget=budget, label="fuzzy subgroup nodes")
     levels = grid.levels
-    bases: dict = {}
-    return [validate_fuzzy(group, [levels[r] for r in ranks], bases) for ranks in maps]
+    monoids: dict = {}
+    return [validate_fuzzy(group, [levels[r] for r in ranks], monoids) for ranks in maps]
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -130,13 +132,14 @@ def enumerate_fuzzy_subgroups_chain(
     containing x.  Returned in the same order as the filter route so the two
     lists can be compared directly: sorted by the grid index of each mu(x).
     As in the filter route, the listed subgroups share one fresh dict of
-    chain monoids, so those with equal value chains get the same ``base``,
-    validated once, for as long as any of them lives.
+    validated monoids, so those with equal value chains get the same
+    ``base``, and those with equal rank vectors one certified cover table,
+    each validated once, for as long as any of them lives.
     """
     chains = enumerate_subgroup_chains(group, budget)
     k = grid.k
     levels = grid.levels
-    bases: dict = {}
+    monoids: dict = {}
     keyed = []
     total = 0
     for chain in chains:
@@ -151,7 +154,7 @@ def enumerate_fuzzy_subgroups_chain(
             for depth, sub in enumerate(chain):
                 for x in sub:
                     code[x] = picks[depth]
-            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code], bases)))
+            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code], monoids)))
     # mu determines its grid indices, so no two keys are equal
     keyed.sort(key=itemgetter(0))
     return [fz for _, fz in keyed]

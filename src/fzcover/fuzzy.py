@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -43,33 +43,37 @@ class FuzzySubgroup:
     ``mu_index(x)`` gives the chain index of mu(x), as the validator found it.
 
     ``base`` is the validated chain monoid (U, min, top) of ``chain``, built
-    on first use and kept in a dict of chain monoids keyed by chain.  The
-    grid enumerators hand all the subgroups of one listing a single shared
-    dict at construction, so subgroups with equal chains share one base;
-    any other subgroup keeps its base to itself.  The hash, of (group, mu),
-    is computed on the first ``hash`` call and kept.
+    on first use and kept.  The grid enumerators hand all the subgroups of
+    one listing a single shared dict of validated monoids at construction:
+    the chain monoid of each chain, keyed by chain, so subgroups with equal
+    chains share one base, and the cover monoid of each shape, which
+    `build_cover` keys by ("cover", group, ranks).  Any other subgroup shares
+    nothing and keeps no cover.  The hash, of (group, mu), is computed on the
+    first ``hash`` call and kept.
     """
 
-    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_bases")
+    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_base", "_monoids")
 
-    def __init__(self, group: FiniteGroup, mu, chain, ranks, bases: dict | None = None):
+    def __init__(self, group: FiniteGroup, mu, chain, ranks, monoids: dict | None = None):
         self.group = group
         self.mu = tuple(mu)
         self.chain = tuple(chain)
         self.top = self.chain[-1]
         self._rank = tuple(ranks)
         self._hash = None
-        self._bases = bases
+        self._base = None
+        self._monoids = monoids
 
     @property
     def base(self) -> FiniteInverseMonoid:
-        """The chain monoid of ``chain``, validated once per dict of bases."""
-        if self._bases is None:
-            self._bases = {}
-        base = self._bases.get(self.chain)
-        if base is None:
-            base = self._bases[self.chain] = chain_monoid(self.chain)
-        return base
+        """The chain monoid of ``chain``, validated once per listing or lone subgroup."""
+        if self._base is None:
+            monoids = {} if self._monoids is None else self._monoids
+            base = monoids.get(self.chain)
+            if base is None:
+                base = monoids[self.chain] = chain_monoid(self.chain)
+            self._base = base
+        return self._base
 
     @property
     def n(self) -> int:
@@ -102,7 +106,7 @@ class FuzzySubgroup:
 
 
 def validate_fuzzy(
-    group: FiniteGroup, mu: Sequence[Fraction], _bases: dict | None = None
+    group: FiniteGroup, mu: Sequence[Fraction], _monoids: dict | None = None
 ) -> FuzzySubgroup:
     """Check the two fuzzy subgroup axioms and derive the value chain.
 
@@ -121,8 +125,14 @@ def validate_fuzzy(
     two of them share an ``id`` even when the sequence builds a new object
     on each access.
 
-    ``_bases``, the dict of chain monoids the subgroup's ``base`` is kept
-    in, is for the grid enumerators, which share one among a listing.
+    The first axiom is checked one group row at a time: the ranks of the
+    row's products against the rank row clamped at the rank of x.  Only on
+    a failure of either axiom are the pairs scanned in order, to name the
+    first failing one.
+
+    ``_monoids``, the dict of validated monoids (chain monoids and cover
+    monoids) the subgroup shares, is for the grid enumerators, which share
+    one among a listing; without it the subgroup shares nothing.
     """
     n = group.n
     if len(mu) != n:
@@ -148,23 +158,27 @@ def validate_fuzzy(
     ranks = list(map(rank_of.__getitem__, ids))
     table = group.table
     invs = group.inverses
-    for x in range(n):
-        rx = ranks[x]
-        if ranks[invs[x]] != rx:
-            raise Axiom2Violation(
-                f"mu({group.names[x]}^-1) = {values[invs[x]]} "
-                f"!= mu({group.names[x]}) = {values[x]}",
-                witness=x,
-            )
-        row = table[x]
-        for y in range(n):
-            if ranks[row[y]] < min(rx, ranks[y]):
-                raise Axiom1Violation(
-                    f"mu({group.names[x]}*{group.names[y]}) = "
-                    f"{values[row[y]]} < min bound {min(values[x], values[y])}",
-                    witness=(x, y),
+    clamped = [[r if r < u else u for r in ranks] for u in range(len(chain))]
+    if list(map(ranks.__getitem__, invs)) != ranks or not all(
+        all(map(ge, map(ranks.__getitem__, row), clamped[rx])) for row, rx in zip(table, ranks)
+    ):
+        for x in range(n):
+            rx = ranks[x]
+            if ranks[invs[x]] != rx:
+                raise Axiom2Violation(
+                    f"mu({group.names[x]}^-1) = {values[invs[x]]} "
+                    f"!= mu({group.names[x]}) = {values[x]}",
+                    witness=x,
                 )
-    fz = FuzzySubgroup(group, values, chain, ranks, _bases)
+            row = table[x]
+            for y in range(n):
+                if ranks[row[y]] < min(rx, ranks[y]):
+                    raise Axiom1Violation(
+                        f"mu({group.names[x]}*{group.names[y]}) = "
+                        f"{values[row[y]]} < min bound {min(values[x], values[y])}",
+                        witness=(x, y),
+                    )
+    fz = FuzzySubgroup(group, values, chain, ranks, _monoids)
     # mu(e) dominating every value is a consequence of the axioms
     if ranks[group.identity] != len(chain) - 1:
         raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")

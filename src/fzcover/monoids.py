@@ -9,7 +9,7 @@ Clifford predicates.  All queries afterwards are pure reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -180,6 +180,11 @@ def _members(bits: int):
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _class_names(names, reps) -> list[str]:
+    """Labels of the sigma-classes, by their least members: [rep]."""
+    return [f"[{names[r]}]" for r in reps]
+
+
 def _derive(names, table, unit, inverse, generators) -> DerivedStructure:
     """Derive the structure of a validated inverse monoid.
 
@@ -267,9 +272,8 @@ def _derive(names, table, unit, inverse, generators) -> DerivedStructure:
         [sigma.class_of[table[a][b]] for b in reps]
         for a in reps
     ]
-    qnames = [f"[{names[r]}]" for r in reps]
     try:
-        quotient = validate_group(qnames, qtable)
+        quotient = validate_group(_class_names(names, reps), qtable)
     except AlgebraError as exc:
         raise QuotientNotGroup(f"congruence quotient is not a group: {exc}") from exc
 
@@ -344,6 +348,28 @@ def validate_inverse_monoid(
     _check_anti_involution(names, table, inverse, generators)
     derived = _derive(names, table, unit, inverse, generators)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators)
+
+
+def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInverseMonoid:
+    """The validated ``monoid`` under new labels, with no check re-run.
+
+    Table, unit, inverse, generators and derived structure are kept; the
+    sigma-quotient is relabeled as `_derive` labels it, by the new names of
+    its class representatives.  Sound only where the caller knows that the
+    validation, run on ``names``, would pass and derive the same structure.
+    """
+    derived = monoid.derived
+    q = derived.sigma_quotient
+    reps = [cls[0] for cls in derived.sigma.classes]
+    quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
+    return FiniteInverseMonoid(
+        names,
+        monoid.table,
+        monoid.unit,
+        monoid.inverse,
+        replace(derived, sigma_quotient=quotient),
+        monoid.generators,
+    )
 
 
 # -- structure queries ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -31,6 +33,7 @@ from fzcover import (
 )
 from fzcover import enumeration
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
+from fzcover.monoids import DerivedStructure, FiniteInverseMonoid
 
 F = Fraction
 
@@ -494,7 +497,8 @@ def test_bases_are_never_shared_across_listings_or_parses():
     assert validate_fuzzy(p.group, p.mu).base is not p.base
 
 
-def test_d4_covers_validate_one_monoid_each_plus_one_chain_each(monkeypatch):
+def count_validations(monkeypatch):
+    """The sizes of the tables `validate_inverse_monoid` is called on, in order."""
     calls = []
     real = monoids_module.validate_inverse_monoid
 
@@ -504,12 +508,89 @@ def test_d4_covers_validate_one_monoid_each_plus_one_chain_each(monkeypatch):
 
     monkeypatch.setattr(monoids_module, "validate_inverse_monoid", counting)
     monkeypatch.setattr(cover_module, "validate_inverse_monoid", counting)
+    return calls
+
+
+def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch):
+    calls = count_validations(monkeypatch)
     listed = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(4))
     assert calls == []
     covers = [build_cover(fz) for fz in listed]
+    shapes = {(fz.group, fz._rank) for fz in listed}
     chains = {fz.chain for fz in listed}
-    assert len(calls) == len(covers) + len(chains)
-    assert len(chains) < len(covers)
+    assert len(calls) == len(shapes) + len(chains)  # 32 + 15 for 125 covers
+    assert len(shapes) < len(covers)
+
+
+# -- one certified cover table per shape of an enumeration -----------------------
+
+def assert_cover_like_lone(cover, fz):
+    """The cover equals, field by field, that of fz re-validated on its own."""
+    lone = build_cover(validate_fuzzy(fz.group, fz.mu))
+    got, want = cover.monoid, lone.monoid
+    for name in ("names", "table", "unit", "inverse", "generators"):
+        assert getattr(got, name) == getattr(want, name), name
+    for field in dataclasses.fields(DerivedStructure):
+        assert getattr(got.derived, field.name) == getattr(want.derived, field.name), field.name
+    got_q, want_q = got.derived.sigma_quotient, want.derived.sigma_quotient
+    for name in ("names", "table", "identity", "inverses", "generators"):
+        assert getattr(got_q, name) == getattr(want_q, name), name
+    assert cover.pairs == lone.pairs
+    assert cover.base == lone.base and cover.projection == lone.projection
+
+
+@pytest.mark.parametrize(
+    "group, k",
+    [(dihedral(4), 4), (symmetric(3), 3), (klein_four(), 3), (cyclic(6), 3)],
+    ids=["D4", "S3", "V4", "C6"],
+)
+def test_covers_of_a_listing_equal_covers_validated_alone(group, k):
+    listed = enumerate_fuzzy_subgroups_filter(group, default_grid(k))
+    for fz in listed:
+        assert_cover_like_lone(build_cover(fz), fz)
+    # some shapes recur with other values, so the shared tables are read
+    assert len({fz._rank for fz in listed}) < len(listed)
+
+
+def monoids_held(obj):
+    """The monoids an object holds, directly or in a dict it holds."""
+    held = []
+    for ref in gc.get_referents(obj):
+        held += [m for m in (ref.values() if isinstance(ref, dict) else [ref])
+                 if isinstance(m, FiniteInverseMonoid)]
+    return held
+
+
+def test_a_parsed_subgroup_validates_its_cover_each_time_and_keeps_none(monkeypatch):
+    ws = parse_workspace(
+        "group z2\nelements e a\ntable\ne a\na e\nend\n"
+        "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
+    )
+    p = ws.fuzzies["p"]
+    calls = count_validations(monkeypatch)
+    first, second = build_cover(p), build_cover(p)
+    assert calls == [3, 2, 3]  # the cover on each call, the base once
+    assert first.monoid == second.monoid and first.monoid is not second.monoid
+    assert monoids_held(p) == [p.base]
+    # a listed subgroup, by contrast, holds the cover of its shape
+    listed = enumerate_fuzzy_subgroups_filter(p.group, default_grid(2))
+    cover = build_cover(listed[0])
+    assert any(m is cover.monoid for m in monoids_held(listed[0]))
+
+
+def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
+    mu = [F(1), F(1, 2), F(3, 4), F(1, 2)]
+    shared: dict = {}
+    c4 = validate_fuzzy(cyclic(4), mu, shared)
+    v4 = validate_fuzzy(klein_four(), mu, shared)
+    assert c4._rank == v4._rank == (2, 0, 1, 0)
+    calls = count_validations(monkeypatch)
+    covers = [build_cover(c4), build_cover(v4)]
+    assert calls == [7, 3, 7]  # each group's cover, and the shared base once
+    assert c4.base is v4.base
+    assert covers[0].monoid.table != covers[1].monoid.table
+    assert_cover_like_lone(covers[0], c4)
+    assert_cover_like_lone(covers[1], v4)
 
 
 @pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)

@@ -21,7 +21,8 @@ witness scan of `validate_dual_premorphism`, which now reads one row of
 the monoid table per x and finds a failing y from its product, and the
 `validate_fuzzy` that converted, hashed and looked up every value, where
 each distinct value object is now handled once, also on sequences that
-build a new object on each access.
+build a new object on each access; its pair loop with one `min` per pair
+is also the oracle of the first-axiom check by clamped rank rows.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from functools import reduce
-from itertools import compress
+from itertools import compress, product
 from operator import and_
 
 from hypothesis import example, given, settings, strategies as st
@@ -1344,3 +1345,19 @@ def test_sequences_of_fresh_objects_validate_like_hashing():
     assert failed == (Axiom1Violation, (1, 1), "mu(g*g) = 1/4 < min bound 1/2")
     failed = assert_fuzzy_like_hashing(c4, FreshValues([F(1), F(1, 2), F(3, 2), F(1, 2)]))
     assert failed == (ValueOutOfRange, 2, "mu(g2) = 3/2 outside [0, 1]")
+
+
+# -- the first axiom by clamped rank rows ----------------------------------------------
+
+def test_first_axiom_by_rows_fails_like_the_pair_loop():
+    # every assignment of a small grid to small groups: the row check and
+    # the pair loop give the same subgroups and the same first failure
+    seen = {}
+    for group, k in ((cyclic(4), 3), (klein_four(), 3), (cyclic(6), 2), (symmetric(3), 2),
+                     (dihedral(4), 2)):
+        for mu in product([F(i, k) for i in range(1, k + 1)], repeat=group.n):
+            got = assert_fuzzy_like_hashing(group, mu)[0]
+            kind = got if isinstance(got, type) else "ok"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"ok", Axiom1Violation, Axiom2Violation}
+    assert sum(seen.values()) == 2 * 3**4 + 2**6 + 2**6 + 2**8
