@@ -6,12 +6,14 @@ the admissible-pair monoid of a fuzzy subgroup with the componentwise product
 and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
-each other in tests.  `premorphism_from_cover` inverts the construction: it
-recovers psi from any F-inverse cover and certifies the round trip by the
-canonical isomorphism t -> (pi(t), sigma(t)) onto the pairs, checked on the
-columns of the cover's generators; it shares the pair list with
-`cover_from_premorphism`, and builds the shared pair table only to name a
-fault.
+each other in tests, and both return a `CoverMonoid`.  `build_cover` is also
+the one place that shares a cover's monoids among the subgroups of a grid
+listing, through the dict they carry.  `premorphism_from_cover` inverts the
+construction: it recovers psi from any F-inverse cover and certifies the
+round trip by the canonical isomorphism t -> (pi(t), sigma(t)) onto the
+pairs, checked on the columns of the cover's generators; it shares the pair
+list with `cover_from_premorphism`, and builds the shared pair table only to
+name a fault.
 `monoid_isomorphic`, the exhaustive isomorphism search by generator images
 (`search.generated_maps`), is what the round trip used before; the tests
 keep it as the oracle of that check.
@@ -143,12 +145,16 @@ def compose_cover_morphisms(second: CoverMorphism, first: CoverMorphism) -> Cove
 
 
 class CoverMonoid:
-    """The cover of a fuzzy subgroup: admissible pairs (value, group element).
+    """An admissible-pair cover: pairs (u, h) with u <= psi(h), h in a group.
 
-    Pairs are ordered lexicographically by (group element index, chain index)
-    so every report and table iterates deterministically.  ``triple`` is the
-    certified cover triple; its ``projection`` maps each pair to its chain
-    index, an element of ``base`` (the chain monoid of the value set).
+    ``source`` is what the pairs were built from: a fuzzy subgroup
+    (`build_cover`, u a chain index and psi the ranks) or a dual
+    premorphism (`cover_from_premorphism`).  Pairs are ordered
+    lexicographically by (group element index, base element index) so every
+    report and table iterates deterministically.  ``triple`` is the
+    certified cover triple; its ``projection`` maps each pair to its first
+    coordinate, an element of ``base``.  `cover_report` and
+    `hclass_level_isomorphism` read a fuzzy subgroup as the source.
     """
 
     __slots__ = ("source", "pairs", "pair_index", "triple", "monoid", "base", "projection")
@@ -181,33 +187,36 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     with unit (mu(identity), identity).  Failures here signal a library bug,
     not bad input, hence plain AlgebraError.
 
-    The base is ``fz.base``.  A subgroup listed by a grid enumerator shares
-    the listing's dict of validated monoids, and its cover is certified
-    once per shape of the listing: the validated monoid is kept there under
-    ("cover", group, ranks), only once all three checks have passed, and a
-    subgroup of the same shape gets it under its own names with no check
-    re-run.  That is sound because the key decides every check.  The pairs
-    are ordered by element, then rank, so the table and the unit are
-    functions of ``group.table`` and the ranks; the values only name the
-    pairs.  `validate_inverse_monoid`, `check_projection` and the Clifford
-    check read names only to word an error and, in `_derive`, to label the
-    sigma-quotient, which `monoids._relabeled` labels anew.  The projection
-    is the ranks, and the base, whatever the values, is the min table on
-    max(rank) + 1 elements with the greatest as unit.  Any other subgroup
-    shares nothing, so its cover is validated on every call and kept by no
-    one but the caller.
+    This is the one place that shares a cover's monoids.  A subgroup listed
+    by a grid enumerator carries the listing's dict of validated monoids;
+    any other subgroup gets a fresh dict, which keeps nothing alive.  The
+    base is kept under ("chain", len(chain)) and the cover monoid under
+    ("cover", group, ranks), both only once every check has passed, and a
+    later subgroup whose key is found gets the kept monoid under its own
+    names (`monoids._relabeled`) with no check re-run.  That is sound
+    because each key decides every check.  A validated subgroup's chain is
+    strictly increasing within [0, 1], so the checks of `chain_monoid`
+    pass, and its table (min on k indices) and unit (k - 1) are functions
+    of the length k alone; its names are ``str(v)`` of the values.  The
+    pairs are ordered by element, then rank, so the cover's table and unit
+    are functions of ``group.table`` and the ranks, and the projection is
+    the ranks.  The values only name the elements: the validation, the
+    projection check and the Clifford check read names only to word an
+    error and, in `_derive`, to label the sigma-quotient, which
+    `_relabeled` labels anew.
     """
     group = fz.group
     ranks = fz._rank
     pairs = [(u, x) for x, r in enumerate(ranks) for u in range(r + 1)]
     names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
     projection = tuple(u for u, _ in pairs)
-    monoids = fz._monoids
-    key = ("cover", group, ranks)
-    shared = None if monoids is None else monoids.get(key)
+    monoids = {} if fz._monoids is None else fz._monoids
+    base_key, cover_key = ("chain", len(fz.chain)), ("cover", group, ranks)
+    base = monoids.get(base_key)
+    base = fz.base if base is None else _relabeled(base, [str(v) for v in fz.chain])
+    shared = monoids.get(cover_key)
     if shared is not None:
-        triple = CoverTriple(_relabeled(shared, names), fz.base, projection)
-        return CoverMonoid(fz, pairs, triple)
+        return CoverMonoid(fz, pairs, CoverTriple(_relabeled(shared, names), base, projection))
     # (w, z) sits at start[z] + w; the product of (u, x) and (v, y) is
     # (min(u, v), x*y), and each row is added up whole from the starts of
     # its products and the clamped ranks
@@ -220,11 +229,10 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     table = [list(map(add, starts[x], clamped[u])) for u, x in pairs]
     unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
-    triple = cover_triple(monoid, fz.base, projection)
+    triple = cover_triple(monoid, base, projection)
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
-    if monoids is not None:
-        monoids[key] = monoid
+    monoids[base_key], monoids[cover_key] = base, monoid
     return CoverMonoid(fz, pairs, triple)
 
 
@@ -353,23 +361,6 @@ def hclass_level_isomorphism(cover: CoverMonoid, u: Fraction) -> dict[int, int]:
     return mapping
 
 
-class ConstructedCover:
-    """Admissible-pair cover built from a dual premorphism into any inverse monoid."""
-
-    __slots__ = ("premorphism", "pairs", "pair_index", "monoid", "projection")
-
-    def __init__(self, premorphism, pairs, monoid, projection):
-        self.premorphism = premorphism
-        self.pairs = tuple(pairs)
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.monoid = monoid
-        self.projection = tuple(projection)
-
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-
 def _pairs(psi: DualPremorphism):
     """The pairs {(u, h) : u <= psi(h)} and their index.
 
@@ -412,20 +403,20 @@ def _pair_table(psi: DualPremorphism):
     return pairs, index, table, index[unit_pair]
 
 
-def cover_from_premorphism(psi: DualPremorphism) -> ConstructedCover:
+def cover_from_premorphism(psi: DualPremorphism) -> CoverMonoid:
     """Build the pair monoid {(u, h) : u <= psi(h)} with componentwise product.
 
     Works for any certified dual premorphism with coverage, chain target or
     not.  Closure of the product, validity as an inverse monoid, the
     F-inverse property and the projection contract are all checked; a
-    failure would falsify the construction and raises AlgebraError.
+    failure would falsify the construction and raises AlgebraError.  The
+    result's ``source`` is ``psi`` and its base is ``psi.monoid``.
     """
     pairs, _, table, unit = _pair_table(psi)
     names = [_pair_name(psi.monoid.names[u], psi.group.names[h]) for u, h in pairs]
     result = validate_inverse_monoid(names, table, unit)
     projection = tuple(u for u, _ in pairs)
-    check_projection(result, psi.monoid, projection)
-    return ConstructedCover(psi, pairs, result, projection)
+    return CoverMonoid(psi, pairs, cover_triple(result, psi.monoid, projection))
 
 
 def premorphism_from_cover(

@@ -69,11 +69,11 @@ def enumerate_fuzzy_subgroups_filter(
     which checks both axioms.  The budget counts the nodes visited: more than
     ``budget`` ranks tried raise BudgetExceeded.
 
-    The listed subgroups share one fresh dict of validated monoids: those
-    with equal value chains get the same ``base``, and those with equal rank
-    vectors one certified cover table (`build_cover`), each validated once,
-    for as long as any of them lives.  Subgroups of another call never share
-    it.
+    The listed subgroups carry one fresh dict of validated monoids, which
+    `build_cover` alone reads and writes: the subgroups with equal chain
+    lengths share one validated base, and those with equal rank vectors one
+    certified cover table, for as long as any of them lives.  Subgroups of
+    another call never share it.
     """
     maps = dual_chain_ranks(group.table, grid.k, budget=budget, label="fuzzy subgroup nodes")
     levels = grid.levels
@@ -131,10 +131,9 @@ def enumerate_fuzzy_subgroups_chain(
     v1 < ... < vm from the grid yields mu(x) = v_j for the deepest Hj
     containing x.  Returned in the same order as the filter route so the two
     lists can be compared directly: sorted by the grid index of each mu(x).
-    As in the filter route, the listed subgroups share one fresh dict of
-    validated monoids, so those with equal value chains get the same
-    ``base``, and those with equal rank vectors one certified cover table,
-    each validated once, for as long as any of them lives.
+    As in the filter route, the listed subgroups carry one fresh dict of
+    validated monoids, so `build_cover` validates one base per chain length
+    and one cover table per rank vector, for as long as any of them lives.
     """
     chains = enumerate_subgroup_chains(group, budget)
     k = grid.k
@@ -190,8 +189,7 @@ def enumerate_fuzzy_morphisms(
         homs = enumerate_group_homomorphisms(source.group, target.group, budget)
         if hom_cache is not None:
             hom_cache[key] = homs
-    ranks = [source.mu_index(x) for x in range(source.n)]
-    target_ranks = [target.mu_index(y) for y in range(target.n)]
+    ranks, target_ranks = source._rank, target._rank
     k1, top = len(source.chain), len(target.chain) - 1
     out = []
     for f in homs:

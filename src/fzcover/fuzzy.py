@@ -43,16 +43,14 @@ class FuzzySubgroup:
     ``mu_index(x)`` gives the chain index of mu(x), as the validator found it.
 
     ``base`` is the validated chain monoid (U, min, top) of ``chain``, built
-    on first use and kept.  The grid enumerators hand all the subgroups of
-    one listing a single shared dict of validated monoids at construction:
-    the chain monoid of each chain, keyed by chain, so subgroups with equal
-    chains share one base, and the cover monoid of each shape, which
-    `build_cover` keys by ("cover", group, ranks).  Any other subgroup shares
-    nothing and keeps no cover.  The hash, of (group, mu), is computed on the
-    first ``hash`` call and kept.
+    anew on each read.  ``_monoids`` is the dict of validated monoids that
+    the grid enumerators hand all the subgroups of one listing, or None; the
+    subgroup only carries it to `build_cover`, which alone reads and writes
+    it.  The hash, of (group, mu), is computed on the first ``hash`` call and
+    kept.
     """
 
-    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_base", "_monoids")
+    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_monoids")
 
     def __init__(self, group: FiniteGroup, mu, chain, ranks, monoids: dict | None = None):
         self.group = group
@@ -61,19 +59,12 @@ class FuzzySubgroup:
         self.top = self.chain[-1]
         self._rank = tuple(ranks)
         self._hash = None
-        self._base = None
         self._monoids = monoids
 
     @property
     def base(self) -> FiniteInverseMonoid:
-        """The chain monoid of ``chain``, validated once per listing or lone subgroup."""
-        if self._base is None:
-            monoids = {} if self._monoids is None else self._monoids
-            base = monoids.get(self.chain)
-            if base is None:
-                base = monoids[self.chain] = chain_monoid(self.chain)
-            self._base = base
-        return self._base
+        """The chain monoid of ``chain``, validated on every read."""
+        return chain_monoid(self.chain)
 
     @property
     def n(self) -> int:
@@ -130,9 +121,9 @@ def validate_fuzzy(
     a failure of either axiom are the pairs scanned in order, to name the
     first failing one.
 
-    ``_monoids``, the dict of validated monoids (chain monoids and cover
-    monoids) the subgroup shares, is for the grid enumerators, which share
-    one among a listing; without it the subgroup shares nothing.
+    ``_monoids`` is the dict of validated monoids the grid enumerators share
+    among the subgroups of one listing; the subgroup carries it to
+    `build_cover`.  Without it the subgroup shares nothing.
     """
     n = group.n
     if len(mu) != n:

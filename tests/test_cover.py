@@ -147,11 +147,11 @@ def test_cover_morphisms_compose_only_end_to_end(fz_z2, fz_v4):
 
 def test_construction_matches_fuzzy_cover(fz_z2, fz_v4):
     for fz in (fz_z2, fz_v4):
-        built = cover_from_premorphism(as_dual_premorphism(fz))
-        direct = build_cover(fz)
-        assert built.monoid == direct.monoid
+        psi = as_dual_premorphism(fz)
+        built, direct = cover_from_premorphism(psi), build_cover(fz)
+        assert built.source is psi and direct.source is fz
+        assert built.triple == direct.triple
         assert built.pairs == direct.pairs
-        assert built.projection == direct.projection
 
 
 def test_construction_trivial():

@@ -462,39 +462,9 @@ def test_chain_budget_counts_chains(monkeypatch):
     assert messages == [f"{count} chains exceed budget {count - 1}"] * 2
 
 
-# -- one chain monoid per value chain of an enumeration -------------------------
+# -- one chain monoid per chain length of an enumeration ------------------------
 
 ENUMERATORS = (enumerate_fuzzy_subgroups_filter, enumerate_fuzzy_subgroups_chain)
-
-
-@pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)
-def test_equal_chains_of_one_listing_share_one_base(enumerate_):
-    listed = enumerate_(dihedral(4), default_grid(3))
-    first = {}
-    for fz in listed:
-        base = first.setdefault(fz.chain, fz.base)
-        assert fz.base is base
-        assert base == chain_monoid(fz.chain)
-    assert 1 < len(first) < len(listed)
-
-
-def test_bases_are_never_shared_across_listings_or_parses():
-    group, grid = klein_four(), default_grid(3)
-    listings = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
-    listings.append(enumerate_fuzzy_subgroups_filter(group, grid))
-    for i, one in enumerate(listings):
-        for other in listings[i + 1 :]:
-            bases = {id(fz.base) for fz in one}
-            assert not any(id(fz.base) in bases for fz in other)
-    ws = parse_workspace(
-        "group z2\nelements e a\ntable\ne a\na e\nend\n"
-        "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
-        "fuzzy q on z2\nvalues e=1 a=1/2\nend\n"
-    )
-    p, q = ws.fuzzies["p"], ws.fuzzies["q"]
-    assert p.chain == q.chain and p.base == q.base and p.base is not q.base
-    assert p.base is p.base
-    assert validate_fuzzy(p.group, p.mu).base is not p.base
 
 
 def count_validations(monkeypatch):
@@ -511,23 +481,8 @@ def count_validations(monkeypatch):
     return calls
 
 
-def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch):
-    calls = count_validations(monkeypatch)
-    listed = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(4))
-    assert calls == []
-    covers = [build_cover(fz) for fz in listed]
-    shapes = {(fz.group, fz._rank) for fz in listed}
-    chains = {fz.chain for fz in listed}
-    assert len(calls) == len(shapes) + len(chains)  # 32 + 15 for 125 covers
-    assert len(shapes) < len(covers)
-
-
-# -- one certified cover table per shape of an enumeration -----------------------
-
-def assert_cover_like_lone(cover, fz):
-    """The cover equals, field by field, that of fz re-validated on its own."""
-    lone = build_cover(validate_fuzzy(fz.group, fz.mu))
-    got, want = cover.monoid, lone.monoid
+def assert_monoid_like(got, want):
+    """Two validated monoids agree field by field, sigma-quotient included."""
     for name in ("names", "table", "unit", "inverse", "generators"):
         assert getattr(got, name) == getattr(want, name), name
     for field in dataclasses.fields(DerivedStructure):
@@ -535,8 +490,70 @@ def assert_cover_like_lone(cover, fz):
     got_q, want_q = got.derived.sigma_quotient, want.derived.sigma_quotient
     for name in ("names", "table", "identity", "inverses", "generators"):
         assert getattr(got_q, name) == getattr(want_q, name), name
+
+
+@pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)
+def test_equal_chains_of_one_listing_share_one_base(enumerate_, monkeypatch):
+    group = dihedral(4)
+    listed = enumerate_(group, default_grid(3))
+    calls = count_validations(monkeypatch)
+    covers = [build_cover(fz) for fz in listed]
+    # every cover has at least |G| pairs and every base at most three
+    # elements, so the small tables are the bases, one per new chain length
+    lengths = list(dict.fromkeys(len(fz.chain) for fz in listed))
+    assert [n for n in calls if n < group.n] == lengths
+    for fz, cover in zip(listed, covers):
+        assert_monoid_like(cover.base, chain_monoid(fz.chain))
+    assert 1 < len(lengths) < len({fz.chain for fz in listed}) < len(listed)
+
+
+def test_bases_are_never_shared_across_listings_or_parses():
+    group, grid = klein_four(), default_grid(3)
+    listings = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
+    listings.append(enumerate_fuzzy_subgroups_filter(group, grid))
+    kept = []
+    for one in listings:
+        for fz in one:
+            build_cover(fz)
+        (shared,) = {id(fz._monoids): fz._monoids for fz in one}.values()
+        assert {key[0] for key in shared} == {"chain", "cover"}
+        kept.append({id(m) for m in shared.values()})
+    for i, one in enumerate(kept):
+        for other in kept[i + 1 :]:
+            assert not one & other
+    ws = parse_workspace(
+        "group z2\nelements e a\ntable\ne a\na e\nend\n"
+        "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
+        "fuzzy q on z2\nvalues e=1 a=1/2\nend\n"
+    )
+    p, q = ws.fuzzies["p"], ws.fuzzies["q"]
+    assert p._monoids is None and q._monoids is None
+    assert p.chain == q.chain and p.base == q.base and p.base is not q.base
+    assert p.base is not p.base  # built anew on each read
+    assert build_cover(p).base == build_cover(q).base
+
+
+def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch):
+    calls = count_validations(monkeypatch)
+    listed = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(4))
+    assert calls == []
+    covers = [build_cover(fz) for fz in listed]
+    shapes = {(fz.group, fz._rank) for fz in listed}
+    lengths = {len(fz.chain) for fz in listed}
+    assert len(calls) == len(shapes) + len(lengths)  # 32 + 4 for 125 covers
+    assert len(shapes) < len(covers)
+    assert len(lengths) < len({fz.chain for fz in listed})
+
+
+# -- one certified cover table per shape of an enumeration -----------------------
+
+def assert_cover_like_lone(cover, fz):
+    """The cover equals, field by field, that of fz re-validated on its own."""
+    lone = build_cover(validate_fuzzy(fz.group, fz.mu))
+    assert_monoid_like(cover.monoid, lone.monoid)
+    assert_monoid_like(cover.base, lone.base)
     assert cover.pairs == lone.pairs
-    assert cover.base == lone.base and cover.projection == lone.projection
+    assert cover.projection == lone.projection
 
 
 @pytest.mark.parametrize(
@@ -548,8 +565,13 @@ def test_covers_of_a_listing_equal_covers_validated_alone(group, k):
     listed = enumerate_fuzzy_subgroups_filter(group, default_grid(k))
     for fz in listed:
         assert_cover_like_lone(build_cover(fz), fz)
-    # some shapes recur with other values, so the shared tables are read
+    # some shapes recur with other values, and some chain lengths with other
+    # least values, so the shared tables are read and relabeled
     assert len({fz._rank for fz in listed}) < len(listed)
+    least = {}
+    for fz in listed:
+        least.setdefault(len(fz.chain), set()).add(fz.chain[0])
+    assert any(len(values) > 1 for values in least.values())
 
 
 def monoids_held(obj):
@@ -569,13 +591,16 @@ def test_a_parsed_subgroup_validates_its_cover_each_time_and_keeps_none(monkeypa
     p = ws.fuzzies["p"]
     calls = count_validations(monkeypatch)
     first, second = build_cover(p), build_cover(p)
-    assert calls == [3, 2, 3]  # the cover on each call, the base once
+    # the base, then the cover, on each call
+    assert calls == [len(p.chain), first.n] * 2
     assert first.monoid == second.monoid and first.monoid is not second.monoid
-    assert monoids_held(p) == [p.base]
-    # a listed subgroup, by contrast, holds the cover of its shape
+    assert first.base == second.base and first.base is not second.base
+    assert monoids_held(p) == []
+    # a listed subgroup, by contrast, holds the base and cover of its shape
     listed = enumerate_fuzzy_subgroups_filter(p.group, default_grid(2))
     cover = build_cover(listed[0])
-    assert any(m is cover.monoid for m in monoids_held(listed[0]))
+    held = monoids_held(listed[0])
+    assert any(m is cover.monoid for m in held) and any(m is cover.base for m in held)
 
 
 def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
@@ -586,9 +611,12 @@ def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
     assert c4._rank == v4._rank == (2, 0, 1, 0)
     calls = count_validations(monkeypatch)
     covers = [build_cover(c4), build_cover(v4)]
-    assert calls == [7, 3, 7]  # each group's cover, and the shared base once
-    assert c4.base is v4.base
+    # the shared base once, then each group's cover
+    assert calls == [len(c4.chain), covers[0].n, covers[1].n]
+    assert shared[("cover", c4.group, c4._rank)] is covers[0].monoid
+    assert shared[("cover", v4.group, v4._rank)] is covers[1].monoid
     assert covers[0].monoid.table != covers[1].monoid.table
+    assert covers[0].base == covers[1].base
     assert_cover_like_lone(covers[0], c4)
     assert_cover_like_lone(covers[1], v4)
 

@@ -1,15 +1,19 @@
 """Static checks over the library source.
 
 Invariants are explicit errors, never ``assert`` statements, which vanish
-under ``python -O``; no module keeps a memo cache of its own, since caching
-belongs to the caller-owned ``hom_cache`` of ``verify_embedding``; and no
-module uses ``itertools.product``, since brute-force scans of a whole
-function space live only in the tests, as oracles.  The modules import each
+under ``python -O``; no module keeps a memo cache of its own, since what is
+shared lives in dicts with an owner: the caller-owned ``hom_cache`` of
+``verify_embedding``, and the dict of validated monoids a grid listing hands
+its subgroups, which ``build_cover`` alone reads and writes; and no module
+uses ``itertools.product``, since brute-force scans of a whole function space
+live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
 loaded and patched on its own.  Every function the benchmark tracer wraps
 still exists where the tracer looks for it, so no refactor can turn a layer
 metric into a silent 0.  Every public function of ``search`` has a caller in
-another module of the library, so no search mode lives on for tests alone.
+another module of the library, so no search mode lives on for tests alone,
+and every private module-level function is named by library code outside
+its own definition, so none lives on for tests alone either.
 """
 
 import ast
@@ -220,3 +224,45 @@ def test_caller_check_reads_definitions_and_references():
     other = ast.parse("from .search import f as found\nimport search\nsearch.h\n")
     assert _public_functions(search) == ["f", "h"]
     assert {"f", "search", "h"} <= _referenced_names(other)
+
+
+def _uncalled_private_functions(trees):
+    """The private module-level functions no library code names outside their own body."""
+    referenced = {
+        (module, id(node)): _referenced_names(node)
+        for module, tree in trees.items()
+        for node in tree.body
+    }
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                if not any(
+                    node.name in names
+                    for key, names in referenced.items()
+                    if key != (module, id(node))
+                ):
+                    uncalled.append(f"{module}.{node.name}")
+    return uncalled
+
+
+def test_every_private_function_has_a_caller_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert "_relabeled" in {
+        node.name for node in trees["monoids"].body if isinstance(node, ast.FunctionDef)
+    }
+    assert _uncalled_private_functions(trees) == []
+
+
+def test_private_caller_check_skips_only_the_own_definition():
+    trees = {
+        "a": ast.parse(
+            "def _used():\n    pass\n"
+            "def _self_only():\n    return _self_only()\n"
+            "def _unused():\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b": ast.parse("from .a import _imported\n"),
+        "c": ast.parse("def _imported():\n    pass\n"),
+    }
+    assert _uncalled_private_functions(trees) == ["a._self_only", "a._unused"]
