@@ -7,8 +7,8 @@ and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
 each other in tests, and both return a `CoverMonoid`.  `build_cover` is also
-the one place that shares a cover's monoids among the subgroups of a grid
-listing, through the dict they carry.  `premorphism_from_cover` inverts the
+the one place that shares a cover's monoids, among the subgroups of one
+group object, through that group.  `premorphism_from_cover` inverts the
 construction: it recovers psi from any F-inverse cover and certifies the
 round trip by the canonical isomorphism t -> (pi(t), sigma(t)) onto the
 pairs, checked on the columns of the cover's generators; it shares the pair
@@ -38,6 +38,7 @@ from .errors import (
     NotComposable,
     NotHomomorphism,
     ReconstructionMismatch,
+    ValidationError,
 )
 from .fuzzy import FuzzySubgroup
 from .monoids import (
@@ -154,7 +155,7 @@ class CoverMonoid:
     report and table iterates deterministically.  ``triple`` is the
     certified cover triple; its ``projection`` maps each pair to its first
     coordinate, an element of ``base``.  `cover_report` and
-    `hclass_level_isomorphism` read a fuzzy subgroup as the source.
+    `hclass_level_isomorphism` refuse any source but a fuzzy subgroup.
     """
 
     __slots__ = ("source", "pairs", "pair_index", "triple", "monoid", "base", "projection")
@@ -174,6 +175,13 @@ class CoverMonoid:
         return f"CoverMonoid(source={self.source!r}, size={self.n})"
 
 
+def _fuzzy_source(cover: CoverMonoid, what: str) -> FuzzySubgroup:
+    if not isinstance(cover.source, FuzzySubgroup):
+        kind = type(cover.source).__name__
+        raise ValidationError(f"{what} needs a cover from build_cover, not from a {kind}")
+    return cover.source
+
+
 def _pair_name(value, label) -> str:
     return f"({value},{label})"
 
@@ -187,31 +195,30 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     with unit (mu(identity), identity).  Failures here signal a library bug,
     not bad input, hence plain AlgebraError.
 
-    This is the one place that shares a cover's monoids.  A subgroup listed
-    by a grid enumerator carries the listing's dict of validated monoids;
-    any other subgroup gets a fresh dict, which keeps nothing alive.  The
-    base is kept under ("chain", len(chain)) and the cover monoid under
-    ("cover", group, ranks), both only once every check has passed, and a
-    later subgroup whose key is found gets the kept monoid under its own
-    names (`monoids._relabeled`) with no check re-run.  That is sound
-    because each key decides every check.  A validated subgroup's chain is
-    strictly increasing within [0, 1], so the checks of `chain_monoid`
-    pass, and its table (min on k indices) and unit (k - 1) are functions
-    of the length k alone; its names are ``str(v)`` of the values.  The
-    pairs are ordered by element, then rank, so the cover's table and unit
-    are functions of ``group.table`` and the ranks, and the projection is
-    the ranks.  The values only name the elements: the validation, the
-    projection check and the Clifford check read names only to word an
-    error and, in `_derive`, to label the sigma-quotient, which
-    `_relabeled` labels anew.
+    This is the one place that shares a cover's monoids: in the group's
+    ``_monoids`` dict, so every subgroup of one group object shares them,
+    listed, parsed or validated alone.  The base is kept under
+    ("chain", len(chain)) and the cover monoid under ("cover", ranks), both
+    only once every check has passed, and a later subgroup whose key is
+    found gets the kept monoid under its own names (`monoids._relabeled`)
+    with no check re-run.  That is sound because each key, with the group,
+    decides every check.  A validated subgroup's chain is strictly
+    increasing within [0, 1], so the checks of `chain_monoid` pass, and its
+    table (min on k indices) and unit (k - 1) are functions of the length k
+    alone; its names are ``str(v)`` of the values.  The pairs are ordered
+    by element, then rank, so the cover's table and unit are functions of
+    ``group.table`` and the ranks, and the projection is the ranks.  The
+    values only name the elements: the validation, the projection check
+    and the Clifford check read names only to word an error and, in
+    `_derive`, to label the sigma-quotient, which `_relabeled` labels anew.
     """
     group = fz.group
     ranks = fz._rank
     pairs = [(u, x) for x, r in enumerate(ranks) for u in range(r + 1)]
     names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
     projection = tuple(u for u, _ in pairs)
-    monoids = {} if fz._monoids is None else fz._monoids
-    base_key, cover_key = ("chain", len(fz.chain)), ("cover", group, ranks)
+    monoids = group._monoids
+    base_key, cover_key = ("chain", len(fz.chain)), ("cover", ranks)
     base = monoids.get(base_key)
     base = fz.base if base is None else _relabeled(base, [str(v) for v in fz.chain])
     shared = monoids.get(cover_key)
@@ -274,7 +281,7 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
     class of (u,x) consists of all pairs over x with maximum (mu(x), x).
     Each is compared against the generic computation on the table.
     """
-    fz = cover.source
+    fz = _fuzzy_source(cover, "cover_report")
     group = fz.group
     d = cover.monoid.derived
     top = len(fz.chain) - 1
@@ -335,7 +342,7 @@ def hclass_level_isomorphism(cover: CoverMonoid, u: Fraction) -> dict[int, int]:
     checks, row by row, that it keeps every product, each inside the class.
     Returns the mapping pair index -> group element index.
     """
-    fz = cover.source
+    fz = _fuzzy_source(cover, "hclass_level_isomorphism")
     uidx = fz.chain_index(Fraction(u))
     e_pair = cover.pair_index[(uidx, fz.group.identity)]
     h_part = cover.monoid.derived.green_h

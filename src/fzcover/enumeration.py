@@ -69,16 +69,12 @@ def enumerate_fuzzy_subgroups_filter(
     which checks both axioms.  The budget counts the nodes visited: more than
     ``budget`` ranks tried raise BudgetExceeded.
 
-    The listed subgroups carry one fresh dict of validated monoids, which
-    `build_cover` alone reads and writes: the subgroups with equal chain
-    lengths share one validated base, and those with equal rank vectors one
-    certified cover table, for as long as any of them lives.  Subgroups of
-    another call never share it.
+    Like every subgroup of ``group``, the listed ones share their covers'
+    monoids through it (see `build_cover`).
     """
     maps = dual_chain_ranks(group.table, grid.k, budget=budget, label="fuzzy subgroup nodes")
     levels = grid.levels
-    monoids: dict = {}
-    return [validate_fuzzy(group, [levels[r] for r in ranks], monoids) for ranks in maps]
+    return [validate_fuzzy(group, [levels[r] for r in ranks]) for ranks in maps]
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -131,14 +127,11 @@ def enumerate_fuzzy_subgroups_chain(
     v1 < ... < vm from the grid yields mu(x) = v_j for the deepest Hj
     containing x.  Returned in the same order as the filter route so the two
     lists can be compared directly: sorted by the grid index of each mu(x).
-    As in the filter route, the listed subgroups carry one fresh dict of
-    validated monoids, so `build_cover` validates one base per chain length
-    and one cover table per rank vector, for as long as any of them lives.
+    As in the filter route, their covers share monoids through ``group``.
     """
     chains = enumerate_subgroup_chains(group, budget)
     k = grid.k
     levels = grid.levels
-    monoids: dict = {}
     keyed = []
     total = 0
     for chain in chains:
@@ -153,7 +146,7 @@ def enumerate_fuzzy_subgroups_chain(
             for depth, sub in enumerate(chain):
                 for x in sub:
                     code[x] = picks[depth]
-            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code], monoids)))
+            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code])))
     # mu determines its grid indices, so no two keys are equal
     keyed.sort(key=itemgetter(0))
     return [fz for _, fz in keyed]
@@ -183,12 +176,11 @@ def enumerate_fuzzy_morphisms(
     is stored only once its search has finished within ``budget``, and a
     later call that reads it makes no budget check.
     """
+    store = {} if hom_cache is None else hom_cache
     key = ("group homs", source.group, target.group)
-    homs = None if hom_cache is None else hom_cache.get(key)
+    homs = store.get(key)
     if homs is None:
-        homs = enumerate_group_homomorphisms(source.group, target.group, budget)
-        if hom_cache is not None:
-            hom_cache[key] = homs
+        homs = store[key] = enumerate_group_homomorphisms(source.group, target.group, budget)
     ranks, target_ranks = source._rank, target._rank
     k1, top = len(source.chain), len(target.chain) - 1
     out = []

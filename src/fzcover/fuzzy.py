@@ -43,23 +43,20 @@ class FuzzySubgroup:
     ``mu_index(x)`` gives the chain index of mu(x), as the validator found it.
 
     ``base`` is the validated chain monoid (U, min, top) of ``chain``, built
-    anew on each read.  ``_monoids`` is the dict of validated monoids that
-    the grid enumerators hand all the subgroups of one listing, or None; the
-    subgroup only carries it to `build_cover`, which alone reads and writes
-    it.  The hash, of (group, mu), is computed on the first ``hash`` call and
-    kept.
+    anew on each read; the subgroup holds no monoid, and its cover's are
+    shared through its group.  The hash, of (group, mu), is computed on the
+    first ``hash`` call and kept.
     """
 
-    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash", "_monoids")
+    __slots__ = ("group", "mu", "chain", "top", "_rank", "_hash")
 
-    def __init__(self, group: FiniteGroup, mu, chain, ranks, monoids: dict | None = None):
+    def __init__(self, group: FiniteGroup, mu, chain, ranks):
         self.group = group
         self.mu = tuple(mu)
         self.chain = tuple(chain)
         self.top = self.chain[-1]
         self._rank = tuple(ranks)
         self._hash = None
-        self._monoids = monoids
 
     @property
     def base(self) -> FiniteInverseMonoid:
@@ -96,9 +93,7 @@ class FuzzySubgroup:
         return f"FuzzySubgroup({vals})"
 
 
-def validate_fuzzy(
-    group: FiniteGroup, mu: Sequence[Fraction], _monoids: dict | None = None
-) -> FuzzySubgroup:
+def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
     """Check the two fuzzy subgroup axioms and derive the value chain.
 
     Raises ValueOutOfRange, Axiom1Violation (witness pair) or Axiom2Violation
@@ -120,10 +115,6 @@ def validate_fuzzy(
     row's products against the rank row clamped at the rank of x.  Only on
     a failure of either axiom are the pairs scanned in order, to name the
     first failing one.
-
-    ``_monoids`` is the dict of validated monoids the grid enumerators share
-    among the subgroups of one listing; the subgroup carries it to
-    `build_cover`.  Without it the subgroup shares nothing.
     """
     n = group.n
     if len(mu) != n:
@@ -169,7 +160,7 @@ def validate_fuzzy(
                         f"{values[row[y]]} < min bound {min(values[x], values[y])}",
                         witness=(x, y),
                     )
-    fz = FuzzySubgroup(group, values, chain, ranks, _monoids)
+    fz = FuzzySubgroup(group, values, chain, ranks)
     # mu(e) dominating every value is a consequence of the axioms
     if ranks[group.identity] != len(chain) - 1:
         raise AlgebraError(f"mu(identity) = {fz.mu[group.identity]} is not the top {fz.top}")

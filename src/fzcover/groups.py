@@ -30,10 +30,15 @@ class FiniteGroup:
     products (homomorphisms, Light's test) read one row per generator, and
     ``plan``, the `generator_plan` of the table, is made on first use.  The
     hash, of names and table, is computed on the first ``hash`` call and
-    kept, since every cache key that holds a group hashes it.
+    kept, since every cache key that holds a group hashes it.  ``_monoids``,
+    which `build_cover` alone reads and writes, keeps the monoids it
+    validated for the fuzzy subgroups of this object while it lives; two
+    equal groups built separately share none.
     """
 
-    __slots__ = ("names", "table", "identity", "inverses", "generators", "_plan", "_hash")
+    __slots__ = (
+        "names", "table", "identity", "inverses", "generators", "_plan", "_hash", "_monoids",
+    )
 
     def __init__(self, names, table, identity, inverses, generators):
         self.names = tuple(names)
@@ -43,6 +48,7 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self._plan = None
         self._hash = None
+        self._monoids = {}
 
     @property
     def n(self) -> int:

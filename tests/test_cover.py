@@ -42,6 +42,7 @@ from fzcover.errors import (
     NotIdempotentSeparating,
     NotSurjective,
     ReconstructionMismatch,
+    ValidationError,
     ValueNotInChain,
 )
 from fzcover.groups import FiniteGroup
@@ -152,6 +153,21 @@ def test_construction_matches_fuzzy_cover(fz_z2, fz_v4):
         assert built.source is psi and direct.source is fz
         assert built.triple == direct.triple
         assert built.pairs == direct.pairs
+
+
+def test_fuzzy_readers_refuse_a_constructed_cover(fz_z2):
+    # the same pairs and triple as build_cover's, but built from a dual
+    # premorphism, which has no chain or ranks to read the closed forms from
+    built = cover_from_premorphism(as_dual_premorphism(fz_z2))
+    for read, name in (
+        (cover_report, "cover_report"),
+        (lambda c: hclass_level_isomorphism(c, F(1)), "hclass_level_isomorphism"),
+    ):
+        with pytest.raises(ValidationError, match=f"{name} needs a cover from build_cover"):
+            read(built)
+    direct = build_cover(fz_z2)
+    assert cover_report(direct).all_match
+    assert hclass_level_isomorphism(direct, F(1)) == {direct.pair_index[(1, 0)]: 0}
 
 
 def test_construction_trivial():

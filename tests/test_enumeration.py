@@ -507,30 +507,40 @@ def test_equal_chains_of_one_listing_share_one_base(enumerate_, monkeypatch):
     assert 1 < len(lengths) < len({fz.chain for fz in listed}) < len(listed)
 
 
-def test_bases_are_never_shared_across_listings_or_parses():
+def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypatch):
     group, grid = klein_four(), default_grid(3)
     listings = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
-    listings.append(enumerate_fuzzy_subgroups_filter(group, grid))
-    kept = []
-    for one in listings:
-        for fz in one:
-            build_cover(fz)
-        (shared,) = {id(fz._monoids): fz._monoids for fz in one}.values()
-        assert {key[0] for key in shared} == {"chain", "cover"}
-        kept.append({id(m) for m in shared.values()})
-    for i, one in enumerate(kept):
-        for other in kept[i + 1 :]:
-            assert not one & other
-    ws = parse_workspace(
+    shapes = {fz._rank for fz in listings[0]}
+    lengths = {len(fz.chain) for fz in listings[0]}
+    assert {fz._rank for fz in listings[1]} == shapes
+    calls = count_validations(monkeypatch)
+    covers = [[build_cover(fz) for fz in one] for one in listings]
+    # the first listing validates each shape and chain length once, and the
+    # second listing, of the same group object, finds them all
+    assert len(calls) == len(shapes) + len(lengths)
+    kept = group._monoids
+    assert {key[0] for key in kept} == {"chain", "cover"}
+    assert len(kept) == len(calls)
+    for fz, cover in zip(listings[0] + listings[1], covers[0] + covers[1]):
+        assert cover.monoid.table == kept[("cover", fz._rank)].table
+        assert cover.base.table == kept[("chain", len(fz.chain))].table
+    text = (
         "group z2\nelements e a\ntable\ne a\na e\nend\n"
         "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
         "fuzzy q on z2\nvalues e=1 a=1/2\nend\n"
     )
-    p, q = ws.fuzzies["p"], ws.fuzzies["q"]
-    assert p._monoids is None and q._monoids is None
+    parses = [parse_workspace(text).fuzzies for _ in range(2)]
+    (p, q), (r, _) = (tuple(ws.values()) for ws in parses)
+    assert p.group is q.group and p.group == r.group and p.group is not r.group
     assert p.chain == q.chain and p.base == q.base and p.base is not q.base
     assert p.base is not p.base  # built anew on each read
-    assert build_cover(p).base == build_cover(q).base
+    calls.clear()
+    first, second, third = (build_cover(fz) for fz in (p, q, r))
+    assert first.base == second.base == third.base
+    # p and q of one parse share their group's monoids; r, of another, not
+    assert calls == [len(p.chain), first.n] * 2
+    one, other = ({id(m) for m in fz.group._monoids.values()} for fz in (p, r))
+    assert one and other and not one & other
 
 
 def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch):
@@ -548,8 +558,13 @@ def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch)
 # -- one certified cover table per shape of an enumeration -----------------------
 
 def assert_cover_like_lone(cover, fz):
-    """The cover equals, field by field, that of fz re-validated on its own."""
-    lone = build_cover(validate_fuzzy(fz.group, fz.mu))
+    """The cover equals, field by field, that of fz re-validated on its own.
+
+    The lone subgroup is validated on a fresh copy of its group, so its
+    cover shares no monoid with those built before.
+    """
+    g = fz.group
+    lone = build_cover(validate_fuzzy(validate_group(g.names, g.table), fz.mu))
     assert_monoid_like(cover.monoid, lone.monoid)
     assert_monoid_like(cover.base, lone.base)
     assert cover.pairs == lone.pairs
@@ -583,7 +598,7 @@ def monoids_held(obj):
     return held
 
 
-def test_a_parsed_subgroup_validates_its_cover_each_time_and_keeps_none(monkeypatch):
+def test_a_parsed_subgroup_validates_its_cover_once_and_its_group_keeps_it(monkeypatch):
     ws = parse_workspace(
         "group z2\nelements e a\ntable\ne a\na e\nend\n"
         "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
@@ -591,30 +606,29 @@ def test_a_parsed_subgroup_validates_its_cover_each_time_and_keeps_none(monkeypa
     p = ws.fuzzies["p"]
     calls = count_validations(monkeypatch)
     first, second = build_cover(p), build_cover(p)
-    # the base, then the cover, on each call
-    assert calls == [len(p.chain), first.n] * 2
+    # the base, then the cover, on the first call only
+    assert calls == [len(p.chain), first.n]
     assert first.monoid == second.monoid and first.monoid is not second.monoid
     assert first.base == second.base and first.base is not second.base
+    # the subgroup holds no monoid; its group holds the base and the cover
     assert monoids_held(p) == []
-    # a listed subgroup, by contrast, holds the base and cover of its shape
-    listed = enumerate_fuzzy_subgroups_filter(p.group, default_grid(2))
-    cover = build_cover(listed[0])
-    held = monoids_held(listed[0])
-    assert any(m is cover.monoid for m in held) and any(m is cover.base for m in held)
+    held = monoids_held(p.group)
+    assert any(m is first.monoid for m in held) and any(m is first.base for m in held)
+    assert len(held) == len(calls)
 
 
 def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
+    # equal rank vectors on two groups: each group keeps its own monoids
     mu = [F(1), F(1, 2), F(3, 4), F(1, 2)]
-    shared: dict = {}
-    c4 = validate_fuzzy(cyclic(4), mu, shared)
-    v4 = validate_fuzzy(klein_four(), mu, shared)
+    c4 = validate_fuzzy(cyclic(4), mu)
+    v4 = validate_fuzzy(klein_four(), mu)
     assert c4._rank == v4._rank == (2, 0, 1, 0)
     calls = count_validations(monkeypatch)
     covers = [build_cover(c4), build_cover(v4)]
-    # the shared base once, then each group's cover
-    assert calls == [len(c4.chain), covers[0].n, covers[1].n]
-    assert shared[("cover", c4.group, c4._rank)] is covers[0].monoid
-    assert shared[("cover", v4.group, v4._rank)] is covers[1].monoid
+    # each group's base, then its cover
+    assert calls == [len(c4.chain), covers[0].n, len(v4.chain), covers[1].n]
+    assert c4.group._monoids[("cover", c4._rank)] is covers[0].monoid
+    assert v4.group._monoids[("cover", v4._rank)] is covers[1].monoid
     assert covers[0].monoid.table != covers[1].monoid.table
     assert covers[0].base == covers[1].base
     assert_cover_like_lone(covers[0], c4)

@@ -3,8 +3,9 @@
 Invariants are explicit errors, never ``assert`` statements, which vanish
 under ``python -O``; no module keeps a memo cache of its own, since what is
 shared lives in dicts with an owner: the caller-owned ``hom_cache`` of
-``verify_embedding``, and the dict of validated monoids a grid listing hands
-its subgroups, which ``build_cover`` alone reads and writes; and no module
+``verify_embedding``, and the ``_monoids`` dict of validated cover monoids
+each group keeps, which only ``groups`` and ``cover`` name, so that
+``build_cover`` alone reads and writes it; and no module
 uses ``itertools.product``, since brute-force scans of a whole function space
 live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
@@ -244,6 +245,36 @@ def _uncalled_private_functions(trees):
                 ):
                     uncalled.append(f"{module}.{node.name}")
     return uncalled
+
+
+def _naming_modules(trees, name):
+    """The modules that name ``name``: variable, attribute, import, parameter, string."""
+    return sorted(
+        module
+        for module, tree in trees.items()
+        if name in _referenced_names(tree)
+        or any(
+            name in (getattr(node, "arg", None), getattr(node, "value", None))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.arg, ast.keyword, ast.Constant))
+        )
+    )
+
+
+def test_only_groups_and_cover_name_the_monoid_memo():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _naming_modules(trees, "_monoids") == ["cover", "groups"]
+
+
+def test_naming_check_reads_attributes_and_strings():
+    trees = {
+        "a": ast.parse("g._memo = {}\n"),
+        "b": ast.parse("getattr(g, '_memo')\n"),
+        "c": ast.parse('"""the _memo of g"""\nmemo = g.memo\n'),
+        "d": ast.parse("def f(x, _memo=None):\n    pass\n"),
+        "e": ast.parse("f(x, _memo={})\n"),
+    }
+    assert _naming_modules(trees, "_memo") == ["a", "b", "d", "e"]
 
 
 def test_every_private_function_has_a_caller_in_the_library():
