@@ -7,10 +7,10 @@ maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
 `reconstruct_morphism` validate what they build, and `verify_embedding`
 certifies a pair of objects by index arithmetic over the exhaustively
 enumerated hom-sets between them and of each to itself.  The arrays of those
-hom-sets, their index and the composite verdicts depend only on the shapes of
-the objects (group and rank vector), and so does whether an array passes its
-validator; so they are found, and each entry validated, once per ordered
-pair of shapes.
+hom-sets, their index and the certificate's verdict depend only on the
+shapes of the objects (group and rank vector), and so does whether an array
+passes its validator; so they are found, each entry validated and the
+verdict decided, once per ordered pair of shapes.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class EmbeddingCertificate:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Arrays:
     """Hom(s, t) of one ordered pair of shapes: both hom-sets as arrays, indexed once.
 
@@ -164,6 +164,8 @@ class _Arrays:
     to a position in ``fuzzy``, ``image[i]`` is the position of the
     embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]`` that of (f read
     off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
+    ``verdict`` is None until `_verdict` sets it, once: the fields of a
+    certificate of (s, t) other than its objects and morphisms.
     """
 
     fuzzy: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -171,12 +173,12 @@ class _Arrays:
     index: dict[tuple, int]
     image: list[int]
     back: list[int]
+    verdict: Optional[dict] = None
 
 
-# A certification keeps covers, hom arrays, group hom-sets and composite
-# checks in ``store``, the caller's ``hom_cache`` or a fresh dict, under
-# ("cover", fz), ("homs", s.group, s._rank, t.group, t._rank), ("group homs",
-# g, h) and ("composites", a.group, a._rank, b.group, b._rank).  Each is a
+# A certification keeps covers, hom records and group hom-sets in ``store``,
+# the caller's ``hom_cache`` or a fresh dict, under ("cover", fz), ("homs",
+# s.group, s._rank, t.group, t._rank) and ("group homs", g, h).  Each is a
 # pure function of its key, and nothing is stored for a build that raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
@@ -184,11 +186,6 @@ def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     if cover is None:
         cover = store[("cover", fz)] = build_cover(fz)
     return cover
-
-
-def _shapes(kind: str, s: FuzzySubgroup, t: FuzzySubgroup) -> tuple:
-    """The key of ``kind`` for the ordered pair of the shapes of s and t."""
-    return (kind, s.group, s._rank, t.group, t._rank)
 
 
 def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arrays:
@@ -208,14 +205,14 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     chain lengths and the ranks, and `validate_cover_morphism` the cover and
     base tables, generators and units, the projection and the class maxima.
     `_fstar` and `_f` read the pair lists and the ranks, so ``index``,
-    ``image`` and ``back`` follow from the arrays; and `_keeps_identity` and
-    `_respects_compositions` read only those, the group order and the chain
-    length.  None of them reads a value or a label, except to word an error.
-    So two pairs of objects of the same shapes have equal hom arrays in the
-    same order, each valid between either pair (or their covers), equal
-    index arrays and equal verdicts.  A budget failure stores nothing.
+    ``image`` and ``back`` follow from the arrays; and `_verdict` reads only
+    those, the group order and the chain length.  None of them reads a value
+    or a label, except to word an error.  So two pairs of objects of the same
+    shapes have equal hom arrays in the same order, each valid between either
+    pair (or their covers), equal index arrays and equal verdicts.  A budget
+    failure stores nothing.
     """
-    key = _shapes("homs", s, t)
+    key = ("homs", s.group, s._rank, t.group, t._rank)
     arrays = store.get(key)
     if arrays is None:
         fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
@@ -256,16 +253,6 @@ def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> b
     return True
 
 
-def _composites_ok(store: dict, a: FuzzySubgroup, b: FuzzySubgroup) -> bool:
-    """`_respects_compositions` of Hom(a, b), Hom(b, a) and Hom(a, a), once per pair of shapes."""
-    key = _shapes("composites", a, b)
-    ok = store.get(key)
-    if ok is None:
-        first, second, loops = (store[_shapes("homs", s, t)] for s, t in ((a, b), (b, a), (a, a)))
-        ok = store[key] = _respects_compositions(first, second, loops)
-    return ok
-
-
 def _keeps_identity(loops: _Arrays, fz: FuzzySubgroup) -> bool:
     """Whether E(id) = id, read off the arrays of Hom(fz, fz)."""
     at = loops.index.get((tuple(range(fz.n)), tuple(range(len(fz.chain)))), -1)
@@ -283,24 +270,17 @@ def _after(first: tuple[int, ...]):
     return itemgetter(*first)
 
 
-def verify_embedding(
-    source: FuzzySubgroup,
-    target: FuzzySubgroup,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    hom_cache: dict | None = None,
-) -> EmbeddingCertificate:
-    """Certify functoriality, faithfulness and fullness on one object pair.
+def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> dict:
+    """The verdict of (a, b), decided once and kept on the record of Hom(a, b).
 
-    The arrays of Hom(source, target), Hom(target, source), Hom(source,
-    source) and Hom(target, target) are read in that order (`_homs`).  Those
-    of a pair of shapes (group and rank vector) not met yet are found by its
-    fuzzy search and then its cover search, each with the whole ``budget``.
-    The certificate is index arithmetic over those four: no morphism is
-    embedded, validated or reconstructed again.  That decides the same
-    conditions, because a hom-set is exhaustive, each of its entries passed
-    its validator between objects of the same shapes, which is passing it
-    between any such objects, and E and R keep lam:
+    The arrays of Hom(a, b), Hom(b, a), Hom(a, a) and Hom(b, b) are read in
+    that order (`_homs`).  Those of a pair of shapes (group and rank vector)
+    not met yet are found by its fuzzy search and then its cover search,
+    each with the whole ``budget``.  The verdict is index arithmetic over
+    those four: no morphism is embedded, validated or reconstructed again.
+    That decides the same conditions, because a hom-set is exhaustive, each
+    of its entries passed its validator between objects of the same shapes,
+    which is passing it between any such objects, and E and R keep lam:
 
     - id_a is a morphism iff it is listed in Hom(a, a), and E(id_a) is the
       identity cover morphism iff its image is listed and the fstar array
@@ -310,27 +290,20 @@ def verify_embedding(
       back[j] >= 0;
     - E(R(c_j)) = c_j iff image[back[j]] == j, and R(E(m_i)) = m_i iff
       back[image[i]] == i;
-    - composites as in `_respects_compositions`.
+    - composites a->b->a and b->a->b as in `_respects_compositions`: those
+      of (b, a) too, so read off Hom(b, a)'s verdict if that came first, and
+      checked once when a and b have one shape (the four records are one).
 
-    So the certificate accepts exactly the pairs that embedding and
-    validating every morphism accepts, and a broken enumerator or embedding
-    is recorded as the first failed condition instead of raising.  Its
-    morphisms are those of the arrays of Hom(source, target), between source
-    and target and between their covers.  A shared ``hom_cache`` dict, owned
-    by the caller, keeps covers, hom arrays, group hom-sets and composite
-    checks across many pairs.  So each hom-set is searched, validated and
-    indexed once per ordered pair of shapes; each group hom-set is searched
-    once per group pair; and the composites a->b->a are checked once per
-    ordered pair of the shapes of a and b, whether certified from (a, b),
-    from (b, a) or from another pair of those shapes.  A search read from it
-    makes no budget check again.
+    So the verdict accepts exactly the pairs that embedding and validating
+    every morphism accepts, and a broken enumerator or embedding is recorded
+    as the first failed condition instead of raising.  It is kept once every
+    record is found and every check done, so a call that raises keeps none.
     """
-    store = {} if hom_cache is None else hom_cache
-    ab, ba = _homs(store, source, target, budget), _homs(store, target, source, budget)
-    aa, bb = _homs(store, source, source, budget), _homs(store, target, target, budget)
+    ab, ba = _homs(store, a, b, budget), _homs(store, b, a, budget)
+    aa, bb = _homs(store, a, a, budget), _homs(store, b, b, budget)
     image, back = ab.image, ab.back
 
-    identity_ok = _keeps_identity(aa, source) and _keeps_identity(bb, target)
+    identity_ok = _keeps_identity(aa, a) and _keeps_identity(bb, b)
     failures = [] if identity_ok else ["embedding does not send an identity to an identity"]
     missing = [i for i, j in enumerate(image) if j < 0]
     failures += [f"image of fuzzy morphism {i} missing from cover hom-set" for i in missing]
@@ -352,24 +325,50 @@ def verify_embedding(
             roundtrip_ok = False
             failures.append(f"round trip differs on fuzzy morphism {i}")
 
-    composition_ok = _composites_ok(store, source, target) and _composites_ok(
-        store, target, source
-    )
+    if ba.verdict is not None:
+        composition_ok = ba.verdict["composition_ok"]
+    else:
+        composition_ok = _respects_compositions(ab, ba, aa) and (
+            ba is ab or _respects_compositions(ba, ab, bb)
+        )
     if not composition_ok:
         failures.append("embedding does not respect a composition")
 
+    ab.verdict = dict(
+        bijection=tuple(image), identity_ok=identity_ok, faithful=faithful, full=full,
+        roundtrip_ok=roundtrip_ok, composition_checks=2 * len(ab.fuzzy) * len(ba.fuzzy),
+        composition_ok=composition_ok, counterexample=failures[0] if failures else None,
+    )
+    return ab.verdict
+
+
+def verify_embedding(
+    source: FuzzySubgroup,
+    target: FuzzySubgroup,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    hom_cache: dict | None = None,
+) -> EmbeddingCertificate:
+    """Certify functoriality, faithfulness and fullness on one object pair.
+
+    The certificate is the verdict of the pair's shapes (`_verdict`) with
+    the morphisms of the arrays of Hom(source, target), between source and
+    target and between their covers.  A shared ``hom_cache`` dict, owned by
+    the caller, keeps covers, hom records with their verdicts and group
+    hom-sets across many pairs.  So each hom-set is searched, validated and
+    indexed, and each verdict decided, once per ordered pair of shapes; each
+    group hom-set is searched once per group pair; and a pair whose verdict
+    is kept reads one hom record and two covers.  A search read from it
+    makes no budget check again.
+    """
+    store = {} if hom_cache is None else hom_cache
+    homs = _homs(store, source, target, budget)
+    verdict = homs.verdict or _verdict(store, source, target, budget)
     c1, c2 = _cover(store, source).triple, _cover(store, target).triple
     return EmbeddingCertificate(
         source=source,
         target=target,
-        fuzzy_homs=tuple(FuzzyMorphism(source, target, f, lam) for f, lam in ab.fuzzy),
-        cover_homs=tuple(CoverMorphism(c1, c2, fstar, lam) for fstar, lam in ab.cover),
-        bijection=tuple(image),
-        identity_ok=identity_ok,
-        faithful=faithful,
-        full=full,
-        roundtrip_ok=roundtrip_ok,
-        composition_checks=2 * len(ab.fuzzy) * len(ba.fuzzy),
-        composition_ok=composition_ok,
-        counterexample=failures[0] if failures else None,
+        fuzzy_homs=tuple(FuzzyMorphism(source, target, f, lam) for f, lam in homs.fuzzy),
+        cover_homs=tuple(CoverMorphism(c1, c2, fstar, lam) for fstar, lam in homs.cover),
+        **verdict,
     )

@@ -894,7 +894,34 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "composites"}
+    assert {key[0] for key in cache} == {"cover", "homs", "group homs"}
+
+
+def test_a_shared_cache_decides_each_verdict_once_then_reads_one_record(monkeypatch, pool):
+    import fzcover.embedding as embedding
+
+    calls = dict.fromkeys(("_verdict", "_homs"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, call=getattr(embedding, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(embedding, name, counting)
+    cache: dict = {}
+
+    def certify_all() -> list[dict]:
+        return [verify_embedding(a, b, hom_cache=cache).to_json_dict() for a in pool for b in pool]
+
+    first = certify_all()
+    shapes = {shape(fz) for fz in pool}
+    assert len(shapes) == 16 < len(pool)
+    assert calls["_verdict"] == len(shapes) ** 2
+    assert all(record.verdict for key, record in cache.items() if key[0] == "homs")
+    # every verdict kept: a pair reads the record of Hom(a, b) and nothing else
+    calls.update(_verdict=0, _homs=0)
+    assert certify_all() == first
+    assert calls == {"_verdict": 0, "_homs": len(pool) ** 2}
 
 
 def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):
@@ -930,6 +957,8 @@ def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
     with pytest.raises(BudgetExceeded):
         verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
     assert cache
+    # a verdict is kept only once all four records it reads are found
+    assert all(record.verdict is None for key, record in cache.items() if key[0] == "homs")
     for a, b in ((trivial_fz, fz_v4), (fz_v4, trivial_fz), (fz_v4, fz_v4)):
         expected = verify_embedding(a, b).to_json_dict()
         assert verify_embedding(a, b, hom_cache=cache).to_json_dict() == expected

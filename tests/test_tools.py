@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fzcover.errors import BudgetExceeded
 from tools.certify_pool import certify_pool, group_named
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "certify_pool.py"
@@ -28,9 +29,9 @@ def test_the_script_certifies_the_c2_pool():
     )
     assert done.returncode == 0, done.stderr
     lines = dict(line.split(" ", 1) for line in done.stdout.splitlines())
-    assert list(lines) == ["pairs", "ok", "seconds", "sha256"]
+    assert list(lines) == ["pairs", "ok", "seconds", "warm_seconds", "sha256"]
     assert lines["pairs"] == lines["ok"] == "9"
-    assert float(lines["seconds"]) >= 0
+    assert float(lines["seconds"]) >= 0 and float(lines["warm_seconds"]) >= 0
     assert lines["sha256"] == "d970153d3b1144b004dbdd15b00d852c9b8f050487c68fad39141d295c87d17d"
 
 
@@ -40,6 +41,30 @@ def test_the_script_refuses_a_bad_group_or_grid():
             [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, check=False
         )
         assert done.returncode == 2 and done.stdout == ""
+
+
+def test_the_script_exits_3_on_a_budget(monkeypatch, capsys):
+    import tools.certify_pool as tool
+
+    def over_budget(group_name, k):
+        raise BudgetExceeded(8, 7, "group homomorphism nodes")
+
+    monkeypatch.setattr(tool, "certify_pool", over_budget)
+    assert tool.main(["C2", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: 8 group homomorphism nodes exceed budget 7\n"
+
+
+def test_the_script_exits_1_when_the_warm_pass_hashes_otherwise(monkeypatch, capsys):
+    import tools.certify_pool as tool
+
+    result = {"pairs": 1, "ok": 1, "seconds": 0.0, "warm_seconds": 0.0}
+    monkeypatch.setattr(
+        tool, "certify_pool", lambda group_name, k: {**result, "sha256": "a", "warm_sha256": "b"}
+    )
+    assert tool.main(["C2", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "sha256 a" and err.startswith("error: ")
 
 
 def test_group_names():

@@ -7,10 +7,15 @@ S<n> (symmetric on n points) or V4 (Klein four).  The pool is every fuzzy
 subgroup of GROUP over the K-level grid {1/K, ..., 1}, as
 `enumerate_fuzzy_subgroups_filter` lists it.  Every ordered pair is
 certified in process by `verify_embedding`, all with one `hom_cache` dict,
-as `fzcover embed` does.  Printed on one line each: the number of pairs,
-how many certificates are ok, the CPU seconds taken to certify and hash
-every pair (the pool's enumeration not included) and the sha256 of the
-certificates, each as sorted-key JSON in pair order.
+as `fzcover embed` does.  Then every pair is certified and hashed again
+over the same dict, a warm pass that finds every search and verdict kept.
+Printed on one line each: the number of pairs, how many certificates are
+ok, the CPU seconds taken to certify and hash every pair (the pool's
+enumeration not included), the CPU seconds of the warm pass and the sha256
+of the certificates, each as sorted-key JSON in pair order.
+
+Exits 0 when every certificate is ok and the warm pass hashes alike, 1
+otherwise, 2 on a bad group or grid and 3 when a search exceeds its budget.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from fzcover import (  # noqa: E402
     symmetric,
     verify_embedding,
 )
+from fzcover.errors import BudgetExceeded  # noqa: E402
 
 
 def group_named(name: str):
@@ -50,10 +56,8 @@ def group_named(name: str):
     raise ValueError(f"unknown group {name!r}: use C<n>, D<m> with m even, S<n> or V4")
 
 
-def certify_pool(group_name: str, k: int) -> dict:
-    """Pairs, ok count, CPU seconds and certificate sha256 of one pool."""
-    pool = enumerate_fuzzy_subgroups_filter(group_named(group_name), default_grid(k))
-    hom_cache: dict = {}
+def certify_all(pool, hom_cache: dict) -> tuple[int, float, str]:
+    """Ok count, CPU seconds and certificate sha256 of every ordered pair of the pool."""
     digest = hashlib.sha256()
     ok = 0
     start = time.process_time()
@@ -62,12 +66,22 @@ def certify_pool(group_name: str, k: int) -> dict:
             doc = verify_embedding(a, b, hom_cache=hom_cache).to_json_dict()
             ok += doc["ok"]
             digest.update(json.dumps(doc, sort_keys=True).encode())
-    seconds = time.process_time() - start
+    return ok, time.process_time() - start, digest.hexdigest()
+
+
+def certify_pool(group_name: str, k: int) -> dict:
+    """Pairs, ok count, CPU seconds of a cold and a warm pass, and the sha256 of each."""
+    pool = enumerate_fuzzy_subgroups_filter(group_named(group_name), default_grid(k))
+    hom_cache: dict = {}
+    ok, seconds, sha256 = certify_all(pool, hom_cache)
+    _, warm_seconds, warm_sha256 = certify_all(pool, hom_cache)
     return {
         "pairs": len(pool) ** 2,
         "ok": ok,
         "seconds": round(seconds, 3),
-        "sha256": digest.hexdigest(),
+        "warm_seconds": round(warm_seconds, 3),
+        "sha256": sha256,
+        "warm_sha256": warm_sha256,
     }
 
 
@@ -80,10 +94,16 @@ def main(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    warm_sha256 = result.pop("warm_sha256")
     for key, value in result.items():
         print(f"{key} {value}")
+    if warm_sha256 != result["sha256"]:
+        print(f"error: the warm pass hashes to {warm_sha256}", file=sys.stderr)
+        return 1
     return 0 if result["ok"] == result["pairs"] else 1
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
