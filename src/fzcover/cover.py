@@ -8,7 +8,10 @@ construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
 each other in tests, and both return a `CoverMonoid`.  `build_cover` is also
 the one place that shares a cover's monoids, among the subgroups of one
-group object, through that group.  `premorphism_from_cover` inverts the
+group object, through that group; a shared monoid's ``facts`` dict then
+keeps the `cover_report` and the round trip of its shape, each certified
+once and read back by every later cover of that shape under its own
+names.  `premorphism_from_cover` inverts the
 construction: it recovers psi from any F-inverse cover and certifies the
 round trip by the canonical isomorphism t -> (pi(t), sigma(t)) onto the
 pairs, checked on the columns of the cover's generators; it shares the pair
@@ -215,12 +218,13 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     group = fz.group
     ranks = fz._rank
     pairs = [(u, x) for x, r in enumerate(ranks) for u in range(r + 1)]
-    names = [_pair_name(fz.chain[u], group.names[x]) for u, x in pairs]
+    labels = [str(v) for v in fz.chain]
+    names = [_pair_name(labels[u], group.names[x]) for u, x in pairs]
     projection = tuple(u for u, _ in pairs)
     monoids = group._monoids
     base_key, cover_key = ("chain", len(fz.chain)), ("cover", ranks)
     base = monoids.get(base_key)
-    base = fz.base if base is None else _relabeled(base, [str(v) for v in fz.chain])
+    base = fz.base if base is None else _relabeled(base, labels)
     shared = monoids.get(cover_key)
     if shared is not None:
         return CoverMonoid(fz, pairs, CoverTriple(_relabeled(shared, names), base, projection))
@@ -280,11 +284,23 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
     is (mu(identity), identity), (u,x) <= (v,y) iff x == y and u <= v, the
     class of (u,x) consists of all pairs over x with maximum (mu(x), x).
     Each is compared against the generic computation on the table.
+
+    The report is kept in the cover monoid's ``facts`` dict, which its
+    relabelings share, under the group's identity and order, the chain's
+    length, the ranks and the pairs: besides these it reads only the
+    monoid's unit and derived structure, which are functions of the table
+    the dict belongs to, so the key decides the report.  The values only
+    name pairs and are never read.  A call that raises keeps nothing.
     """
     fz = _fuzzy_source(cover, "cover_report")
     group = fz.group
-    d = cover.monoid.derived
     top = len(fz.chain) - 1
+    facts = cover.monoid.facts
+    key = ("report", group.identity, group.n, top, fz._rank, cover.pairs)
+    report = facts.get(key)
+    if report is not None:
+        return report
+    d = cover.monoid.derived
 
     unit_pair = (top, group.identity)
     unit_match = cover.pairs[cover.monoid.unit] == unit_pair
@@ -320,7 +336,7 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
         maxima_closed
     ) == sorted(maxima_generic)
 
-    return CoverReport(
+    facts[key] = report = CoverReport(
         unit=unit_pair,
         idempotents=idem_closed,
         sigma_classes=sigma_closed,
@@ -331,6 +347,7 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
         sigma_match=sigma_match,
         maxima_match=maxima_match,
     )
+    return report
 
 
 def hclass_level_isomorphism(cover: CoverMonoid, u: Fraction) -> dict[int, int]:
@@ -476,11 +493,26 @@ def premorphism_from_cover(
     that keeps the unit and every product with a generator therefore keeps
     every product and is an isomorphism, and its image, the pair set, is
     then closed under the product, as ``_pair_table`` would check.
+
+    Once every check has passed, psi and its coverage witnesses are kept in
+    the cover's ``facts`` dict, which its relabelings share, under the
+    base's table and unit and the projection; a later call with that key
+    returns them at once, over its own sigma-quotient and ``base``, so its
+    names are its own.  That is sound because the key, with the cover's
+    table, decides every check: the base's inverse and derived structure
+    are functions of its validated table and unit, the cover's generators,
+    derived structure and quotient table are shared with the dict, and
+    names are read only to word an error.  A call that raises keeps nothing.
     """
     projection = tuple(projection)
+    facts = cover.facts
+    key = ("round trip", base.table, base.unit, projection)
+    derived = cover.derived
+    kept = facts.get(key)
+    if kept is not None:
+        return DualPremorphism(derived.sigma_quotient, base, *kept)
     check_projection(cover, base, projection)
 
-    derived = cover.derived
     psi = tuple(projection[m] for m in derived.sigma_maxima)
     dp = validate_dual_premorphism(derived.sigma_quotient, base, psi)
 
@@ -502,24 +534,24 @@ def premorphism_from_cover(
         products = zip(map(base_col.__getitem__, projection), map(group_col.__getitem__, sigma))
         return list(map(index.get, products)) == [canonical[row[g]] for row in cover.table]
 
-    if onto_pairs(index.get((dp.monoid.unit, dp.group.identity))) and all(
-        map(keeps_products, cover.generators)
+    if not (
+        onto_pairs(index.get((dp.monoid.unit, dp.group.identity)))
+        and all(map(keeps_products, cover.generators))
     ):
-        return dp
-
-    # a check failed: the full check over the pair table names the fault
-    _, _, table, unit = _pair_table(dp)
-    if not onto_pairs(unit):
-        raise ReconstructionMismatch(
-            "rebuilt pair monoid is not isomorphic to the original cover"
-        )
-    image = canonical.__getitem__
-    for t, row in enumerate(cover.table):
-        if list(map(image, row)) != list(map(table[canonical[t]].__getitem__, canonical)):
+        # a check failed: the full check over the pair table names the fault
+        _, _, table, unit = _pair_table(dp)
+        if not onto_pairs(unit):
             raise ReconstructionMismatch(
-                "rebuilt pair monoid is not isomorphic to the original cover",
-                witness=t,
+                "rebuilt pair monoid is not isomorphic to the original cover"
             )
+        image = canonical.__getitem__
+        for t, row in enumerate(cover.table):
+            if list(map(image, row)) != list(map(table[canonical[t]].__getitem__, canonical)):
+                raise ReconstructionMismatch(
+                    "rebuilt pair monoid is not isomorphic to the original cover",
+                    witness=t,
+                )
+    facts[key] = (dp.psi, dp.coverage_witness)
     return dp
 
 

@@ -4,12 +4,14 @@ Everything the rest of the package needs about an inverse monoid is computed
 once, exhaustively, at validation time and cached on the value: idempotents,
 the natural partial order, the least group congruence with its group
 quotient, Green's relations, per-class order maxima, and the F-inverse and
-Clifford predicates.  All queries afterwards are pure reads.
+Clifford predicates.  All queries afterwards are pure reads.  Each validated
+monoid also carries a ``facts`` dict, shared with its relabelings, where the
+cover module keeps results that the table decides with each key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -94,17 +96,27 @@ class FiniteInverseMonoid:
     generator: homomorphisms, the inverse anti-involution, the least group
     congruence in ``_derive`` and the round trip of ``premorphism_from_cover``.
     ``plan``, the `generator_plan` of the table, is made on first use.
+
+    ``facts`` is a dict of results that depend on the table and unit, which
+    decide every check, and on the further data in each key.
+    `validate_inverse_monoid` makes it, and `_relabeled` hands the same dict
+    on, so a monoid and every relabeling of it share it, as they share the
+    table, inverse, generators and derived structure.  `cover.cover_report`
+    and `cover.premorphism_from_cover` keep their results in it.
     """
 
-    __slots__ = ("names", "table", "unit", "inverse", "derived", "generators", "_plan")
+    __slots__ = (
+        "names", "table", "unit", "inverse", "derived", "generators", "facts", "_plan"
+    )
 
-    def __init__(self, names, table, unit, inverse, derived, generators):
+    def __init__(self, names, table, unit, inverse, derived, generators, facts):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
         self.generators = tuple(generators)
+        self.facts = facts
         self._plan = None
 
     @property
@@ -148,7 +160,60 @@ def _check_table(names, table, unit) -> list[int]:
     return _check_associative(names, table)
 
 
-def _generalized_inverses(names, table):
+def _generalized_inverses(names, table, generators):
+    """The inverse of each element, or NoInverse or NonUniqueInverse.
+
+    ``generators`` generate the associative table.  An idempotent generator
+    is taken as its own inverse, each other generator's first inverse is
+    found by a scan of its row and column, and the rest are propagated
+    along the right Cayley graph, (x*g)^-1 = g^-1 * x^-1, from the
+    generators.  Each candidate is then checked to be an inverse of its
+    element, x y x = x and y x y = y, and the idempotents to commute, in
+    O(n |gens| + |E|^2) steps.  Both pass only in an inverse semigroup: one in which every
+    element has an inverse is inverse iff its idempotents commute (Howie,
+    *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1), and there each
+    inverse is unique, so the candidates are the inverses.  In an inverse
+    semigroup the propagation finds them, as (x*g)^-1 = g^-1 x^-1 holds
+    there.  So the checks fail exactly when `_inverses_by_scan` raises, and
+    on failure that scan runs, to raise its error with its witness.
+    """
+    n = len(names)
+    inverse = [-1] * n
+    for g in generators:
+        row = table[g]
+        if row[g] == g:  # an idempotent is its own inverse
+            inverse[g] = g
+            continue
+        y = next(
+            (y for y in range(n) if table[row[y]][g] == g and table[table[y][g]][y] == y),
+            None,
+        )
+        if y is None:
+            return _inverses_by_scan(names, table)
+        inverse[g] = y
+    todo = list(generators)
+    while todo:
+        x = todo.pop()
+        row = table[x]
+        for g in generators:
+            xg = row[g]
+            if inverse[xg] < 0:
+                inverse[xg] = table[inverse[g]][inverse[x]]
+                todo.append(xg)
+    idem = [e for e in range(n) if table[e][e] == e]
+    inverses_hold = -1 not in inverse and all(
+        table[table[x][y]][x] == x and table[table[y][x]][y] == y
+        for x, y in enumerate(inverse)
+    )
+    if inverses_hold and all(
+        list(map(table[e].__getitem__, idem)) == [table[f][e] for f in idem] for e in idem
+    ):
+        return inverse
+    return _inverses_by_scan(names, table)
+
+
+def _inverses_by_scan(names, table):
+    """The inverse of each element, by trying every y for every x."""
     n = len(names)
     inverse = []
     for x in range(n):
@@ -341,34 +406,35 @@ def validate_inverse_monoid(
     """Validate monoid axioms and unique generalized inverses, then derive structure.
 
     Raises NotClosed, NotUnital, NotAssociative, NoInverse or NonUniqueInverse;
-    the derived structure is computed exhaustively and cached on the result.
+    the derived structure is computed exhaustively and cached on the result,
+    which gets a new, empty ``facts`` dict.
     """
     generators = _check_table(names, table, unit)
-    inverse = _generalized_inverses(names, table)
+    inverse = _generalized_inverses(names, table, generators)
     _check_anti_involution(names, table, inverse, generators)
     derived = _derive(names, table, unit, inverse, generators)
-    return FiniteInverseMonoid(names, table, unit, inverse, derived, generators)
+    return FiniteInverseMonoid(names, table, unit, inverse, derived, generators, {})
 
 
 def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInverseMonoid:
     """The validated ``monoid`` under new labels, with no check re-run.
 
-    Table, unit, inverse, generators and derived structure are kept; the
-    sigma-quotient is relabeled as `_derive` labels it, by the new names of
-    its class representatives.  Sound only where the caller knows that the
+    Table, unit, inverse, generators, derived structure and the ``facts``
+    dict are kept, the dict itself, not a copy; the sigma-quotient is
+    relabeled as `_derive` labels it, by the new names of its class
+    representatives.  Sound only where the caller knows that the
     validation, run on ``names``, would pass and derive the same structure.
     """
-    derived = monoid.derived
-    q = derived.sigma_quotient
-    reps = [cls[0] for cls in derived.sigma.classes]
+    d = monoid.derived
+    q = d.sigma_quotient
+    reps = [cls[0] for cls in d.sigma.classes]
     quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
+    derived = DerivedStructure(
+        d.idempotents, d.natural_leq, d.sigma, quotient, d.sigma_projection, d.sigma_maxima,
+        d.green_h, d.green_r, d.green_l, d.f_inverse, d.clifford,
+    )
     return FiniteInverseMonoid(
-        names,
-        monoid.table,
-        monoid.unit,
-        monoid.inverse,
-        replace(derived, sigma_quotient=quotient),
-        monoid.generators,
+        names, monoid.table, monoid.unit, monoid.inverse, derived, monoid.generators, monoid.facts
     )
 
 

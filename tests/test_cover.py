@@ -29,6 +29,7 @@ from fzcover import (
     symmetric,
     validate_dual_premorphism,
     validate_fuzzy,
+    validate_group,
     validate_inverse_monoid,
 )
 from fzcover.errors import (
@@ -297,6 +298,16 @@ def test_canonical_round_trip_agrees_with_search():
     assert checked == 151
 
 
+def on_fresh_group(fz):
+    """``fz`` over a freshly validated copy of its group.
+
+    Its cover shares no monoid, and so no kept report or round trip, with a
+    cover built before: a planted fault reaches every check.
+    """
+    group = fz.group
+    return validate_fuzzy(validate_group(group.names, group.table), fz.mu)
+
+
 @pytest.fixture
 def constant_psi(monkeypatch):
     """Plant psi = unit everywhere: certified, but its pair monoid is too big."""
@@ -309,7 +320,7 @@ def constant_psi(monkeypatch):
 
 
 def test_planted_wrong_psi_is_rejected_by_both(fz_z2, fz_v4, constant_psi):
-    for fz in (fz_z2, fz_v4):
+    for fz in map(on_fresh_group, (fz_z2, fz_v4)):
         cover = build_cover(fz)
         assert rejects(round_trip_by_search, cover)
         with pytest.raises(ReconstructionMismatch):
@@ -347,7 +358,7 @@ def test_planted_wrong_product_is_named_by_its_row(fz_v4, monkeypatch):
     # one product that the generator columns read is moved: the canonical map
     # is still a bijection that keeps the unit, so only the product check can
     # catch it, and the full row scan it falls back to names the first bad row
-    cover = build_cover(fz_v4)
+    cover = build_cover(on_fresh_group(fz_v4))
     row = plant_wrong_product(monkeypatch, cover)
     assert rejects(round_trip_by_search, cover)
     with pytest.raises(ReconstructionMismatch) as exc:
@@ -355,6 +366,26 @@ def test_planted_wrong_product_is_named_by_its_row(fz_v4, monkeypatch):
     assert exc.value.witness == row
     # the first failing row, not the first row: the fault is past row 0
     assert row > 0
+
+
+def test_calls_that_raise_keep_nothing(fz_v4, monkeypatch):
+    cover = build_cover(on_fresh_group(fz_v4))
+    args = (cover.monoid, cover.base, cover.projection)
+    facts = cover.monoid.facts
+    with monkeypatch.context() as patch:
+        plant_wrong_product(patch, cover)
+        with pytest.raises(ReconstructionMismatch):
+            premorphism_from_cover(*args)
+    with pytest.raises(NotHomomorphism):
+        premorphism_from_cover(cover.monoid, cover.base, (0,) * (cover.n - 1) + (1,))
+    constructed = cover_from_premorphism(as_dual_premorphism(fz_v4))
+    with pytest.raises(ValidationError):
+        cover_report(constructed)
+    assert facts == {} and constructed.monoid.facts == {}
+    # the first call that passes keeps its result, and the next reads it
+    dp = premorphism_from_cover(*args)
+    assert list(facts.values()) == [(dp.psi, dp.coverage_witness)]
+    assert premorphism_from_cover(*args) == dp
 
 
 def test_round_trip_builds_the_pair_table_only_on_failure(fz_v4, monkeypatch):
@@ -370,7 +401,7 @@ def test_round_trip_builds_the_pair_table_only_on_failure(fz_v4, monkeypatch):
         cover = build_cover(fz)
         premorphism_from_cover(cover.monoid, cover.base, cover.projection)
     assert calls == []
-    cover = build_cover(fz_v4)
+    cover = build_cover(on_fresh_group(fz_v4))
     plant_wrong_product(monkeypatch, cover)
     with pytest.raises(ReconstructionMismatch):
         premorphism_from_cover(cover.monoid, cover.base, cover.projection)

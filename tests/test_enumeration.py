@@ -13,6 +13,7 @@ from fzcover import (
     all_subgroups,
     build_cover,
     chain_monoid,
+    cover_report,
     cyclic,
     default_grid,
     dihedral,
@@ -26,6 +27,7 @@ from fzcover import (
     enumerate_subgroup_chains,
     klein_four,
     parse_workspace,
+    premorphism_from_cover,
     symmetric,
     validate_fuzzy,
     validate_fuzzy_morphism,
@@ -34,6 +36,7 @@ from fzcover import (
 from fzcover import enumeration
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 from fzcover.monoids import DerivedStructure, FiniteInverseMonoid
+from tests.test_cover import on_fresh_group
 
 F = Fraction
 
@@ -563,8 +566,7 @@ def assert_cover_like_lone(cover, fz):
     The lone subgroup is validated on a fresh copy of its group, so its
     cover shares no monoid with those built before.
     """
-    g = fz.group
-    lone = build_cover(validate_fuzzy(validate_group(g.names, g.table), fz.mu))
+    lone = build_cover(on_fresh_group(fz))
     assert_monoid_like(cover.monoid, lone.monoid)
     assert_monoid_like(cover.base, lone.base)
     assert cover.pairs == lone.pairs
@@ -633,6 +635,68 @@ def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
     assert covers[0].base == covers[1].base
     assert_cover_like_lone(covers[0], c4)
     assert_cover_like_lone(covers[1], v4)
+
+
+# -- one report and one round trip per shape, kept with the cover table ----------
+
+def grid_groups():
+    """Fresh group objects, whose grid-3 subgroups have 151 covers in all."""
+    return [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]
+
+
+def round_trip(cover):
+    return premorphism_from_cover(cover.monoid, cover.base, cover.projection)
+
+
+def test_one_listing_reports_and_round_trips_each_shape_once(monkeypatch):
+    reports, round_trips = [], []
+    real_report, real_validate = cover_module.CoverReport, cover_module.validate_dual_premorphism
+
+    def counted_report(**fields):
+        reports.append(fields)
+        return real_report(**fields)
+
+    def counted_validate(group, monoid, psi):
+        round_trips.append(psi)
+        return real_validate(group, monoid, psi)
+
+    monkeypatch.setattr(cover_module, "CoverReport", counted_report)
+    monkeypatch.setattr(cover_module, "validate_dual_premorphism", counted_validate)
+    listings = [enumerate_fuzzy_subgroups_filter(g, default_grid(3)) for g in grid_groups()]
+    covers = [build_cover(fz) for listed in listings for fz in listed]
+    by_shape = {}
+    for cover in covers:
+        by_shape.setdefault((cover.source.group, cover.source._rank), []).append(cover)
+    assert len(by_shape) < len(covers)
+    for _ in range(2):  # the second pass finds every shape kept
+        for cover in covers:
+            assert cover_report(cover).all_match
+            round_trip(cover)
+        assert len(reports) == len(round_trips) == len(by_shape)
+    # covers of one shape share one facts dict, one entry per function
+    for shaped in by_shape.values():
+        facts = shaped[0].monoid.facts
+        assert all(cover.monoid.facts is facts for cover in shaped)
+        assert sorted(key[0] for key in facts) == ["report", "round trip"]
+
+
+def test_kept_reports_and_round_trips_equal_fresh_ones():
+    checked = 0
+    for group in grid_groups():
+        for fz in enumerate_fuzzy_subgroups_filter(group, default_grid(3)):
+            cover = build_cover(fz)
+            report, dp = cover_report(cover), round_trip(cover)
+            fresh = build_cover(on_fresh_group(fz))
+            assert not fresh.monoid.facts
+            assert report == cover_report(fresh)
+            fresh_dp = round_trip(fresh)
+            assert dp == fresh_dp
+            # over the cover's own quotient and base, names and all
+            assert dp.group is cover.monoid.derived.sigma_quotient and dp.monoid is cover.base
+            assert dp.group.names == fresh_dp.group.names
+            assert dp.monoid.names == fresh_dp.monoid.names
+            checked += 1
+    assert checked == 151
 
 
 @pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)

@@ -12,7 +12,9 @@ inverses of `validate_group`, the sigma-congruence check of `_derive`, the
 rows of `build_cover`, the round trip of `premorphism_from_cover` and the
 H-class products of `hclass_level_isomorphism`.  So are the two-sided
 closure that `groups._generators` replaced with a closure under right
-multiplication, and the sorting that `Partition.from_class_of` no longer does.
+multiplication, the sorting that `Partition.from_class_of` no longer does,
+and the scan of every y for every x that `_generalized_inverses` replaced
+with propagation along the Cayley graph and keeps as its fallback.
 So are the commutation loops of both morphism validators, which now compare
 whole arrays, the per-entry range check of `is_group_homomorphism`, the pair
 scan of `is_subgroup`, the value comparisons of `level_subset` and the
@@ -33,12 +35,13 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from functools import reduce
-from itertools import compress, product
+from itertools import compress, permutations, product
 from operator import and_
 
 from hypothesis import example, given, settings, strategies as st
 
 import fzcover.cover as cover_module
+import fzcover.monoids as monoids_module
 import fzcover.workspace as workspace_module
 from fzcover import (
     as_dual_premorphism,
@@ -76,6 +79,8 @@ from fzcover.errors import (
     CoverageFailure,
     MissingInverse,
     NoIdentity,
+    NoInverse,
+    NonUniqueInverse,
     NotClosed,
     NotGroupHom,
     NotDualPremorphism,
@@ -103,10 +108,11 @@ from fzcover.monoids import (
     _check_anti_involution,
     _check_table,
     _derive,
+    _generalized_inverses,
     _members,
     check_projection,
 )
-from tests.test_cover import plant_wrong_product
+from tests.test_cover import on_fresh_group, plant_wrong_product
 from tests.test_derivation import fuzzy_subgroups, reversed_copy, symmetric_inverse_monoid
 from tests.test_monoids import _fixture_monoids, group_as_monoid, symmetric_inverse_monoid_2
 
@@ -364,6 +370,107 @@ def test_semigroup_tables_reach_each_outcome():
         assert group_outcome(validate_group, names, table) == expected
         outcomes.add(expected[0] if isinstance(expected[0], type) else FiniteGroup)
     assert outcomes == {FiniteGroup, NoIdentity, MissingInverse}
+
+
+# -- generalized inverses, propagated along the Cayley graph ----------------------
+
+
+def inverses_by_scan(names, table):
+    """_generalized_inverses as it was before propagation: every y tried for every x."""
+    n = len(names)
+    inverse = []
+    for x in range(n):
+        found = [
+            y
+            for y in range(n)
+            if table[table[x][y]][x] == x and table[table[y][x]][y] == y
+        ]
+        if not found:
+            raise NoInverse(f"element {names[x]} has no generalized inverse", witness=x)
+        if len(found) > 1:
+            raise NonUniqueInverse(
+                f"element {names[x]} has generalized inverses "
+                f"{names[found[0]]} and {names[found[1]]}",
+                witness=(x, found[0], found[1]),
+            )
+        inverse.append(found[0])
+    return inverse
+
+
+def transformations_of_two_points():
+    """T2, every map of two points, composed right-to-left, the identity first.
+
+    Regular, as every transformation monoid is, but not inverse: its two
+    constant maps are idempotents that do not commute.
+    """
+    maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
+    index = {m: i for i, m in enumerate(maps)}
+    return [[index[tuple(f[g[x]] for x in range(2))] for g in maps] for f in maps]
+
+
+# the unit, a and zero, with a*a = zero: a lies in no regular D-class
+NILPOTENT_WITH_UNIT = [[0, 1, 2], [1, 2, 2], [2, 2, 2]]
+
+
+def inverses_outcome(find, table, *generators):
+    names = [f"x{i}" for i in range(len(table))]
+    try:
+        return list(find(names, table, *generators))
+    except Exception as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+def assert_inverses_like_scan(table):
+    generators = _check_associative([f"x{i}" for i in range(len(table))], table)
+    expected = inverses_outcome(inverses_by_scan, table)
+    assert inverses_outcome(_generalized_inverses, table, generators) == expected
+    return expected
+
+
+@EXAMPLES
+@given(relabeled_semigroups())
+def test_inverses_by_propagation_agree_with_scan(table):
+    assert_inverses_like_scan(table)
+
+
+def test_inverses_reach_each_outcome_like_scan(monkeypatch):
+    scans = []
+    real = monoids_module._inverses_by_scan
+
+    def counted(names, table):
+        scans.append(len(table))
+        return real(names, table)
+
+    monkeypatch.setattr(monoids_module, "_inverses_by_scan", counted)
+    tables = SEMIGROUP_TABLES + [cover.monoid.table for cover in _grid_covers()]
+    failed = 0
+    for table in tables:
+        expected = assert_inverses_like_scan(table)
+        failed += isinstance(expected, tuple)
+    # the scan runs only where the propagated inverses fail their check
+    assert len(scans) == failed > 0
+    scans.clear()
+    # a non-regular monoid and a regular one that is not inverse, as inputs
+    # to the validator, each raise the scan's error with its witness
+    for table, expected in (
+        (NILPOTENT_WITH_UNIT, (NoInverse, 1, "element x1 has no generalized inverse")),
+        (
+            transformations_of_two_points(),
+            (NonUniqueInverse, (2, 2, 3), "element x2 has generalized inverses x2 and x3"),
+        ),
+    ):
+        assert assert_inverses_like_scan(table) == expected
+        names = [f"x{i}" for i in range(len(table))]
+        assert outcome(validate_inverse_monoid, names, table, 0) == expected
+    assert len(scans) == 4
+    # and so does every relabeling of the two
+    for table in (NILPOTENT_WITH_UNIT, transformations_of_two_points()):
+        n = len(table)
+        for perm in permutations(range(n)):
+            relabeled = [[0] * n for _ in range(n)]
+            for a, b in product(range(n), repeat=2):
+                relabeled[perm[a]][perm[b]] = perm[table[a][b]]
+            assert assert_inverses_like_scan(relabeled)[0] in (NoInverse, NonUniqueInverse)
 
 
 # -- the sigma-congruence check of _derive, on generators --------------------------
@@ -643,7 +750,7 @@ def test_round_trip_with_constant_psi_fails_like_full_table(fz_z2, fz_v4, monkey
         "validate_dual_premorphism",
         lambda group, monoid, psi: real(group, monoid, (monoid.unit,) * group.n),
     )
-    for cover in _small_covers(fz_z2, fz_v4):
+    for cover in _small_covers(on_fresh_group(fz_z2), on_fresh_group(fz_v4)):
         expected = assert_round_trip_like_full_table(cover.monoid, cover.base, cover.projection)
         assert expected[0] is ReconstructionMismatch
 
@@ -662,7 +769,9 @@ def test_round_trip_with_permuted_projection_fails_like_full_table(fz_z2, fz_v4)
 
 
 def test_round_trip_with_planted_product_fails_like_full_table(fz_v4, monkeypatch):
-    for fz in enumerate_fuzzy_subgroups_filter(klein_four(), default_grid(3)) + [fz_v4]:
+    for fz in enumerate_fuzzy_subgroups_filter(klein_four(), default_grid(3)) + [
+        on_fresh_group(fz_v4)
+    ]:
         cover = build_cover(fz)
         if cover.monoid.derived.sigma_quotient.n < 3:
             continue
@@ -1070,14 +1179,18 @@ def order_match_by_entries(cover, leq):
 
 
 def report_with_order(cover, leq):
-    """cover_report of the cover with its natural order replaced by ``leq``."""
+    """cover_report of the cover with its natural order replaced by ``leq``.
+
+    The changed monoid gets an empty ``facts`` dict of its own, so the
+    report is computed on ``leq``, not read back from the cover's.
+    """
     derived = dataclasses.replace(cover.monoid.derived, natural_leq=leq)
     changed = SimpleNamespace(
         source=cover.source,
         pairs=cover.pairs,
         pair_index=cover.pair_index,
         n=cover.n,
-        monoid=SimpleNamespace(derived=derived, unit=cover.monoid.unit),
+        monoid=SimpleNamespace(derived=derived, unit=cover.monoid.unit, facts={}),
     )
     return cover_report(changed)
 
