@@ -9,13 +9,17 @@ certifies a pair of objects by index arithmetic over the exhaustively
 enumerated hom-sets between them and of each to itself.  The arrays of those
 hom-sets, their index and the certificate's verdict depend only on the
 shapes of the objects (group and rank vector), and so does whether an array
-passes its validator; so they are found, each entry validated and the
-verdict decided, once per ordered pair of shapes.
+passes its validator; so they are indexed and the verdict decided once per
+ordered pair of shapes.  An automorphism pair of the two groups carries the
+hom-sets of one pair of shapes onto those of another, so they are searched,
+each entry validated, once per orbit of shape pairs, and carried to the
+other pairs of the orbit (`_homs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -31,23 +35,38 @@ from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, V
 from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy_morphism
 
 
-def _fstar(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> tuple[int, ...]:
-    """fstar(u, x) = (lam(u), f(x)) as pair indices, -1 where that pair is not admissible."""
-    f, lam, index = m.f, m.lam, c2.pair_index
-    return tuple(index.get((lam[u], f[x]), -1) for u, x in c1.pairs)
+def _starts(ranks) -> list[int]:
+    """Where the pairs over each element begin in the cover that `build_cover`
+    makes of these ranks: pairs run by element, then rank, so (u, x) sits at
+    start[x] + u, and start[n] is the size of the cover."""
+    return list(accumulate([r + 1 for r in ranks], initial=0))
 
 
-def _f(c1: CoverMonoid, c2: CoverMonoid, fstar) -> tuple[int, ...]:
-    """f(x) as the group component of fstar at the class maximum (mu(x), x)."""
-    fz = c1.source
-    return tuple(
-        c2.pairs[fstar[c1.pair_index[(fz.mu_index(x), x)]]][1] for x in range(fz.n)
-    )
+def _fstar(c1: CoverMonoid, c2: CoverMonoid, homs) -> list[tuple[int, ...]]:
+    """The fstar array of each (f, lam) of ``homs``: fstar(u, x) = (lam(u),
+    f(x)) as pair indices, -1 where that pair is not admissible.
+
+    The pairs of c1 are read once per call, and each image pair is looked
+    up in c2's pair index, which holds exactly the admissible pairs.
+    """
+    index = c2.pair_index
+    at_u, at_x = _after(c1.projection), _after([x for _, x in c1.pairs])
+    return [tuple(map(index.get, zip(at_u(lam), at_x(f)), repeat(-1))) for f, lam in homs]
+
+
+def _f(c1: CoverMonoid, c2: CoverMonoid, fstars) -> list[tuple[int, ...]]:
+    """The f array of each fstar array of ``fstars``: f(x) is the group
+    component of fstar at the class maximum (mu(x), x), which is the last
+    pair over x, at start[x + 1] - 1 (`_starts`)."""
+    elements = [x for _, x in c2.pairs]
+    at_maxima = _after([end - 1 for end in _starts(c1.source._rank)[1:]])
+    return [tuple(map(elements.__getitem__, at_maxima(fstar))) for fstar in fstars]
 
 
 def _embed(c1: CoverMonoid, c2: CoverMonoid, m: FuzzyMorphism) -> CoverMorphism:
     """E(m), validated; an inadmissible image pair, -1 in fstar, fails as NotHomomorphism."""
-    return validate_cover_morphism(c1.triple, c2.triple, _fstar(c1, c2, m), m.lam)
+    (fstar,) = _fstar(c1, c2, [(m.f, m.lam)])
+    return validate_cover_morphism(c1.triple, c2.triple, fstar, m.lam)
 
 
 def embed_object(fz: FuzzySubgroup) -> CoverTriple:
@@ -78,7 +97,7 @@ def reconstruct_morphism(
     c1, c2 = build_cover(source), build_cover(target)
     if c.source != c1.triple or c.target != c2.triple:
         raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
-    f = _f(c1, c2, c.fstar)
+    (f,) = _f(c1, c2, [c.fstar])
     try:
         m = validate_fuzzy_morphism(source, target, f, c.lam)
     except ValidationError as exc:
@@ -178,8 +197,10 @@ class _Arrays:
 
 # A certification keeps covers, hom records and group hom-sets in ``store``,
 # the caller's ``hom_cache`` or a fresh dict, under ("cover", fz), ("homs",
-# s.group, s._rank, t.group, t._rank) and ("group homs", g, h).  Each is a
-# pure function of its key, and nothing is stored for a build that raised.
+# s.group, s._rank, t.group, t._rank) and ("group homs", g, h); and the
+# orbits that `_homs` transports along under ("orbit", g, ranks) and
+# ("orbit homs", g, least, h, least).  Each is a pure function of its key,
+# and nothing is stored for a build that raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -188,8 +209,74 @@ def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     return cover
 
 
+def _automorphisms(store: dict, group, budget: int) -> list[tuple[int, ...]]:
+    """The automorphisms of ``group``: the bijections among its endomorphisms.
+
+    Those are the group hom-set kept under ("group homs", group, group),
+    searched with ``budget`` when it is not kept yet, as
+    `enumerate_fuzzy_morphisms` searches it.
+    """
+    key = ("group homs", group, group)
+    homs = store.get(key)
+    if homs is None:
+        homs = store[key] = enumeration.enumerate_group_homomorphisms(group, group, budget)
+    return [f for f in homs if len(set(f)) == group.n]
+
+
+def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple[tuple, tuple]:
+    """The least of the rank vectors ranks.gamma, over the automorphisms gamma
+    of fz's group, and the least gamma that reaches it, kept per shape.
+
+    Two shapes of one group have the same least vector iff an automorphism
+    carries one onto the other.
+    """
+    key = ("orbit", fz.group, fz._rank)
+    orbit = store.get(key)
+    if orbit is None:
+        ranks = fz._rank
+        orbit = store[key] = min(
+            (tuple(map(ranks.__getitem__, gamma)), gamma)
+            for gamma in _automorphisms(store, fz.group, budget)
+        )
+    return orbit
+
+
+def _carry(ranks: tuple, gamma: tuple, into: tuple, into_gamma: tuple):
+    """The element and cover-pair maps from a shape onto one of its orbit.
+
+    ``ranks`` and ``gamma`` are the rank vector of a shape and the
+    automorphism of its `_orbit`, and ``into`` and ``into_gamma`` those of
+    another shape of that orbit.  Then phi = into_gamma . gamma^-1 carries
+    the first onto the second (ranks = into . phi), and the pair (u, x) of
+    the first's cover onto (u, phi(x)).  Returns phi and that map of pair
+    positions, both as arrays.
+    """
+    gamma_inverse = sorted(range(len(gamma)), key=gamma.__getitem__)
+    phi = [into_gamma[x] for x in gamma_inverse]
+    start = _starts(into)
+    pairs = [start[y] + u for y, r in zip(phi, ranks) for u in range(r + 1)]
+    return phi, pairs
+
+
+def _transported(first: _Arrays, source: tuple, target: tuple):
+    """The fuzzy and cover hom arrays of Hom(s, t), carried from those of
+    Hom(s0, t0), sorted as the enumerators list them.
+
+    ``source`` is (phi, A) of `_carry` from s onto s0 and ``target`` is
+    (beta, B) from t0 onto t: (f, lam) goes to (beta.f.phi, lam) and (fstar,
+    lam) to (B.fstar.A, lam).
+    """
+    (phi, pairs_in), (beta, pairs_out) = source, target
+    at_phi, at_in = _after(phi), _after(pairs_in)
+    fuzzy = sorted((_after(at_phi(f))(beta), lam) for f, lam in first.fuzzy)
+    cover = sorted(
+        ((_after(at_in(fstar))(pairs_out), lam) for fstar, lam in first.cover), key=itemgetter(1, 0)
+    )
+    return fuzzy, cover
+
+
 def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arrays:
-    """Hom(s, t) by the fuzzy search and then the cover search, once per pair of shapes.
+    """Hom(s, t) as arrays, searched once per orbit of shape pairs and carried to the rest.
 
     The shape of a fuzzy subgroup is its group and its rank vector, and the
     `_Arrays` of the two hom-sets are kept under ("homs", s.group, s._rank,
@@ -209,23 +296,60 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     those, the group order and the chain length.  None of them reads a value
     or a label, except to word an error.  So two pairs of objects of the same
     shapes have equal hom arrays in the same order, each valid between either
-    pair (or their covers), equal index arrays and equal verdicts.  A budget
-    failure stores nothing.
+    pair (or their covers), equal index arrays and equal verdicts.
+
+    Only the first pair of shapes met in each orbit of Aut(G) x Aut(H) is
+    searched, fuzzy side then cover side.  Let alpha be an automorphism of G
+    and beta one of H, write alpha.r for r.alpha^-1, and let s = alpha.s0
+    and t = beta.t0.  Then (f, lam) -> (beta.f.alpha^-1, lam) is a bijection
+    from Hom(s0, t0) onto Hom(s, t): beta.f.alpha^-1 is a group hom, lam is
+    unchanged, and mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1 x) = lam(mu_s0
+    (alpha^-1 x)) = lam(mu_s(x)); the inverse map uses alpha^-1 and beta^-1.
+    (u, x) -> (u, alpha(x)) is an isomorphism from the cover of s0 onto that
+    of s that keeps the projection, so it keeps class maxima, and (fstar,
+    lam) -> (B.fstar.A^-1, lam), with A and B those isomorphisms, is a
+    bijection of the cover hom-sets, which commutes with the embedding
+    fstar(u, x) = (lam(u), f(x)).  So the carried arrays, sorted into the
+    enumerators' order, are those a search of Hom(s, t) finds, each valid,
+    and are not validated again; ``index``, ``image`` and ``back`` are then
+    built from them as from searched ones.  The orbit of a shape is keyed by
+    its least transported rank vector (`_orbit`), so which pair of an orbit
+    came first does not change the result.  A carried record runs no search
+    and makes no budget check; a search over budget stores nothing, so the
+    next pair of its orbit searches again.
     """
     key = ("homs", s.group, s._rank, t.group, t._rank)
     arrays = store.get(key)
     if arrays is None:
-        fuzzy = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
+        (least_s, gamma), (least_t, delta) = _orbit(store, s, budget), _orbit(store, t, budget)
+        orbit_key = ("orbit homs", s.group, least_s, t.group, least_t)
+        first = store.get(orbit_key)
         c1, c2 = _cover(store, s), _cover(store, t)
-        cover = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
-        index = {(m.f, m.lam): i for i, m in enumerate(fuzzy)}
-        listed = {(c.fstar, c.lam): j for j, c in enumerate(cover)}
-        image = [listed.get((_fstar(c1, c2, m), m.lam), -1) for m in fuzzy]
-        back = [index.get((_f(c1, c2, c.fstar), c.lam), -1) for c in cover]
-        arrays = store[key] = _Arrays(
-            [(m.f, m.lam) for m in fuzzy], [(c.fstar, c.lam) for c in cover], index, image, back
-        )
+        if first is None:
+            found = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
+            listed = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
+            fuzzy = [(m.f, m.lam) for m in found]
+            cover = [(c.fstar, c.lam) for c in listed]
+        else:
+            (s0, gamma0), (t0, delta0) = first
+            fuzzy, cover = _transported(
+                store[("homs", s.group, s0, t.group, t0)],
+                _carry(s._rank, gamma, s0, gamma0),
+                _carry(t0, delta0, t._rank, delta),
+            )
+        arrays = store[key] = _indexed(c1, c2, fuzzy, cover)
+        store.setdefault(orbit_key, ((s._rank, gamma), (t._rank, delta)))
     return arrays
+
+
+def _indexed(c1: CoverMonoid, c2: CoverMonoid, fuzzy: list, cover: list) -> _Arrays:
+    """The `_Arrays` of the (f, lam) arrays ``fuzzy`` and the (fstar, lam) arrays ``cover``."""
+    index = {arrays: i for i, arrays in enumerate(fuzzy)}
+    listed = {arrays: j for j, arrays in enumerate(cover)}
+    fstars, fs = _fstar(c1, c2, fuzzy), _f(c1, c2, map(itemgetter(0), cover))
+    image = [listed.get((fstar, lam), -1) for fstar, (_, lam) in zip(fstars, fuzzy)]
+    back = [index.get((f, lam), -1) for f, (_, lam) in zip(fs, cover)]
+    return _Arrays(fuzzy, cover, index, image, back)
 
 
 def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> bool:
@@ -275,8 +399,9 @@ def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> di
 
     The arrays of Hom(a, b), Hom(b, a), Hom(a, a) and Hom(b, b) are read in
     that order (`_homs`).  Those of a pair of shapes (group and rank vector)
-    not met yet are found by its fuzzy search and then its cover search,
-    each with the whole ``budget``.  The verdict is index arithmetic over
+    not met yet are carried from the pair searched in its orbit, or, first
+    in the orbit, found by its fuzzy search and then its cover search, each
+    with the whole ``budget``.  The verdict is index arithmetic over
     those four: no morphism is embedded, validated or reconstructed again.
     That decides the same conditions, because a hom-set is exhaustive, each
     of its entries passed its validator between objects of the same shapes,
@@ -354,12 +479,14 @@ def verify_embedding(
     The certificate is the verdict of the pair's shapes (`_verdict`) with
     the morphisms of the arrays of Hom(source, target), between source and
     target and between their covers.  A shared ``hom_cache`` dict, owned by
-    the caller, keeps covers, hom records with their verdicts and group
-    hom-sets across many pairs.  So each hom-set is searched, validated and
-    indexed, and each verdict decided, once per ordered pair of shapes; each
-    group hom-set is searched once per group pair; and a pair whose verdict
-    is kept reads one hom record and two covers.  A search read from it
-    makes no budget check again.
+    the caller, keeps covers, hom records with their verdicts, group
+    hom-sets and the orbits of shapes across many pairs.  So each hom-set is
+    searched and validated once per orbit of shape pairs under the
+    automorphisms of the two groups, and carried to the other pairs of the
+    orbit; it is indexed, and each verdict decided, once per ordered pair of
+    shapes; each group hom-set is searched once per group pair; and a pair
+    whose verdict is kept reads one hom record and two covers.  A search
+    read from it, or carried, makes no budget check again.
     """
     store = {} if hom_cache is None else hom_cache
     homs = _homs(store, source, target, budget)

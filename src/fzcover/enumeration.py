@@ -167,8 +167,9 @@ def enumerate_fuzzy_morphisms(
     otherwise.  The search reads the two groups, the ranks and the chain
     lengths, and a value only to word an error, so two pairs of objects
     with equal groups and ranks get equal (f, lam) arrays in the same order,
-    each valid between either pair: ``verify_embedding`` searches once per
-    pair of such shapes and reads those arrays for every other pair.
+    each valid between either pair.  ``verify_embedding`` searches once per
+    orbit of shape pairs under the automorphisms of the two groups, and
+    carries those arrays to every other pair of the orbit.
 
     A ``hom_cache`` dict, owned by the caller as in ``verify_embedding``,
     keeps the group hom-set under ("group homs", source.group, target.group),

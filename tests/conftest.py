@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -64,3 +65,59 @@ def acceptance_pools():
     ]
     assert [len(p) for p in pools] == [50, 62]
     return pools
+
+
+@pytest.fixture(scope="session")
+def pool():
+    """The 40 grid-3 fuzzy subgroups of C2, C3, C4 and V4."""
+    found = [
+        fz
+        for g in (cyclic(2), cyclic(3), cyclic(4), klein_four())
+        for fz in enumerate_fuzzy_subgroups_filter(g, default_grid(3))
+    ]
+    assert len(found) == 40
+    return found
+
+
+def automorphisms_by_images(group) -> list[tuple[int, ...]]:
+    """Every automorphism of ``group``, found with no library search.
+
+    Each assignment of images to the group's generators is spread along
+    right products, f(x*g) = f(x)*f(g), from f(e) = e; it is kept when no
+    product is given two images, every element is reached and the images
+    are distinct.  That is a bijective homomorphism, as f(x*g) = f(x)*f(g)
+    for every x and every generator g gives it for every product.
+    """
+    table, gens, n = group.table, group.generators, group.n
+    found = []
+    for images in product(range(n), repeat=len(gens)):
+        f = {group.identity: group.identity}
+        todo = [group.identity]
+        consistent = True
+        while todo and consistent:
+            x = todo.pop()
+            for g, image in zip(gens, images):
+                y, value = table[x][g], table[f[x]][image]
+                if y not in f:
+                    f[y] = value
+                    todo.append(y)
+                elif f[y] != value:
+                    consistent = False
+        if consistent and len(f) == n and len(set(f.values())) == n:
+            found.append(tuple(f[x] for x in range(n)))
+    return sorted(found)
+
+
+@pytest.fixture(scope="session")
+def orbit():
+    """The orbit of a fuzzy subgroup's shape under the automorphisms of its
+    group, named by the group and its least rank vector ranks.gamma."""
+    automorphisms: dict = {}
+
+    def orbit_of(fz) -> tuple:
+        if fz.group not in automorphisms:
+            automorphisms[fz.group] = automorphisms_by_images(fz.group)
+        ranks = fz._rank
+        return fz.group, min(tuple(ranks[x] for x in gamma) for gamma in automorphisms[fz.group])
+
+    return orbit_of

@@ -11,15 +11,12 @@ from fzcover import (
     compose_cover_morphisms,
     compose_fuzzy_morphisms,
     cyclic,
-    default_grid,
     embed_morphism,
     embed_object,
     enumerate_cover_morphisms,
     enumerate_fuzzy_morphisms,
-    enumerate_fuzzy_subgroups_filter,
     identity_cover_morphism,
     identity_fuzzy_morphism,
-    klein_four,
     reconstruct_morphism,
     validate_cover_morphism,
     validate_fuzzy,
@@ -443,18 +440,6 @@ def share_covers(patch) -> None:
     patch.setattr(embedding, "build_cover", cover_of)
 
 
-@pytest.fixture(scope="module")
-def pool():
-    """The 40 grid-3 fuzzy subgroups of C2, C3, C4 and V4."""
-    found = [
-        fz
-        for g in (cyclic(2), cyclic(3), cyclic(4), klein_four())
-        for fz in enumerate_fuzzy_subgroups_filter(g, default_grid(3))
-    ]
-    assert len(found) == 40
-    return found
-
-
 def shape(fz) -> tuple:
     """The shape of a fuzzy subgroup, its group and its ranks, which decides its hom arrays."""
     return fz.group, fz._rank
@@ -494,18 +479,20 @@ def plant_wrong_embedding(patch, wrong, like=None) -> None:
     import fzcover.embedding as embedding
 
     fstar_of = embedding._fstar
+    planted_at = (shape(wrong.source), shape(wrong.target), wrong.f, wrong.lam)
 
-    def arrays(m):
-        return shape(m.source), shape(m.target), m.f, m.lam
-
-    def planted(c1, c2, m):
-        if arrays(m) != arrays(wrong):
-            return fstar_of(c1, c2, m)
-        if like is not None:
-            return fstar_of(c1, c2, like)
-        moved = list(fstar_of(c1, c2, m))
-        moved[0] = (moved[0] + 1) % len(moved)
-        return tuple(moved)
+    def planted(c1, c2, homs):
+        found = fstar_of(c1, c2, homs)
+        for i, (f, lam) in enumerate(homs):
+            if (shape(c1.source), shape(c2.source), f, lam) != planted_at:
+                continue
+            if like is not None:
+                found[i] = fstar_of(c1, c2, [(like.f, like.lam)])[0]
+            else:
+                moved = list(found[i])
+                moved[0] = (moved[0] + 1) % len(moved)
+                found[i] = tuple(moved)
+        return found
 
     patch.setattr(embedding, "_fstar", planted)
 
@@ -661,21 +648,31 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz)
     import fzcover.enumeration as enumeration
 
     searched = []
-    enumerate_all = enumeration.enumerate_fuzzy_morphisms
+    for name in ("enumerate_fuzzy_morphisms", "enumerate_group_homomorphisms"):
 
-    def recording(source, target, budget, **kw):
-        searched.append((source, target))
-        return enumerate_all(source, target, budget, **kw)
+        def recording(source, target, budget, name=name, search=getattr(enumeration, name), **kw):
+            searched.append((name, source, target))
+            return search(source, target, budget, **kw)
 
-    monkeypatch.setattr(enumeration, "enumerate_fuzzy_morphisms", recording)
-    # every search of Hom(C1, V4), Hom(V4, C1) and their covers fits in 7
-    # nodes; Hom(V4, V4), searched only to look composites up, does not
+        monkeypatch.setattr(enumeration, name, recording)
+    # the orbits of both shapes are found first, from the automorphisms of
+    # both groups: those of C1 fit in 7 nodes, and the endomorphism search
+    # of V4, which needs 20, gets the whole budget and stops there
     with pytest.raises(BudgetExceeded) as exc:
         verify_embedding(trivial_fz, fz_v4, budget=7)
     assert str(exc.value) == "8 group homomorphism nodes exceed budget 7"
+    c1, v4 = trivial_fz.group, fz_v4.group
     assert searched == [
+        ("enumerate_group_homomorphisms", c1, c1), ("enumerate_group_homomorphisms", v4, v4)
+    ]
+    # with 20 nodes each search fits, though together they take more
+    searched.clear()
+    assert verify_embedding(trivial_fz, fz_v4, budget=20).ok
+    assert [(s, t) for name, s, t in searched if name == "enumerate_fuzzy_morphisms"] == [
         (trivial_fz, fz_v4), (fz_v4, trivial_fz), (trivial_fz, trivial_fz), (fz_v4, fz_v4)
     ]
+    with pytest.raises(BudgetExceeded):
+        verify_embedding(trivial_fz, fz_v4, budget=19)
 
 
 def recording_searches(patch) -> list[tuple]:
@@ -737,20 +734,21 @@ def pool_certificates(pool, shared: bool) -> list[dict]:
     ]
 
 
-def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool):
+def test_a_shared_cache_certifies_like_no_sharing(monkeypatch, pool, orbit):
     with monkeypatch.context() as patch:
         calls = counting_validations(patch)
         shared = pool_certificates(pool, shared=True)
     assert shared == pool_certificates(pool, shared=False)
     assert all(doc["ok"] for doc in shared)
-    # one validation per hom-set entry on each side, once per ordered pair of
-    # shapes, and nothing else
+    # one validation per hom-set entry on each side, once per orbit of
+    # ordered pairs of shapes (the rest are carried, not searched), and
+    # nothing else; the pairs of one orbit have hom-sets of one size
     pairs = [(a, b) for a in pool for b in pool]
-    by_shapes = {(shape(a), shape(b)): doc for (a, b), doc in zip(pairs, shared)}
-    assert len(by_shapes) == 16**2 < len(pairs)
+    by_orbits = {(orbit(a), orbit(b)): doc for (a, b), doc in zip(pairs, shared)}
+    assert len(by_orbits) == 12**2 < len({(shape(a), shape(b)) for a, b in pairs}) == 16**2
     assert calls == {
-        "fuzzy": sum(doc["fuzzy_hom_count"] for doc in by_shapes.values()),
-        "cover": sum(doc["cover_hom_count"] for doc in by_shapes.values()),
+        "fuzzy": sum(doc["fuzzy_hom_count"] for doc in by_orbits.values()),
+        "cover": sum(doc["cover_hom_count"] for doc in by_orbits.values()),
     }
 
 
@@ -860,32 +858,32 @@ def test_a_shared_cache_certifies_the_acceptance_pools_like_a_fresh_one(acceptan
                 assert verify_embedding(a, b, hom_cache={}).to_json_dict() == shared[a, b]
 
 
-def test_a_shared_cache_searches_each_cover_shape_pair_once(monkeypatch, pool):
+def test_a_shared_cache_searches_each_cover_orbit_pair_once(monkeypatch, pool, orbit):
     import fzcover.enumeration as enumeration
 
-    # the shape of a fuzzy subgroup is its group and its ranks
-    shape = {build_cover(fz).triple: (fz.group, fz._rank) for fz in pool}
+    # the orbit of a shape, its group and its ranks, under the group's automorphisms
+    orbit_of = {build_cover(fz).triple: orbit(fz) for fz in pool}
     searched = []
     search = enumeration.enumerate_cover_morphisms
 
     def recording(source, target, budget):
-        searched.append((shape[source], shape[target]))
+        searched.append((orbit_of[source], orbit_of[target]))
         return search(source, target, budget)
 
     monkeypatch.setattr(enumeration, "enumerate_cover_morphisms", recording)
     assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
-    shapes = set(shape.values())
-    assert len(shapes) == 16 < len(pool)
-    assert len(searched) == len(set(searched)) == len(shapes) ** 2
+    orbits = set(orbit_of.values())
+    assert len(orbits) == 12 < len({shape(fz) for fz in pool}) == 16
+    assert len(searched) == len(set(searched)) == len(orbits) ** 2
 
 
-def test_a_shared_cache_searches_each_fuzzy_shape_pair_once(monkeypatch, pool):
+def test_a_shared_cache_searches_each_fuzzy_orbit_pair_once(monkeypatch, pool, orbit):
     log = recording_searches(monkeypatch)
     assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
-    searched = [(shape(s), shape(t)) for side, s, t in log if side == "fuzzy"]
-    shapes = {shape(fz) for fz in pool}
-    assert len(shapes) == 16 < len(pool)
-    assert len(searched) == len(set(searched)) == len(shapes) ** 2
+    searched = [(orbit(s), orbit(t)) for side, s, t in log if side == "fuzzy"]
+    orbits = {orbit(fz) for fz in pool}
+    assert len(orbits) == 12 < len({shape(fz) for fz in pool}) == 16
+    assert len(searched) == len(set(searched)) == len(orbits) ** 2
 
 
 def test_a_pool_leaves_only_the_known_entry_kinds(pool):
@@ -894,7 +892,7 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {"cover", "homs", "group homs"}
+    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "orbit", "orbit homs"}
 
 
 def test_a_shared_cache_decides_each_verdict_once_then_reads_one_record(monkeypatch, pool):
@@ -928,9 +926,11 @@ def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):
     cache: dict = {}
     with pytest.raises(BudgetExceeded):
         verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
-    c1, v4 = trivial_fz.group, fz_v4.group
+    # the automorphisms of C1 fit in 7 nodes and those of V4 do not, so the
+    # hom-sets wait on the orbits of their shapes
+    c1 = trivial_fz.group
     searched = {key[1:] for key in cache if key[0] == "group homs"}
-    assert searched == {(c1, v4), (v4, c1), (c1, c1)}
+    assert searched == {(c1, c1)}
 
 
 def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, pool):
@@ -953,12 +953,18 @@ def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, 
 
 def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
     cache: dict = {}
-    # the hom-sets of the pair, its reverse and Hom(C1, C1) fit in 7 nodes; Hom(V4, V4) does not
-    with pytest.raises(BudgetExceeded):
+    # a pair of constant subgroups of V4 leaves the automorphisms of V4 kept;
+    # then the hom-sets of the pair, its reverse and Hom(C1, C1) fit in 7
+    # nodes, and the cover search of Hom(V4, V4) does not
+    constant = validate_fuzzy(fz_v4.group, [F(1)] * 4)
+    assert verify_embedding(constant, constant, hom_cache=cache).ok
+    with pytest.raises(BudgetExceeded) as exc:
         verify_embedding(trivial_fz, fz_v4, budget=7, hom_cache=cache)
-    assert cache
+    assert str(exc.value) == "8 monoid homomorphism nodes exceed budget 7"
     # a verdict is kept only once all four records it reads are found
-    assert all(record.verdict is None for key, record in cache.items() if key[0] == "homs")
+    primed = ("homs", *shape(constant), *shape(constant))
+    found = {key for key in cache if key[0] == "homs" and key != primed}
+    assert len(found) == 3 and all(cache[key].verdict is None for key in found)
     for a, b in ((trivial_fz, fz_v4), (fz_v4, trivial_fz), (fz_v4, fz_v4)):
         expected = verify_embedding(a, b).to_json_dict()
         assert verify_embedding(a, b, hom_cache=cache).to_json_dict() == expected

@@ -342,10 +342,26 @@ def _semigroup_tables():
 SEMIGROUP_TABLES = _semigroup_tables()
 
 
+def _inverse_tables():
+    # the semigroup tables, all of fewer elements than `_generalized_inverses`
+    # scans, and larger ones it walks: a group, a cover of 10 pairs, and a
+    # left-zero band of three times C3, whose elements have three inverses each
+    c3 = cyclic(3).table
+    c6 = validate_fuzzy(cyclic(6), [F(1), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)])
+    return SEMIGROUP_TABLES + [
+        dihedral(6).table,
+        build_cover(c6).monoid.table,
+        [[3 * (a // 3) + c3[a % 3][b % 3] for b in range(9)] for a in range(9)],
+    ]
+
+
+INVERSE_TABLES = _inverse_tables()
+
+
 @st.composite
-def relabeled_semigroups(draw):
+def relabeled_semigroups(draw, tables=SEMIGROUP_TABLES):
     # an associative table with its elements listed in a random order
-    table = draw(st.sampled_from(SEMIGROUP_TABLES))
+    table = draw(st.sampled_from(tables))
     n = len(table)
     perm = draw(st.permutations(range(n)))
     relabeled = [[0] * n for _ in range(n)]
@@ -428,12 +444,25 @@ def assert_inverses_like_scan(table):
 
 
 @EXAMPLES
-@given(relabeled_semigroups())
+@given(relabeled_semigroups(INVERSE_TABLES))
+@example(INVERSE_TABLES[-1])
+@example(INVERSE_TABLES[-2])
+@example(SEMIGROUP_TABLES[-1])
 def test_inverses_by_propagation_agree_with_scan(table):
     assert_inverses_like_scan(table)
 
 
+def test_inverse_tables_lie_on_both_sides_of_the_scan_size():
+    below = [table for table in INVERSE_TABLES if len(table) < monoids_module._SCAN_BELOW]
+    assert 0 < len(below) < len(INVERSE_TABLES)
+    # each side has an inverse monoid and a table that is not one
+    for side in (below, [table for table in INVERSE_TABLES if table not in below]):
+        outcomes = [inverses_outcome(inverses_by_scan, table) for table in side]
+        assert {isinstance(outcome, tuple) for outcome in outcomes} == {True, False}
+
+
 def test_inverses_reach_each_outcome_like_scan(monkeypatch):
+    tables = INVERSE_TABLES + [cover.monoid.table for cover in _grid_covers()]
     scans = []
     real = monoids_module._inverses_by_scan
 
@@ -442,13 +471,16 @@ def test_inverses_reach_each_outcome_like_scan(monkeypatch):
         return real(names, table)
 
     monkeypatch.setattr(monoids_module, "_inverses_by_scan", counted)
-    tables = SEMIGROUP_TABLES + [cover.monoid.table for cover in _grid_covers()]
-    failed = 0
+    small = failed = 0
     for table in tables:
         expected = assert_inverses_like_scan(table)
-        failed += isinstance(expected, tuple)
-    # the scan runs only where the propagated inverses fail their check
-    assert len(scans) == failed > 0
+        if len(table) < monoids_module._SCAN_BELOW:
+            small += 1
+        else:
+            failed += isinstance(expected, tuple)
+    # a small table is scanned; a larger one only where the propagated
+    # inverses fail their check
+    assert len(scans) == small + failed and small > 0 and failed > 0
     scans.clear()
     # a non-regular monoid and a regular one that is not inverse, as inputs
     # to the validator, each raise the scan's error with its witness

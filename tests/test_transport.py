@@ -1,0 +1,223 @@
+"""Hom-sets carried along automorphisms: one search per orbit of shape pairs.
+
+`embedding._homs` searches Hom(s, t) only for the first ordered pair of
+shapes met in each Aut(G) x Aut(H) orbit and carries its arrays to the other
+pairs of the orbit.  The oracles here use no carrying: the automorphisms
+are counted against closed forms and found again by generator images, and
+every carried record is compared, field by field, with the search of its
+own pair of shapes, which is how every record was found before.
+"""
+
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+
+from fzcover import (
+    build_cover,
+    cyclic,
+    default_grid,
+    dihedral,
+    enumerate_cover_morphisms,
+    enumerate_fuzzy_morphisms,
+    enumerate_fuzzy_subgroups_filter,
+    is_group_homomorphism,
+    klein_four,
+    parse_workspace,
+    symmetric,
+    validate_fuzzy,
+    validate_group,
+    verify_embedding,
+)
+from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
+from tests.conftest import automorphisms_by_images
+from tests.test_embedding import recording_searches
+
+FIELDS = ("fuzzy", "cover", "index", "image", "back")
+
+
+def euler_phi(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_the_automorphisms_are_as_many_as_the_closed_forms():
+    import fzcover.embedding as embedding
+
+    # |Aut(Cn)| = phi(n); Aut(V4) = S3 and Aut(S3) = Inn(S3); the dihedral
+    # group of order 2m has m phi(m) automorphisms for m >= 3; Aut(S4) = S4
+    expected = (
+        [(cyclic(n), euler_phi(n)) for n in range(1, 13)]
+        + [(klein_four(), 6), (symmetric(3), 6)]
+        + [(dihedral(m), m * euler_phi(m)) for m in range(3, 7)]
+        + [(symmetric(4), 24)]
+    )
+    for group, count in expected:
+        found = embedding._automorphisms({}, group, DEFAULT_BUDGET)
+        assert len(found) == count, group
+        assert sorted(found) == automorphisms_by_images(group), group
+
+
+@pytest.fixture(scope="module")
+def pools(pool):
+    """The 40-object grid-3 pool, D8 at k = 3 and S4 at k = 2."""
+    found = [
+        pool,
+        enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(3)),
+        enumerate_fuzzy_subgroups_filter(symmetric(4), default_grid(2)),
+    ]
+    assert [len(objects) for objects in found] == [40, 45, 31]
+    return found
+
+
+def searched(s, t, group_homs: dict) -> dict:
+    """The arrays of Hom(s, t) as a search of that pair of shapes finds them.
+
+    Both enumerators, and the index arrays by their definition: fstar(u, x)
+    is the position of (lam(u), f(x)) among the target's pairs, and f(x) the
+    group component of fstar at (mu(x), x).  ``group_homs`` keeps group
+    hom-sets only, never a hom record.
+    """
+    c1, c2 = build_cover(s), build_cover(t)
+    fuzzy = [(m.f, m.lam) for m in enumerate_fuzzy_morphisms(s, t, hom_cache=group_homs)]
+    cover = [(c.fstar, c.lam) for c in enumerate_cover_morphisms(c1.triple, c2.triple)]
+    index = {arrays: i for i, arrays in enumerate(fuzzy)}
+    listed = {arrays: j for j, arrays in enumerate(cover)}
+
+    def fstar_of(f, lam):
+        return tuple(c2.pair_index.get((lam[u], f[x]), -1) for u, x in c1.pairs)
+
+    def f_of(fstar):
+        return tuple(c2.pairs[fstar[c1.pair_index[(s._rank[x], x)]]][1] for x in range(s.n))
+
+    return {
+        "fuzzy": fuzzy,
+        "cover": cover,
+        "index": index,
+        "image": [listed.get((fstar_of(f, lam), lam), -1) for f, lam in fuzzy],
+        "back": [index.get((f_of(fstar), lam), -1) for fstar, lam in cover],
+    }
+
+
+def carried_unlike_searched(objects) -> list[tuple]:
+    """Every ordered pair of shapes of ``objects`` whose record, found with
+    one store in pair order, differs from the search of that pair."""
+    import fzcover.embedding as embedding
+
+    shapes = list({(fz.group, fz._rank): fz for fz in objects}.values())
+    store: dict = {}
+    group_homs: dict = {}
+    differ = []
+    for s in shapes:
+        for t in shapes:
+            record = embedding._homs(store, s, t, DEFAULT_BUDGET)
+            if {field: getattr(record, field) for field in FIELDS} != searched(s, t, group_homs):
+                differ.append((s, t))
+    # some records were carried, not searched
+    assert sum(key[0] == "orbit homs" for key in store) < len(shapes) ** 2
+    return differ
+
+
+def identity_last(group):
+    """``group`` with its elements listed one place earlier, so that its
+    identity, element 0, comes last."""
+    n = group.n
+    names = group.names[1:] + group.names[:1]
+    table = [[(group.table[(a + 1) % n][(b + 1) % n] - 1) % n for b in range(n)] for a in range(n)]
+    return validate_group(names, table)
+
+
+def test_each_carried_record_equals_the_search_of_its_pair(pools):
+    # with the identity listed first, an fstar array starts with lam; V4
+    # with it listed last tells the cover order (lam, fstar) from fstar's own
+    v4 = identity_last(klein_four())
+    assert v4.identity == 3
+    for objects in (*pools, enumerate_fuzzy_subgroups_filter(v4, default_grid(3))):
+        assert carried_unlike_searched(objects) == []
+
+
+def test_a_bijection_that_is_no_automorphism_carries_wrong_records(monkeypatch, pools):
+    import fzcover.embedding as embedding
+
+    d8 = pools[1][0].group
+    # s2 and s3 swapped, all else fixed: it keeps the identity, yet no
+    # automorphism moves one reflection alone
+    planted = tuple(range(6)) + (7, 6)
+    assert not is_group_homomorphism(planted, d8, d8)
+    automorphisms = embedding._automorphisms
+
+    def with_planted(store, group, budget):
+        found = automorphisms(store, group, budget)
+        return found + [planted] if group is d8 else found
+
+    monkeypatch.setattr(embedding, "_automorphisms", with_planted)
+    assert carried_unlike_searched(pools[1])
+
+
+def v4_shapes_of_one_orbit() -> tuple:
+    """Two fuzzy subgroups of V4 of distinct shapes, which the automorphism
+    that swaps a and b carries one onto the other."""
+    v4 = klein_four()
+    return (
+        validate_fuzzy(v4, [F(1), F(1, 2), F(1, 4), F(1, 4)]),
+        validate_fuzzy(v4, [F(1), F(1, 4), F(1, 2), F(1, 4)]),
+    )
+
+
+def test_a_carried_record_runs_no_search_and_checks_no_budget(monkeypatch):
+    a, b = v4_shapes_of_one_orbit()
+    assert a._rank != b._rank
+    cache: dict = {}
+    assert verify_embedding(a, a, hom_cache=cache).ok
+    searched_now = recording_searches(monkeypatch)
+    cert = verify_embedding(b, b, budget=0, hom_cache=cache)
+    assert cert.ok and searched_now == []
+    assert cert.to_json_dict() == verify_embedding(b, b, hom_cache={}).to_json_dict()
+
+
+def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch):
+    a, b = v4_shapes_of_one_orbit()
+    cache: dict = {}
+    # a pair of constant subgroups leaves the automorphisms of V4 kept, so
+    # with 7 nodes the search of Hom(a, a) fails at its cover side
+    constant = validate_fuzzy(a.group, [F(1)] * 4)
+    assert verify_embedding(constant, constant, hom_cache=cache).ok
+    kept = set(cache)
+    with pytest.raises(BudgetExceeded) as first:
+        verify_embedding(a, a, budget=7, hom_cache=cache)
+    assert str(first.value) == "8 monoid homomorphism nodes exceed budget 7"
+    assert {key[0] for key in set(cache) - kept} == {"cover", "orbit"}
+    searched_now = recording_searches(monkeypatch)
+    with pytest.raises(BudgetExceeded) as again:
+        verify_embedding(b, b, budget=7, hom_cache=cache)
+    assert str(again.value) == str(first.value)
+    assert [side for side, _, _ in searched_now] == ["fuzzy", "cover"]
+    # with the budget it needs the orbit is searched once, by whichever pair comes first
+    searched_now.clear()
+    assert verify_embedding(b, b, hom_cache=cache).ok and verify_embedding(a, a, hom_cache=cache).ok
+    cover = build_cover(b).triple
+    assert searched_now == [("fuzzy", b, b), ("cover", cover, cover)]
+
+
+def certify_pool_of_seed(seed: int) -> list:
+    """The objects of the certify-pool benchmark workload for ``seed``, in pair order."""
+    from bench.inputs import make_certify_pool
+
+    spec = make_certify_pool(seed)
+    ws = parse_workspace(spec["workspace"])
+    return [ws.fuzzies[obj["name"]] for obj in spec["objects"]]
+
+
+def test_a_pool_runs_one_cover_search_per_orbit_pair(monkeypatch, pools, orbit):
+    searched_now = recording_searches(monkeypatch)
+    searches, orbits, shapes = [], [], []
+    for objects in (certify_pool_of_seed(1), pools[1], pools[2]):
+        searched_now.clear()
+        cache: dict = {}
+        assert all(verify_embedding(a, b, hom_cache=cache).ok for a in objects for b in objects)
+        searches.append(sum(side == "cover" for side, _, _ in searched_now))
+        orbits.append(len({orbit(fz) for fz in objects}))
+        shapes.append(len({(fz.group, fz._rank) for fz in objects}))
+    # the orbits are the isomorphism classes of each pool: 12 of the 16
+    # shapes of C2, C3, C4 and V4, 13 of the 25 of D8 and 11 of the 30 of S4
+    assert (orbits, shapes) == ([12, 13, 11], [16, 25, 30])
+    assert searches == [count**2 for count in orbits]
