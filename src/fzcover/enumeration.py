@@ -7,9 +7,10 @@ chain of integer ranks (`search.dual_chain_ranks`), so a partial assignment
 that breaks an axiom is cut at once, and a constructive route through strictly
 descending subgroup chains -- so each can serve as the oracle for the other.
 The filter uses no subgroup lattice.  Both searches are iterative, so their
-depth is not bounded by the stack.  Everything returns lists in a
-deterministic (lexicographic) order, and every generated object re-passes its
-validator; generators never bypass validation.
+depth is not bounded by the stack.  Each hom-set is one search, with one
+budget, that reads lam off each f or fstar found.  Everything returns lists
+in a deterministic (lexicographic) order, and every generated object
+re-passes its validator; generators never bypass validation.
 """
 
 from __future__ import annotations
@@ -198,41 +199,40 @@ def enumerate_cover_morphisms(
 ) -> list[CoverMorphism]:
     """All cover morphisms source -> target, lexicographic by (lam, fstar).
 
-    The two conditions beyond being homomorphisms are the domains of the
-    searches.  lam may send a sigma-class maximum of the source base only to
-    a maximum of the target base.  fstar(t) lies in the fiber of the target
-    projection over lam(projection(t)), cut to the target's maxima when t is
-    a maximum; the fibers, whole and cut, are built once per call.  lam and
-    fstar are each searched by the images of their source's generators
-    (`enumerate_monoid_homomorphisms`), and each search has the whole
-    budget: more than ``budget`` generator images tried in one of them raise
-    BudgetExceeded.  Every pair found still passes the full validator.
+    One search, with one budget, lists the monoid homomorphisms fstar
+    (`enumerate_monoid_homomorphisms`), each sigma-class maximum sent to a
+    maximum and the unit to the unit.  The source projection pi is onto, so
+    pi'.fstar = lam.pi fixes lam: in every cover morphism lam(u) is
+    pi'(fstar(t)) at the first t with pi(t) = u.  An fstar is kept when that
+    lam commutes with the projections and keeps the maxima of the bases, so
+    every cover morphism is kept.  Its lam is then a monoid homomorphism:
+    lam(pi(a) pi(b)) = pi'(fstar(ab)) = lam(pi(a)) lam(pi(b)), and lam(1) =
+    pi'(fstar(1)) = 1.  Each kept pair still passes the full validator.
+
+    On covers of fuzzy subgroups every fstar is kept.  The target base is a
+    chain, so pi'(s) = pi'(ss^-1); fstar keeps inverses; and tt^-1 =
+    iota(pi(t)) with iota: u -> (u, e) a monoid homomorphism, so pi'.fstar =
+    (pi'.fstar.iota).pi.  The one maximum of the source base is its top, the
+    unit.  The filter matters only on bases that are not semilattices.
     """
 
     def maxima(monoid):
         return {m for m in monoid.derived.sigma_maxima if m is not None}
 
-    source_base_max, target_base_max = maxima(source.base), maxima(target.base)
-    lam_domains = [
-        target_base_max if x in source_base_max else range(target.base.n)
-        for x in range(source.base.n)
-    ]
-    lams = enumerate_monoid_homomorphisms(
-        source.base, target.base, allowed=lam_domains, budget=budget
-    )
-    fibers: dict[int, list[int]] = {}
-    for s in range(target.monoid.n):
-        fibers.setdefault(target.projection[s], []).append(s)
-    target_max = maxima(target.monoid)
-    cut = {b: [s for s in fiber if s in target_max] for b, fiber in fibers.items()}
-    source_max = maxima(source.monoid)
-    # the fibers each t takes its image from: the cut ones at a maximum
-    over = [cut if t in source_max else fibers for t in range(source.monoid.n)]
-    out = []
-    for lam in lams:
-        allowed = [over[t].get(lam[b], []) for t, b in enumerate(source.projection)]
-        for fstar in enumerate_monoid_homomorphisms(
-            source.monoid, target.monoid, allowed=allowed, budget=budget
+    source_max, target_max = maxima(source.monoid), sorted(maxima(target.monoid))
+    everything = range(target.monoid.n)
+    allowed = [target_max if t in source_max else everything for t in range(source.monoid.n)]
+    pi, target_pi = source.projection, target.projection
+    firsts = [pi.index(u) for u in range(source.base.n)]
+    base_max, target_base_max = maxima(source.base), maxima(target.base)
+    kept = []
+    for fstar in enumerate_monoid_homomorphisms(
+        source.monoid, target.monoid, allowed=allowed, budget=budget
+    ):
+        image = list(map(target_pi.__getitem__, fstar))
+        lam = tuple(map(image.__getitem__, firsts))
+        if list(map(lam.__getitem__, pi)) == image and target_base_max.issuperset(
+            map(lam.__getitem__, base_max)
         ):
-            out.append(validate_cover_morphism(source, target, fstar, lam))
-    return out
+            kept.append((lam, fstar))
+    return [validate_cover_morphism(source, target, fstar, lam) for lam, fstar in sorted(kept)]

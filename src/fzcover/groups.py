@@ -60,9 +60,6 @@ class FiniteGroup:
             self._plan = generator_plan(self.table, self.generators)
         return self._plan
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def index(self, label: str) -> int:
         return self.names.index(label)
 

@@ -65,9 +65,6 @@ class Partition:
         classes = tuple(map(tuple, buckets.values()))
         return Partition(classes, tuple(map(position.__getitem__, class_ids)))
 
-    def size_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.classes))
-
 
 @dataclass(frozen=True)
 class DerivedStructure:
@@ -160,17 +157,9 @@ def _check_table(names, table, unit) -> list[int]:
     return _check_associative(names, table)
 
 
-# below this many elements `_inverses_by_scan` is faster than the walk along
-# the generators with its checks (timeit on chain and cover tables: 1.4
-# against 3.9 us at 2 elements, even at 8, 12.3 against 15.7 us at 10)
-_SCAN_BELOW = 9
-
-
 def _generalized_inverses(names, table, generators):
     """The inverse of each element, or NoInverse or NonUniqueInverse.
 
-    A table of fewer than ``_SCAN_BELOW`` elements is scanned
-    (`_inverses_by_scan`), as that is faster there.  In a larger one,
     ``generators`` generate the associative table.  An idempotent generator
     is taken as its own inverse, each other generator's first inverse is
     found by a scan of its row and column, and the rest are propagated
@@ -186,8 +175,6 @@ def _generalized_inverses(names, table, generators):
     on failure that scan runs, to raise its error with its witness.
     """
     n = len(names)
-    if n < _SCAN_BELOW:
-        return _inverses_by_scan(names, table)
     inverse = [-1] * n
     for g in generators:
         row = table[g]
@@ -548,7 +535,7 @@ def enumerate_monoid_homomorphisms(
 
     ``allowed``, if given, holds the candidate images of each source
     element, and is the one way to restrict images: the cover search passes
-    its fibers and maxima through it.  A wrong length, or an image outside
+    the target's maxima through it.  A wrong length, or an image outside
     the target, raises ValueError.  Only the images of ``source.generators``
     are searched, and the rest of each map is forced (`generated_maps`).
     The budget counts generator images tried: more than ``budget`` raise

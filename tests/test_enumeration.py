@@ -13,6 +13,7 @@ from fzcover import (
     all_subgroups,
     build_cover,
     chain_monoid,
+    cover_from_premorphism,
     cover_report,
     cyclic,
     default_grid,
@@ -29,6 +30,8 @@ from fzcover import (
     parse_workspace,
     premorphism_from_cover,
     symmetric,
+    validate_cover_morphism,
+    validate_dual_premorphism,
     validate_fuzzy,
     validate_fuzzy_morphism,
     validate_group,
@@ -37,6 +40,7 @@ from fzcover import enumeration
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 from fzcover.monoids import DerivedStructure, FiniteInverseMonoid
 from tests.test_cover import on_fresh_group
+from tests.test_monoids import group_as_monoid
 
 F = Fraction
 
@@ -159,14 +163,9 @@ def test_cover_morphism_enumeration_counts(fz_z2, fz_v4, fz_z2_const):
 
 def brute_force_cover_morphisms(o1, o2):
     """Oracle: filter the raw (fstar, lam) product space by the validator."""
-    from itertools import product as iproduct
-
-    from fzcover import validate_cover_morphism
-    from fzcover.errors import ValidationError
-
     out = []
-    for lam in iproduct(range(o2.base.n), repeat=o1.base.n):
-        for fstar in iproduct(range(o2.monoid.n), repeat=o1.monoid.n):
+    for lam in product(range(o2.base.n), repeat=o1.base.n):
+        for fstar in product(range(o2.monoid.n), repeat=o1.monoid.n):
             try:
                 out.append(validate_cover_morphism(o1, o2, fstar, lam))
             except ValidationError:
@@ -174,9 +173,24 @@ def brute_force_cover_morphisms(o1, o2):
     return out
 
 
+def group_base_triples(group, base_group):
+    """The covers of ``group`` over the group ``base_group`` as a monoid, one
+    per onto group homomorphism psi, with pi(psi(h), h) = psi(h).  The base
+    is not a semilattice, so an endomorphism of the cover commutes with the
+    projections only when it keeps the kernel of psi."""
+    base = group_as_monoid(base_group)
+    return [
+        cover_from_premorphism(validate_dual_premorphism(group, base, psi)).triple
+        for psi in enumerate_group_homomorphisms(group, base_group)
+        if len(set(psi)) == base_group.n
+    ]
+
+
 def test_cover_morphism_enumeration_is_complete(fz_z2, fz_z2_const, v4):
     small_v4 = validate_fuzzy(v4, [F(1), F(1), F(1, 2), F(1, 2)])
-    objects = [embed_object(fz) for fz in (fz_z2, fz_z2_const, small_v4)]
+    over_c2 = group_base_triples(v4, cyclic(2))
+    assert len(over_c2) == 3
+    objects = [embed_object(fz) for fz in (fz_z2, fz_z2_const, small_v4)] + over_c2
     for o1 in objects:
         for o2 in objects:
             smart = enumerate_cover_morphisms(o1, o2)
@@ -184,6 +198,94 @@ def test_cover_morphism_enumeration_is_complete(fz_z2, fz_z2_const, v4):
             assert sorted((m.lam, m.fstar) for m in smart) == sorted(
                 (m.lam, m.fstar) for m in oracle
             )
+    # over C2 the square drops half of the 16 endomorphisms of V4
+    a = over_c2[0]
+    assert len(enumerate_monoid_homomorphisms(a.monoid, a.monoid)) == 16
+    assert len(enumerate_cover_morphisms(a, a)) == 8
+
+
+def cover_morphisms_by_fibres(source, target, budget=DEFAULT_BUDGET):
+    """Oracle: the cover search that searched lam first, then fstar per lam.
+
+    lam is searched over the bases with the maxima of the source base sent
+    to maxima of the target base; then, per lam, fstar(t) is searched in the
+    fibre of the target projection over lam(pi(t)), cut to the target's
+    maxima when t is a maximum.  Each search has the whole budget.
+    """
+
+    def maxima(monoid):
+        return {m for m in monoid.derived.sigma_maxima if m is not None}
+
+    source_base_max, target_base_max = maxima(source.base), maxima(target.base)
+    lam_domains = [
+        target_base_max if x in source_base_max else range(target.base.n)
+        for x in range(source.base.n)
+    ]
+    lams = enumerate_monoid_homomorphisms(
+        source.base, target.base, allowed=lam_domains, budget=budget
+    )
+    fibers: dict[int, list[int]] = {}
+    for s in range(target.monoid.n):
+        fibers.setdefault(target.projection[s], []).append(s)
+    target_max = maxima(target.monoid)
+    cut = {b: [s for s in fiber if s in target_max] for b, fiber in fibers.items()}
+    source_max = maxima(source.monoid)
+    over = [cut if t in source_max else fibers for t in range(source.monoid.n)]
+    out = []
+    for lam in lams:
+        allowed = [over[t].get(lam[b], []) for t, b in enumerate(source.projection)]
+        for fstar in enumerate_monoid_homomorphisms(
+            source.monoid, target.monoid, allowed=allowed, budget=budget
+        ):
+            out.append(validate_cover_morphism(source, target, fstar, lam))
+    return out
+
+
+def one_cover_per_shape(pool):
+    """The cover triple of the first subgroup of each shape (group and ranks) of ``pool``."""
+    return list({(fz.group, fz._rank): build_cover(fz).triple for fz in pool}.values())
+
+
+def test_one_search_lists_what_the_fibre_search_lists(acceptance_pools):
+    # every shape pair of the acceptance pools, of D8 at k = 3 and of the
+    # covers of V4 over C2, in the same order
+    d8 = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(3))
+    pools = [one_cover_per_shape(pool) for pool in (*acceptance_pools, d8)]
+    pools.append(group_base_triples(klein_four(), cyclic(2)))
+    assert [len(covers) for covers in pools] == [10, 26, 25, 3]
+    for covers in pools:
+        for a in covers:
+            for b in covers:
+                assert enumerate_cover_morphisms(a, b) == cover_morphisms_by_fibres(a, b)
+
+
+def largest_cover(group, k):
+    """The cover of the first subgroup of the grid-k filter pool with the most pairs."""
+    pool = enumerate_fuzzy_subgroups_filter(group, default_grid(k))
+    return build_cover(max(pool, key=lambda fz: build_cover(fz).n)).triple
+
+
+@pytest.mark.parametrize(
+    "cover, nodes, found",
+    [
+        (  # the fz_v4 fixture
+            lambda: embed_object(validate_fuzzy(klein_four(), [F(1), F(1, 2), F(1, 4), F(1, 4)])),
+            26,
+            6,
+        ),
+        (lambda: largest_cover(dihedral(4), 3), 86, 12),
+        (lambda: largest_cover(symmetric(4), 2), 296, 58),
+        (lambda: group_base_triples(klein_four(), cyclic(2))[0], 20, 8),
+    ],
+    ids=["V4-fixture", "D8-k3", "S4-k2", "V4-over-C2"],
+)
+def test_cover_search_node_counts_are_pinned(cover, nodes, found):
+    # the smallest budgets under which the one fstar search of Hom(c, c) lists it
+    c = cover()
+    assert len(enumerate_cover_morphisms(c, c, budget=nodes)) == found
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_cover_morphisms(c, c, budget=nodes - 1)
+    assert str(exc.value) == f"{nodes} monoid homomorphism nodes exceed budget {nodes - 1}"
 
 
 def test_hom_counts_invariant_under_relabeling(fz_z2):

@@ -172,9 +172,9 @@ def test_every_cover_search_of_the_acceptance_pools_matches_the_engine(
                 enumerate_cover_morphisms(a, b)
                 pairs += 1
     assert pairs == 10**2 + 26**2
-    # one lam search per pair, and at least one fstar search, as the map to
-    # the unit pair of the target is a cover morphism for every pair
-    assert len(searches) > 2 * pairs and sum(searches) > 0
+    # one fstar search per pair, and it finds the map to the unit pair of
+    # the target, a cover morphism for every pair
+    assert len(searches) == pairs and sum(searches) > 0
 
 
 def _relabeled(table, perm):
@@ -278,10 +278,9 @@ def isomorphism_by_engine(a, b, budget=DEFAULT_BUDGET):
     da, db = a.derived, b.derived
     if len(da.idempotents) != len(db.idempotents):
         return None
-    if da.sigma.size_multiset() != db.sigma.size_multiset():
-        return None
-    if da.green_h.size_multiset() != db.green_h.size_multiset():
-        return None
+    for pa, pb in ((da.sigma, db.sigma), (da.green_h, db.green_h)):
+        if sorted(map(len, pa.classes)) != sorted(map(len, pb.classes)):
+            return None
     sig_b: dict = {}
     for y in range(b.n):
         sig_b.setdefault(_element_signature(b, y), []).append(y)

@@ -343,9 +343,8 @@ SEMIGROUP_TABLES = _semigroup_tables()
 
 
 def _inverse_tables():
-    # the semigroup tables, all of fewer elements than `_generalized_inverses`
-    # scans, and larger ones it walks: a group, a cover of 10 pairs, and a
-    # left-zero band of three times C3, whose elements have three inverses each
+    # the semigroup tables, and larger ones: a group, a cover of 10 pairs, and
+    # a left-zero band of three times C3, whose elements have three inverses each
     c3 = cyclic(3).table
     c6 = validate_fuzzy(cyclic(6), [F(1), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)])
     return SEMIGROUP_TABLES + [
@@ -452,15 +451,6 @@ def test_inverses_by_propagation_agree_with_scan(table):
     assert_inverses_like_scan(table)
 
 
-def test_inverse_tables_lie_on_both_sides_of_the_scan_size():
-    below = [table for table in INVERSE_TABLES if len(table) < monoids_module._SCAN_BELOW]
-    assert 0 < len(below) < len(INVERSE_TABLES)
-    # each side has an inverse monoid and a table that is not one
-    for side in (below, [table for table in INVERSE_TABLES if table not in below]):
-        outcomes = [inverses_outcome(inverses_by_scan, table) for table in side]
-        assert {isinstance(outcome, tuple) for outcome in outcomes} == {True, False}
-
-
 def test_inverses_reach_each_outcome_like_scan(monkeypatch):
     tables = INVERSE_TABLES + [cover.monoid.table for cover in _grid_covers()]
     scans = []
@@ -471,16 +461,11 @@ def test_inverses_reach_each_outcome_like_scan(monkeypatch):
         return real(names, table)
 
     monkeypatch.setattr(monoids_module, "_inverses_by_scan", counted)
-    small = failed = 0
+    failed = 0
     for table in tables:
-        expected = assert_inverses_like_scan(table)
-        if len(table) < monoids_module._SCAN_BELOW:
-            small += 1
-        else:
-            failed += isinstance(expected, tuple)
-    # a small table is scanned; a larger one only where the propagated
-    # inverses fail their check
-    assert len(scans) == small + failed and small > 0 and failed > 0
+        failed += isinstance(assert_inverses_like_scan(table), tuple)
+    # a table is scanned only where the propagated inverses fail their check
+    assert len(scans) == failed and failed > 0
     scans.clear()
     # a non-regular monoid and a regular one that is not inverse, as inputs
     # to the validator, each raise the scan's error with its witness

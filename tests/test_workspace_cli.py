@@ -231,9 +231,9 @@ def test_exit_code_budget(capsys):
 
 def test_embed_budget_bounds_the_cover_searches_of_the_composites(capsys):
     # morphisms.fzw holds mu1 and mu2 on Z2, z2.fzw that same mu1.  Every fuzzy
-    # search and the cover searches of the pairs from morphisms.fzw to z2.fzw fit
-    # in 3 generator images, but the composites through Hom(mu1, mu2) read its
-    # cover side, whose search tries 4; with the files swapped that is one of the pairs
+    # search fits in 2 generator images, but the cover searches of Hom(mu1, mu1),
+    # read by the first pair either way round, and of Hom(mu1, mu2), read by the
+    # composites through it, try 4
     morphisms, z2 = str(WORKSPACES / "morphisms.fzw"), str(WORKSPACES / "z2.fzw")
     for first, second in ((morphisms, z2), (z2, morphisms)):
         code, out, err = run_cli(capsys, "embed", first, second, "--budget", "3")
