@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -76,8 +76,7 @@ def cover_triple(
     return CoverTriple(monoid, base, projection)
 
 
-@dataclass(frozen=True)
-class CoverMorphism:
+class CoverMorphism(NamedTuple):
     """A pair (fstar, lam) of monoid homomorphisms commuting with projections.
 
     Both components send every class maximum to the maximum of its own class.

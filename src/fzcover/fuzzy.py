@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import ge, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AlgebraError,
@@ -213,8 +213,7 @@ def as_dual_premorphism(fz: FuzzySubgroup) -> DualPremorphism:
 
 # -- morphisms of fuzzy subgroups ---------------------------------------------
 
-@dataclass(frozen=True)
-class FuzzyMorphism:
+class FuzzyMorphism(NamedTuple):
     """A pair (f, lam): group homomorphism plus top-preserving monotone chain map.
 
     ``lam`` maps chain indices of the source value set to chain indices of

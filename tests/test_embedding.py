@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fzcover import (
+    CoverReport,
     EmbeddingCertificate,
     FuzzyMorphism,
     build_cover,
@@ -117,6 +119,33 @@ def test_cover_morphism_maxima_failure(fz_z2):
     # over the non-identity element to a non-maximum
     with pytest.raises(MaximaNotPreserved):
         validate_cover_morphism(obj, obj, (0, 1, 0), (0, 1))
+
+
+# -- the morphism records ------------------------------------------------------------
+
+def test_morphism_records_are_immutable_named_tuples(fz_z2):
+    obj = embed_object(fz_z2)
+    records = (
+        (identity_fuzzy_morphism(fz_z2), fz_z2, "FuzzyMorphism", ("source", "target", "f", "lam")),
+        (identity_cover_morphism(obj), obj, "CoverMorphism", ("source", "target", "fstar", "lam")),
+    )
+    for m, end, name, fields in records:
+        assert type(m)._fields == fields
+        maps = tuple(getattr(m, field) for field in fields[2:])
+        assert repr(m) == (
+            f"{name}(source={end!r}, target={end!r}, "
+            f"{fields[2]}={maps[0]!r}, {fields[3]}={maps[1]!r})"
+        )
+        copy = type(m)(end, end, *maps)
+        assert copy == m == (end, end, *maps) and hash(copy) == hash(m)
+        source, target, first, second = m
+        assert (source, target, first, second) == (end, end, *maps) and m[2] == maps[0]
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(m, field, None)
+    # certificates and reports stay dataclasses: planted faults replace their fields
+    assert dataclasses.is_dataclass(EmbeddingCertificate)
+    assert dataclasses.is_dataclass(CoverReport)
 
 
 # -- the embedding on objects --------------------------------------------------------

@@ -1,6 +1,7 @@
 """The tools: certify_pool.py certifies every ordered pair of one group's
 filter pool; interleave.py times two source trees in turns on one benchmark
-workload and compares their observations."""
+workload and compares their observations; bench/selftest.py checks that the
+benchmark counts planted faults as failures."""
 
 import shutil
 import subprocess
@@ -124,3 +125,15 @@ def test_interleave_exits_1_when_observations_differ(tmp_path):
     assert done.returncode == 1, done.stderr
     digests = [line.split()[2] for line in done.stdout.splitlines() if line.startswith("sha256")]
     assert len(digests) == 2 and digests[0] != digests[1]
+
+
+def test_the_bench_selftest_counts_its_planted_faults():
+    # the bench plants its faults with dataclasses.replace on a certificate
+    # and a report, so a change to those records that breaks the planting
+    # fails here
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True, text=True, check=False, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: ok"

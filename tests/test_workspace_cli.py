@@ -229,11 +229,11 @@ def test_exit_code_budget(capsys):
     assert code == 3 and err == "error: 101 fuzzy subgroup nodes exceed budget 100\n"
 
 
-def test_embed_budget_bounds_the_cover_searches_of_the_composites(capsys):
+def test_embed_budget_fires_on_the_first_pairs_own_cover_search(capsys):
     # morphisms.fzw holds mu1 and mu2 on Z2, z2.fzw that same mu1.  Every fuzzy
-    # search fits in 2 generator images, but the cover searches of Hom(mu1, mu1),
-    # read by the first pair either way round, and of Hom(mu1, mu2), read by the
-    # composites through it, try 4
+    # search fits in 2 generator images, but the one cover search of
+    # Hom(mu1, mu1), the first pair's own hom-set either way round, tries 4:
+    # budget 3 fails there, before the composites' Hom(mu1, mu2) is searched
     morphisms, z2 = str(WORKSPACES / "morphisms.fzw"), str(WORKSPACES / "z2.fzw")
     for first, second in ((morphisms, z2), (z2, morphisms)):
         code, out, err = run_cli(capsys, "embed", first, second, "--budget", "3")
