@@ -12,8 +12,10 @@ shapes of the objects (group and rank vector), and so does whether an array
 passes its validator; so they are indexed and the verdict decided once per
 ordered pair of shapes.  An automorphism pair of the two groups carries the
 hom-sets of one pair of shapes onto those of another, so they are searched,
-each entry validated, once per orbit of shape pairs, and carried to the
-other pairs of the orbit (`_homs`).
+each entry validated, once per orbit of shape pairs, on the pair of the two
+orbits' representatives, and carried from it to the other pairs of the orbit
+(`_homs`); the identity and composite checks are decided once per unordered
+pair of orbits, on the representatives' records (`_verdict`).
 """
 
 from __future__ import annotations
@@ -184,7 +186,10 @@ class _Arrays:
     embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]`` that of (f read
     off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
     ``verdict`` is None until `_verdict` sets it, once: the fields of a
-    certificate of (s, t) other than its objects and morphisms.
+    certificate of (s, t) other than its objects and morphisms.  ``checks``
+    is None but on the records of two orbits' representatives, where
+    `_verdict` sets it, once for Hom(s, t) and Hom(t, s): the identity and
+    composite fields of the verdict of every pair of those orbits.
     """
 
     fuzzy: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -193,14 +198,18 @@ class _Arrays:
     image: list[int]
     back: list[int]
     verdict: Optional[dict] = None
+    checks: Optional[dict] = None
 
 
 # A certification keeps covers, hom records and group hom-sets in ``store``,
 # the caller's ``hom_cache`` or a fresh dict, under ("cover", fz), ("homs",
 # s.group, s._rank, t.group, t._rank) and ("group homs", g, h); and the
-# orbits that `_homs` transports along under ("orbit", g, ranks) and
-# ("orbit homs", g, least, h, least).  Each is a pure function of its key,
-# and nothing is stored for a build that raised.
+# orbits that `_homs` transports along, each orbit's representative under
+# ("representative", g, least) and each shape's maps to and from it under
+# ("orbit", g, ranks).  Those two kinds depend on the order of the calls,
+# as the representative is the first object of its orbit met; every other
+# entry is a pure function of its key, so no hom record, verdict or
+# certificate depends on that order.  Nothing is stored for a build that raised.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -223,20 +232,29 @@ def _automorphisms(store: dict, group, budget: int) -> list[tuple[int, ...]]:
     return [f for f in homs if len(set(f)) == group.n]
 
 
-def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple[tuple, tuple]:
-    """The least of the rank vectors ranks.gamma, over the automorphisms gamma
-    of fz's group, and the least gamma that reaches it, kept per shape.
+def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
+    """The representative of the orbit of fz's shape, with the `_carry` maps
+    from that shape onto the representative's and back, kept per shape.
 
-    Two shapes of one group have the same least vector iff an automorphism
-    carries one onto the other.
+    The orbit is named by the least of the rank vectors ranks.gamma over the
+    automorphisms gamma of fz's group: two shapes of one group have the same
+    least vector iff an automorphism carries one onto the other.  Its
+    representative is the first of its objects met, kept with the least
+    gamma that reaches that vector.
     """
     key = ("orbit", fz.group, fz._rank)
     orbit = store.get(key)
     if orbit is None:
         ranks = fz._rank
-        orbit = store[key] = min(
+        least, gamma = min(
             (tuple(map(ranks.__getitem__, gamma)), gamma)
             for gamma in _automorphisms(store, fz.group, budget)
+        )
+        first, first_gamma = store.setdefault(("representative", fz.group, least), (fz, gamma))
+        orbit = store[key] = (
+            first,
+            _carry(ranks, gamma, first._rank, first_gamma),
+            _carry(first._rank, first_gamma, ranks, gamma),
         )
     return orbit
 
@@ -298,11 +316,11 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     shapes have equal hom arrays in the same order, each valid between either
     pair (or their covers), equal index arrays and equal verdicts.
 
-    Only the first pair of shapes met in each orbit of Aut(G) x Aut(H) is
-    searched, fuzzy side then cover side.  Let alpha be an automorphism of G
-    and beta one of H, write alpha.r for r.alpha^-1, and let s = alpha.s0
-    and t = beta.t0.  Then (f, lam) -> (beta.f.alpha^-1, lam) is a bijection
-    from Hom(s0, t0) onto Hom(s, t): beta.f.alpha^-1 is a group hom, lam is
+    Only the pair of the two orbits' representatives (`_orbit`) is searched,
+    fuzzy side then cover side.  Let alpha be an automorphism of G and beta
+    one of H, write alpha.r for r.alpha^-1, and let s = alpha.s0 and t =
+    beta.t0.  Then (f, lam) -> (beta.f.alpha^-1, lam) is a bijection from
+    Hom(s0, t0) onto Hom(s, t): beta.f.alpha^-1 is a group hom, lam is
     unchanged, and mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1 x) = lam(mu_s0
     (alpha^-1 x)) = lam(mu_s(x)); the inverse map uses alpha^-1 and beta^-1.
     (u, x) -> (u, alpha(x)) is an isomorphism from the cover of s0 onto that
@@ -312,33 +330,35 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     fstar(u, x) = (lam(u), f(x)).  So the carried arrays, sorted into the
     enumerators' order, are those a search of Hom(s, t) finds, each valid,
     and are not validated again; ``index``, ``image`` and ``back`` are then
-    built from them as from searched ones.  The orbit of a shape is keyed by
-    its least transported rank vector (`_orbit`), so which pair of an orbit
-    came first does not change the result.  A carried record runs no search
-    and makes no budget check; a search over budget stores nothing, so the
-    next pair of its orbit searches again.
+    built from them as from searched ones.  Each record is carried by one
+    `_transported` call from the representatives' record, with the maps
+    `_orbit` keeps per shape, so which object represents an orbit changes
+    no record.  A carried record runs no search and makes no budget check;
+    a search over budget stores nothing, so the next pair of its orbit pair
+    searches the representatives' pair again.
+
+    The verdict's checks of identities and composites depend only on the
+    pair of orbits.  Transport by (alpha, beta) commutes with E and with R,
+    as above, and with composition: for m1 of Hom(s0, t0) and m2 of Hom(t0,
+    s0), the composite m2.m1 goes to (alpha m2 beta^-1)(beta m1 alpha^-1) =
+    alpha (m2 m1) alpha^-1, which is how Hom(s0, s0) goes to Hom(s, s), and
+    the identity of s0 goes to that of s, on either side.  So the carried
+    records of (s, t), (t, s), (s, s) and (t, t) pass those checks iff the
+    representatives' records do, and have as many composites.
     """
     key = ("homs", s.group, s._rank, t.group, t._rank)
     arrays = store.get(key)
     if arrays is None:
-        (least_s, gamma), (least_t, delta) = _orbit(store, s, budget), _orbit(store, t, budget)
-        orbit_key = ("orbit homs", s.group, least_s, t.group, least_t)
-        first = store.get(orbit_key)
+        (r, into_r, _), (q, _, out_of_q) = _orbit(store, s, budget), _orbit(store, t, budget)
         c1, c2 = _cover(store, s), _cover(store, t)
-        if first is None:
+        if (r._rank, q._rank) == (s._rank, t._rank):
             found = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
             listed = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
             fuzzy = [(m.f, m.lam) for m in found]
             cover = [(c.fstar, c.lam) for c in listed]
         else:
-            (s0, gamma0), (t0, delta0) = first
-            fuzzy, cover = _transported(
-                store[("homs", s.group, s0, t.group, t0)],
-                _carry(s._rank, gamma, s0, gamma0),
-                _carry(t0, delta0, t._rank, delta),
-            )
+            fuzzy, cover = _transported(_homs(store, r, q, budget), into_r, out_of_q)
         arrays = store[key] = _indexed(c1, c2, fuzzy, cover)
-        store.setdefault(orbit_key, ((s._rank, gamma), (t._rank, delta)))
     return arrays
 
 
@@ -397,12 +417,17 @@ def _after(first: tuple[int, ...]):
 def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> dict:
     """The verdict of (a, b), decided once and kept on the record of Hom(a, b).
 
-    The arrays of Hom(a, b), Hom(b, a), Hom(a, a) and Hom(b, b) are read in
-    that order (`_homs`).  Those of a pair of shapes (group and rank vector)
-    not met yet are carried from the pair searched in its orbit, or, first
-    in the orbit, found by its fuzzy search and then its cover search, each
-    with the whole ``budget``.  The verdict is index arithmetic over
-    those four: no morphism is embedded, validated or reconstructed again.
+    It reads the record of Hom(a, b) (`_homs`) and the identity and
+    composite checks of the orbits of a and b, kept on the records of
+    Hom(r, q) and Hom(q, r), where r and q are the representatives of those
+    orbits (`_orbit`).  The checks are decided once per unordered pair of
+    orbits, on the records of Hom(r, q), Hom(q, r), Hom(r, r) and Hom(q, q),
+    read in that order; they hold for (a, b) iff they hold for (r, q), as
+    transport commutes with E and with composition (`_homs`).  A record not
+    found yet is carried from its orbit pair's representatives, or, for
+    theirs, found by its fuzzy search and then its cover search, each with
+    the whole ``budget``.  The verdict is index arithmetic over those
+    records: no morphism is embedded, validated or reconstructed again.
     That decides the same conditions, because a hom-set is exhaustive, each
     of its entries passed its validator between objects of the same shapes,
     which is passing it between any such objects, and E and R keep lam:
@@ -415,21 +440,29 @@ def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> di
       back[j] >= 0;
     - E(R(c_j)) = c_j iff image[back[j]] == j, and R(E(m_i)) = m_i iff
       back[image[i]] == i;
-    - composites a->b->a and b->a->b as in `_respects_compositions`: those
-      of (b, a) too, so read off Hom(b, a)'s verdict if that came first, and
-      checked once when a and b have one shape (the four records are one).
+    - composites a->b->a and b->a->b as in `_respects_compositions`,
+      checked once when a and b are of one orbit (the four records are one).
 
     So the verdict accepts exactly the pairs that embedding and validating
     every morphism accepts, and a broken enumerator or embedding is recorded
-    as the first failed condition instead of raising.  It is kept once every
-    record is found and every check done, so a call that raises keeps none.
+    as the first failed condition instead of raising.  Checks and verdict
+    are kept once every record they read is found and every check done, so
+    a call that raises keeps neither.
     """
-    ab, ba = _homs(store, a, b, budget), _homs(store, b, a, budget)
-    aa, bb = _homs(store, a, a, budget), _homs(store, b, b, budget)
-    image, back = ab.image, ab.back
+    ab = _homs(store, a, b, budget)
+    (r, *_), (q, *_) = _orbit(store, a, budget), _orbit(store, b, budget)
+    first, mirror = _homs(store, r, q, budget), _homs(store, q, r, budget)
+    if first.checks is None:
+        rr, qq = _homs(store, r, r, budget), _homs(store, q, q, budget)
+        first.checks = mirror.checks = dict(
+            identity_ok=_keeps_identity(rr, r) and _keeps_identity(qq, q),
+            composition_checks=2 * len(first.fuzzy) * len(mirror.fuzzy),
+            composition_ok=_respects_compositions(first, mirror, rr)
+            and (mirror is first or _respects_compositions(mirror, first, qq)),
+        )
+    kept, image, back = first.checks, ab.image, ab.back
 
-    identity_ok = _keeps_identity(aa, a) and _keeps_identity(bb, b)
-    failures = [] if identity_ok else ["embedding does not send an identity to an identity"]
+    failures = [] if kept["identity_ok"] else ["embedding does not send an identity to an identity"]
     missing = [i for i, j in enumerate(image) if j < 0]
     failures += [f"image of fuzzy morphism {i} missing from cover hom-set" for i in missing]
     faithful = len(set(image)) == len(image)
@@ -450,19 +483,12 @@ def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> di
             roundtrip_ok = False
             failures.append(f"round trip differs on fuzzy morphism {i}")
 
-    if ba.verdict is not None:
-        composition_ok = ba.verdict["composition_ok"]
-    else:
-        composition_ok = _respects_compositions(ab, ba, aa) and (
-            ba is ab or _respects_compositions(ba, ab, bb)
-        )
-    if not composition_ok:
+    if not kept["composition_ok"]:
         failures.append("embedding does not respect a composition")
 
     ab.verdict = dict(
-        bijection=tuple(image), identity_ok=identity_ok, faithful=faithful, full=full,
-        roundtrip_ok=roundtrip_ok, composition_checks=2 * len(ab.fuzzy) * len(ba.fuzzy),
-        composition_ok=composition_ok, counterexample=failures[0] if failures else None,
+        bijection=tuple(image), faithful=faithful, full=full, roundtrip_ok=roundtrip_ok,
+        counterexample=failures[0] if failures else None, **kept,
     )
     return ab.verdict
 
@@ -484,9 +510,10 @@ def verify_embedding(
     searched and validated once per orbit of shape pairs under the
     automorphisms of the two groups, and carried to the other pairs of the
     orbit; it is indexed, and each verdict decided, once per ordered pair of
-    shapes; each group hom-set is searched once per group pair; and a pair
-    whose verdict is kept reads one hom record and two covers.  A search
-    read from it, or carried, makes no budget check again.
+    shapes; identities and composites are checked once per unordered pair
+    of orbits; each group hom-set is searched once per group pair; and a
+    pair whose verdict is kept reads one hom record and two covers.  A
+    search read from it, or carried, makes no budget check again.
     """
     store = {} if hom_cache is None else hom_cache
     homs = _homs(store, source, target, budget)

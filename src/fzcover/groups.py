@@ -233,7 +233,12 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on n points; product s*t applies t first, then s."""
+    """Symmetric group on n points; product s*t applies t first, then s.
+
+    S0, the permutations of no points, is the trivial group, as is S1.
+    """
+    if n < 0:
+        raise ValueError("symmetric group needs n >= 0 points")
     elems = list(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     names = [_cycle_label(p) for p in elems]

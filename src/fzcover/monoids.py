@@ -247,7 +247,7 @@ def _class_names(names, reps) -> list[str]:
     return [f"[{names[r]}]" for r in reps]
 
 
-def _derive(names, table, unit, inverse, generators) -> DerivedStructure:
+def _derive(names, table, inverse, generators) -> DerivedStructure:
     """Derive the structure of a validated inverse monoid.
 
     Relations are kept as rows of Python-int bitsets (bit b of row a set iff
@@ -409,7 +409,7 @@ def validate_inverse_monoid(
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table, generators)
     _check_anti_involution(names, table, inverse, generators)
-    derived = _derive(names, table, unit, inverse, generators)
+    derived = _derive(names, table, inverse, generators)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators, {})
 
 

@@ -221,7 +221,10 @@ def test_failed_checks_are_reported_like_the_definition():
         n = len(table)
         args = ([f"x{i}" for i in range(n)], table, n - 1, list(range(n)))
         raised = []
-        for derive in (lambda *a: _derive(*a, range(n)), _derive_by_definition):
+        def derive_closed_form(names, table, unit, inverse):
+            return _derive(names, table, inverse, range(n))
+
+        for derive in (derive_closed_form, _derive_by_definition):
             with pytest.raises(AlgebraError) as exc:
                 derive(*args)
             raised.append((type(exc.value), str(exc.value)))

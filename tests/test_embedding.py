@@ -820,13 +820,14 @@ def test_objects_of_one_shape_keep_their_own_endpoints(z2, fz_z2):
 
 
 def counting_searches(patch) -> dict:
-    """Log each group hom-set search and count each composite check."""
+    """Log each group hom-set search and count each composite check and each
+    map onto or from an orbit's representative."""
     import fzcover.embedding as embedding
     import fzcover.enumeration as enumeration
 
-    calls = {"group homs": [], "composites": 0}
+    calls = {"group homs": [], "composites": 0, "carries": 0}
     search = enumeration.enumerate_group_homomorphisms
-    check = embedding._respects_compositions
+    check, carry = embedding._respects_compositions, embedding._carry
 
     def searching(source, target, budget):
         calls["group homs"].append((source, target))
@@ -836,41 +837,50 @@ def counting_searches(patch) -> dict:
         calls["composites"] += 1
         return check(*arrays)
 
+    def carrying(*args):
+        calls["carries"] += 1
+        return carry(*args)
+
     patch.setattr(enumeration, "enumerate_group_homomorphisms", searching)
     patch.setattr(embedding, "_respects_compositions", checking)
+    patch.setattr(embedding, "_carry", carrying)
     return calls
 
 
 def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
-    monkeypatch, pool
+    monkeypatch, pool, orbit
 ):
     calls = counting_searches(monkeypatch)
     assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
     groups = {fz.group for fz in pool}
     assert len(calls["group homs"]) == len(set(calls["group homs"])) == len(groups) ** 2
-    # a->b->a once per ordered pair of the shapes of a and b, from (a, b),
-    # from (b, a) or from any other pair of objects of those shapes
-    shapes = {shape(fz) for fz in pool}
-    assert len(shapes) == 16 < len(pool)
-    assert calls["composites"] == len(shapes) ** 2
+    # a->b->a once per ordered pair of the orbits of a and b, from the
+    # orbits' representatives, whichever pair of objects of those orbits
+    # comes first; and the maps onto and from its representative once per shape
+    shapes, orbits = {shape(fz) for fz in pool}, {orbit(fz) for fz in pool}
+    assert len(orbits) == 12 < len(shapes) == 16 < len(pool)
+    assert calls["composites"] == len(orbits) ** 2
+    assert calls["carries"] == 2 * len(shapes)
 
 
-def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool):
+def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool, orbit):
     pairs = [(a, b) for a in pool[::4] for b in pool[::4]]
-    # within one pair, a group pair or an ordered pair of shapes met twice is
-    # searched or checked once
+    # within one pair, a group pair, an ordered pair of orbits or a shape met
+    # twice is searched, checked or carried once
     group_searches = sum(
         len({(g, h) for g in (a.group, b.group) for h in (a.group, b.group)}) for a, b in pairs
     )
     composite_checks = sum(
-        len({(shape(a), shape(b)), (shape(b), shape(a))}) for a, b in pairs
+        len({(orbit(a), orbit(b)), (orbit(b), orbit(a))}) for a, b in pairs
     )
+    carries = sum(2 * len({shape(a), shape(b)}) for a, b in pairs)
     for fresh in (dict, lambda: None):
         with monkeypatch.context() as patch:
             calls = counting_searches(patch)
             assert all(verify_embedding(a, b, hom_cache=fresh()).ok for a, b in pairs)
         assert len(calls["group homs"]) == group_searches
         assert calls["composites"] == composite_checks
+        assert calls["carries"] == carries
 
 
 def test_a_shared_cache_certifies_the_acceptance_pools_like_a_fresh_one(acceptance_pools):
@@ -922,7 +932,9 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "orbit", "orbit homs"}
+    assert {key[0] for key in cache} == {
+        "cover", "homs", "group homs", "orbit", "representative"
+    }
 
 
 def test_a_shared_cache_decides_each_verdict_once_then_reads_one_record(monkeypatch, pool):

@@ -58,6 +58,13 @@ def test_cyclic_order_must_be_positive():
         cyclic(0)
 
 
+def test_symmetric_needs_a_count_of_points():
+    # S0 permutes no points and is the trivial group; a negative count is no group
+    assert symmetric(0).n == 1 and symmetric(0) == symmetric(1)
+    with pytest.raises(ValueError, match="n >= 0 points"):
+        symmetric(-1)
+
+
 def test_klein_four_by_oracle():
     g = klein_four()
     assert oracle_group_axioms([list(r) for r in g.table])

@@ -493,7 +493,7 @@ def test_inverses_reach_each_outcome_like_scan(monkeypatch):
 # -- the sigma-congruence check of _derive, on generators --------------------------
 
 
-def derive_by_class_rows(names, table, unit, inverse) -> DerivedStructure:
+def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
     """_derive as it was before the generator rule: sigma is checked to be a
     congruence on the whole class rows [x*z] and [z*x] of every element x.
     """
@@ -604,7 +604,7 @@ def derived_outcome(derive, *args):
 
 
 def assert_derived_on_generators_like_class_rows(m):
-    args = (m.names, m.table, m.unit, m.inverse)
+    args = (m.names, m.table, m.inverse)
     generators = _check_table(m.names, m.table, m.unit)
     assert derived_outcome(_derive, *args, generators) == derived_outcome(
         derive_by_class_rows, *args
@@ -649,9 +649,9 @@ def unital_tables(draw):
 @example(([[2, 2, 0], [0, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
 def test_derive_on_every_element_fails_like_class_rows(drawn):
     # with no generating set at hand, _derive gets every element as one
-    table, unit, inverse = drawn
+    table, _, inverse = drawn
     n = len(table)
-    args = ([f"x{i}" for i in range(n)], table, unit, inverse)
+    args = ([f"x{i}" for i in range(n)], table, inverse)
     assert derived_outcome(_derive, *args, range(n)) == derived_outcome(
         derive_by_class_rows, *args
     )

@@ -1,13 +1,15 @@
 """Hom-sets carried along automorphisms: one search per orbit of shape pairs.
 
-`embedding._homs` searches Hom(s, t) only for the first ordered pair of
-shapes met in each Aut(G) x Aut(H) orbit and carries its arrays to the other
-pairs of the orbit.  The oracles here use no carrying: the automorphisms
+`embedding._homs` searches Hom(s, t) only for the pair of the representatives
+of the two orbits of shapes, each the first of its Aut(G) orbit met, and
+carries its arrays to the other pairs of that orbit pair.  The oracles here
+use no carrying: the automorphisms
 are counted against closed forms and found again by generator images, and
 every carried record is compared, field by field, with the search of its
 own pair of shapes, which is how every record was found before.
 """
 
+import json
 from fractions import Fraction as F
 from math import gcd
 
@@ -107,13 +109,16 @@ def carried_unlike_searched(objects) -> list[tuple]:
     store: dict = {}
     group_homs: dict = {}
     differ = []
-    for s in shapes:
-        for t in shapes:
-            record = embedding._homs(store, s, t, DEFAULT_BUDGET)
-            if {field: getattr(record, field) for field in FIELDS} != searched(s, t, group_homs):
-                differ.append((s, t))
+    with pytest.MonkeyPatch.context() as patch:
+        log = recording_searches(patch)
+        for s in shapes:
+            for t in shapes:
+                record = embedding._homs(store, s, t, DEFAULT_BUDGET)
+                kept = {field: getattr(record, field) for field in FIELDS}
+                if kept != searched(s, t, group_homs):
+                    differ.append((s, t))
     # some records were carried, not searched
-    assert sum(key[0] == "orbit homs" for key in store) < len(shapes) ** 2
+    assert sum(side == "cover" for side, _, _ in log) < len(shapes) ** 2
     return differ
 
 
@@ -185,17 +190,18 @@ def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch):
     with pytest.raises(BudgetExceeded) as first:
         verify_embedding(a, a, budget=7, hom_cache=cache)
     assert str(first.value) == "8 monoid homomorphism nodes exceed budget 7"
-    assert {key[0] for key in set(cache) - kept} == {"cover", "orbit"}
+    assert {key[0] for key in set(cache) - kept} == {"cover", "orbit", "representative"}
     searched_now = recording_searches(monkeypatch)
     with pytest.raises(BudgetExceeded) as again:
         verify_embedding(b, b, budget=7, hom_cache=cache)
     assert str(again.value) == str(first.value)
     assert [side for side, _, _ in searched_now] == ["fuzzy", "cover"]
-    # with the budget it needs the orbit is searched once, by whichever pair comes first
+    # with the budget it needs the orbit is searched once, on the pair of its
+    # representative a, the first of the orbit met, whichever pair comes first
     searched_now.clear()
     assert verify_embedding(b, b, hom_cache=cache).ok and verify_embedding(a, a, hom_cache=cache).ok
-    cover = build_cover(b).triple
-    assert searched_now == [("fuzzy", b, b), ("cover", cover, cover)]
+    cover = build_cover(a).triple
+    assert searched_now == [("fuzzy", a, a), ("cover", cover, cover)]
 
 
 def certify_pool_of_seed(seed: int) -> list:
@@ -221,3 +227,29 @@ def test_a_pool_runs_one_cover_search_per_orbit_pair(monkeypatch, pools, orbit):
     # shapes of C2, C3, C4 and V4, 13 of the 25 of D8 and 11 of the 30 of S4
     assert (orbits, shapes) == ([12, 13, 11], [16, 25, 30])
     assert searches == [count**2 for count in orbits]
+
+
+def test_the_representatives_never_reach_a_certificate(monkeypatch, pool, orbit):
+    # one store per pass, over every pair in pair order and then in reverse
+    # order: each orbit's representative is then another object, and the
+    # certificates are the same
+    searched_now = recording_searches(monkeypatch)
+    pairs = [(a, b) for a in pool for b in pool]
+    orbits = {orbit(fz) for fz in pool}
+    assert len(orbits) == 12 < len({(fz.group, fz._rank) for fz in pool})
+    passes, representatives = [], []
+    for order in (pairs, pairs[::-1]):
+        searched_now.clear()
+        cache: dict = {}
+        passes.append({
+            (a, b): json.dumps(verify_embedding(a, b, hom_cache=cache).to_json_dict())
+            for a, b in order
+        })
+        assert sum(side == "cover" for side, _, _ in searched_now) == len(orbits) ** 2
+        representatives.append(
+            {key: kept[0]._rank for key, kept in cache.items() if key[0] == "representative"}
+        )
+    # some orbit is represented by objects of two shapes
+    assert len(representatives[0]) == len(orbits) and representatives[0] != representatives[1]
+    first, reverse = passes
+    assert [first[pair] for pair in pairs] == [reverse[pair] for pair in pairs]
