@@ -7,10 +7,10 @@ maps that validate nothing, `_fstar` and `_f`: `embed_morphism` and
 `reconstruct_morphism` validate what they build, and `verify_embedding`
 certifies a pair of objects by index arithmetic over the exhaustively
 enumerated hom-sets between them and of each to itself.  The arrays of those
-hom-sets, their index and the certificate's verdict depend only on the
-shapes of the objects (group and rank vector), and so does whether an array
-passes its validator; so they are indexed and the verdict decided once per
-ordered pair of shapes.  An automorphism pair of the two groups carries the
+hom-sets, the positions that link the two and the certificate's verdict
+depend only on the shapes of the objects (group and rank vector), and so
+does whether an array passes its validator; so they are linked and the
+verdict decided once per ordered pair of shapes.  An automorphism pair of the two groups carries the
 hom-sets of one pair of shapes onto those of another, so they are searched,
 each entry validated, once per orbit of shape pairs, on the pair of the two
 orbits' representatives, and carried from it to the other pairs of the orbit
@@ -178,13 +178,13 @@ class EmbeddingCertificate:
 
 @dataclass
 class _Arrays:
-    """Hom(s, t) of one ordered pair of shapes: both hom-sets as arrays, indexed once.
+    """Hom(s, t) of one ordered pair of shapes: both hom-sets as arrays, linked once.
 
     ``fuzzy`` lists the (f, lam) and ``cover`` the (fstar, lam) arrays of
-    the two hom-sets as the enumerators return them, ``index`` maps (f, lam)
-    to a position in ``fuzzy``, ``image[i]`` is the position of the
-    embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]`` that of (f read
-    off ``cover[j]``, lam) in ``fuzzy``, each -1 where it is not listed.
+    the two hom-sets as the enumerators return them, ``image[i]`` is the
+    position of the embedding of ``fuzzy[i]`` in ``cover`` and ``back[j]``
+    that of (f read off ``cover[j]``, lam) in ``fuzzy``, each -1 where it
+    is not listed; ``image`` is a tuple, the certificate's ``bijection``.
     ``verdict`` is None until `_verdict` sets it, once: the fields of a
     certificate of (s, t) other than its objects and morphisms.  ``checks``
     is None but on the records of two orbits' representatives, where
@@ -194,8 +194,7 @@ class _Arrays:
 
     fuzzy: list[tuple[tuple[int, ...], tuple[int, ...]]]
     cover: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    index: dict[tuple, int]
-    image: list[int]
+    image: tuple[int, ...]
     back: list[int]
     verdict: Optional[dict] = None
     checks: Optional[dict] = None
@@ -209,7 +208,8 @@ class _Arrays:
 # ("orbit", g, ranks).  Those two kinds depend on the order of the calls,
 # as the representative is the first object of its orbit met; every other
 # entry is a pure function of its key, so no hom record, verdict or
-# certificate depends on that order.  Nothing is stored for a build that raised.
+# certificate depends on that order.  Nothing is stored for a build that
+# raised.  No other module names a store key.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -218,18 +218,18 @@ def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     return cover
 
 
-def _automorphisms(store: dict, group, budget: int) -> list[tuple[int, ...]]:
-    """The automorphisms of ``group``: the bijections among its endomorphisms.
-
-    Those are the group hom-set kept under ("group homs", group, group),
-    searched with ``budget`` when it is not kept yet, as
-    `enumerate_fuzzy_morphisms` searches it.
-    """
-    key = ("group homs", group, group)
-    homs = store.get(key)
+def _group_homs(store: dict, g, h, budget: int) -> list[tuple[int, ...]]:
+    """Hom(g, h), kept under ("group homs", g, h) once its search has
+    finished within ``budget``; a kept one is read with no budget check."""
+    homs = store.get(("group homs", g, h))
     if homs is None:
-        homs = store[key] = enumeration.enumerate_group_homomorphisms(group, group, budget)
-    return [f for f in homs if len(set(f)) == group.n]
+        homs = store[("group homs", g, h)] = enumeration.enumerate_group_homomorphisms(g, h, budget)
+    return homs
+
+
+def _automorphisms(store: dict, group, budget: int) -> list[tuple[int, ...]]:
+    """The automorphisms of ``group``: the bijections among its endomorphisms."""
+    return [f for f in _group_homs(store, group, group, budget) if len(set(f)) == group.n]
 
 
 def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
@@ -309,33 +309,34 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     more: `validate_fuzzy_morphism` the group tables and generators, the
     chain lengths and the ranks, and `validate_cover_morphism` the cover and
     base tables, generators and units, the projection and the class maxima.
-    `_fstar` and `_f` read the pair lists and the ranks, so ``index``,
-    ``image`` and ``back`` follow from the arrays; and `_verdict` reads only
-    those, the group order and the chain length.  None of them reads a value
-    or a label, except to word an error.  So two pairs of objects of the same
+    `_fstar` and `_f` read the pair lists and the ranks, so ``image`` and
+    ``back`` follow from the arrays; and `_verdict` reads only those, the
+    group order and the chain length.  None of them reads a value or a
+    label, except to word an error.  So two pairs of objects of the same
     shapes have equal hom arrays in the same order, each valid between either
-    pair (or their covers), equal index arrays and equal verdicts.
+    pair (or their covers), equal position arrays and equal verdicts.
 
     Only the pair of the two orbits' representatives (`_orbit`) is searched,
-    fuzzy side then cover side.  Let alpha be an automorphism of G and beta
-    one of H, write alpha.r for r.alpha^-1, and let s = alpha.s0 and t =
-    beta.t0.  Then (f, lam) -> (beta.f.alpha^-1, lam) is a bijection from
-    Hom(s0, t0) onto Hom(s, t): beta.f.alpha^-1 is a group hom, lam is
-    unchanged, and mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1 x) = lam(mu_s0
-    (alpha^-1 x)) = lam(mu_s(x)); the inverse map uses alpha^-1 and beta^-1.
-    (u, x) -> (u, alpha(x)) is an isomorphism from the cover of s0 onto that
-    of s that keeps the projection, so it keeps class maxima, and (fstar,
-    lam) -> (B.fstar.A^-1, lam), with A and B those isomorphisms, is a
-    bijection of the cover hom-sets, which commutes with the embedding
-    fstar(u, x) = (lam(u), f(x)).  So the carried arrays, sorted into the
-    enumerators' order, are those a search of Hom(s, t) finds, each valid,
-    and are not validated again; ``index``, ``image`` and ``back`` are then
-    built from them as from searched ones.  Each record is carried by one
-    `_transported` call from the representatives' record, with the maps
-    `_orbit` keeps per shape, so which object represents an orbit changes
-    no record.  A carried record runs no search and makes no budget check;
-    a search over budget stores nothing, so the next pair of its orbit pair
-    searches the representatives' pair again.
+    fuzzy side, over the kept group hom-set (`_group_homs`), then cover
+    side.  Let alpha be an automorphism of G and beta one of H, write
+    alpha.r for r.alpha^-1, and let s = alpha.s0 and t = beta.t0.  Then (f,
+    lam) -> (beta.f.alpha^-1, lam) is a bijection from Hom(s0, t0) onto
+    Hom(s, t): beta.f.alpha^-1 is a group hom, lam is unchanged, and
+    mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1 x) = lam(mu_s0 (alpha^-1 x))
+    = lam(mu_s(x)); the inverse map uses alpha^-1 and beta^-1.  (u, x) ->
+    (u, alpha(x)) is an isomorphism from the cover of s0 onto that of s that
+    keeps the projection, so it keeps class maxima, and (fstar, lam) ->
+    (B.fstar.A^-1, lam), with A and B those isomorphisms, is a bijection of
+    the cover hom-sets, which commutes with the embedding fstar(u, x) =
+    (lam(u), f(x)).  So the carried arrays, sorted into the enumerators'
+    order, are those a search of Hom(s, t) finds, each valid, and are not
+    validated again; ``image`` and ``back`` are then built from them as from
+    searched ones.  Each record is carried by one `_transported` call from
+    the representatives' record, with the maps `_orbit` keeps per shape, so
+    which object represents an orbit changes no record.  A carried record
+    runs no search and makes no budget check; a search over budget stores
+    nothing, so the next pair of its orbit pair searches the
+    representatives' pair again.
 
     The verdict's checks of identities and composites depend only on the
     pair of orbits.  Transport by (alpha, beta) commutes with E and with R,
@@ -352,7 +353,8 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
         (r, into_r, _), (q, _, out_of_q) = _orbit(store, s, budget), _orbit(store, t, budget)
         c1, c2 = _cover(store, s), _cover(store, t)
         if (r._rank, q._rank) == (s._rank, t._rank):
-            found = enumeration.enumerate_fuzzy_morphisms(s, t, budget=budget, hom_cache=store)
+            group_homs = _group_homs(store, s.group, t.group, budget)
+            found = enumeration.enumerate_fuzzy_morphisms(s, t, budget, group_homs=group_homs)
             listed = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
             fuzzy = [(m.f, m.lam) for m in found]
             cover = [(c.fstar, c.lam) for c in listed]
@@ -367,9 +369,9 @@ def _indexed(c1: CoverMonoid, c2: CoverMonoid, fuzzy: list, cover: list) -> _Arr
     index = {arrays: i for i, arrays in enumerate(fuzzy)}
     listed = {arrays: j for j, arrays in enumerate(cover)}
     fstars, fs = _fstar(c1, c2, fuzzy), _f(c1, c2, map(itemgetter(0), cover))
-    image = [listed.get((fstar, lam), -1) for fstar, (_, lam) in zip(fstars, fuzzy)]
+    image = tuple(listed.get((fstar, lam), -1) for fstar, (_, lam) in zip(fstars, fuzzy))
     back = [index.get((f, lam), -1) for f, (_, lam) in zip(fs, cover)]
-    return _Arrays(fuzzy, cover, index, image, back)
+    return _Arrays(fuzzy, cover, image, back)
 
 
 def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> bool:
@@ -380,29 +382,31 @@ def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> b
     in ``loops``, and E(m1), E(m2) and E(m2.m1) are cover morphisms iff their
     images are listed.  Then all three share lam, so they are equal iff the
     fstar arrays of the listed images compose.  Each composite array is
-    read by one `_after` call on the array of m2 or E(m2).
+    read by one `_after` call on the array of m2 or E(m2), and the image of
+    m2.m1 off ``loops``' own lists.
     """
     if not (first.fuzzy and second.fuzzy):
         return True
     if -1 in first.image or -1 in second.image:
         return False
     seconds = [(f, lam, second.cover[i][0]) for (f, lam), i in zip(second.fuzzy, second.image)]
-    index, image, cover = loops.index, loops.image, loops.cover
+    image, cover = dict(zip(loops.fuzzy, loops.image)), loops.cover
     for (f, lam), i in zip(first.fuzzy, first.image):
         f_then, lam_then, fstar_then = _after(f), _after(lam), _after(first.cover[i][0])
         for f2, lam2, fstar2 in seconds:
-            at = index.get((f_then(f2), lam_then(lam2)), -1)
-            if at < 0 or image[at] < 0 or cover[image[at]][0] != fstar_then(fstar2):
+            at = image.get((f_then(f2), lam_then(lam2)), -1)
+            if at < 0 or cover[at][0] != fstar_then(fstar2):
                 return False
     return True
 
 
 def _keeps_identity(loops: _Arrays, fz: FuzzySubgroup) -> bool:
     """Whether E(id) = id, read off the arrays of Hom(fz, fz)."""
-    at = loops.index.get((tuple(range(fz.n)), tuple(range(len(fz.chain)))), -1)
-    if at < 0 or loops.image[at] < 0:
+    identity = (tuple(range(fz.n)), tuple(range(len(fz.chain))))
+    at = dict(zip(loops.fuzzy, loops.image)).get(identity, -1)
+    if at < 0:
         return False
-    fstar = loops.cover[loops.image[at]][0]
+    fstar = loops.cover[at][0]
     return fstar == tuple(range(len(fstar)))
 
 
@@ -414,20 +418,20 @@ def _after(first: tuple[int, ...]):
     return itemgetter(*first)
 
 
-def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> dict:
-    """The verdict of (a, b), decided once and kept on the record of Hom(a, b).
+def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> dict:
+    """The verdict of (a, b), decided once and kept on ``ab``, the record of Hom(a, b).
 
-    It reads the record of Hom(a, b) (`_homs`) and the identity and
-    composite checks of the orbits of a and b, kept on the records of
-    Hom(r, q) and Hom(q, r), where r and q are the representatives of those
-    orbits (`_orbit`).  The checks are decided once per unordered pair of
-    orbits, on the records of Hom(r, q), Hom(q, r), Hom(r, r) and Hom(q, q),
-    read in that order; they hold for (a, b) iff they hold for (r, q), as
-    transport commutes with E and with composition (`_homs`).  A record not
-    found yet is carried from its orbit pair's representatives, or, for
-    theirs, found by its fuzzy search and then its cover search, each with
-    the whole ``budget``.  The verdict is index arithmetic over those
-    records: no morphism is embedded, validated or reconstructed again.
+    It reads that record (`_homs`) and the identity and composite checks of
+    the orbits of a and b, kept on the records of Hom(r, q) and Hom(q, r),
+    where r and q are the representatives of those orbits (`_orbit`).  The
+    checks are decided once per unordered pair of orbits, on the records of
+    Hom(r, q), Hom(q, r), Hom(r, r) and Hom(q, q), read in that order; they
+    hold for (a, b) iff they hold for (r, q), as transport commutes with E
+    and with composition (`_homs`).  A record not found yet is carried from
+    its orbit pair's representatives, or, for theirs, found by its fuzzy
+    search and then its cover search, each with the whole ``budget``.  The
+    verdict is index arithmetic over those records: no morphism is
+    embedded, validated or reconstructed again.
     That decides the same conditions, because a hom-set is exhaustive, each
     of its entries passed its validator between objects of the same shapes,
     which is passing it between any such objects, and E and R keep lam:
@@ -449,7 +453,6 @@ def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> di
     are kept once every record they read is found and every check done, so
     a call that raises keeps neither.
     """
-    ab = _homs(store, a, b, budget)
     (r, *_), (q, *_) = _orbit(store, a, budget), _orbit(store, b, budget)
     first, mirror = _homs(store, r, q, budget), _homs(store, q, r, budget)
     if first.checks is None:
@@ -487,7 +490,7 @@ def _verdict(store: dict, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> di
         failures.append("embedding does not respect a composition")
 
     ab.verdict = dict(
-        bijection=tuple(image), faithful=faithful, full=full, roundtrip_ok=roundtrip_ok,
+        bijection=image, faithful=faithful, full=full, roundtrip_ok=roundtrip_ok,
         counterexample=failures[0] if failures else None, **kept,
     )
     return ab.verdict
@@ -517,7 +520,7 @@ def verify_embedding(
     """
     store = {} if hom_cache is None else hom_cache
     homs = _homs(store, source, target, budget)
-    verdict = homs.verdict or _verdict(store, source, target, budget)
+    verdict = homs.verdict or _verdict(store, homs, source, target, budget)
     c1, c2 = _cover(store, source).triple, _cover(store, target).triple
     return EmbeddingCertificate(
         source=source,

@@ -158,7 +158,7 @@ def enumerate_fuzzy_morphisms(
     target: FuzzySubgroup,
     budget: int = DEFAULT_BUDGET,
     *,
-    hom_cache: dict | None = None,
+    group_homs: list | None = None,
 ) -> list[FuzzyMorphism]:
     """All morphisms source -> target, lexicographic by (f, lam).
 
@@ -168,25 +168,19 @@ def enumerate_fuzzy_morphisms(
     otherwise.  The search reads the two groups, the ranks and the chain
     lengths, and a value only to word an error, so two pairs of objects
     with equal groups and ranks get equal (f, lam) arrays in the same order,
-    each valid between either pair.  ``verify_embedding`` searches once per
-    orbit of shape pairs under the automorphisms of the two groups, and
-    carries those arrays to every other pair of the orbit.
+    each valid between either pair.
 
-    A ``hom_cache`` dict, owned by the caller as in ``verify_embedding``,
-    keeps the group hom-set under ("group homs", source.group, target.group),
-    so each group pair is searched once across the calls that share it.  It
-    is stored only once its search has finished within ``budget``, and a
-    later call that reads it makes no budget check.
+    ``group_homs``, when given, is Hom(source.group, target.group) as
+    `enumerate_group_homomorphisms` lists it, and is only read: no group
+    search runs and ``budget`` is not checked on one.  Otherwise that
+    hom-set is searched with ``budget``.
     """
-    store = {} if hom_cache is None else hom_cache
-    key = ("group homs", source.group, target.group)
-    homs = store.get(key)
-    if homs is None:
-        homs = store[key] = enumerate_group_homomorphisms(source.group, target.group, budget)
+    if group_homs is None:
+        group_homs = enumerate_group_homomorphisms(source.group, target.group, budget)
     ranks, target_ranks = source._rank, target._rank
     k1, top = len(source.chain), len(target.chain) - 1
     out = []
-    for f in homs:
+    for f in group_homs:
         forced = sorted(set(zip(ranks, map(target_ranks.__getitem__, f))))
         lam = tuple(v for _, v in forced)
         if len(lam) == k1 and list(lam) == sorted(lam) and lam[-1] == top:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import fzcover.cover as cover_module
 from fzcover import (
@@ -48,6 +49,7 @@ from fzcover.errors import (
 )
 from fzcover.groups import FiniteGroup
 from fzcover.monoids import check_projection
+from tests.test_derivation import fuzzy_subgroups
 from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
 F = Fraction
@@ -136,6 +138,24 @@ def test_hclass_at_top_is_top_level_subgroup(v4):
     cover = build_cover(fz)
     mapping = hclass_level_isomorphism(cover, F(1))
     assert set(mapping.values()) == {0, 1} == set(level_subset(fz, F(1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzzy_subgroups())
+def test_every_closed_form_of_the_report_matches(fz):
+    assert cover_report(build_cover(fz)).all_match
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzzy_subgroups())
+def test_each_level_hclass_maps_onto_its_level_subset_bijectively(fz):
+    cover = build_cover(fz)
+    for u in fz.chain:
+        mapping = hclass_level_isomorphism(cover, u)
+        images = sorted(mapping.values())
+        assert images == sorted(level_subset(fz, u)) and len(set(images)) == len(images)
+        # each member of the class is the pair of u over its image
+        assert all(cover.pairs[i] == (fz.chain_index(u), x) for i, x in mapping.items())
 
 
 # -- the general pair construction ------------------------------------------------

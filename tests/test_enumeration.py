@@ -328,31 +328,28 @@ def test_forced_lam_lists_what_every_lam_lists(acceptance_pools):
                 assert enumerate_fuzzy_morphisms(a, b) == fuzzy_morphisms_over_every_lam(a, b)
 
 
-def test_a_hom_cache_changes_no_fuzzy_hom_set(acceptance_pools):
+def test_a_given_group_hom_set_changes_no_fuzzy_hom_set(acceptance_pools):
     for pool in acceptance_pools:
-        cache: dict = {}
+        groups = {fz.group for fz in pool}
+        group_homs = {(g, h): enumerate_group_homomorphisms(g, h) for g in groups for h in groups}
         for a in pool:
             for b in pool:
-                assert enumerate_fuzzy_morphisms(a, b, hom_cache=cache) == (
+                given = group_homs[a.group, b.group]
+                assert enumerate_fuzzy_morphisms(a, b, group_homs=given) == (
                     enumerate_fuzzy_morphisms(a, b)
                 ), (a, b)
-        # one group hom-set per group pair, and nothing else
-        groups = {fz.group for fz in pool}
-        assert set(cache) == {("group homs", g, h) for g in groups for h in groups}
 
 
-def test_a_group_search_over_budget_stores_nothing(fz_v4):
-    cache: dict = {}
+def test_a_given_group_hom_set_is_read_with_no_budget_check(fz_v4):
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7, hom_cache=cache)
-    assert str(exc.value) == "8 group homomorphism nodes exceed budget 7"
-    assert cache == {}
-    # a search within its budget is stored, and a stored one is read without a budget check
-    listed = enumerate_fuzzy_morphisms(fz_v4, fz_v4, hom_cache=cache)
-    assert list(cache) == [("group homs", fz_v4.group, fz_v4.group)]
-    assert enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7, hom_cache=cache) == listed
-    with pytest.raises(BudgetExceeded):
         enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7)
+    assert str(exc.value) == "8 group homomorphism nodes exceed budget 7"
+    # the group hom-set, searched within its own budget, is only read
+    group_homs = enumerate_group_homomorphisms(fz_v4.group, fz_v4.group)
+    kept = list(group_homs)
+    listed = enumerate_fuzzy_morphisms(fz_v4, fz_v4, budget=7, group_homs=group_homs)
+    assert listed == enumerate_fuzzy_morphisms(fz_v4, fz_v4)
+    assert group_homs == kept
 
 
 def test_chain_hom_counts_are_binomials():

@@ -3,9 +3,10 @@
 Invariants are explicit errors, never ``assert`` statements, which vanish
 under ``python -O``; no module keeps a memo cache of its own, since what is
 shared lives in dicts with an owner: the caller-owned ``hom_cache`` of
-``verify_embedding``, and the ``_monoids`` dict of validated cover monoids
-each group keeps, which only ``groups`` and ``cover`` name, so that
-``build_cover`` alone reads and writes it; and no module
+``verify_embedding``, whose keys only ``embedding`` names, and the
+``_monoids`` dict of validated cover monoids each group keeps, which only
+``groups`` and ``cover`` name, so that ``build_cover`` alone reads and
+writes it; and no module
 uses ``itertools.product``, since brute-force scans of a whole function space
 live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
@@ -275,6 +276,39 @@ def test_naming_check_reads_attributes_and_strings():
         "e": ast.parse("f(x, _memo={})\n"),
     }
     assert _naming_modules(trees, "_memo") == ["a", "b", "d", "e"]
+
+
+# the kinds of store entry no module but ``embedding`` may spell out; the
+# cover kind is left out, as "cover" is a word every layer uses
+STORE_KINDS = {"homs", "group homs", "orbit", "representative"}
+
+
+def _store_kind_holders(trees):
+    """The modules that hold a store kind as a string constant of its own."""
+    return sorted(
+        module
+        for module, tree in trees.items()
+        if any(
+            isinstance(node, ast.Constant) and node.value in STORE_KINDS
+            for node in ast.walk(tree)
+        )
+    )
+
+
+def test_only_embedding_names_a_store_key():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _store_kind_holders(trees) == ["embedding"]
+
+
+def test_store_key_check_reads_whole_string_constants():
+    trees = {
+        "a": ast.parse('key = ("group homs", g, h)\n'),
+        "b": ast.parse('"""the ("homs", g, h) entries"""\nhoms = orbit = {}\n'),
+        "c": ast.parse('store["orbit"] = 1\n'),
+        "d": ast.parse('f(kind="representative")\n'),
+        "e": ast.parse('x.representative = "cover"\n'),
+    }
+    assert _store_kind_holders(trees) == ["a", "c", "d"]
 
 
 def test_every_private_function_has_a_caller_in_the_library():

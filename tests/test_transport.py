@@ -23,6 +23,7 @@ from fzcover import (
     enumerate_cover_morphisms,
     enumerate_fuzzy_morphisms,
     enumerate_fuzzy_subgroups_filter,
+    enumerate_group_homomorphisms,
     is_group_homomorphism,
     klein_four,
     parse_workspace,
@@ -35,7 +36,7 @@ from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
 from tests.conftest import automorphisms_by_images
 from tests.test_embedding import recording_searches
 
-FIELDS = ("fuzzy", "cover", "index", "image", "back")
+FIELDS = ("fuzzy", "cover", "image", "back")
 
 
 def euler_phi(n: int) -> int:
@@ -74,13 +75,17 @@ def pools(pool):
 def searched(s, t, group_homs: dict) -> dict:
     """The arrays of Hom(s, t) as a search of that pair of shapes finds them.
 
-    Both enumerators, and the index arrays by their definition: fstar(u, x)
-    is the position of (lam(u), f(x)) among the target's pairs, and f(x) the
-    group component of fstar at (mu(x), x).  ``group_homs`` keeps group
-    hom-sets only, never a hom record.
+    Both enumerators, and the position arrays by their definition: fstar(u,
+    x) is the position of (lam(u), f(x)) among the target's pairs, and f(x)
+    the group component of fstar at (mu(x), x).  ``group_homs`` keeps each
+    group hom-set by its pair of groups, and never a hom record.
     """
     c1, c2 = build_cover(s), build_cover(t)
-    fuzzy = [(m.f, m.lam) for m in enumerate_fuzzy_morphisms(s, t, hom_cache=group_homs)]
+    groups = (s.group, t.group)
+    if groups not in group_homs:
+        group_homs[groups] = enumerate_group_homomorphisms(*groups)
+    found = enumerate_fuzzy_morphisms(s, t, group_homs=group_homs[groups])
+    fuzzy = [(m.f, m.lam) for m in found]
     cover = [(c.fstar, c.lam) for c in enumerate_cover_morphisms(c1.triple, c2.triple)]
     index = {arrays: i for i, arrays in enumerate(fuzzy)}
     listed = {arrays: j for j, arrays in enumerate(cover)}
@@ -94,8 +99,7 @@ def searched(s, t, group_homs: dict) -> dict:
     return {
         "fuzzy": fuzzy,
         "cover": cover,
-        "index": index,
-        "image": [listed.get((fstar_of(f, lam), lam), -1) for f, lam in fuzzy],
+        "image": tuple(listed.get((fstar_of(f, lam), lam), -1) for f, lam in fuzzy),
         "back": [index.get((f_of(fstar), lam), -1) for fstar, lam in cover],
     }
 
