@@ -7,7 +7,7 @@ alongside for reports and error messages.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -134,21 +134,25 @@ def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> 
     (x*g)*y = x*(g*y) for all x, y form a submagma, so the table is
     associative iff every generator of a generating set is such an element.
     They need only generate it under right multiplication, as a submagma
-    is closed under it.  That costs O(n^2 |gens|); whole rows are compared
-    at once, the row of x*g, with x*g read as ``rows[x][g]``, against the
-    row of x read at the row of g.  Only when it fails are the pairs (a, b)
-    scanned in order for the first failing c, which is named as the witness.
+    is closed under it.  That costs O(n^2 |gens|).  For each generator g,
+    x in order, the row of x*g, (x*g)*y over y with x*g read as
+    ``rows[x][g]``, is compared with the row of x read at the row of g,
+    x*(g*y) over y: lazily, one pair of whole rows at a time, so ``all``
+    stops at the first pair that differs and no list of rows is built.
+    Only when a pair differs are the pairs (a, b) scanned in order for the
+    first failing c, which is named as the witness.
     """
     rows = [tuple(row) for row in table]
     n = len(rows)
     if n < 2:  # associative; and itemgetter of one index returns no tuple
         return list(range(n))
     gens = _generators(rows)
-    if all(
-        list(map(itemgetter(*rows[g]), rows))
-        == list(map(rows.__getitem__, map(itemgetter(g), rows)))
-        for g in gens
-    ):
+    for g in gens:
+        products = map(rows.__getitem__, map(itemgetter(g), rows))  # the row of x*g
+        through_g = map(itemgetter(*rows[g]), rows)  # the row of x at the row of g
+        if not all(map(eq, products, through_g)):
+            break
+    else:
         return gens
     for a in range(n):
         for b in range(n):
@@ -171,6 +175,16 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
     MissingInverse (with witness element).
     """
     _check_closed(names, table)
+    return _validate_closed(names, table)
+
+
+def _validate_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
+    """`validate_group` on a table known to be n x n with every entry an index.
+
+    It checks every axiom but closure, with the same errors; for a caller
+    that built the table from indices, such as the sigma-quotient of
+    `monoids._derive`, closure holds by construction.
+    """
     generators = _check_associative(names, table)
     n = len(names)
     rows = [tuple(row) for row in table]

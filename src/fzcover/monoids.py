@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -39,8 +39,8 @@ from .groups import (
     FiniteGroup,
     _check_associative,
     _check_closed,
+    _validate_closed,
     is_group_homomorphism,
-    validate_group,
 )
 from .search import generated_maps, generator_plan
 
@@ -239,22 +239,56 @@ def _members(bits: int):
         bits ^= low
 
 
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _class_names(names, reps) -> list[str]:
     """Labels of the sigma-classes, by their least members: [rep]."""
     return [f"[{names[r]}]" for r in reps]
+
+
+def _natural_order(cols, dom):
+    """The natural order from element positions: (rows, above, bitsets).
+
+    a <= b iff a = b*e for some idempotent e, iff b*(a^-1 a) = a, so with
+    ``dom[a]`` = a^-1 a the b above a are the positions of a in the column
+    ``cols[dom[a]]``.  ``count`` and one ``index`` per hit find them,
+    ascending, with no comparison per entry in Python.  ``above[a]`` lists
+    them, row a of the boolean rows is True at each of them, and bit b of
+    bitset a is set iff b is one of them.
+    """
+    n = len(cols)
+    rows, above, bits = [], [], []
+    for a, d in enumerate(dom):
+        col = cols[d]
+        row = [False] * n
+        hits = []
+        up = 0
+        b = -1
+        for _ in range(col.count(a)):
+            b = col.index(a, b + 1)
+            row[b] = True
+            hits.append(b)
+            up |= 1 << b
+        rows.append(tuple(row))
+        above.append(hits)
+        bits.append(up)
+    return tuple(rows), above, bits
 
 
 def _derive(names, table, inverse, generators) -> DerivedStructure:
     """Derive the structure of a validated inverse monoid.
 
     Relations are kept as rows of Python-int bitsets (bit b of row a set iff
-    a is related to b), and the work is O(n^2) table lookups and bitset
-    operations.  The closed forms used here hold in every inverse monoid
-    (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests compare
-    them with the definitions.
+    a is related to b).  The closed forms used here hold in every inverse
+    monoid (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests
+    compare them with the definitions.
+
+    The natural order is read off element positions (`_natural_order`),
+    and reflexivity, antisymmetry and transitivity are checked over the b
+    above each a, ascending, as the boolean rows hold them.
+
+    The sigma-quotient table is read by row lookups, the rows of the class
+    representatives at the representatives, mapped through the classes.
+    Every entry is a class index by construction, so the quotient is
+    checked for every group axiom but closure (`groups._validate_closed`).
 
     ``generators`` generate the associative table, as returned by
     ``_check_table``; a caller without a generating set passes every
@@ -273,14 +307,11 @@ def _derive(names, table, inverse, generators) -> DerivedStructure:
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
 
-    # natural partial order: a <= b iff a = b*e for some idempotent e,
-    # iff a = b*(a^-1 a)
-    leq = tuple(tuple(map(a.__eq__, cols[dom[a]])) for a in range(n))
-    up = [int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in leq]
-    for a in range(n):
+    leq, above, up = _natural_order(cols, dom)
+    for a, hits in enumerate(above):
         if not leq[a][a]:
             raise AlgebraError(f"natural order not reflexive at {names[a]}")
-        for b in compress(range(n), leq[a]):
+        for b in hits:
             if b == a:
                 continue
             if leq[b][a]:
@@ -330,12 +361,15 @@ def _derive(names, table, inverse, generators) -> DerivedStructure:
                         raise QuotientNotGroup(
                             f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
                         )
-    qtable = [
-        [sigma.class_of[table[a][b]] for b in reps]
-        for a in reps
-    ]
+    # the rows of the representatives at the representatives, as classes;
+    # one class makes a 1x1 table, where itemgetter would return no tuple
+    if len(reps) == 1:
+        qtable = [[0]]
+    else:
+        at_reps = itemgetter(*reps)
+        qtable = [tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps]
     try:
-        quotient = validate_group(_class_names(names, reps), qtable)
+        quotient = _validate_closed(_class_names(names, reps), qtable)
     except AlgebraError as exc:
         raise QuotientNotGroup(f"congruence quotient is not a group: {exc}") from exc
 

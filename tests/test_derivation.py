@@ -27,7 +27,8 @@ from fzcover import (
     validate_inverse_monoid,
 )
 from fzcover.errors import AlgebraError, QuotientNotGroup
-from fzcover.monoids import DerivedStructure, Partition, _derive, validate_group
+from fzcover.groups import validate_group
+from fzcover.monoids import DerivedStructure, Partition, _derive
 from tests.test_monoids import _fixture_monoids
 
 F = Fraction

@@ -8,8 +8,11 @@ the columns of a generating set only, with the scan of every pair.
 
 Each check that now reads whole rows or generator columns is kept below in
 its former form, as an oracle with the same outcome: the identity and
-inverses of `validate_group`, the sigma-congruence check of `_derive`, the
-rows of `build_cover`, the round trip of `premorphism_from_cover` and the
+inverses of `validate_group`, the sigma-congruence check of `_derive`, its
+natural order by a comparison per entry with bitsets parsed from binary
+digits, its sigma-quotient by a lookup per entry and a closure scan, the
+list compare of Light's test in `_check_associative`, the rows of
+`build_cover`, the round trip of `premorphism_from_cover` and the
 H-class products of `hclass_level_isomorphism`.  So are the two-sided
 closure that `groups._generators` replaced with a closure under right
 multiplication, the sorting that `Partition.from_class_of` no longer does,
@@ -36,7 +39,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from functools import reduce
 from itertools import compress, permutations, product
-from operator import and_
+from operator import and_, itemgetter
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -81,6 +84,7 @@ from fzcover.errors import (
     NoIdentity,
     NoInverse,
     NonUniqueInverse,
+    NotAssociative,
     NotClosed,
     NotGroupHom,
     NotDualPremorphism,
@@ -101,7 +105,6 @@ from fzcover.groups import (
     validate_group,
 )
 from fzcover.monoids import (
-    _BINARY_DIGITS,
     DerivedStructure,
     DualPremorphism,
     Partition,
@@ -110,7 +113,14 @@ from fzcover.monoids import (
     _derive,
     _generalized_inverses,
     _members,
+    _natural_order,
     check_projection,
+)
+from tests.test_associativity import (
+    ASSOCIATIVE,
+    closed_tables,
+    constant_row_tables,
+    corrupted_tables,
 )
 from tests.test_cover import on_fresh_group, plant_wrong_product
 from tests.test_derivation import fuzzy_subgroups, reversed_copy, symmetric_inverse_monoid
@@ -492,6 +502,18 @@ def test_inverses_reach_each_outcome_like_scan(monkeypatch):
 
 # -- the sigma-congruence check of _derive, on generators --------------------------
 
+BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def natural_order_by_entries(cols, dom):
+    """The natural order as _derive built it before it read element positions:
+    one comparison per entry, a <= b iff cols[dom[a]][b] == a, and each row
+    parsed into a bitset as a string of binary digits.
+    """
+    leq = tuple(tuple(map(a.__eq__, cols[dom[a]])) for a in range(len(cols)))
+    up = [int(bytes(row[::-1]).translate(BINARY_DIGITS), 2) for row in leq]
+    return leq, up
+
 
 def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
     """_derive as it was before the generator rule: sigma is checked to be a
@@ -504,10 +526,7 @@ def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
 
-    # natural partial order: a <= b iff a = b*e for some idempotent e,
-    # iff a = b*(a^-1 a)
-    leq = tuple(tuple(map(a.__eq__, cols[dom[a]])) for a in range(n))
-    up = [int(bytes(row[::-1]).translate(_BINARY_DIGITS), 2) for row in leq]
+    leq, up = natural_order_by_entries(cols, dom)
     for a in range(n):
         if not leq[a][a]:
             raise AlgebraError(f"natural order not reflexive at {names[a]}")
@@ -611,10 +630,53 @@ def assert_derived_on_generators_like_class_rows(m):
     )
 
 
+def assert_natural_order_like_entries(table, inverse):
+    """_natural_order gives the rows and bitsets of the comparison per entry,
+    each row's hits are its True positions, ascending, and every row is a
+    tuple of bools."""
+    rows = tuple(map(tuple, table))
+    cols = tuple(zip(*rows))
+    dom = [rows[inverse[a]][a] for a in range(len(rows))]
+    leq, above, up = _natural_order(cols, dom)
+    assert (leq, up) == natural_order_by_entries(cols, dom)
+    assert above == [list(compress(range(len(row)), row)) for row in leq]
+    assert type(leq) is tuple and all(type(row) is tuple for row in leq)
+    assert all(type(v) is bool for row in leq for v in row)
+    return leq
+
+
+def quotient_by_entries(m):
+    """The sigma-quotient as _derive built it before its row lookups: one
+    table lookup per entry, then validate_group with its closure scan."""
+    d = m.derived
+    reps = [cls[0] for cls in d.sigma.classes]
+    qtable = [[d.sigma.class_of[m.table[a][b]] for b in reps] for a in reps]
+    return validate_group([f"[{m.names[r]}]" for r in reps], qtable)
+
+
+def group_fields(g):
+    return g.names, g.table, g.identity, g.inverses, g.generators
+
+
+def assert_like_entries(m):
+    """The natural order and the sigma-quotient of a validated monoid are those
+    of the per-entry forms, and its quotient passes validate_group alike."""
+    assert m.derived.natural_leq == assert_natural_order_like_entries(m.table, m.inverse)
+    q = m.derived.sigma_quotient
+    assert group_fields(q) == group_fields(quotient_by_entries(m))
+    assert group_fields(validate_group(q.names, q.table)) == group_fields(q)
+
+
 def test_fixture_monoids_derive_on_generators_like_class_rows(fz_z2, fz_v4):
     monoids = _fixture_monoids(fz_z2, fz_v4) + [symmetric_inverse_monoid(3)]
     for m in monoids + [reversed_copy(m) for m in monoids]:
         assert_derived_on_generators_like_class_rows(m)
+        assert_like_entries(m)
+
+
+def test_grid_covers_order_and_quotient_like_entries():
+    for cover in _grid_covers():
+        assert_like_entries(cover.monoid)
 
 
 @st.composite
@@ -647,6 +709,8 @@ def unital_tables(draw):
 @given(unital_tables())
 # sigma multiplies like its class representatives on the right, not on the left
 @example(([[2, 2, 0], [0, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
+# x0*(x0^-1 x0) = x0*x0 = x1: the natural order is not reflexive at x0
+@example(([[1, 1, 0], [1, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
 def test_derive_on_every_element_fails_like_class_rows(drawn):
     # with no generating set at hand, _derive gets every element as one
     table, _, inverse = drawn
@@ -655,6 +719,20 @@ def test_derive_on_every_element_fails_like_class_rows(drawn):
     assert derived_outcome(_derive, *args, range(n)) == derived_outcome(
         derive_by_class_rows, *args
     )
+
+
+def test_the_reflexivity_example_fails_in_both():
+    args = (["x0", "x1", "x2"], [[1, 1, 0], [1, 1, 1], [0, 1, 2]], [0, 1, 2])
+    expected = (AlgebraError, None, "natural order not reflexive at x0")
+    assert derived_outcome(_derive, *args, range(3)) == expected
+    assert derived_outcome(derive_by_class_rows, *args) == expected
+
+
+@EXAMPLES
+@given(unital_tables())
+def test_natural_order_by_positions_on_unital_tables_like_entries(drawn):
+    table, _, inverse = drawn
+    assert_natural_order_like_entries(table, inverse)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -668,6 +746,7 @@ def test_covers_derive_on_generators_like_class_rows(fz):
     )
     for m in (cover.monoid, built.monoid, over_cover.monoid):
         assert_derived_on_generators_like_class_rows(m)
+        assert_like_entries(m)
 
 
 # -- build_cover's rows, added up whole ----------------------------------------------
@@ -922,6 +1001,72 @@ def test_derived_partitions_in_one_pass_like_sorting(monkeypatch, fz_z2, fz_v4):
     assert len(inputs) == 4 * len(monoids)
     for class_ids in inputs:
         assert one_pass(class_ids) == partition_by_sorting(class_ids)
+
+
+# -- Light's test, one pair of rows at a time ----------------------------------------
+
+
+def associative_by_row_lists(names, table):
+    """_check_associative as it was before its lazy compare: for each generator,
+    a list of every row of x*g and a list of every row of x read at the row
+    of g, compared whole."""
+    rows = [tuple(row) for row in table]
+    n = len(rows)
+    if n < 2:
+        return list(range(n))
+    gens = _generators(rows)
+    if all(
+        list(map(itemgetter(*rows[g]), rows))
+        == list(map(rows.__getitem__, map(itemgetter(g), rows)))
+        for g in gens
+    ):
+        return gens
+    for a in range(n):
+        for b in range(n):
+            left = rows[rows[a][b]]
+            right = itemgetter(*rows[b])(rows[a])
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                raise NotAssociative(
+                    f"({names[a]}*{names[b]})*{names[c]} != {names[a]}*({names[b]}*{names[c]})",
+                    witness=(a, b, c),
+                )
+    return gens
+
+
+def assert_light_like_row_lists(table):
+    names = [f"x{i}" for i in range(len(table))]
+    expected = derived_outcome(associative_by_row_lists, names, table)
+    assert derived_outcome(_check_associative, names, table) == expected
+    return expected
+
+
+def test_light_by_row_pairs_on_associative_corpora_like_row_lists():
+    covers = [cover.monoid.table for cover in _grid_covers()[::10]]
+    for table in ASSOCIATIVE + SEMIGROUP_TABLES + INVERSE_TABLES + covers:
+        assert isinstance(assert_light_like_row_lists(table), list)
+
+
+@EXAMPLES
+@given(st.one_of(closed_tables(), constant_row_tables(), corrupted_tables()))
+def test_light_by_row_pairs_on_drawn_tables_like_row_lists(table):
+    assert_light_like_row_lists(table)
+
+
+def test_light_by_row_pairs_on_planted_products_like_row_lists():
+    # one product changed in the first, a middle and the last row of a
+    # group and of a cover, so the first pair of rows that differs lies
+    # early, midway or last
+    c6 = validate_fuzzy(cyclic(6), [F(1), F(1, 3), F(2, 3), F(1, 3), F(2, 3), F(1, 3)])
+    failures = 0
+    for base in (dihedral(5).table, build_cover(c6).monoid.table):
+        n = len(base)
+        for a in (0, n // 2, n - 1):
+            for b in (0, n // 3, n - 1):
+                table = [list(row) for row in base]
+                table[a][b] = (table[a][b] + 1) % n
+                failures += assert_light_like_row_lists(table)[0] is NotAssociative
+    assert failures == 18
 
 
 # -- H-class products, by whole rows ------------------------------------------------

@@ -1,7 +1,8 @@
 """The tools: certify_pool.py certifies every ordered pair of one group's
 filter pool; interleave.py times two source trees in turns on one benchmark
-workload and compares their observations; bench/selftest.py checks that the
-benchmark counts planted faults as failures."""
+workload and compares their observations; large_covers.py builds, reports
+and round-trips covers of cyclic groups, one process each; bench/selftest.py
+checks that the benchmark counts planted faults as failures."""
 
 import shutil
 import subprocess
@@ -125,6 +126,32 @@ def test_interleave_exits_1_when_observations_differ(tmp_path):
     assert done.returncode == 1, done.stderr
     digests = [line.split()[2] for line in done.stdout.splitlines() if line.startswith("sha256")]
     assert len(digests) == 2 and digests[0] != digests[1]
+
+
+LARGE_COVERS = SCRIPT.parent / "large_covers.py"
+
+
+def test_large_covers_builds_reports_and_round_trips_small_covers():
+    done = subprocess.run(
+        [sys.executable, str(LARGE_COVERS), "8", "20"], capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["C8", "C20"]
+    for line, pairs in zip(lines, ("13", "31")):
+        assert line[-1] == "ok"
+        fields = dict(zip(line[1:-1:2], line[2:-1:2]))
+        assert list(fields) == ["pairs", "build_s", "report_s", "round_trip_s", "maxrss_mb"]
+        assert fields["pairs"] == pairs
+        assert all(float(v) >= 0 for v in fields.values())
+
+
+def test_large_covers_refuses_an_odd_or_small_order():
+    for args in (["7"], ["2"], ["x"]):
+        done = subprocess.run(
+            [sys.executable, str(LARGE_COVERS), *args], capture_output=True, text=True, check=False
+        )
+        assert done.returncode == 2 and done.stdout == ""
 
 
 def test_the_bench_selftest_counts_its_planted_faults():
