@@ -236,7 +236,7 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
         list(map(start.__getitem__, map(row.__getitem__, elements))) for row in group.table
     ]
     clamped = [[v if v < u else u for v in projection] for u in range(len(fz.chain))]
-    table = [list(map(add, starts[x], clamped[u])) for u, x in pairs]
+    table = [tuple(map(add, starts[x], clamped[u])) for u, x in pairs]
     unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
     triple = cover_triple(monoid, base, projection)
@@ -415,7 +415,7 @@ def _pair_table(psi: DualPremorphism):
     table = []
     for u, h in pairs:
         products = zip(map(monoid.table[u].__getitem__, us), map(group.table[h].__getitem__, hs))
-        row = list(map(index.get, products))
+        row = tuple(map(index.get, products))
         if None in row:
             v, k = pairs[row.index(None)]
             raise AlgebraError(f"product of {(u, h)} and {(v, k)} leaves the pair set")

@@ -10,12 +10,14 @@ enumerated hom-sets between them and of each to itself.  The arrays of those
 hom-sets, the positions that link the two and the certificate's verdict
 depend only on the shapes of the objects (group and rank vector), and so
 does whether an array passes its validator; so they are linked and the
-verdict decided once per ordered pair of shapes.  An automorphism pair of the two groups carries the
-hom-sets of one pair of shapes onto those of another, so they are searched,
-each entry validated, once per orbit of shape pairs, on the pair of the two
-orbits' representatives, and carried from it to the other pairs of the orbit
-(`_homs`); the identity and composite checks are decided once per unordered
-pair of orbits, on the representatives' records (`_verdict`).
+verdict decided once per ordered pair of shapes.  An automorphism pair of
+the two groups carries the hom-sets of one pair of shapes onto those of
+another, so they are searched, each entry validated, once per orbit of shape
+pairs, on the pair of the two orbits' representatives, each the least shape
+of its orbit on the default grid (`_orbit`), and carried from it to the
+other pairs of the orbit (`_homs`); the identity and composite checks are
+decided once per unordered pair of orbits, on the representatives' records
+(`_verdict`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .cover import (
     validate_cover_morphism,
 )
 from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
-from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy_morphism
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
 
 
 def _starts(ranks) -> list[int]:
@@ -202,13 +204,11 @@ class _Arrays:
 
 # A certification keeps covers, hom records and group hom-sets in ``store``,
 # the caller's ``hom_cache`` or a fresh dict, under ("cover", fz), ("homs",
-# s.group, s._rank, t.group, t._rank) and ("group homs", g, h); and the
-# orbits that `_homs` transports along, each orbit's representative under
-# ("representative", g, least) and each shape's maps to and from it under
-# ("orbit", g, ranks).  Those two kinds depend on the order of the calls,
-# as the representative is the first object of its orbit met; every other
-# entry is a pure function of its key, so no hom record, verdict or
-# certificate depends on that order.  Nothing is stored for a build that
+# s.group, s._rank, t.group, t._rank) and ("group homs", g, h); and, under
+# ("orbit", g, ranks), the representative of each shape's orbit, its least
+# shape on the default grid, with the maps to and from it that `_homs`
+# transports along.  Every entry is a pure function of its key, so none
+# depends on the order of the calls.  Nothing is stored for a build that
 # raised.  No other module names a store key.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
@@ -239,8 +239,10 @@ def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
     The orbit is named by the least of the rank vectors ranks.gamma over the
     automorphisms gamma of fz's group: two shapes of one group have the same
     least vector iff an automorphism carries one onto the other.  Its
-    representative is the first of its objects met, kept with the least
-    gamma that reaches that vector.
+    representative is the fuzzy subgroup of that least vector on the default
+    grid of as many levels as fz's chain, so it depends on the shape alone.
+    With gamma the least automorphism that reaches it, gamma^-1 carries the
+    shape onto the representative's and gamma carries it back.
     """
     key = ("orbit", fz.group, fz._rank)
     orbit = store.get(key)
@@ -250,27 +252,24 @@ def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
             (tuple(map(ranks.__getitem__, gamma)), gamma)
             for gamma in _automorphisms(store, fz.group, budget)
         )
-        first, first_gamma = store.setdefault(("representative", fz.group, least), (fz, gamma))
+        levels = enumeration.default_grid(len(fz.chain)).levels
+        inverse = sorted(range(len(gamma)), key=gamma.__getitem__)
         orbit = store[key] = (
-            first,
-            _carry(ranks, gamma, first._rank, first_gamma),
-            _carry(first._rank, first_gamma, ranks, gamma),
+            validate_fuzzy(fz.group, [levels[r] for r in least]),
+            _carry(ranks, inverse, least),
+            _carry(least, gamma, ranks),
         )
     return orbit
 
 
-def _carry(ranks: tuple, gamma: tuple, into: tuple, into_gamma: tuple):
+def _carry(ranks: tuple, phi: list, into: tuple):
     """The element and cover-pair maps from a shape onto one of its orbit.
 
-    ``ranks`` and ``gamma`` are the rank vector of a shape and the
-    automorphism of its `_orbit`, and ``into`` and ``into_gamma`` those of
-    another shape of that orbit.  Then phi = into_gamma . gamma^-1 carries
-    the first onto the second (ranks = into . phi), and the pair (u, x) of
-    the first's cover onto (u, phi(x)).  Returns phi and that map of pair
-    positions, both as arrays.
+    ``phi`` is an automorphism that carries the shape of rank vector
+    ``ranks`` onto that of ``into`` (ranks = into . phi), and so the pair (u,
+    x) of the first's cover onto (u, phi(x)).  Returns phi and that map of
+    pair positions, both as arrays.
     """
-    gamma_inverse = sorted(range(len(gamma)), key=gamma.__getitem__)
-    phi = [into_gamma[x] for x in gamma_inverse]
     start = _starts(into)
     pairs = [start[y] + u for y, r in zip(phi, ranks) for u in range(r + 1)]
     return phi, pairs
@@ -316,9 +315,9 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     shapes have equal hom arrays in the same order, each valid between either
     pair (or their covers), equal position arrays and equal verdicts.
 
-    Only the pair of the two orbits' representatives (`_orbit`) is searched,
-    fuzzy side, over the kept group hom-set (`_group_homs`), then cover
-    side.  Let alpha be an automorphism of G and beta one of H, write
+    Only the pair of the two orbits' representatives, their least shapes
+    (`_orbit`), is searched, fuzzy side, over the kept group hom-set
+    (`_group_homs`), then cover side.  Let alpha be an automorphism of G and beta one of H, write
     alpha.r for r.alpha^-1, and let s = alpha.s0 and t = beta.t0.  Then (f,
     lam) -> (beta.f.alpha^-1, lam) is a bijection from Hom(s0, t0) onto
     Hom(s, t): beta.f.alpha^-1 is a group hom, lam is unchanged, and
@@ -332,10 +331,11 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     order, are those a search of Hom(s, t) finds, each valid, and are not
     validated again; ``image`` and ``back`` are then built from them as from
     searched ones.  Each record is carried by one `_transported` call from
-    the representatives' record, with the maps `_orbit` keeps per shape, so
-    which object represents an orbit changes no record.  A carried record
-    runs no search and makes no budget check; a search over budget stores
-    nothing, so the next pair of its orbit pair searches the
+    the representatives' record, with the maps `_orbit` keeps per shape.
+    The representatives' pair is searched on the caller's own objects when
+    they are of those shapes, as the record is kept by shape.  A carried
+    record runs no search and makes no budget check; a search over budget
+    stores nothing, so the next pair of its orbit pair searches the
     representatives' pair again.
 
     The verdict's checks of identities and composites depend only on the
@@ -423,11 +423,12 @@ def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budge
 
     It reads that record (`_homs`) and the identity and composite checks of
     the orbits of a and b, kept on the records of Hom(r, q) and Hom(q, r),
-    where r and q are the representatives of those orbits (`_orbit`).  The
-    checks are decided once per unordered pair of orbits, on the records of
-    Hom(r, q), Hom(q, r), Hom(r, r) and Hom(q, q), read in that order; they
-    hold for (a, b) iff they hold for (r, q), as transport commutes with E
-    and with composition (`_homs`).  A record not found yet is carried from
+    where r and q are the representatives of those orbits, their least
+    shapes on the default grid (`_orbit`).  The checks are decided once per
+    unordered pair of orbits, on the records of Hom(r, q), Hom(q, r), Hom(r,
+    r) and Hom(q, q), read in that order; they hold for (a, b) iff they hold
+    for (r, q), as transport commutes with E and with composition
+    (`_homs`).  A record not found yet is carried from
     its orbit pair's representatives, or, for theirs, found by its fuzzy
     search and then its cover search, each with the whole ``budget``.  The
     verdict is index arithmetic over those records: no morphism is
@@ -511,12 +512,15 @@ def verify_embedding(
     the caller, keeps covers, hom records with their verdicts, group
     hom-sets and the orbits of shapes across many pairs.  So each hom-set is
     searched and validated once per orbit of shape pairs under the
-    automorphisms of the two groups, and carried to the other pairs of the
-    orbit; it is indexed, and each verdict decided, once per ordered pair of
-    shapes; identities and composites are checked once per unordered pair
-    of orbits; each group hom-set is searched once per group pair; and a
-    pair whose verdict is kept reads one hom record and two covers.  A
-    search read from it, or carried, makes no budget check again.
+    automorphisms of the two groups, on the pair of the orbits' least
+    shapes on the default grid, and carried to the other pairs of the
+    orbit; it is indexed, and each verdict decided, once per ordered pair
+    of shapes; identities and composites are checked once per unordered
+    pair of orbits; each group hom-set is searched once per group pair; and
+    a pair whose verdict is kept reads one hom record and two covers.  A
+    search read from it, or carried, makes no budget check again.  Every
+    entry of the dict is a pure function of its key, so no entry depends on
+    the order of the calls.
     """
     store = {} if hom_cache is None else hom_cache
     homs = _homs(store, source, target, budget)

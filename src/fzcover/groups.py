@@ -25,6 +25,8 @@ class FiniteGroup:
 
     Instances are produced by :func:`validate_group` (or the built-in family
     constructors) and are immutable afterwards; share them freely.
+    ``table`` is kept as given: a tuple of row tuples, as the validator
+    makes it.
     ``generators`` is the generating set the associativity check found,
     picked greedily from the highest index down; the checks of a law on
     products (homomorphisms, Light's test) read one row per generator, and
@@ -42,7 +44,7 @@ class FiniteGroup:
 
     def __init__(self, names, table, identity, inverses, generators):
         self.names = tuple(names)
-        self.table = tuple(tuple(row) for row in table)
+        self.table = table
         self.identity = identity
         self.inverses = tuple(inverses)
         self.generators = tuple(generators)
@@ -126,11 +128,12 @@ def _generators(rows) -> list[int]:
     return gens
 
 
-def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> list[int]:
+def _check_associative(names: Sequence[str], rows: Sequence[tuple[int, ...]]) -> list[int]:
     """Return a generating set of the table, or raise NotAssociative.
 
-    The table must already be closed.  Light's test (Clifford & Preston, *The
-    Algebraic Theory of Semigroups* I, 1961, 1.2): the elements g with
+    The table must already be closed, its rows tuples.  Light's test
+    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+    1.2): the elements g with
     (x*g)*y = x*(g*y) for all x, y form a submagma, so the table is
     associative iff every generator of a generating set is such an element.
     They need only generate it under right multiplication, as a submagma
@@ -142,7 +145,6 @@ def _check_associative(names: Sequence[str], table: Sequence[Sequence[int]]) -> 
     Only when a pair differs are the pairs (a, b) scanned in order for the
     first failing c, which is named as the witness.
     """
-    rows = [tuple(row) for row in table]
     n = len(rows)
     if n < 2:  # associative; and itemgetter of one index returns no tuple
         return list(range(n))
@@ -172,22 +174,24 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
 
     The identity and the inverse table are computed here, never supplied.
     Raises NotClosed, NotAssociative (with witness triple), NoIdentity or
-    MissingInverse (with witness element).
+    MissingInverse (with witness element).  The closure check reads the
+    table as given; then its rows are made tuples, once.
     """
     _check_closed(names, table)
-    return _validate_closed(names, table)
+    return _validate_closed(names, tuple(map(tuple, table)))
 
 
-def _validate_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
-    """`validate_group` on a table known to be n x n with every entry an index.
+def _validate_closed(names: Sequence[str], rows: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """`validate_group` on a tuple of row tuples known to be n x n with every
+    entry an index.
 
     It checks every axiom but closure, with the same errors; for a caller
     that built the table from indices, such as the sigma-quotient of
-    `monoids._derive`, closure holds by construction.
+    `monoids._derive`, closure holds by construction.  The rows become the
+    group's table.
     """
-    generators = _check_associative(names, table)
+    generators = _check_associative(names, rows)
     n = len(names)
-    rows = [tuple(row) for row in table]
     # the first e whose row, and then whose column, is 0..n-1 as a whole
     ids = tuple(range(n))
     identity = next((e for e in range(n) if rows[e] == ids == tuple(r[e] for r in rows)), None)
@@ -202,7 +206,7 @@ def _validate_closed(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
         if y is None or rows[y][x] != identity:
             raise MissingInverse(f"element {names[x]} has no inverse", witness=x)
         inverses.append(y)
-    return FiniteGroup(names, table, identity, inverses, generators)
+    return FiniteGroup(names, rows, identity, inverses, generators)
 
 
 # -- built-in families --------------------------------------------------------
@@ -212,7 +216,7 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     names = ["e"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table = [tuple((a + b) % n for b in range(n)) for a in range(n)]
     return validate_group(names, table)
 
 
@@ -220,10 +224,10 @@ def klein_four() -> FiniteGroup:
     """The Klein four-group on names e, a, b, c."""
     names = ["e", "a", "b", "c"]
     table = [
-        [0, 1, 2, 3],
-        [1, 0, 3, 2],
-        [2, 3, 0, 1],
-        [3, 2, 1, 0],
+        (0, 1, 2, 3),
+        (1, 0, 3, 2),
+        (2, 3, 0, 1),
+        (3, 2, 1, 0),
     ]
     return validate_group(names, table)
 
@@ -257,7 +261,7 @@ def symmetric(n: int) -> FiniteGroup:
     index = {p: i for i, p in enumerate(elems)}
     names = [_cycle_label(p) for p in elems]
     table = [
-        [index[tuple(s[t[i]] for i in range(n))] for t in elems]
+        tuple(index[tuple(s[t[i]] for i in range(n))] for t in elems)
         for s in elems
     ]
     return validate_group(names, table)
@@ -282,7 +286,7 @@ def dihedral(n: int) -> FiniteGroup:
         k = k_a - k_b if reflect_a else k_a + k_b
         return (reflect_a ^ reflect_b) * n + k % n
 
-    table = [[times(a, b) for b in range(2 * n)] for a in range(2 * n)]
+    table = [tuple(times(a, b) for b in range(2 * n)) for a in range(2 * n)]
     return validate_group(names, table)
 
 

@@ -86,12 +86,14 @@ class DerivedStructure:
 class FiniteInverseMonoid:
     """A finite inverse monoid: labels, table, unit, and inverse table.
 
-    Built by :func:`validate_inverse_monoid`; the ``derived`` attribute holds
-    the cached :class:`DerivedStructure`, and ``generators`` the generating
-    set the associativity check found, picked greedily from the highest
-    index down.  The checks of a law on products read one row or column per
-    generator: homomorphisms, the inverse anti-involution, the least group
-    congruence in ``_derive`` and the round trip of ``premorphism_from_cover``.
+    Built by :func:`validate_inverse_monoid`; ``table`` is kept as given, a
+    tuple of row tuples, as the validator makes it.  The ``derived``
+    attribute holds the cached :class:`DerivedStructure`, and
+    ``generators`` the generating set the associativity check found, picked
+    greedily from the highest index down.  The checks of a law on products
+    read one row or column per generator: homomorphisms, the inverse
+    anti-involution, the least group congruence in ``_derive`` and the
+    round trip of ``premorphism_from_cover``.
     ``plan``, the `generator_plan` of the table, is made on first use.
 
     ``facts`` is a dict of results that depend on the table and unit, which
@@ -108,7 +110,7 @@ class FiniteInverseMonoid:
 
     def __init__(self, names, table, unit, inverse, derived, generators, facts):
         self.names = tuple(names)
-        self.table = tuple(tuple(row) for row in table)
+        self.table = table
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
@@ -146,8 +148,8 @@ class FiniteInverseMonoid:
 
 
 def _check_table(names, table, unit) -> list[int]:
-    """Check closure, unit and associativity; return a generating set."""
-    _check_closed(names, table)
+    """Check unit and associativity of a closed table of row tuples; return
+    a generating set."""
     n = len(names)
     if not 0 <= unit < n:
         raise NotUnital(f"unit index {unit} out of range")
@@ -273,7 +275,7 @@ def _natural_order(cols, dom):
     return tuple(rows), above, bits
 
 
-def _derive(names, table, inverse, generators) -> DerivedStructure:
+def _derive(names, rows, inverse, generators) -> DerivedStructure:
     """Derive the structure of a validated inverse monoid.
 
     Relations are kept as rows of Python-int bitsets (bit b of row a set iff
@@ -290,18 +292,18 @@ def _derive(names, table, inverse, generators) -> DerivedStructure:
     Every entry is a class index by construction, so the quotient is
     checked for every group axiom but closure (`groups._validate_closed`).
 
-    ``generators`` generate the associative table, as returned by
-    ``_check_table``; a caller without a generating set passes every
-    element.  The least group congruence sigma is checked to be a
-    congruence on them alone, in O(n |gens|) steps: if x*g ~ rep(x)*g and
-    g*x ~ g*rep(x) for every x and generator g, where rep(x) is the least
-    member of the class of x, then x ~ y gives x*g ~ y*g and g*x ~ g*y,
-    and induction on the length of a word in the generators, by
-    associativity, gives x*z ~ y*z and z*x ~ z*y for every z.  Only on
-    failure are the triples scanned, to name the first failing one.
+    ``rows`` is the table as a tuple of row tuples.  ``generators``
+    generate the associative table, as returned by ``_check_table``; a
+    caller without a generating set passes every element.  The least group
+    congruence sigma is checked to be a congruence on them alone, in O(n
+    |gens|) steps: if x*g ~ rep(x)*g and g*x ~ g*rep(x) for every x and
+    generator g, where rep(x) is the least member of the class of x, then x
+    ~ y gives x*g ~ y*g and g*x ~ g*y, and induction on the length of a
+    word in the generators, by associativity, gives x*z ~ y*z and z*x ~ z*y
+    for every z.  Only on failure are the triples scanned, to name the
+    first failing one.
     """
     n = len(names)
-    rows = tuple(map(tuple, table))
     cols = tuple(zip(*rows))
     idem = tuple(x for x in range(n) if rows[x][x] == x)
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
@@ -364,10 +366,10 @@ def _derive(names, table, inverse, generators) -> DerivedStructure:
     # the rows of the representatives at the representatives, as classes;
     # one class makes a 1x1 table, where itemgetter would return no tuple
     if len(reps) == 1:
-        qtable = [[0]]
+        qtable = ((0,),)
     else:
         at_reps = itemgetter(*reps)
-        qtable = [tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps]
+        qtable = tuple(tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps)
     try:
         quotient = _validate_closed(_class_names(names, reps), qtable)
     except AlgebraError as exc:
@@ -438,8 +440,12 @@ def validate_inverse_monoid(
 
     Raises NotClosed, NotUnital, NotAssociative, NoInverse or NonUniqueInverse;
     the derived structure is computed exhaustively and cached on the result,
-    which gets a new, empty ``facts`` dict.
+    which gets a new, empty ``facts`` dict.  The closure check reads the
+    table as given; then its rows are made tuples, once, and become the
+    monoid's table.
     """
+    _check_closed(names, table)
+    table = tuple(map(tuple, table))
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table, generators)
     _check_anti_involution(names, table, inverse, generators)

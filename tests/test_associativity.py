@@ -43,7 +43,7 @@ def outcome(check, table):
 
 def assert_same_outcome(table):
     expected = outcome(associativity_by_definition, table)
-    assert outcome(_check_associative, table) == expected
+    assert outcome(_check_associative, tuple(map(tuple, table))) == expected
     return expected
 
 

@@ -364,7 +364,7 @@ def plant_wrong_product(monkeypatch, cover):
     a = next(a for a in range(q.n) if a != q.identity and q.table[a][b] != q.identity)
     table = [list(row) for row in q.table]
     table[a][b] = q.identity
-    wrong = FiniteGroup(q.names, table, q.identity, q.inverses, q.generators)
+    wrong = FiniteGroup(q.names, tuple(map(tuple, table)), q.identity, q.inverses, q.generators)
     real = cover_module.validate_dual_premorphism
     monkeypatch.setattr(
         cover_module,

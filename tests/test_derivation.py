@@ -223,7 +223,7 @@ def test_failed_checks_are_reported_like_the_definition():
         args = ([f"x{i}" for i in range(n)], table, n - 1, list(range(n)))
         raised = []
         def derive_closed_form(names, table, unit, inverse):
-            return _derive(names, table, inverse, range(n))
+            return _derive(names, tuple(map(tuple, table)), inverse, range(n))
 
         for derive in (derive_closed_form, _derive_by_definition):
             with pytest.raises(AlgebraError) as exc:

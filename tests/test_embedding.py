@@ -13,6 +13,7 @@ from fzcover import (
     compose_cover_morphisms,
     compose_fuzzy_morphisms,
     cyclic,
+    default_grid,
     embed_morphism,
     embed_object,
     enumerate_cover_morphisms,
@@ -673,7 +674,15 @@ def test_every_hom_set_lists_the_map_to_the_identity(acceptance_pools):
                 assert homs.image[homs.fuzzy.index(to_e)] >= 0, (a, b)
 
 
-def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz):
+def representative(fz, orbit):
+    """The object of fz's orbit whose hom-sets are searched: the least rank
+    vector of the ``orbit`` oracle on the default grid of fz's chain length."""
+    group, least = orbit(fz)
+    levels = default_grid(len(fz.chain)).levels
+    return validate_fuzzy(group, [levels[r] for r in least])
+
+
+def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz, orbit):
     import fzcover.enumeration as enumeration
 
     searched = []
@@ -695,11 +704,14 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz)
         ("enumerate_group_homomorphisms", c1, c1), ("enumerate_group_homomorphisms", v4, v4)
     ]
     # with 26 nodes each search fits, though together they take more: the
-    # largest is the cover search of Hom(fz_v4, fz_v4)
+    # largest is the cover search of Hom(v, v), for v the representative of
+    # fz_v4's orbit, on which fz_v4's hom-sets are searched
+    v = representative(fz_v4, orbit)
+    assert shape(v) != shape(fz_v4) and representative(trivial_fz, orbit) == trivial_fz
     searched.clear()
     assert verify_embedding(trivial_fz, fz_v4, budget=26).ok
     assert [(s, t) for name, s, t in searched if name == "enumerate_fuzzy_morphisms"] == [
-        (trivial_fz, fz_v4), (fz_v4, trivial_fz), (trivial_fz, trivial_fz), (fz_v4, fz_v4)
+        (trivial_fz, v), (v, trivial_fz), (trivial_fz, trivial_fz), (v, v)
     ]
     with pytest.raises(BudgetExceeded):
         verify_embedding(trivial_fz, fz_v4, budget=25)
@@ -723,8 +735,12 @@ def recording_searches(patch) -> list[tuple]:
     return searched
 
 
-def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(monkeypatch, fz_z2, fz_v4):
-    a, b = fz_z2, fz_v4
+def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(
+    monkeypatch, fz_z2, fz_v4, orbit
+):
+    # fz_z2 is the representative of its orbit, and b that of fz_v4's
+    a, b = fz_z2, representative(fz_v4, orbit)
+    assert representative(a, orbit) == a and shape(b) != shape(fz_v4)
     ca, cb = build_cover(a).triple, build_cover(b).triple
     in_order = [
         ("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a), ("cover", cb, ca),
@@ -732,7 +748,7 @@ def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(monkeypatch, fz_
     ]
     with monkeypatch.context() as patch:
         searched = recording_searches(patch)
-        assert verify_embedding(a, b).ok
+        assert verify_embedding(a, fz_v4).ok
     assert searched == in_order
     # an empty Hom(b, a) leaves no composite to check, and changes no search
     import fzcover.enumeration as enumeration
@@ -747,7 +763,7 @@ def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(monkeypatch, fz_
             ),
         )
         searched = recording_searches(patch)
-        cert = verify_embedding(a, b)
+        cert = verify_embedding(a, fz_v4)
     assert searched == in_order
     assert cert.ok and cert.composition_checks == 0
 
@@ -866,14 +882,16 @@ def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
 def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool, orbit):
     pairs = [(a, b) for a in pool[::4] for b in pool[::4]]
     # within one pair, a group pair, an ordered pair of orbits or a shape met
-    # twice is searched, checked or carried once
+    # twice is searched, checked or carried once; the shapes carried are
+    # those of both objects and of both orbits' representatives
     group_searches = sum(
         len({(g, h) for g in (a.group, b.group) for h in (a.group, b.group)}) for a, b in pairs
     )
     composite_checks = sum(
         len({(orbit(a), orbit(b)), (orbit(b), orbit(a))}) for a, b in pairs
     )
-    carries = sum(2 * len({shape(a), shape(b)}) for a, b in pairs)
+    carries = sum(2 * len({shape(a), shape(b), orbit(a), orbit(b)}) for a, b in pairs)
+    assert carries == 440
     for fresh in (dict, lambda: None):
         with monkeypatch.context() as patch:
             calls = counting_searches(patch)
@@ -901,8 +919,11 @@ def test_a_shared_cache_certifies_the_acceptance_pools_like_a_fresh_one(acceptan
 def test_a_shared_cache_searches_each_cover_orbit_pair_once(monkeypatch, pool, orbit):
     import fzcover.enumeration as enumeration
 
-    # the orbit of a shape, its group and its ranks, under the group's automorphisms
-    orbit_of = {build_cover(fz).triple: orbit(fz) for fz in pool}
+    # the orbit of a shape, its group and its ranks, under the group's
+    # automorphisms, read off the covers of the pool and of the representatives
+    orbit_of = {
+        build_cover(x).triple: orbit(fz) for fz in pool for x in (fz, representative(fz, orbit))
+    }
     searched = []
     search = enumeration.enumerate_cover_morphisms
 
@@ -932,9 +953,7 @@ def test_a_pool_leaves_only_the_known_entry_kinds(pool):
     for a in pool:
         for b in pool:
             verify_embedding(a, b, hom_cache=cache)
-    assert {key[0] for key in cache} == {
-        "cover", "homs", "group homs", "orbit", "representative"
-    }
+    assert {key[0] for key in cache} == {"cover", "homs", "group homs", "orbit"}
 
 
 def test_a_shared_cache_decides_each_verdict_once_then_reads_one_record(monkeypatch, pool):
@@ -993,11 +1012,12 @@ def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, 
     assert not shared[self_pair]["roundtrip_ok"]
 
 
-def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
+def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz, orbit):
     cache: dict = {}
     # a pair of constant subgroups of V4 leaves the automorphisms of V4 kept;
-    # then the hom-sets of the pair, its reverse and Hom(C1, C1) fit in 7
-    # nodes, and the cover search of Hom(V4, V4) does not
+    # then, with v the least shape of fz_v4's orbit, the hom-sets of (C1, v),
+    # the pair's own carried from it, (v, C1) and Hom(C1, C1) fit in 7 nodes,
+    # and the cover search of Hom(v, v) does not
     constant = validate_fuzzy(fz_v4.group, [F(1)] * 4)
     assert verify_embedding(constant, constant, hom_cache=cache).ok
     with pytest.raises(BudgetExceeded) as exc:
@@ -1006,7 +1026,12 @@ def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz):
     # a verdict is kept only once all four records it reads are found
     primed = ("homs", *shape(constant), *shape(constant))
     found = {key for key in cache if key[0] == "homs" and key != primed}
-    assert len(found) == 3 and all(cache[key].verdict is None for key in found)
+    c1, v = shape(trivial_fz), orbit(fz_v4)
+    assert v != shape(fz_v4)
+    assert found == {
+        ("homs", *c1, *v), ("homs", *c1, *shape(fz_v4)), ("homs", *v, *c1), ("homs", *c1, *c1)
+    }
+    assert all(cache[key].verdict is None for key in found)
     for a, b in ((trivial_fz, fz_v4), (fz_v4, trivial_fz), (fz_v4, fz_v4)):
         expected = verify_embedding(a, b).to_json_dict()
         assert verify_embedding(a, b, hom_cache=cache).to_json_dict() == expected

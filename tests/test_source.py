@@ -280,7 +280,7 @@ def test_naming_check_reads_attributes_and_strings():
 
 # the kinds of store entry no module but ``embedding`` may spell out; the
 # cover kind is left out, as "cover" is a word every layer uses
-STORE_KINDS = {"homs", "group homs", "orbit", "representative"}
+STORE_KINDS = {"homs", "group homs", "orbit"}
 
 
 def _store_kind_holders(trees):
@@ -305,7 +305,7 @@ def test_store_key_check_reads_whole_string_constants():
         "a": ast.parse('key = ("group homs", g, h)\n'),
         "b": ast.parse('"""the ("homs", g, h) entries"""\nhoms = orbit = {}\n'),
         "c": ast.parse('store["orbit"] = 1\n'),
-        "d": ast.parse('f(kind="representative")\n'),
+        "d": ast.parse('f(kind="homs")\n'),
         "e": ast.parse('x.representative = "cover"\n'),
     }
     assert _store_kind_holders(trees) == ["a", "c", "d"]

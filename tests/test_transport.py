@@ -1,12 +1,13 @@
 """Hom-sets carried along automorphisms: one search per orbit of shape pairs.
 
 `embedding._homs` searches Hom(s, t) only for the pair of the representatives
-of the two orbits of shapes, each the first of its Aut(G) orbit met, and
-carries its arrays to the other pairs of that orbit pair.  The oracles here
-use no carrying: the automorphisms
-are counted against closed forms and found again by generator images, and
-every carried record is compared, field by field, with the search of its
-own pair of shapes, which is how every record was found before.
+of the two orbits of shapes, each the least shape of its Aut(G) orbit on the
+default grid, and carries its arrays to the other pairs of that orbit pair.
+The oracles here use no carrying: the automorphisms are counted against
+closed forms and found again by generator images, every carried record is
+compared, field by field, with the search of its own pair of shapes, which
+is how every record was found before, and the least shapes are found again
+from those automorphisms.
 """
 
 import json
@@ -34,7 +35,7 @@ from fzcover import (
 )
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
 from tests.conftest import automorphisms_by_images
-from tests.test_embedding import recording_searches
+from tests.test_embedding import recording_searches, representative, shape
 
 FIELDS = ("fuzzy", "cover", "image", "back")
 
@@ -183,29 +184,33 @@ def test_a_carried_record_runs_no_search_and_checks_no_budget(monkeypatch):
     assert cert.to_json_dict() == verify_embedding(b, b, hom_cache={}).to_json_dict()
 
 
-def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch):
+def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch, orbit):
     a, b = v4_shapes_of_one_orbit()
+    # the orbit's representative is its least shape, which is neither of the two
+    least = representative(a, orbit)
+    assert representative(b, orbit) == least and shape(least) not in {shape(a), shape(b)}
     cache: dict = {}
     # a pair of constant subgroups leaves the automorphisms of V4 kept, so
-    # with 7 nodes the search of Hom(a, a) fails at its cover side
+    # with 7 nodes the search of Hom(least, least), which Hom(a, a) is carried
+    # from, fails at its cover side
     constant = validate_fuzzy(a.group, [F(1)] * 4)
     assert verify_embedding(constant, constant, hom_cache=cache).ok
     kept = set(cache)
     with pytest.raises(BudgetExceeded) as first:
         verify_embedding(a, a, budget=7, hom_cache=cache)
     assert str(first.value) == "8 monoid homomorphism nodes exceed budget 7"
-    assert {key[0] for key in set(cache) - kept} == {"cover", "orbit", "representative"}
+    assert {key[0] for key in set(cache) - kept} == {"cover", "orbit"}
     searched_now = recording_searches(monkeypatch)
     with pytest.raises(BudgetExceeded) as again:
         verify_embedding(b, b, budget=7, hom_cache=cache)
     assert str(again.value) == str(first.value)
     assert [side for side, _, _ in searched_now] == ["fuzzy", "cover"]
     # with the budget it needs the orbit is searched once, on the pair of its
-    # representative a, the first of the orbit met, whichever pair comes first
+    # representative, whichever pair comes first
     searched_now.clear()
     assert verify_embedding(b, b, hom_cache=cache).ok and verify_embedding(a, a, hom_cache=cache).ok
-    cover = build_cover(a).triple
-    assert searched_now == [("fuzzy", a, a), ("cover", cover, cover)]
+    cover = build_cover(least).triple
+    assert searched_now == [("fuzzy", least, least), ("cover", cover, cover)]
 
 
 def certify_pool_of_seed(seed: int) -> list:
@@ -233,15 +238,28 @@ def test_a_pool_runs_one_cover_search_per_orbit_pair(monkeypatch, pools, orbit):
     assert searches == [count**2 for count in orbits]
 
 
-def test_the_representatives_never_reach_a_certificate(monkeypatch, pool, orbit):
+def least_shapes_unlike_the_oracle(store: dict, objects, orbit) -> list:
+    """The objects of ``objects`` whose orbit entry in ``store`` names a
+    representative other than the oracle's least shape on the default grid."""
+    kept = {key[1:]: entry[0] for key, entry in store.items() if key[0] == "orbit"}
+    # every orbit entry is of an object's shape: the pools hold every shape
+    # of up to as many levels as their grids, the least ones too
+    assert kept.keys() == {shape(fz) for fz in objects}
+    return [fz for fz in objects if kept[shape(fz)] != representative(fz, orbit)]
+
+
+def test_every_store_entry_is_the_same_in_either_pair_order(monkeypatch, pools, orbit):
+    import fzcover.embedding as embedding
+
+    pool = pools[0]
     # one store per pass, over every pair in pair order and then in reverse
-    # order: each orbit's representative is then another object, and the
-    # certificates are the same
+    # order: each orbit is named by its least shape either way, so the two
+    # stores and the certificates are the same
     searched_now = recording_searches(monkeypatch)
     pairs = [(a, b) for a in pool for b in pool]
     orbits = {orbit(fz) for fz in pool}
-    assert len(orbits) == 12 < len({(fz.group, fz._rank) for fz in pool})
-    passes, representatives = [], []
+    assert len(orbits) == 12 < len({shape(fz) for fz in pool})
+    passes, stores = [], []
     for order in (pairs, pairs[::-1]):
         searched_now.clear()
         cache: dict = {}
@@ -250,10 +268,23 @@ def test_the_representatives_never_reach_a_certificate(monkeypatch, pool, orbit)
             for a, b in order
         })
         assert sum(side == "cover" for side, _, _ in searched_now) == len(orbits) ** 2
-        representatives.append(
-            {key: kept[0]._rank for key, kept in cache.items() if key[0] == "representative"}
-        )
-    # some orbit is represented by objects of two shapes
-    assert len(representatives[0]) == len(orbits) and representatives[0] != representatives[1]
+        assert least_shapes_unlike_the_oracle(cache, pool, orbit) == []
+        stores.append(cache)
     first, reverse = passes
     assert [first[pair] for pair in pairs] == [reverse[pair] for pair in pairs]
+    forward, backward = stores
+    assert forward.keys() == backward.keys()
+    for kind in ("orbit", "group homs"):
+        kept = [key for key in forward if key[0] == kind]
+        assert kept and [forward[key] for key in kept] == [backward[key] for key in kept]
+    records = [key for key in forward if key[0] == "homs"]
+    assert len(records) == 16**2
+    assert [vars(forward[key]) for key in records] == [vars(backward[key]) for key in records]
+    # the orbit entries of the D8 and S4 pools name the oracle's least shapes
+    for objects, count in zip(pools[1:], (13, 11)):
+        store: dict = {}
+        for fz in objects:
+            embedding._orbit(store, fz, DEFAULT_BUDGET)
+        assert least_shapes_unlike_the_oracle(store, objects, orbit) == []
+        assert len({orbit(fz) for fz in objects}) == count
+        assert len({entry[0] for key, entry in store.items() if key[0] == "orbit"}) == count
