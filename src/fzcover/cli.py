@@ -55,8 +55,8 @@ def _cmd_check(workspaces, args):
         lines.append(f"group {name}: OK (order {group.n})")
         payload["groups"].append({"name": name, "order": group.n})
     for name, fz in ws.fuzzies.items():
-        facts = derived_facts(fz)
-        if not (facts.unit_dominates and facts.inverse_symmetric):
+        derived = derived_facts(fz)
+        if not (derived.unit_dominates and derived.inverse_symmetric):
             raise AlgebraError(f"fuzzy {name}: derived facts fail")
         lines.append(f"fuzzy {name}: OK (axioms, derived facts)")
         payload["fuzzies"].append(

@@ -6,12 +6,11 @@ the admissible-pair monoid of a fuzzy subgroup with the componentwise product
 and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
-each other in tests, and both return a `CoverMonoid`.  `build_cover` is also
-the one place that shares a cover's monoids, among the subgroups of one
-group object, through that group; a shared monoid's ``facts`` dict then
-keeps the `cover_report` and the round trip of its shape, each certified
-once and read back by every later cover of that shape under its own
-names.  `premorphism_from_cover` inverts the
+each other in tests, and both return a `CoverMonoid`.  `build_cover` keeps
+each cover monoid it validates in its group's ``facts``, and `cover_report`
+and the round trip keep their results in the cover monoid's, so each is
+certified once per shape and read back by every later cover of that shape
+under its own names.  `premorphism_from_cover` inverts the
 construction: it recovers psi from any F-inverse cover and certifies the
 round trip by the canonical isomorphism t -> (pi(t), sigma(t)) onto the
 pairs, checked on the columns of the cover's generators; it shares the pair
@@ -188,6 +187,13 @@ def _pair_name(value, label) -> str:
     return f"({value},{label})"
 
 
+def _starts(ranks) -> list[int]:
+    """Where the pairs over each element begin in the cover that `build_cover`
+    makes of these ranks: pairs run by element, then rank, so (u, x) sits at
+    start[x] + u, and start[n] is the size of the cover."""
+    return list(accumulate([r + 1 for r in ranks], initial=0))
+
+
 def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     """Build the admissible-pair cover of a fuzzy subgroup.
 
@@ -197,22 +203,22 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     with unit (mu(identity), identity).  Failures here signal a library bug,
     not bad input, hence plain AlgebraError.
 
-    This is the one place that shares a cover's monoids: in the group's
-    ``_monoids`` dict, so every subgroup of one group object shares them,
-    listed, parsed or validated alone.  The base is kept under
-    ("chain", len(chain)) and the cover monoid under ("cover", ranks), both
-    only once every check has passed, and a later subgroup whose key is
-    found gets the kept monoid under its own names (`monoids._relabeled`)
-    with no check re-run.  That is sound because each key, with the group,
-    decides every check.  A validated subgroup's chain is strictly
-    increasing within [0, 1], so the checks of `chain_monoid` pass, and its
-    table (min on k indices) and unit (k - 1) are functions of the length k
-    alone; its names are ``str(v)`` of the values.  The pairs are ordered
-    by element, then rank, so the cover's table and unit are functions of
-    ``group.table`` and the ranks, and the projection is the ranks.  The
-    values only name the elements: the validation, the projection check
-    and the Clifford check read names only to word an error and, in
-    `_derive`, to label the sigma-quotient, which `_relabeled` labels anew.
+    This is the one writer of monoids into a group's ``facts``, so every
+    subgroup of one group shares them, listed, parsed or validated alone.
+    The base is kept under ("chain", len(chain)) and the cover monoid under
+    ("cover", ranks), both only once every check has passed, and a later
+    subgroup whose key is found gets the kept monoid under its own names
+    (`monoids._relabeled`) with no check re-run.  That is sound because
+    each key, with the group's table, decides every check.  A validated
+    subgroup's chain is strictly increasing within [0, 1], so the checks of
+    `chain_monoid` pass, and its table (min on k indices) and unit (k - 1)
+    are functions of the length k alone; its names are ``str(v)`` of the
+    values.  The pairs are ordered by element, then rank, so the cover's
+    table and unit are functions of ``group.table`` and the ranks, and the
+    projection is the ranks.  The values only name the elements: the
+    validation, the projection check and the Clifford check read names only
+    to word an error and, in `_derive`, to label the sigma-quotient, which
+    `_relabeled` labels anew.
     """
     group = fz.group
     ranks = fz._rank
@@ -220,17 +226,17 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     labels = [str(v) for v in fz.chain]
     names = [_pair_name(labels[u], group.names[x]) for u, x in pairs]
     projection = tuple(u for u, _ in pairs)
-    monoids = group._monoids
+    facts = group.facts
     base_key, cover_key = ("chain", len(fz.chain)), ("cover", ranks)
-    base = monoids.get(base_key)
+    base = facts.get(base_key)
     base = fz.base if base is None else _relabeled(base, labels)
-    shared = monoids.get(cover_key)
+    shared = facts.get(cover_key)
     if shared is not None:
         return CoverMonoid(fz, pairs, CoverTriple(_relabeled(shared, names), base, projection))
     # (w, z) sits at start[z] + w; the product of (u, x) and (v, y) is
     # (min(u, v), x*y), and each row is added up whole from the starts of
     # its products and the clamped ranks
-    start = list(accumulate((r + 1 for r in ranks), initial=0))
+    start = _starts(ranks)
     elements = [x for _, x in pairs]
     starts = [
         list(map(start.__getitem__, map(row.__getitem__, elements))) for row in group.table
@@ -242,7 +248,7 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     triple = cover_triple(monoid, base, projection)
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")
-    monoids[base_key], monoids[cover_key] = base, monoid
+    facts[base_key], facts[cover_key] = base, monoid
     return CoverMonoid(fz, pairs, triple)
 
 

@@ -23,7 +23,7 @@ decided once per unordered pair of orbits, on the representatives' records
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -32,18 +32,13 @@ from .cover import (
     CoverMonoid,
     CoverMorphism,
     CoverTriple,
+    _starts,
     build_cover,
     validate_cover_morphism,
 )
 from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
 from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
-
-
-def _starts(ranks) -> list[int]:
-    """Where the pairs over each element begin in the cover that `build_cover`
-    makes of these ranks: pairs run by element, then rank, so (u, x) sits at
-    start[x] + u, and start[n] is the size of the cover."""
-    return list(accumulate([r + 1 for r in ranks], initial=0))
+from .search import tuple_getter
 
 
 def _fstar(c1: CoverMonoid, c2: CoverMonoid, homs) -> list[tuple[int, ...]]:
@@ -54,7 +49,7 @@ def _fstar(c1: CoverMonoid, c2: CoverMonoid, homs) -> list[tuple[int, ...]]:
     up in c2's pair index, which holds exactly the admissible pairs.
     """
     index = c2.pair_index
-    at_u, at_x = _after(c1.projection), _after([x for _, x in c1.pairs])
+    at_u, at_x = tuple_getter(c1.projection), tuple_getter([x for _, x in c1.pairs])
     return [tuple(map(index.get, zip(at_u(lam), at_x(f)), repeat(-1))) for f, lam in homs]
 
 
@@ -63,7 +58,7 @@ def _f(c1: CoverMonoid, c2: CoverMonoid, fstars) -> list[tuple[int, ...]]:
     component of fstar at the class maximum (mu(x), x), which is the last
     pair over x, at start[x + 1] - 1 (`_starts`)."""
     elements = [x for _, x in c2.pairs]
-    at_maxima = _after([end - 1 for end in _starts(c1.source._rank)[1:]])
+    at_maxima = tuple_getter([end - 1 for end in _starts(c1.source._rank)[1:]])
     return [tuple(map(elements.__getitem__, at_maxima(fstar))) for fstar in fstars]
 
 
@@ -284,10 +279,11 @@ def _transported(first: _Arrays, source: tuple, target: tuple):
     lam) to (B.fstar.A, lam).
     """
     (phi, pairs_in), (beta, pairs_out) = source, target
-    at_phi, at_in = _after(phi), _after(pairs_in)
-    fuzzy = sorted((_after(at_phi(f))(beta), lam) for f, lam in first.fuzzy)
+    at_phi, at_in = tuple_getter(phi), tuple_getter(pairs_in)
+    fuzzy = sorted((tuple_getter(at_phi(f))(beta), lam) for f, lam in first.fuzzy)
     cover = sorted(
-        ((_after(at_in(fstar))(pairs_out), lam) for fstar, lam in first.cover), key=itemgetter(1, 0)
+        ((tuple_getter(at_in(fstar))(pairs_out), lam) for fstar, lam in first.cover),
+        key=itemgetter(1, 0),
     )
     return fuzzy, cover
 
@@ -382,8 +378,8 @@ def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> b
     in ``loops``, and E(m1), E(m2) and E(m2.m1) are cover morphisms iff their
     images are listed.  Then all three share lam, so they are equal iff the
     fstar arrays of the listed images compose.  Each composite array is
-    read by one `_after` call on the array of m2 or E(m2), and the image of
-    m2.m1 off ``loops``' own lists.
+    read by one `search.tuple_getter` call on the array of m2 or E(m2), and
+    the image of m2.m1 off ``loops``' own lists.
     """
     if not (first.fuzzy and second.fuzzy):
         return True
@@ -392,7 +388,7 @@ def _respects_compositions(first: _Arrays, second: _Arrays, loops: _Arrays) -> b
     seconds = [(f, lam, second.cover[i][0]) for (f, lam), i in zip(second.fuzzy, second.image)]
     image, cover = dict(zip(loops.fuzzy, loops.image)), loops.cover
     for (f, lam), i in zip(first.fuzzy, first.image):
-        f_then, lam_then, fstar_then = _after(f), _after(lam), _after(first.cover[i][0])
+        f_then, lam_then, fstar_then = map(tuple_getter, (f, lam, first.cover[i][0]))
         for f2, lam2, fstar2 in seconds:
             at = image.get((f_then(f2), lam_then(lam2)), -1)
             if at < 0 or cover[at][0] != fstar_then(fstar2):
@@ -408,14 +404,6 @@ def _keeps_identity(loops: _Arrays, fz: FuzzySubgroup) -> bool:
         return False
     fstar = loops.cover[at][0]
     return fstar == tuple(range(len(fstar)))
-
-
-def _after(first: tuple[int, ...]):
-    """The map from an array ``second`` to the array of first, then second."""
-    if len(first) == 1:
-        (x,) = first
-        return lambda second: (second[x],)
-    return itemgetter(*first)
 
 
 def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budget: int) -> dict:

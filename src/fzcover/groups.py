@@ -17,40 +17,34 @@ from .errors import (
     NotAssociative,
     NotClosed,
 )
-from .search import generated_maps, generator_plan
+from .search import generated_maps, generator_plan, tuple_getter
 
 
-class FiniteGroup:
-    """A finite group: labels, Cayley table, identity and inverse table.
+class _Table:
+    """A validated table: labels, rows, a generating set and one memo.
 
-    Instances are produced by :func:`validate_group` (or the built-in family
-    constructors) and are immutable afterwards; share them freely.
-    ``table`` is kept as given: a tuple of row tuples, as the validator
-    makes it.
-    ``generators`` is the generating set the associativity check found,
+    The base of `FiniteGroup` and `monoids.FiniteInverseMonoid`.  ``table``
+    is kept as the validator makes it, a tuple of row tuples, and
+    ``generators`` is the generating set its associativity check found,
     picked greedily from the highest index down; the checks of a law on
-    products (homomorphisms, Light's test) read one row per generator, and
-    ``plan``, the `generator_plan` of the table, is made on first use.  The
-    hash, of names and table, is computed on the first ``hash`` call and
-    kept, since every cache key that holds a group hashes it.  ``_monoids``,
-    which `build_cover` alone reads and writes, keeps the monoids it
-    validated for the fuzzy subgroups of this object while it lives; two
-    equal groups built separately share none.
+    products (homomorphisms, Light's test) read one row per generator.
+
+    ``facts`` is the table's one memo: results that the table, the unit of
+    a monoid and the further data in each key decide, and so the same
+    whoever fills them in.  A relabeling (`monoids._relabeled`) keeps the
+    table and hands the same dict on, not a copy, so a table and all its
+    relabelings fill it once; two equal tables validated separately share
+    nothing.  ``plan``, the `generator_plan` of the table and generators,
+    is kept there under ("plan",) on first use.  `cover.build_cover` keeps
+    a group's validated covers and bases there, and `cover.cover_report`
+    and `cover.premorphism_from_cover` keep a cover monoid's report and
+    round trip; each writer's docstring argues why its keys decide its
+    results.
     """
 
-    __slots__ = (
-        "names", "table", "identity", "inverses", "generators", "_plan", "_hash", "_monoids",
-    )
-
-    def __init__(self, names, table, identity, inverses, generators):
-        self.names = tuple(names)
-        self.table = table
-        self.identity = identity
-        self.inverses = tuple(inverses)
-        self.generators = tuple(generators)
-        self._plan = None
-        self._hash = None
-        self._monoids = {}
+    # each subclass sets these itself: a base __init__ through super() made
+    # `monoids._relabeled`, run per cover of a grid listing, a sixth slower
+    __slots__ = ("names", "table", "generators", "facts")
 
     @property
     def n(self) -> int:
@@ -58,12 +52,34 @@ class FiniteGroup:
 
     @property
     def plan(self) -> tuple:
-        if self._plan is None:
-            self._plan = generator_plan(self.table, self.generators)
-        return self._plan
+        plan = self.facts.get(("plan",))
+        if plan is None:
+            plan = self.facts[("plan",)] = generator_plan(self.table, self.generators)
+        return plan
 
     def index(self, label: str) -> int:
         return self.names.index(label)
+
+
+class FiniteGroup(_Table):
+    """A finite group: labels, Cayley table, identity and inverse table.
+
+    Instances are produced by :func:`validate_group` (or the built-in family
+    constructors) and are immutable afterwards; share them freely.  The
+    hash, of names and table, is computed on the first ``hash`` call and
+    kept, since every cache key that holds a group hashes it.
+    """
+
+    __slots__ = ("identity", "inverses", "_hash")
+
+    def __init__(self, names, table, identity, inverses, generators):
+        self.names = tuple(names)
+        self.table = table
+        self.generators = tuple(generators)
+        self.facts = {}
+        self.identity = identity
+        self.inverses = tuple(inverses)
+        self._hash = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroup):
@@ -146,12 +162,10 @@ def _check_associative(names: Sequence[str], rows: Sequence[tuple[int, ...]]) ->
     first failing c, which is named as the witness.
     """
     n = len(rows)
-    if n < 2:  # associative; and itemgetter of one index returns no tuple
-        return list(range(n))
     gens = _generators(rows)
     for g in gens:
         products = map(rows.__getitem__, map(itemgetter(g), rows))  # the row of x*g
-        through_g = map(itemgetter(*rows[g]), rows)  # the row of x at the row of g
+        through_g = map(tuple_getter(rows[g]), rows)  # the row of x at the row of g
         if not all(map(eq, products, through_g)):
             break
     else:
@@ -159,7 +173,7 @@ def _check_associative(names: Sequence[str], rows: Sequence[tuple[int, ...]]) ->
     for a in range(n):
         for b in range(n):
             left = rows[rows[a][b]]
-            right = itemgetter(*rows[b])(rows[a])
+            right = tuple_getter(rows[b])(rows[a])
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise NotAssociative(

@@ -4,9 +4,7 @@ Everything the rest of the package needs about an inverse monoid is computed
 once, exhaustively, at validation time and cached on the value: idempotents,
 the natural partial order, the least group congruence with its group
 quotient, Green's relations, per-class order maxima, and the F-inverse and
-Clifford predicates.  All queries afterwards are pure reads.  Each validated
-monoid also carries a ``facts`` dict, shared with its relabelings, where the
-cover module keeps results that the table decides with each key.
+Clifford predicates.  All queries afterwards are pure reads.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import and_, itemgetter
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -37,12 +35,13 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _Table,
     _check_associative,
     _check_closed,
     _validate_closed,
     is_group_homomorphism,
 )
-from .search import generated_maps, generator_plan
+from .search import generated_maps, tuple_getter
 
 
 @dataclass(frozen=True)
@@ -83,53 +82,26 @@ class DerivedStructure:
     clifford: bool
 
 
-class FiniteInverseMonoid:
+class FiniteInverseMonoid(_Table):
     """A finite inverse monoid: labels, table, unit, and inverse table.
 
-    Built by :func:`validate_inverse_monoid`; ``table`` is kept as given, a
-    tuple of row tuples, as the validator makes it.  The ``derived``
-    attribute holds the cached :class:`DerivedStructure`, and
-    ``generators`` the generating set the associativity check found, picked
-    greedily from the highest index down.  The checks of a law on products
-    read one row or column per generator: homomorphisms, the inverse
-    anti-involution, the least group congruence in ``_derive`` and the
-    round trip of ``premorphism_from_cover``.
-    ``plan``, the `generator_plan` of the table, is made on first use.
-
-    ``facts`` is a dict of results that depend on the table and unit, which
-    decide every check, and on the further data in each key.
-    `validate_inverse_monoid` makes it, and `_relabeled` hands the same dict
-    on, so a monoid and every relabeling of it share it, as they share the
-    table, inverse, generators and derived structure.  `cover.cover_report`
-    and `cover.premorphism_from_cover` keep their results in it.
+    Built by :func:`validate_inverse_monoid`.  The ``derived`` attribute
+    holds the cached :class:`DerivedStructure`.  The checks of a law on
+    products read one row or column per generator: homomorphisms, the
+    inverse anti-involution, the least group congruence in ``_derive`` and
+    the round trip of ``premorphism_from_cover``.
     """
 
-    __slots__ = (
-        "names", "table", "unit", "inverse", "derived", "generators", "facts", "_plan"
-    )
+    __slots__ = ("unit", "inverse", "derived")
 
     def __init__(self, names, table, unit, inverse, derived, generators, facts):
         self.names = tuple(names)
         self.table = table
+        self.generators = tuple(generators)
+        self.facts = facts
         self.unit = unit
         self.inverse = tuple(inverse)
         self.derived = derived
-        self.generators = tuple(generators)
-        self.facts = facts
-        self._plan = None
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def plan(self) -> tuple:
-        if self._plan is None:
-            self._plan = generator_plan(self.table, self.generators)
-        return self._plan
-
-    def index(self, label: str) -> int:
-        return self.names.index(label)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteInverseMonoid):
@@ -363,13 +335,9 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
                         raise QuotientNotGroup(
                             f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
                         )
-    # the rows of the representatives at the representatives, as classes;
-    # one class makes a 1x1 table, where itemgetter would return no tuple
-    if len(reps) == 1:
-        qtable = ((0,),)
-    else:
-        at_reps = itemgetter(*reps)
-        qtable = tuple(tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps)
+    # the rows of the representatives at the representatives, as classes
+    at_reps = tuple_getter(reps)
+    qtable = tuple(tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps)
     try:
         quotient = _validate_closed(_class_names(names, reps), qtable)
     except AlgebraError as exc:
@@ -459,13 +427,15 @@ def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInver
     Table, unit, inverse, generators, derived structure and the ``facts``
     dict are kept, the dict itself, not a copy; the sigma-quotient is
     relabeled as `_derive` labels it, by the new names of its class
-    representatives.  Sound only where the caller knows that the
-    validation, run on ``names``, would pass and derive the same structure.
+    representatives, and keeps its own ``facts`` likewise.  Sound only where
+    the caller knows that the validation, run on ``names``, would pass and
+    derive the same structure.
     """
     d = monoid.derived
     q = d.sigma_quotient
     reps = [cls[0] for cls in d.sigma.classes]
     quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
+    quotient.facts = q.facts
     derived = DerivedStructure(
         d.idempotents, d.natural_leq, d.sigma, quotient, d.sigma_projection, d.sigma_maxima,
         d.green_h, d.green_r, d.green_l, d.f_inverse, d.clifford,

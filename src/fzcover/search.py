@@ -17,6 +17,18 @@ from typing import Sequence
 from .errors import BudgetExceeded
 
 
+def tuple_getter(indices: Sequence[int]):
+    """The map from a sequence s to the tuple of its entries at ``indices``.
+
+    `operator.itemgetter` of one index returns the bare entry, not a
+    1-tuple; this returns a tuple for one index or more.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
+
+
 def _closure(source: Sequence[Sequence[int]], generators: Sequence[int]) -> set[int]:
     """The elements reached from ``generators`` by right multiplication by them."""
     reached: set[int] = set()
@@ -91,8 +103,7 @@ def generator_plan(source: Sequence[Sequence[int]], generators: Sequence[int]) -
             ]
             if xs:
                 ps = [source[x][h] for x in xs]
-                # a repeated entry keeps itemgetter's result a tuple
-                checks.append((h, itemgetter(*xs, xs[0]), itemgetter(*ps, ps[0])))
+                checks.append((h, tuple_getter(xs), tuple_getter(ps)))
         levels.append((g, _powers(source, g), tuple(tree), tuple(checks)))
     if len(members) != n:
         raise ValueError("the generators do not generate the source table")

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -36,7 +37,7 @@ from fzcover import (
     validate_fuzzy_morphism,
     validate_group,
 )
-from fzcover import enumeration
+from fzcover import enumeration, search
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
 from fzcover.monoids import DerivedStructure, FiniteInverseMonoid
 from tests.test_cover import on_fresh_group
@@ -609,6 +610,11 @@ def test_equal_chains_of_one_listing_share_one_base(enumerate_, monkeypatch):
     assert 1 < len(lengths) < len({fz.chain for fz in listed}) < len(listed)
 
 
+def monoids_kept(group):
+    """The covers and bases `build_cover` kept in the group's facts, and no other entry."""
+    return {key: m for key, m in group.facts.items() if key[0] in ("chain", "cover")}
+
+
 def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypatch):
     group, grid = klein_four(), default_grid(3)
     listings = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
@@ -620,7 +626,7 @@ def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypat
     # the first listing validates each shape and chain length once, and the
     # second listing, of the same group object, finds them all
     assert len(calls) == len(shapes) + len(lengths)
-    kept = group._monoids
+    kept = monoids_kept(group)
     assert {key[0] for key in kept} == {"chain", "cover"}
     assert len(kept) == len(calls)
     for fz, cover in zip(listings[0] + listings[1], covers[0] + covers[1]):
@@ -641,7 +647,7 @@ def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypat
     assert first.base == second.base == third.base
     # p and q of one parse share their group's monoids; r, of another, not
     assert calls == [len(p.chain), first.n] * 2
-    one, other = ({id(m) for m in fz.group._monoids.values()} for fz in (p, r))
+    one, other = ({id(m) for m in monoids_kept(fz.group).values()} for fz in (p, r))
     assert one and other and not one & other
 
 
@@ -728,12 +734,50 @@ def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
     covers = [build_cover(c4), build_cover(v4)]
     # each group's base, then its cover
     assert calls == [len(c4.chain), covers[0].n, len(v4.chain), covers[1].n]
-    assert c4.group._monoids[("cover", c4._rank)] is covers[0].monoid
-    assert v4.group._monoids[("cover", v4._rank)] is covers[1].monoid
+    assert monoids_kept(c4.group)[("cover", c4._rank)] is covers[0].monoid
+    assert monoids_kept(v4.group)[("cover", v4._rank)] is covers[1].monoid
     assert covers[0].monoid.table != covers[1].monoid.table
     assert covers[0].base == covers[1].base
     assert_cover_like_lone(covers[0], c4)
     assert_cover_like_lone(covers[1], v4)
+
+
+# -- one facts dict and one plan per table, shared by its relabelings ------------
+
+def count_plans(monkeypatch):
+    """The tables `generator_plan` runs on, patched in every module that calls it."""
+    calls = []
+    real = search.generator_plan
+
+    def counted(table, generators):
+        calls.append(table)
+        return real(table, generators)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fzcover") and getattr(module, "generator_plan", None) is real:
+            monkeypatch.setattr(module, "generator_plan", counted)
+    return calls
+
+
+def test_relabelings_share_one_facts_dict_and_plan_once(monkeypatch):
+    group = klein_four()
+    a = validate_fuzzy(group, [F(1), F(1, 2), F(1, 4), F(1, 4)])
+    b = validate_fuzzy(group, [F(1), F(2, 3), F(1, 3), F(1, 3)])
+    assert a._rank == b._rank and a.chain != b.chain
+    ca, cb = build_cover(a), build_cover(b)
+    # cb's monoid is ca's under other names, and so is its sigma-quotient
+    qa, qb = (c.monoid.derived.sigma_quotient for c in (ca, cb))
+    assert cb.monoid.names != ca.monoid.names and qb.names != qa.names
+    assert cb.monoid.facts is ca.monoid.facts and qb.facts is qa.facts
+    assert qa.facts is not ca.monoid.facts and qa.facts is not group.facts
+    calls = count_plans(monkeypatch)
+    # one cover shape searched through both subgroups plans its table once
+    homs = [enumerate_cover_morphisms(c.triple, ca.triple) for c in (ca, cb)]
+    assert [(m.fstar, m.lam) for m in homs[0]] == [(m.fstar, m.lam) for m in homs[1]]
+    assert calls == [ca.monoid.table]
+    # and so do the quotient and its relabeling
+    assert enumerate_group_homomorphisms(qa, group) == enumerate_group_homomorphisms(qb, group)
+    assert calls == [ca.monoid.table, qa.table]
 
 
 # -- one report and one round trip per shape, kept with the cover table ----------

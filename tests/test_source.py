@@ -4,11 +4,11 @@ Invariants are explicit errors, never ``assert`` statements, which vanish
 under ``python -O``; no module keeps a memo cache of its own, since what is
 shared lives in dicts with an owner: the caller-owned ``hom_cache`` of
 ``verify_embedding``, whose keys only ``embedding`` names, and the
-``_monoids`` dict of validated cover monoids each group keeps, which only
-``groups`` and ``cover`` name, so that ``build_cover`` alone reads and
-writes it; and no module
-uses ``itertools.product``, since brute-force scans of a whole function space
-live only in the tests, as oracles.  The modules import each
+``facts`` memo of each validated table, which only ``groups``, ``monoids``
+and ``cover`` name: the first owns it, the second hands it on to
+relabelings and the third keeps covers, reports and round trips in it.  No
+module uses ``itertools.product``, since brute-force scans of a whole
+function space live only in the tests, as oracles.  The modules import each
 other without a cycle and only at module level, so each layer can be read,
 loaded and patched on its own.  Every function the benchmark tracer wraps
 still exists where the tracer looks for it, so no refactor can turn a layer
@@ -262,9 +262,9 @@ def _naming_modules(trees, name):
     )
 
 
-def test_only_groups_and_cover_name_the_monoid_memo():
+def test_only_groups_monoids_and_cover_name_the_table_memo():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    assert _naming_modules(trees, "_monoids") == ["cover", "groups"]
+    assert _naming_modules(trees, "facts") == ["cover", "groups", "monoids"]
 
 
 def test_naming_check_reads_attributes_and_strings():

@@ -2,8 +2,11 @@
 filter pool; interleave.py times two source trees in turns on one benchmark
 workload and compares their observations; large_covers.py builds, reports
 and round-trips covers of cyclic groups, one process each; bench/selftest.py
-checks that the benchmark counts planted faults as failures."""
+checks that the benchmark counts planted faults as failures.  Every item of
+the bench's workloads, run once in process, must pass the bench's own
+oracle."""
 
+import importlib
 import shutil
 import subprocess
 import sys
@@ -11,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import fzcover
+from fzcover import groups
 from fzcover.errors import BudgetExceeded
+from tests.test_enumeration import count_plans
 from tools.certify_pool import certify_pool, group_named
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "certify_pool.py"
@@ -164,3 +170,48 @@ def test_the_bench_selftest_counts_its_planted_faults():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "selftest: ok"
+
+
+# -- the bench's own items, each run once through the bench's oracle -------------
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The bench's input, workload and oracle modules, imported with no bytecode written."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return tuple(importlib.import_module(name) for name in ("inputs", "workloads", "oracle"))
+
+
+def _session(bench, workload, seed):
+    """The bench's items of one workload and seed, with its call and observer."""
+    inputs, workloads, _ = bench
+    spec = inputs.MAKERS[workload](seed)
+    ws = fzcover.parse_workspace(spec["workspace"])
+    return spec, workloads.PREPARE[workload](fzcover, ws, spec)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["certify-pool", "cover-ladder", "grid-sweep"])
+def test_every_bench_item_passes_the_bench_oracle(bench, workload, seed):
+    _, workloads, oracle = bench
+    spec, (items, call, observe) = _session(bench, workload, seed)
+    _, _, observations, _, _ = workloads.run(items, call, observe)
+    assert oracle.count_failed(workload, observations, oracle.EXPECT[workload](spec)) == 0
+
+
+def test_a_certify_pool_session_plans_each_table_once(bench, monkeypatch):
+    _, workloads, _ = bench
+    _, (items, call, observe) = _session(bench, "certify-pool", 1)
+    planned = count_plans(monkeypatch)
+    read, real = [], groups._Table.plan
+
+    def plan(table):
+        read.append(table)
+        return real.fget(table)
+
+    monkeypatch.setattr(groups._Table, "plan", property(plan))
+    workloads.run(items, call, observe)
+    # a group and a cover monoid with equal rows are two tables; each
+    # relabeling of a table plans with it
+    tables = {(type(t), t.table, t.generators) for t in read}
+    assert len(planned) == len(tables) < len(read)
