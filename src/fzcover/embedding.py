@@ -9,15 +9,17 @@ certifies a pair of objects by index arithmetic over the exhaustively
 enumerated hom-sets between them and of each to itself.  The arrays of those
 hom-sets, the positions that link the two and the certificate's verdict
 depend only on the shapes of the objects (group and rank vector), and so
-does whether an array passes its validator; so they are linked and the
-verdict decided once per ordered pair of shapes.  An automorphism pair of
-the two groups carries the hom-sets of one pair of shapes onto those of
-another, so they are searched, each entry validated, once per orbit of shape
-pairs, on the pair of the two orbits' representatives, each the least shape
-of its orbit on the default grid (`_orbit`), and carried from it to the
-other pairs of the orbit (`_homs`); the identity and composite checks are
-decided once per unordered pair of orbits, on the representatives' records
-(`_verdict`).
+does whether an array passes its validator; so they are kept, and the
+verdict decided, once per ordered pair of shapes.  An automorphism pair of
+the two groups carries the hom-sets of one pair of shapes, with the
+positions that link them, onto those of another, so they are searched, each
+entry validated, and linked once per orbit of shape pairs, on the first pair
+of the caller's objects in it, and carried to the other pairs of the orbit
+by way of the pair of the two orbits' least shapes, each kept as a rank
+vector (`_orbit`, `_homs`); the identity and composite checks are decided
+once per unordered pair of orbits, on the caller's records, and kept on
+the least shapes' (`_verdict`).  So a fresh store searches only hom-sets
+between the objects it is given.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cover import (
     validate_cover_morphism,
 )
 from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
-from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy_morphism
 from .search import tuple_getter
 
 
@@ -184,7 +186,7 @@ class _Arrays:
     is not listed; ``image`` is a tuple, the certificate's ``bijection``.
     ``verdict`` is None until `_verdict` sets it, once: the fields of a
     certificate of (s, t) other than its objects and morphisms.  ``checks``
-    is None but on the records of two orbits' representatives, where
+    is None but on the records of two orbits' least shapes, where
     `_verdict` sets it, once for Hom(s, t) and Hom(t, s): the identity and
     composite fields of the verdict of every pair of those orbits.
     """
@@ -200,11 +202,13 @@ class _Arrays:
 # A certification keeps covers, hom records and group hom-sets in ``store``,
 # the caller's ``hom_cache`` or a fresh dict, under ("cover", fz), ("homs",
 # s.group, s._rank, t.group, t._rank) and ("group homs", g, h); and, under
-# ("orbit", g, ranks), the representative of each shape's orbit, its least
-# shape on the default grid, with the maps to and from it that `_homs`
-# transports along.  Every entry is a pure function of its key, so none
-# depends on the order of the calls.  Nothing is stored for a build that
-# raised.  No other module names a store key.
+# ("orbit", g, ranks), the least rank vector of each shape's orbit, with the
+# maps to and from it that `_homs` transports along.  Covers are kept per
+# object, as a certificate's cover morphisms run between the value-labelled
+# covers of its own objects, and only the caller's objects get one.  Every
+# entry is a pure function of its key, so none depends on the order of the
+# calls.  Nothing is stored for a build that raised.  No other module names
+# a store key.
 
 def _cover(store: dict, fz: FuzzySubgroup) -> CoverMonoid:
     cover = store.get(("cover", fz))
@@ -228,16 +232,14 @@ def _automorphisms(store: dict, group, budget: int) -> list[tuple[int, ...]]:
 
 
 def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
-    """The representative of the orbit of fz's shape, with the `_carry` maps
-    from that shape onto the representative's and back, kept per shape.
+    """The least shape of the orbit of fz's shape, as its rank vector, with
+    the `_carry` maps from fz's shape onto it and back, kept per shape.
 
     The orbit is named by the least of the rank vectors ranks.gamma over the
     automorphisms gamma of fz's group: two shapes of one group have the same
-    least vector iff an automorphism carries one onto the other.  Its
-    representative is the fuzzy subgroup of that least vector on the default
-    grid of as many levels as fz's chain, so it depends on the shape alone.
-    With gamma the least automorphism that reaches it, gamma^-1 carries the
-    shape onto the representative's and gamma carries it back.
+    least vector iff an automorphism carries one onto the other.  With gamma
+    the least automorphism that reaches it, gamma^-1 carries the shape onto
+    the least one and gamma carries it back.
     """
     key = ("orbit", fz.group, fz._rank)
     orbit = store.get(key)
@@ -247,14 +249,14 @@ def _orbit(store: dict, fz: FuzzySubgroup, budget: int) -> tuple:
             (tuple(map(ranks.__getitem__, gamma)), gamma)
             for gamma in _automorphisms(store, fz.group, budget)
         )
-        levels = enumeration.default_grid(len(fz.chain)).levels
-        inverse = sorted(range(len(gamma)), key=gamma.__getitem__)
-        orbit = store[key] = (
-            validate_fuzzy(fz.group, [levels[r] for r in least]),
-            _carry(ranks, inverse, least),
-            _carry(least, gamma, ranks),
-        )
+        carries = _carry(ranks, _order(gamma), least), _carry(least, gamma, ranks)
+        orbit = store[key] = (least, *carries)
     return orbit
+
+
+def _order(keys: list) -> list[int]:
+    """The positions of ``keys`` sorted by their keys: of a permutation, its inverse."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _carry(ranks: tuple, phi: list, into: tuple):
@@ -270,22 +272,30 @@ def _carry(ranks: tuple, phi: list, into: tuple):
     return phi, pairs
 
 
-def _transported(first: _Arrays, source: tuple, target: tuple):
-    """The fuzzy and cover hom arrays of Hom(s, t), carried from those of
-    Hom(s0, t0), sorted as the enumerators list them.
+def _transported(first: _Arrays, source: tuple, target: tuple) -> _Arrays:
+    """The record of Hom(s, t) carried from ``first``, that of Hom(s0, t0),
+    each side sorted as its enumerator lists it.
 
     ``source`` is (phi, A) of `_carry` from s onto s0 and ``target`` is
     (beta, B) from t0 onto t: (f, lam) goes to (beta.f.phi, lam) and (fstar,
-    lam) to (B.fstar.A, lam).
+    lam) to (B.fstar.A, lam).  As transport commutes with E and R (`_homs`),
+    the carried morphism at a new position has the carried image and way
+    back of the one it came from: ``image`` and ``back`` are those of
+    ``first``, read in the new order of their own side and renumbered by
+    that of the other, -1 staying -1.
     """
-    (phi, pairs_in), (beta, pairs_out) = source, target
-    at_phi, at_in = tuple_getter(phi), tuple_getter(pairs_in)
-    fuzzy = sorted((tuple_getter(at_phi(f))(beta), lam) for f, lam in first.fuzzy)
-    cover = sorted(
-        ((tuple_getter(at_in(fstar))(pairs_out), lam) for fstar, lam in first.cover),
-        key=itemgetter(1, 0),
+    (at_phi, at_in), (beta, pairs_out) = map(tuple_getter, source), target
+    fuzzy = [(tuple_getter(at_phi(f))(beta), lam) for f, lam in first.fuzzy]
+    cover = [(tuple_getter(at_in(fstar))(pairs_out), lam) for fstar, lam in first.cover]
+    by_fuzzy, by_cover = _order(fuzzy), _order(list(map(itemgetter(1, 0), cover)))
+    # the new position of each old one, and -1 last, so that -1 stays -1
+    to_fuzzy, to_cover = _order(by_fuzzy) + [-1], _order(by_cover) + [-1]
+    return _Arrays(
+        [fuzzy[i] for i in by_fuzzy],
+        [cover[j] for j in by_cover],
+        tuple(to_cover[first.image[i]] for i in by_fuzzy),
+        [to_fuzzy[first.back[j]] for j in by_cover],
     )
-    return fuzzy, cover
 
 
 def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arrays:
@@ -311,52 +321,59 @@ def _homs(store: dict, s: FuzzySubgroup, t: FuzzySubgroup, budget: int) -> _Arra
     shapes have equal hom arrays in the same order, each valid between either
     pair (or their covers), equal position arrays and equal verdicts.
 
-    Only the pair of the two orbits' representatives, their least shapes
-    (`_orbit`), is searched, fuzzy side, over the kept group hom-set
-    (`_group_homs`), then cover side.  Let alpha be an automorphism of G and beta one of H, write
-    alpha.r for r.alpha^-1, and let s = alpha.s0 and t = beta.t0.  Then (f,
-    lam) -> (beta.f.alpha^-1, lam) is a bijection from Hom(s0, t0) onto
-    Hom(s, t): beta.f.alpha^-1 is a group hom, lam is unchanged, and
-    mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1 x) = lam(mu_s0 (alpha^-1 x))
-    = lam(mu_s(x)); the inverse map uses alpha^-1 and beta^-1.  (u, x) ->
-    (u, alpha(x)) is an isomorphism from the cover of s0 onto that of s that
-    keeps the projection, so it keeps class maxima, and (fstar, lam) ->
-    (B.fstar.A^-1, lam), with A and B those isomorphisms, is a bijection of
-    the cover hom-sets, which commutes with the embedding fstar(u, x) =
-    (lam(u), f(x)).  So the carried arrays, sorted into the enumerators'
-    order, are those a search of Hom(s, t) finds, each valid, and are not
-    validated again; ``image`` and ``back`` are then built from them as from
-    searched ones.  Each record is carried by one `_transported` call from
-    the representatives' record, with the maps `_orbit` keeps per shape.
-    The representatives' pair is searched on the caller's own objects when
-    they are of those shapes, as the record is kept by shape.  A carried
-    record runs no search and makes no budget check; a search over budget
-    stores nothing, so the next pair of its orbit pair searches the
-    representatives' pair again.
+    A record not kept is carried from that of the two orbits' least shapes
+    (`_orbit`).  When that is not kept either, the caller's own pair is
+    searched, fuzzy side over the kept group hom-set (`_group_homs`), then
+    cover side, linked with the caller's covers (`_indexed`), and carried
+    to the least shapes, where it is kept.  Let alpha be an automorphism of
+    G and beta one of H, write alpha.r for r.alpha^-1, and let s =
+    alpha.s0 and t = beta.t0.  Then (f, lam) -> (beta.f.alpha^-1, lam) is a
+    bijection from Hom(s0, t0) onto Hom(s, t): beta.f.alpha^-1 is a group
+    hom, lam is unchanged, and mu_t(beta f alpha^-1 x) = mu_t0(f alpha^-1
+    x) = lam(mu_s0 (alpha^-1 x)) = lam(mu_s(x)); the inverse map uses
+    alpha^-1 and beta^-1.  (u, x) -> (u, alpha(x)) is an isomorphism from
+    the cover of s0 onto that of s that keeps the projection, so it keeps
+    class maxima, and (fstar, lam) -> (B.fstar.A^-1, lam), with A and B
+    those isomorphisms, is a bijection of the cover hom-sets, which
+    commutes with the embedding fstar(u, x) = (lam(u), f(x)), an
+    inadmissible pair staying one, and with reading f off the class maxima.
+    So the carried arrays, sorted into the enumerators' order, are those a
+    search of Hom(s, t) finds, each valid, and are not validated again; and
+    the embedding of a carried (f, lam), or the morphism read off a carried
+    (fstar, lam), is listed iff that of the one it came from is, at the
+    carried position.  So every record but a searched one, the least
+    shapes' included, is one `_transported` call, with the maps `_orbit`
+    keeps per shape, and each orbit pair is linked once.  A carried record
+    runs no search and makes no budget check; a search over budget stores
+    nothing, so the next pair of its orbit pair is searched instead.
 
     The verdict's checks of identities and composites depend only on the
     pair of orbits.  Transport by (alpha, beta) commutes with E and with R,
     as above, and with composition: for m1 of Hom(s0, t0) and m2 of Hom(t0,
     s0), the composite m2.m1 goes to (alpha m2 beta^-1)(beta m1 alpha^-1) =
     alpha (m2 m1) alpha^-1, which is how Hom(s0, s0) goes to Hom(s, s), and
-    the identity of s0 goes to that of s, on either side.  So the carried
-    records of (s, t), (t, s), (s, s) and (t, t) pass those checks iff the
-    representatives' records do, and have as many composites.
+    the identity of s0 goes to that of s, on either side.  So the records of
+    (s, t), (t, s), (s, s) and (t, t) pass those checks iff those of (s0,
+    t0), (t0, s0), (s0, s0) and (t0, t0) do, and have as many composites.
     """
     key = ("homs", s.group, s._rank, t.group, t._rank)
     arrays = store.get(key)
     if arrays is None:
-        (r, into_r, _), (q, _, out_of_q) = _orbit(store, s, budget), _orbit(store, t, budget)
-        c1, c2 = _cover(store, s), _cover(store, t)
-        if (r._rank, q._rank) == (s._rank, t._rank):
+        (r, onto_r, from_r), (q, onto_q, from_q) = (_orbit(store, x, budget) for x in (s, t))
+        least_key = ("homs", s.group, r, t.group, q)
+        least = store.get(least_key)
+        if least is None:
+            c1, c2 = _cover(store, s), _cover(store, t)
             group_homs = _group_homs(store, s.group, t.group, budget)
             found = enumeration.enumerate_fuzzy_morphisms(s, t, budget, group_homs=group_homs)
             listed = enumeration.enumerate_cover_morphisms(c1.triple, c2.triple, budget=budget)
             fuzzy = [(m.f, m.lam) for m in found]
-            cover = [(c.fstar, c.lam) for c in listed]
+            arrays = _indexed(c1, c2, fuzzy, [(c.fstar, c.lam) for c in listed])
+            if least_key != key:
+                store[least_key] = _transported(arrays, from_r, onto_q)
         else:
-            fuzzy, cover = _transported(_homs(store, r, q, budget), into_r, out_of_q)
-        arrays = store[key] = _indexed(c1, c2, fuzzy, cover)
+            arrays = _transported(least, onto_r, from_q)
+        store[key] = arrays
     return arrays
 
 
@@ -411,16 +428,17 @@ def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budge
 
     It reads that record (`_homs`) and the identity and composite checks of
     the orbits of a and b, kept on the records of Hom(r, q) and Hom(q, r),
-    where r and q are the representatives of those orbits, their least
-    shapes on the default grid (`_orbit`).  The checks are decided once per
-    unordered pair of orbits, on the records of Hom(r, q), Hom(q, r), Hom(r,
-    r) and Hom(q, q), read in that order; they hold for (a, b) iff they hold
-    for (r, q), as transport commutes with E and with composition
-    (`_homs`).  A record not found yet is carried from
-    its orbit pair's representatives, or, for theirs, found by its fuzzy
-    search and then its cover search, each with the whole ``budget``.  The
-    verdict is index arithmetic over those records: no morphism is
-    embedded, validated or reconstructed again.
+    where r and q are the least shapes of those orbits (`_orbit`); the first
+    is kept, as ``ab`` is (`_homs`).  The checks are decided once per unordered pair of orbits, on the first pair
+    of objects of those orbits that the caller asks about, from its records
+    Hom(a, b), Hom(b, a), Hom(a, a) and Hom(b, b), read in that order; they
+    hold for every pair of those orbits iff they hold for (a, b), as
+    transport commutes with E and with composition (`_homs`).  A record not
+    found yet is carried from its orbit pair's least shapes, or, if theirs
+    is not found either, found by its fuzzy search and then its cover
+    search, each with the whole ``budget``.  The verdict is index arithmetic
+    over those records: no morphism is embedded, validated or reconstructed
+    again.
     That decides the same conditions, because a hom-set is exhaustive, each
     of its entries passed its validator between objects of the same shapes,
     which is passing it between any such objects, and E and R keep lam:
@@ -434,7 +452,7 @@ def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budge
     - E(R(c_j)) = c_j iff image[back[j]] == j, and R(E(m_i)) = m_i iff
       back[image[i]] == i;
     - composites a->b->a and b->a->b as in `_respects_compositions`,
-      checked once when a and b are of one orbit (the four records are one).
+      checked once when a and b are of one shape (the four records are one).
 
     So the verdict accepts exactly the pairs that embedding and validating
     every morphism accepts, and a broken enumerator or embedding is recorded
@@ -443,16 +461,16 @@ def _verdict(store: dict, ab: _Arrays, a: FuzzySubgroup, b: FuzzySubgroup, budge
     a call that raises keeps neither.
     """
     (r, *_), (q, *_) = _orbit(store, a, budget), _orbit(store, b, budget)
-    first, mirror = _homs(store, r, q, budget), _homs(store, q, r, budget)
-    if first.checks is None:
-        rr, qq = _homs(store, r, r, budget), _homs(store, q, q, budget)
-        first.checks = mirror.checks = dict(
-            identity_ok=_keeps_identity(rr, r) and _keeps_identity(qq, q),
-            composition_checks=2 * len(first.fuzzy) * len(mirror.fuzzy),
-            composition_ok=_respects_compositions(first, mirror, rr)
-            and (mirror is first or _respects_compositions(mirror, first, qq)),
+    least = store["homs", a.group, r, b.group, q]
+    if least.checks is None:
+        ba, aa, bb = (_homs(store, s, t, budget) for s, t in ((b, a), (a, a), (b, b)))
+        least.checks = store["homs", b.group, q, a.group, r].checks = dict(
+            identity_ok=_keeps_identity(aa, a) and _keeps_identity(bb, b),
+            composition_checks=2 * len(ab.fuzzy) * len(ba.fuzzy),
+            composition_ok=_respects_compositions(ab, ba, aa)
+            and (ba is ab or _respects_compositions(ba, ab, bb)),
         )
-    kept, image, back = first.checks, ab.image, ab.back
+    kept, image, back = least.checks, ab.image, ab.back
 
     failures = [] if kept["identity_ok"] else ["embedding does not send an identity to an identity"]
     missing = [i for i, j in enumerate(image) if j < 0]
@@ -499,16 +517,16 @@ def verify_embedding(
     target and between their covers.  A shared ``hom_cache`` dict, owned by
     the caller, keeps covers, hom records with their verdicts, group
     hom-sets and the orbits of shapes across many pairs.  So each hom-set is
-    searched and validated once per orbit of shape pairs under the
-    automorphisms of the two groups, on the pair of the orbits' least
-    shapes on the default grid, and carried to the other pairs of the
-    orbit; it is indexed, and each verdict decided, once per ordered pair
-    of shapes; identities and composites are checked once per unordered
-    pair of orbits; each group hom-set is searched once per group pair; and
-    a pair whose verdict is kept reads one hom record and two covers.  A
-    search read from it, or carried, makes no budget check again.  Every
-    entry of the dict is a pure function of its key, so no entry depends on
-    the order of the calls.
+    searched, validated and linked once per orbit of shape pairs under the
+    automorphisms of the two groups, on the first pair of the caller's
+    objects in it, and carried to the other pairs of the orbit; each
+    verdict is decided once per ordered pair of shapes; identities and
+    composites are checked once per unordered pair of orbits; each group
+    hom-set is searched once per group pair; and a pair whose verdict is
+    kept reads one hom record and two covers.  A fresh dict searches only
+    hom-sets between source and target.  A search read from it, or carried,
+    makes no budget check again.  Every entry of the dict is a pure
+    function of its key, so no entry depends on the order of the calls.
     """
     store = {} if hom_cache is None else hom_cache
     homs = _homs(store, source, target, budget)

@@ -13,7 +13,6 @@ from fzcover import (
     compose_cover_morphisms,
     compose_fuzzy_morphisms,
     cyclic,
-    default_grid,
     embed_morphism,
     embed_object,
     enumerate_cover_morphisms,
@@ -497,25 +496,31 @@ def test_lookup_certifies_like_the_definition_on_a_pool(monkeypatch, pool):
     assert digest.hexdigest() == POOL_CERTIFICATES_SHA256
 
 
-def plant_wrong_embedding(patch, wrong, like=None) -> None:
+def plant_wrong_embedding(patch, wrong, like=None) -> list:
     """Make the fstar array of the embedding of ``wrong`` move one entry, or
-    be that of the embedding of ``like``.
+    be that of the embedding of ``like``; return the list of the (c1, c2)
+    of each `_fstar` call the plant changed.
 
-    The plant matches a morphism by the shapes of its ends and its arrays,
-    as the hom arrays are kept by shape, so it reaches every pair of objects
-    of those shapes.  It sits below the hom arrays: a shared hom_cache keeps
-    the wrong embedding for every later pair, and a fresh one builds it again.
+    The plant matches a morphism by the shapes of its ends and its arrays.
+    `_fstar` runs only where a hom-set is searched, on objects the caller
+    gave, so the plant fires on the searched pairs of those shapes, and the
+    records carried from them keep the wrong embedding; a record of those
+    shapes carried from a pair of other shapes of their orbits does not.  It
+    sits below the hom arrays: a shared hom_cache keeps the wrong embedding
+    for every later pair, and a fresh one builds it again.
     """
     import fzcover.embedding as embedding
 
     fstar_of = embedding._fstar
     planted_at = (shape(wrong.source), shape(wrong.target), wrong.f, wrong.lam)
+    fired = []
 
     def planted(c1, c2, homs):
         found = fstar_of(c1, c2, homs)
         for i, (f, lam) in enumerate(homs):
             if (shape(c1.source), shape(c2.source), f, lam) != planted_at:
                 continue
+            fired.append((c1, c2))
             if like is not None:
                 found[i] = fstar_of(c1, c2, [(like.f, like.lam)])[0]
             else:
@@ -525,13 +530,17 @@ def plant_wrong_embedding(patch, wrong, like=None) -> None:
         return found
 
     patch.setattr(embedding, "_fstar", planted)
+    return fired
 
 
 def test_a_wrong_embedding_is_found_by_both(monkeypatch, fz_z2, fz_z2_const):
     # Z2 -> const -> Z2 composes to the endomorphism that sends all to e and
     # every value to the top: only the composition check reaches it
-    plant_wrong_embedding(monkeypatch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
+    fired = plant_wrong_embedding(
+        monkeypatch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
+    )
     doc = verify_embedding(fz_z2, fz_z2_const).to_json_dict()
+    assert fired
     assert doc == certificate_by_definition(fz_z2, fz_z2_const, hom_sets(), embedder())
     assert doc["composition_ok"] is False and doc["ok"] is False
     assert doc["counterexample"] == "embedding does not respect a composition"
@@ -543,9 +552,12 @@ def test_an_embedding_onto_another_listed_morphism_is_found_by_both(
 ):
     # E sends the trivial endomorphism of the constant Z2 where the identity goes
     trivial = validate_fuzzy_morphism(fz_z2_const, fz_z2_const, (0, 0), (0,))
-    plant_wrong_embedding(monkeypatch, trivial, like=identity_fuzzy_morphism(fz_z2_const))
+    fired = plant_wrong_embedding(
+        monkeypatch, trivial, like=identity_fuzzy_morphism(fz_z2_const)
+    )
     homs, embedded = hom_sets(), embedder()
     loop = verify_embedding(fz_z2_const, fz_z2_const).to_json_dict()
+    assert fired
     assert loop == certificate_by_definition(fz_z2_const, fz_z2_const, homs, embedded)
     assert loop["counterexample"] == "two fuzzy morphisms share one image"
     assert not (loop["faithful"] or loop["full"] or loop["roundtrip_ok"])
@@ -558,8 +570,9 @@ def test_an_embedding_onto_another_listed_morphism_is_found_by_both(
 
 def test_a_wrong_identity_is_named(monkeypatch, fz_z2, trivial_fz):
     # no composite of Hom(Z2, C1) and Hom(C1, Z2) is the identity of Z2
-    plant_wrong_embedding(monkeypatch, identity_fuzzy_morphism(fz_z2))
+    fired = plant_wrong_embedding(monkeypatch, identity_fuzzy_morphism(fz_z2))
     doc = verify_embedding(fz_z2, trivial_fz).to_json_dict()
+    assert fired
     assert doc == certificate_by_definition(fz_z2, trivial_fz, hom_sets(), embedder())
     assert doc["identity_ok"] is False and doc["ok"] is False
     assert doc["counterexample"] == "embedding does not send an identity to an identity"
@@ -674,14 +687,6 @@ def test_every_hom_set_lists_the_map_to_the_identity(acceptance_pools):
                 assert homs.image[homs.fuzzy.index(to_e)] >= 0, (a, b)
 
 
-def representative(fz, orbit):
-    """The object of fz's orbit whose hom-sets are searched: the least rank
-    vector of the ``orbit`` oracle on the default grid of fz's chain length."""
-    group, least = orbit(fz)
-    levels = default_grid(len(fz.chain)).levels
-    return validate_fuzzy(group, [levels[r] for r in least])
-
-
 def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz, orbit):
     import fzcover.enumeration as enumeration
 
@@ -704,14 +709,13 @@ def test_each_endomorphism_search_has_the_budget(monkeypatch, fz_v4, trivial_fz,
         ("enumerate_group_homomorphisms", c1, c1), ("enumerate_group_homomorphisms", v4, v4)
     ]
     # with 26 nodes each search fits, though together they take more: the
-    # largest is the cover search of Hom(v, v), for v the representative of
-    # fz_v4's orbit, on which fz_v4's hom-sets are searched
-    v = representative(fz_v4, orbit)
-    assert shape(v) != shape(fz_v4) and representative(trivial_fz, orbit) == trivial_fz
+    # largest is the cover search of Hom(fz_v4, fz_v4), searched on the
+    # pair's own objects though fz_v4's shape is not the least of its orbit
+    assert orbit(fz_v4) != shape(fz_v4)
     searched.clear()
     assert verify_embedding(trivial_fz, fz_v4, budget=26).ok
     assert [(s, t) for name, s, t in searched if name == "enumerate_fuzzy_morphisms"] == [
-        (trivial_fz, v), (v, trivial_fz), (trivial_fz, trivial_fz), (v, v)
+        (trivial_fz, fz_v4), (fz_v4, trivial_fz), (trivial_fz, trivial_fz), (fz_v4, fz_v4)
     ]
     with pytest.raises(BudgetExceeded):
         verify_embedding(trivial_fz, fz_v4, budget=25)
@@ -738,9 +742,10 @@ def recording_searches(patch) -> list[tuple]:
 def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(
     monkeypatch, fz_z2, fz_v4, orbit
 ):
-    # fz_z2 is the representative of its orbit, and b that of fz_v4's
-    a, b = fz_z2, representative(fz_v4, orbit)
-    assert representative(a, orbit) == a and shape(b) != shape(fz_v4)
+    # fz_z2's shape is the least of its orbit and fz_v4's is not: either
+    # way the records are searched on the pair's own objects
+    a, b = fz_z2, fz_v4
+    assert orbit(a) == shape(a) and orbit(b) != shape(b)
     ca, cb = build_cover(a).triple, build_cover(b).triple
     in_order = [
         ("fuzzy", a, b), ("cover", ca, cb), ("fuzzy", b, a), ("cover", cb, ca),
@@ -748,7 +753,7 @@ def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(
     ]
     with monkeypatch.context() as patch:
         searched = recording_searches(patch)
-        assert verify_embedding(a, fz_v4).ok
+        assert verify_embedding(a, b).ok
     assert searched == in_order
     # an empty Hom(b, a) leaves no composite to check, and changes no search
     import fzcover.enumeration as enumeration
@@ -763,7 +768,7 @@ def test_each_record_is_searched_fuzzy_then_cover_in_pair_order(
             ),
         )
         searched = recording_searches(patch)
-        cert = verify_embedding(a, fz_v4)
+        cert = verify_embedding(a, b)
     assert searched == in_order
     assert cert.ok and cert.composition_checks == 0
 
@@ -837,7 +842,7 @@ def test_objects_of_one_shape_keep_their_own_endpoints(z2, fz_z2):
 
 def counting_searches(patch) -> dict:
     """Log each group hom-set search and count each composite check and each
-    map onto or from an orbit's representative."""
+    map onto or from the least shape of an orbit."""
     import fzcover.embedding as embedding
     import fzcover.enumeration as enumeration
 
@@ -870,9 +875,10 @@ def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
     assert all(doc["ok"] for doc in pool_certificates(pool, shared=True))
     groups = {fz.group for fz in pool}
     assert len(calls["group homs"]) == len(set(calls["group homs"])) == len(groups) ** 2
-    # a->b->a once per ordered pair of the orbits of a and b, from the
-    # orbits' representatives, whichever pair of objects of those orbits
-    # comes first; and the maps onto and from its representative once per shape
+    # a->b->a once per ordered pair of the orbits of a and b, on the records
+    # of the first pair of objects of those orbits, which in pair order is
+    # of one shape when the orbits are one; and the maps onto and from the
+    # least shape of its orbit once per shape
     shapes, orbits = {shape(fz) for fz in pool}, {orbit(fz) for fz in pool}
     assert len(orbits) == 12 < len(shapes) == 16 < len(pool)
     assert calls["composites"] == len(orbits) ** 2
@@ -881,17 +887,18 @@ def test_a_shared_cache_searches_each_group_pair_and_checks_each_composite_once(
 
 def test_a_fresh_cache_per_pair_searches_and_checks_for_each_pair(monkeypatch, pool, orbit):
     pairs = [(a, b) for a in pool[::4] for b in pool[::4]]
-    # within one pair, a group pair, an ordered pair of orbits or a shape met
-    # twice is searched, checked or carried once; the shapes carried are
-    # those of both objects and of both orbits' representatives
+    # within one pair, a group pair, an ordered pair of shapes or a shape met
+    # twice is searched, checked or carried once; the checks read the pair's
+    # own records, so two shapes of one orbit are checked both ways, and the
+    # shapes carried are those of the two objects alone
     group_searches = sum(
         len({(g, h) for g in (a.group, b.group) for h in (a.group, b.group)}) for a, b in pairs
     )
     composite_checks = sum(
-        len({(orbit(a), orbit(b)), (orbit(b), orbit(a))}) for a, b in pairs
+        len({(shape(a), shape(b)), (shape(b), shape(a))}) for a, b in pairs
     )
-    carries = sum(2 * len({shape(a), shape(b), orbit(a), orbit(b)}) for a, b in pairs)
-    assert carries == 440
+    carries = sum(2 * len({shape(a), shape(b)}) for a, b in pairs)
+    assert (composite_checks, carries) == (188, 376)
     for fresh in (dict, lambda: None):
         with monkeypatch.context() as patch:
             calls = counting_searches(patch)
@@ -920,10 +927,8 @@ def test_a_shared_cache_searches_each_cover_orbit_pair_once(monkeypatch, pool, o
     import fzcover.enumeration as enumeration
 
     # the orbit of a shape, its group and its ranks, under the group's
-    # automorphisms, read off the covers of the pool and of the representatives
-    orbit_of = {
-        build_cover(x).triple: orbit(fz) for fz in pool for x in (fz, representative(fz, orbit))
-    }
+    # automorphisms, read off the covers of the pool, the only ones searched
+    orbit_of = {build_cover(fz).triple: orbit(fz) for fz in pool}
     searched = []
     search = enumeration.enumerate_cover_morphisms
 
@@ -997,8 +1002,9 @@ def test_a_budget_failure_stores_no_group_hom_set(fz_v4, trivial_fz):
 def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, pool):
     # the endomorphism of a two-level C2 that sends all to e and every value to the top
     fz = next(fz for fz in pool if fz.n == 2 and len(fz.chain) == 2)
-    plant_wrong_embedding(monkeypatch, validate_fuzzy_morphism(fz, fz, (0, 0), (1, 1)))
+    fired = plant_wrong_embedding(monkeypatch, validate_fuzzy_morphism(fz, fz, (0, 0), (1, 1)))
     shared = pool_certificates(pool, shared=True)
+    assert fired
     assert shared == pool_certificates(pool, shared=False)
     named = {
         (i, doc["counterexample"]) for i, doc in enumerate(shared) if not doc["ok"]
@@ -1015,9 +1021,10 @@ def test_a_wrong_embedding_is_named_alike_with_and_without_sharing(monkeypatch, 
 def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz, orbit):
     cache: dict = {}
     # a pair of constant subgroups of V4 leaves the automorphisms of V4 kept;
-    # then, with v the least shape of fz_v4's orbit, the hom-sets of (C1, v),
-    # the pair's own carried from it, (v, C1) and Hom(C1, C1) fit in 7 nodes,
-    # and the cover search of Hom(v, v) does not
+    # then, with v the least shape of fz_v4's orbit, the hom-sets of (C1,
+    # fz_v4) and (fz_v4, C1), each searched on the pair's own objects and
+    # carried to (C1, v) and (v, C1), and Hom(C1, C1) fit in 7 nodes, and
+    # the cover search of Hom(fz_v4, fz_v4) does not
     constant = validate_fuzzy(fz_v4.group, [F(1)] * 4)
     assert verify_embedding(constant, constant, hom_cache=cache).ok
     with pytest.raises(BudgetExceeded) as exc:
@@ -1029,7 +1036,8 @@ def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz, orbit
     c1, v = shape(trivial_fz), orbit(fz_v4)
     assert v != shape(fz_v4)
     assert found == {
-        ("homs", *c1, *v), ("homs", *c1, *shape(fz_v4)), ("homs", *v, *c1), ("homs", *c1, *c1)
+        ("homs", *c1, *v), ("homs", *c1, *shape(fz_v4)),
+        ("homs", *v, *c1), ("homs", *shape(fz_v4), *c1), ("homs", *c1, *c1),
     }
     assert all(cache[key].verdict is None for key in found)
     for a, b in ((trivial_fz, fz_v4), (fz_v4, trivial_fz), (fz_v4, fz_v4)):
@@ -1040,8 +1048,11 @@ def test_a_budget_failure_leaves_the_shared_cache_sound(fz_v4, trivial_fz, orbit
 def test_hom_caches_share_nothing(monkeypatch, fz_z2):
     planted_cache: dict = {}
     with monkeypatch.context() as patch:
-        plant_wrong_embedding(patch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1)))
+        fired = plant_wrong_embedding(
+            patch, validate_fuzzy_morphism(fz_z2, fz_z2, (0, 0), (1, 1))
+        )
         assert not verify_embedding(fz_z2, fz_z2, hom_cache=planted_cache).ok
+        assert fired
     # the wrong embedding is kept in the dict it was made in, and only there
     assert not verify_embedding(fz_z2, fz_z2, hom_cache=planted_cache).ok
     assert verify_embedding(fz_z2, fz_z2, hom_cache={}).ok
@@ -1051,9 +1062,10 @@ def test_hom_caches_share_nothing(monkeypatch, fz_z2):
 def test_a_failed_round_trip_is_recorded(monkeypatch, fz_z2_const):
     # the moved entry sends the pair over e to the pair over a, so the image
     # is no homomorphism and is not listed: fuzzy morphism 0 has no round trip
-    plant_wrong_embedding(
+    fired = plant_wrong_embedding(
         monkeypatch, validate_fuzzy_morphism(fz_z2_const, fz_z2_const, (0, 0), (0,))
     )
     cert = verify_embedding(fz_z2_const, fz_z2_const)
+    assert fired
     assert not cert.ok and not cert.roundtrip_ok and not cert.full
     assert cert.counterexample == "image of fuzzy morphism 0 missing from cover hom-set"

@@ -15,7 +15,10 @@ still exists where the tracer looks for it, so no refactor can turn a layer
 metric into a silent 0.  Every public function of ``search`` has a caller in
 another module of the library, so no search mode lives on for tests alone,
 and every private module-level function is named by library code outside
-its own definition, so none lives on for tests alone either.
+its own definition, so none lives on for tests alone either.  ``embedding``
+names no ``validate_fuzzy``, ``default_grid`` or ``Fraction``: it certifies
+the caller's own objects and keeps orbits as rank vectors, so it makes no
+fuzzy subgroup of its own.
 """
 
 import ast
@@ -298,6 +301,17 @@ def _store_kind_holders(trees):
 def test_only_embedding_names_a_store_key():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert _store_kind_holders(trees) == ["embedding"]
+
+
+def test_embedding_makes_no_fuzzy_subgroup_of_its_own():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    named = {
+        name: _naming_modules(trees, name)
+        for name in ("validate_fuzzy", "default_grid", "Fraction")
+    }
+    # the check sees each name where the library uses it
+    assert all(modules for modules in named.values()), named
+    assert [name for name, modules in named.items() if "embedding" in modules] == []
 
 
 def test_store_key_check_reads_whole_string_constants():

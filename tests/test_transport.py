@@ -1,9 +1,10 @@
 """Hom-sets carried along automorphisms: one search per orbit of shape pairs.
 
-`embedding._homs` searches Hom(s, t) only for the pair of the representatives
-of the two orbits of shapes, each the least shape of its Aut(G) orbit on the
-default grid, and carries its arrays to the other pairs of that orbit pair.
-The oracles here use no carrying: the automorphisms are counted against
+`embedding._homs` searches Hom(s, t) once per pair of orbits of shapes under
+the automorphisms of the groups, on the first pair of the caller's objects
+in it, keeps it carried to the pair of the two orbits' least shapes, and
+carries its arrays and positions from there to the other pairs of that
+orbit pair.  The oracles here use no carrying: the automorphisms are counted against
 closed forms and found again by generator images, every carried record is
 compared, field by field, with the search of its own pair of shapes, which
 is how every record was found before, and the least shapes are found again
@@ -35,7 +36,7 @@ from fzcover import (
 )
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
 from tests.conftest import automorphisms_by_images
-from tests.test_embedding import recording_searches, representative, shape
+from tests.test_embedding import recording_searches, shape
 
 FIELDS = ("fuzzy", "cover", "image", "back")
 
@@ -186,13 +187,12 @@ def test_a_carried_record_runs_no_search_and_checks_no_budget(monkeypatch):
 
 def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch, orbit):
     a, b = v4_shapes_of_one_orbit()
-    # the orbit's representative is its least shape, which is neither of the two
-    least = representative(a, orbit)
-    assert representative(b, orbit) == least and shape(least) not in {shape(a), shape(b)}
+    # the least shape of the orbit is neither of the two
+    assert orbit(a) == orbit(b) and orbit(a) not in {shape(a), shape(b)}
     cache: dict = {}
     # a pair of constant subgroups leaves the automorphisms of V4 kept, so
-    # with 7 nodes the search of Hom(least, least), which Hom(a, a) is carried
-    # from, fails at its cover side
+    # with 7 nodes the search of Hom(a, a), on the pair's own object, fails
+    # at its cover side
     constant = validate_fuzzy(a.group, [F(1)] * 4)
     assert verify_embedding(constant, constant, hom_cache=cache).ok
     kept = set(cache)
@@ -205,12 +205,12 @@ def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch, orb
         verify_embedding(b, b, budget=7, hom_cache=cache)
     assert str(again.value) == str(first.value)
     assert [side for side, _, _ in searched_now] == ["fuzzy", "cover"]
-    # with the budget it needs the orbit is searched once, on the pair of its
-    # representative, whichever pair comes first
+    # with the budget it needs the orbit is searched once, on the first pair
+    # asked about, and carried to the other
     searched_now.clear()
     assert verify_embedding(b, b, hom_cache=cache).ok and verify_embedding(a, a, hom_cache=cache).ok
-    cover = build_cover(least).triple
-    assert searched_now == [("fuzzy", least, least), ("cover", cover, cover)]
+    cover = build_cover(b).triple
+    assert searched_now == [("fuzzy", b, b), ("cover", cover, cover)]
 
 
 def certify_pool_of_seed(seed: int) -> list:
@@ -238,14 +238,63 @@ def test_a_pool_runs_one_cover_search_per_orbit_pair(monkeypatch, pools, orbit):
     assert searches == [count**2 for count in orbits]
 
 
+def test_a_store_holds_and_searches_only_the_callers_objects(monkeypatch, orbit):
+    import fzcover.embedding as embedding
+
+    linked = []
+    indexed = embedding._indexed
+
+    def counting(*args):
+        linked.append(args)
+        return indexed(*args)
+
+    monkeypatch.setattr(embedding, "_indexed", counting)
+    searched_now = recording_searches(monkeypatch)
+    for seed in (1, 2):
+        objects = certify_pool_of_seed(seed)
+        searched_now.clear()
+        linked.clear()
+        cache: dict = {}
+        assert all(verify_embedding(a, b, hom_cache=cache).ok for a in objects for b in objects)
+        # one cover per object asked about, and no other
+        covered = [key[1] for key in cache if key[0] == "cover"]
+        assert len(covered) == len(set(objects)) == 32 and set(covered) == set(objects)
+        # every search runs between the caller's objects or their covers
+        ends = set(objects) | {build_cover(fz).triple for fz in objects}
+        assert searched_now and all({s, t} <= ends for _, s, t in searched_now)
+        # each orbit pair is linked once, and every other record carried
+        orbits = {orbit(fz) for fz in objects}
+        assert len(linked) == len(orbits) ** 2 == 12**2
+
+
+@pytest.mark.parametrize("field", ["image", "back"])
+def test_positions_carried_unpermuted_are_found(monkeypatch, pool, field):
+    import dataclasses
+
+    import fzcover.embedding as embedding
+
+    transported = embedding._transported
+    fired = []
+
+    # a carry that moves the morphisms but leaves one position array as it was
+    def unpermuted(first, source, target):
+        carried = transported(first, source, target)
+        if getattr(carried, field) != getattr(first, field):
+            fired.append((first, carried))
+        return dataclasses.replace(carried, **{field: getattr(first, field)})
+
+    monkeypatch.setattr(embedding, "_transported", unpermuted)
+    assert carried_unlike_searched(pool) and fired
+
+
 def least_shapes_unlike_the_oracle(store: dict, objects, orbit) -> list:
-    """The objects of ``objects`` whose orbit entry in ``store`` names a
-    representative other than the oracle's least shape on the default grid."""
+    """The objects of ``objects`` whose orbit entry in ``store`` names a rank
+    vector other than the ``orbit`` oracle's least one."""
     kept = {key[1:]: entry[0] for key, entry in store.items() if key[0] == "orbit"}
     # every orbit entry is of an object's shape: the pools hold every shape
     # of up to as many levels as their grids, the least ones too
     assert kept.keys() == {shape(fz) for fz in objects}
-    return [fz for fz in objects if kept[shape(fz)] != representative(fz, orbit)]
+    return [fz for fz in objects if (fz.group, kept[shape(fz)]) != orbit(fz)]
 
 
 def test_every_store_entry_is_the_same_in_either_pair_order(monkeypatch, pools, orbit):
@@ -253,8 +302,9 @@ def test_every_store_entry_is_the_same_in_either_pair_order(monkeypatch, pools, 
 
     pool = pools[0]
     # one store per pass, over every pair in pair order and then in reverse
-    # order: each orbit is named by its least shape either way, so the two
-    # stores and the certificates are the same
+    # order: each orbit pair is searched on the first pair of it met, which
+    # differs between the two, but kept at its least shapes either way, so
+    # the two stores and the certificates are the same
     searched_now = recording_searches(monkeypatch)
     pairs = [(a, b) for a in pool for b in pool]
     orbits = {orbit(fz) for fz in pool}
