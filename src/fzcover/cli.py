@@ -29,6 +29,7 @@ from .errors import (
     WorkspaceSyntaxError,
 )
 from .fuzzy import derived_facts, level_subset
+from .monoids import _members
 from .workspace import WorkspaceFile, parse_workspace
 
 SCHEMA_VERSION = 1
@@ -108,11 +109,9 @@ def _levels_section(cover, lines):
 
 def _order_section(cover, lines):
     lines.append("natural order (strict pairs):")
-    leq = cover.monoid.derived.natural_leq
-    for i in range(cover.n):
-        for j in range(cover.n):
-            if i != j and leq[i][j]:
-                lines.append(f"  {cover.monoid.names[i]} <= {cover.monoid.names[j]}")
+    names = cover.monoid.names
+    for i, bits in enumerate(cover.monoid.derived.above):
+        lines.extend(f"  {names[i]} <= {names[j]}" for j in _members(bits) if j != i)
 
 
 def _table_section(cover, lines):

@@ -314,14 +314,12 @@ def cover_report(cover: CoverMonoid) -> CoverReport:
     idem_generic = tuple(cover.pairs[i] for i in d.idempotents)
     idempotents_match = idem_closed == idem_generic
 
-    # the pairs over x sit together in ascending rank, so the row of the
-    # i-th pair (u, x) holds True exactly from i up to the pair (mu(x), x)
-    # and is compared whole; ``ends[i]`` is one past that pair
-    n = cover.n
+    # the pairs over x sit together in ascending rank, so the bitset of the
+    # i-th pair (u, x) has exactly the bits from i up to the pair (mu(x), x)
+    # set and is compared whole; ``ends[i]`` is one past that pair
     ends = [cover.pair_index[(fz.mu_index(x), x)] + 1 for _, x in cover.pairs]
     order_match = all(
-        row == (False,) * i + (True,) * (end - i) + (False,) * (n - end)
-        for i, (row, end) in enumerate(zip(d.natural_leq, ends))
+        bits == (1 << end) - (1 << i) for i, (bits, end) in enumerate(zip(d.above, ends))
     )
 
     sigma_closed = tuple(
@@ -395,12 +393,12 @@ def _pairs(psi: DualPremorphism):
 
     Pairs are ordered by (group element, monoid element).
     """
-    leq = psi.monoid.derived.natural_leq
+    above = psi.monoid.derived.above
     pairs = [
         (u, h)
         for h in range(psi.group.n)
         for u in range(psi.monoid.n)
-        if leq[u][psi.psi[h]]
+        if above[u] >> psi.psi[h] & 1
     ]
     return pairs, {p: i for i, p in enumerate(pairs)}
 
@@ -522,7 +520,7 @@ def premorphism_from_cover(
     dp = validate_dual_premorphism(derived.sigma_quotient, base, psi)
 
     pairs, index = _pairs(dp)
-    sigma = derived.sigma_projection
+    sigma = derived.sigma.class_of
     canonical = list(map(index.get, zip(projection, sigma)))
 
     def onto_pairs(unit):  # defined everywhere, a bijection onto the pairs, unit to unit
@@ -570,8 +568,8 @@ def _element_signature(monoid: FiniteInverseMonoid, x: int):
         len(d.green_h.classes[d.green_h.class_of[x]]),
         len(d.green_r.classes[d.green_r.class_of[x]]),
         len(d.green_l.classes[d.green_l.class_of[x]]),
-        sum(d.natural_leq[x]),
-        sum(row[x] for row in d.natural_leq),
+        d.above[x].bit_count(),
+        sum(bits >> x & 1 for bits in d.above),
     )
 
 

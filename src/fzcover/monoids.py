@@ -67,13 +67,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class DerivedStructure:
-    """Structure derived exhaustively from an inverse monoid table."""
+    """Structure derived exhaustively from an inverse monoid table.
+
+    ``above`` is the natural partial order, one bitset per element: bit b of
+    ``above[a]`` is set iff a <= b.  ``sigma.class_of`` projects each
+    element onto its class in ``sigma_quotient``.
+    """
 
     idempotents: tuple[int, ...]
-    natural_leq: tuple[tuple[bool, ...], ...]
+    above: tuple[int, ...]
     sigma: Partition
     sigma_quotient: FiniteGroup
-    sigma_projection: tuple[int, ...]
     sigma_maxima: tuple[Optional[int], ...]
     green_h: Partition
     green_r: Partition
@@ -219,32 +223,24 @@ def _class_names(names, reps) -> list[str]:
 
 
 def _natural_order(cols, dom):
-    """The natural order from element positions: (rows, above, bitsets).
+    """The natural order from element positions, one bitset per element.
 
     a <= b iff a = b*e for some idempotent e, iff b*(a^-1 a) = a, so with
     ``dom[a]`` = a^-1 a the b above a are the positions of a in the column
-    ``cols[dom[a]]``.  ``count`` and one ``index`` per hit find them,
-    ascending, with no comparison per entry in Python.  ``above[a]`` lists
-    them, row a of the boolean rows is True at each of them, and bit b of
-    bitset a is set iff b is one of them.
+    ``cols[dom[a]]``.  ``count`` and one ``index`` per hit find them, with
+    no comparison per entry in Python, and bit b of bitset a is set iff b
+    is one of them.
     """
-    n = len(cols)
-    rows, above, bits = [], [], []
+    above = []
     for a, d in enumerate(dom):
         col = cols[d]
-        row = [False] * n
-        hits = []
         up = 0
         b = -1
         for _ in range(col.count(a)):
             b = col.index(a, b + 1)
-            row[b] = True
-            hits.append(b)
             up |= 1 << b
-        rows.append(tuple(row))
-        above.append(hits)
-        bits.append(up)
-    return tuple(rows), above, bits
+        above.append(up)
+    return tuple(above)
 
 
 def _derive(names, rows, inverse, generators) -> DerivedStructure:
@@ -255,9 +251,9 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
     monoid (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests
     compare them with the definitions.
 
-    The natural order is read off element positions (`_natural_order`),
-    and reflexivity, antisymmetry and transitivity are checked over the b
-    above each a, ascending, as the boolean rows hold them.
+    The natural order is read off element positions (`_natural_order`) as
+    bitsets, and reflexivity, antisymmetry and transitivity are checked on
+    the bits, over the b above each a, ascending.
 
     The sigma-quotient table is read by row lookups, the rows of the class
     representatives at the representatives, mapped through the classes.
@@ -281,18 +277,18 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
 
-    leq, above, up = _natural_order(cols, dom)
-    for a, hits in enumerate(above):
-        if not leq[a][a]:
+    above = _natural_order(cols, dom)
+    for a, bits in enumerate(above):
+        if not bits >> a & 1:
             raise AlgebraError(f"natural order not reflexive at {names[a]}")
-        for b in hits:
+        for b in _members(bits):
             if b == a:
                 continue
-            if leq[b][a]:
+            if above[b] >> a & 1:
                 raise AlgebraError(
                     f"natural order not antisymmetric on {names[a]}, {names[b]}"
                 )
-            if up[b] & ~up[a]:
+            if above[b] & ~bits:
                 raise AlgebraError("natural order not transitive")
 
     # least group congruence: x ~ y iff x*e = y*e for some idempotent e;
@@ -346,7 +342,7 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
     maxima = []
     for cls in sigma.classes:
         # the members above every member of the class: its greatest, if any
-        greatest = reduce(and_, (up[x] for x in cls), rel[cls[0]])
+        greatest = reduce(and_, (above[x] for x in cls), rel[cls[0]])
         maxima.append((greatest & -greatest).bit_length() - 1 if greatest else None)
 
     # Green's relations: a R b iff aa^-1 = bb^-1, a L b iff a^-1a = b^-1b
@@ -359,10 +355,9 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
 
     return DerivedStructure(
         idempotents=idem,
-        natural_leq=leq,
+        above=above,
         sigma=sigma,
         sigma_quotient=quotient,
-        sigma_projection=sigma.class_of,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
         green_r=green_r,
@@ -437,7 +432,7 @@ def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInver
     quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
     quotient.facts = q.facts
     derived = DerivedStructure(
-        d.idempotents, d.natural_leq, d.sigma, quotient, d.sigma_projection, d.sigma_maxima,
+        d.idempotents, d.above, d.sigma, quotient, d.sigma_maxima,
         d.green_h, d.green_r, d.green_l, d.f_inverse, d.clifford,
     )
     return FiniteInverseMonoid(
@@ -448,14 +443,24 @@ def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInver
 # -- structure queries ---------------------------------------------------------
 
 def natural_order(monoid: FiniteInverseMonoid) -> tuple[tuple[bool, ...], ...]:
-    """The natural partial order as a boolean matrix (rel[x][y] iff x <= y)."""
-    return monoid.derived.natural_leq
+    """The natural partial order as a boolean matrix (rel[x][y] iff x <= y).
+
+    Built on each call from the bitsets the monoid keeps (``derived.above``).
+    """
+    n = monoid.n
+    rows = []
+    for bits in monoid.derived.above:
+        row = [False] * n
+        for b in _members(bits):
+            row[b] = True
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def sigma(monoid: FiniteInverseMonoid):
     """Least group congruence: (partition, quotient group, projection array)."""
     d = monoid.derived
-    return d.sigma, d.sigma_quotient, d.sigma_projection
+    return d.sigma, d.sigma_quotient, d.sigma.class_of
 
 
 def green_relations(monoid: FiniteInverseMonoid):
@@ -591,15 +596,17 @@ def validate_dual_premorphism(
 
     One pass over the group rows, x in order, checks psi(x^-1) = psi(x)^-1
     and then psi(x)psi(y) <= psi(xy) for every y: the row of psi(x) in the
-    table gives each product psi(x)psi(y), whose row of ``natural_leq`` is
-    read at psi(xy).  A group row is a permutation, so the first failing
-    y is found from its product xy.  The coverage witness of u is the first
-    h whose image lies above u, found on the row of u.
+    table gives each product psi(x)psi(y), whose row of the order matrix
+    `natural_order` is read at psi(xy).  A group row is a permutation, so
+    the first failing y is found from its product xy.  The coverage witness
+    of u is the first h whose image lies above u, found on the row of u.
+    The matrix is built once per call: an index into a row of bools costs
+    less than a bit test in the loop over all pairs.
     """
     if len(psi) != group.n or any(not 0 <= v < monoid.n for v in psi):
         raise NotDualPremorphism("psi must assign a monoid element to every group element")
     psi = tuple(psi)
-    leq = monoid.derived.natural_leq
+    leq = natural_order(monoid)
     names = group.names
     for x, row in enumerate(group.table):
         if psi[group.inverses[x]] != monoid.inverse[psi[x]]:

@@ -360,7 +360,7 @@ def plant_wrong_product(monkeypatch, cover):
     """
     d = cover.monoid.derived
     q = d.sigma_quotient
-    b = d.sigma_projection[cover.monoid.generators[0]]
+    b = d.sigma.class_of[cover.monoid.generators[0]]
     a = next(a for a in range(q.n) if a != q.identity and q.table[a][b] != q.identity)
     table = [list(row) for row in q.table]
     table[a][b] = q.identity
@@ -371,7 +371,7 @@ def plant_wrong_product(monkeypatch, cover):
         "validate_dual_premorphism",
         lambda group, monoid, psi: replace(real(group, monoid, psi), group=wrong),
     )
-    return d.sigma_projection.index(a)
+    return d.sigma.class_of.index(a)
 
 
 def test_planted_wrong_product_is_named_by_its_row(fz_v4, monkeypatch):

@@ -115,10 +115,9 @@ def _derive_by_definition(names, table, unit, inverse) -> DerivedStructure:
 
     return DerivedStructure(
         idempotents=idem,
-        natural_leq=leq,
+        above=tuple(sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)),
         sigma=sigma,
         sigma_quotient=quotient,
-        sigma_projection=sigma.class_of,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
         green_r=green_r,

@@ -140,9 +140,9 @@ def test_dual_premorphism_running_example(fz_z2):
     dp = as_dual_premorphism(fz_z2)
     assert dp.monoid.n == 2
     assert dp.psi == (1, 0)
-    leq = dp.monoid.derived.natural_leq
+    above = dp.monoid.derived.above
     for u in range(dp.monoid.n):
-        assert leq[u][dp.psi[dp.coverage_witness[u]]]
+        assert above[u] >> dp.psi[dp.coverage_witness[u]] & 1
 
 
 def test_dual_premorphism_constant(z2):
@@ -154,10 +154,10 @@ def test_dual_premorphism_constant(z2):
 
 def test_dual_premorphism_coverage_witnesses(fz_v4):
     dp = as_dual_premorphism(fz_v4)
-    leq = dp.monoid.derived.natural_leq
+    above = dp.monoid.derived.above
     for u in range(dp.monoid.n):
         h = dp.coverage_witness[u]
-        assert leq[u][dp.psi[h]]
+        assert above[u] >> dp.psi[h] & 1
 
 
 # -- acceptance is an order property ------------------------------------------------

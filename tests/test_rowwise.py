@@ -115,6 +115,7 @@ from fzcover.monoids import (
     _members,
     _natural_order,
     check_projection,
+    natural_order,
 )
 from tests.test_associativity import (
     ASSOCIATIVE,
@@ -604,10 +605,9 @@ def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
 
     return DerivedStructure(
         idempotents=idem,
-        natural_leq=leq,
+        above=tuple(up),
         sigma=sigma,
         sigma_quotient=quotient,
-        sigma_projection=sigma.class_of,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
         green_r=green_r,
@@ -633,18 +633,16 @@ def assert_derived_on_generators_like_class_rows(m):
 
 
 def assert_natural_order_like_entries(table, inverse):
-    """_natural_order gives the rows and bitsets of the comparison per entry,
-    each row's hits are its True positions, ascending, and every row is a
-    tuple of bools."""
+    """_natural_order gives the bitsets of the comparison per entry, as a
+    tuple of ints; returns the rows and bitsets of that comparison."""
     rows = tuple(map(tuple, table))
     cols = tuple(zip(*rows))
     dom = [rows[inverse[a]][a] for a in range(len(rows))]
-    leq, above, up = _natural_order(cols, dom)
-    assert (leq, up) == natural_order_by_entries(cols, dom)
-    assert above == [list(compress(range(len(row)), row)) for row in leq]
-    assert type(leq) is tuple and all(type(row) is tuple for row in leq)
-    assert all(type(v) is bool for row in leq for v in row)
-    return leq
+    above = _natural_order(cols, dom)
+    leq, up = natural_order_by_entries(cols, dom)
+    assert above == tuple(up)
+    assert type(above) is tuple and all(type(bits) is int for bits in above)
+    return leq, up
 
 
 def quotient_by_entries(m):
@@ -662,8 +660,14 @@ def group_fields(g):
 
 def assert_like_entries(m):
     """The natural order and the sigma-quotient of a validated monoid are those
-    of the per-entry forms, and its quotient passes validate_group alike."""
-    assert m.derived.natural_leq == assert_natural_order_like_entries(m.table, m.inverse)
+    of the per-entry forms, as bitsets and as the matrix `natural_order`
+    builds, and its quotient passes validate_group alike."""
+    leq, up = assert_natural_order_like_entries(m.table, m.inverse)
+    assert m.derived.above == tuple(up)
+    matrix = natural_order(m)
+    assert matrix == leq
+    assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+    assert all(type(v) is bool for row in matrix for v in row)
     q = m.derived.sigma_quotient
     assert group_fields(q) == group_fields(quotient_by_entries(m))
     assert group_fields(validate_group(q.names, q.table)) == group_fields(q)
@@ -679,6 +683,21 @@ def test_fixture_monoids_derive_on_generators_like_class_rows(fz_z2, fz_v4):
 def test_grid_covers_order_and_quotient_like_entries():
     for cover in _grid_covers():
         assert_like_entries(cover.monoid)
+
+
+def test_a_validated_monoid_keeps_linear_order_state():
+    # the 301-pair cover of C200 under tools/large_covers.py's three-level mu
+    mu = [F(1) if x == 0 else F(1, 2) if x % 2 == 0 else F(1, 4) for x in range(200)]
+    m = build_cover(validate_fuzzy(cyclic(200), mu)).monoid
+    n, d = m.n, m.derived
+    assert n == 301
+    assert len(d.above) == n and all(type(bits) is int for bits in d.above)
+    values = [getattr(d, field.name) for field in dataclasses.fields(d)]
+    assert not any(
+        isinstance(v, tuple) and any(isinstance(row, tuple) and len(row) == n for row in v)
+        for v in values
+    )
+    assert_like_entries(m)  # natural_order(m) is the per-entry matrix
 
 
 @st.composite
@@ -791,7 +810,7 @@ def round_trip_by_full_table(monoid, base, projection):
     psi = tuple(projection[m] for m in derived.sigma_maxima)
     dp = cover_module.validate_dual_premorphism(derived.sigma_quotient, base, psi)
     pairs, index, table, unit = cover_module._pair_table(dp)
-    canonical = list(map(index.get, zip(projection, derived.sigma_projection)))
+    canonical = list(map(index.get, zip(projection, derived.sigma.class_of)))
     if (
         None in canonical
         or len(pairs) != monoid.n
@@ -1333,22 +1352,23 @@ def test_levels_by_ranks_agree_with_values():
             assert derived_outcome(level_subset, fz, u) == derived_outcome(level_by_values, fz, u)
 
 
-def order_match_by_entries(cover, leq):
-    """cover_report's order check as it was before whole rows: every entry."""
+def order_match_by_entries(cover, above):
+    """cover_report's order check as it was before whole rows: every entry,
+    here bit j of ``above[i]``."""
     return all(
-        leq[i][j] == (pi[1] == pj[1] and pi[0] <= pj[0])
+        (above[i] >> j & 1 == 1) == (pi[1] == pj[1] and pi[0] <= pj[0])
         for i, pi in enumerate(cover.pairs)
         for j, pj in enumerate(cover.pairs)
     )
 
 
-def report_with_order(cover, leq):
-    """cover_report of the cover with its natural order replaced by ``leq``.
+def report_with_order(cover, above):
+    """cover_report of the cover with its natural order replaced by ``above``.
 
     The changed monoid gets an empty ``facts`` dict of its own, so the
-    report is computed on ``leq``, not read back from the cover's.
+    report is computed on ``above``, not read back from the cover's.
     """
-    derived = dataclasses.replace(cover.monoid.derived, natural_leq=leq)
+    derived = dataclasses.replace(cover.monoid.derived, above=above)
     changed = SimpleNamespace(
         source=cover.source,
         pairs=cover.pairs,
@@ -1362,16 +1382,14 @@ def report_with_order(cover, leq):
 def test_order_by_rows_agrees_with_entries():
     covers = _grid_covers()
     for cover in covers:
-        leq = cover.monoid.derived.natural_leq
-        assert cover_report(cover).order_match is order_match_by_entries(cover, leq) is True
-    # one entry of the order flipped, in every position of a few covers
+        above = cover.monoid.derived.above
+        assert cover_report(cover).order_match is order_match_by_entries(cover, above) is True
+    # one bit of the order flipped, in every position of a few covers
     for cover in covers[::30]:
-        leq = cover.monoid.derived.natural_leq
+        above = cover.monoid.derived.above
         for i in range(cover.n):
             for j in range(cover.n):
-                rows = [list(row) for row in leq]
-                rows[i][j] = not rows[i][j]
-                flipped = tuple(map(tuple, rows))
+                flipped = above[:i] + (above[i] ^ 1 << j,) + above[i + 1:]
                 report = report_with_order(cover, flipped)
                 assert report.order_match is order_match_by_entries(cover, flipped) is False
                 assert report.unit_match and report.sigma_match and report.maxima_match
@@ -1383,7 +1401,7 @@ def dual_premorphism_by_loop(group, monoid, psi):
     """validate_dual_premorphism as it was: every pair, each witness by a scan."""
     if len(psi) != group.n or any(not 0 <= v < monoid.n for v in psi):
         raise NotDualPremorphism("psi must assign a monoid element to every group element")
-    leq = monoid.derived.natural_leq
+    above = monoid.derived.above
     for x in range(group.n):
         if psi[group.inverses[x]] != monoid.inverse[psi[x]]:
             raise NotDualPremorphism(
@@ -1391,7 +1409,7 @@ def dual_premorphism_by_loop(group, monoid, psi):
             )
         for y in range(group.n):
             prod = monoid.table[psi[x]][psi[y]]
-            if not leq[prod][psi[group.table[x][y]]]:
+            if not above[prod] >> psi[group.table[x][y]] & 1:
                 raise NotDualPremorphism(
                     f"psi({group.names[x]}*{group.names[y]}) is not above "
                     f"psi({group.names[x]})*psi({group.names[y]})",
@@ -1399,7 +1417,7 @@ def dual_premorphism_by_loop(group, monoid, psi):
                 )
     witnesses = []
     for u in range(monoid.n):
-        h = next((h for h in range(group.n) if leq[u][psi[h]]), None)
+        h = next((h for h in range(group.n) if above[u] >> psi[h] & 1), None)
         if h is None:
             raise CoverageFailure(
                 f"monoid element {monoid.names[u]} is below no psi image", witness=u

@@ -7,6 +7,7 @@ the bench's workloads, run once in process, must pass the bench's own
 oracle."""
 
 import importlib
+import os
 import shutil
 import subprocess
 import sys
@@ -96,13 +97,16 @@ def test_the_d8_pool_at_three_levels_keeps_its_certificates():
 
 INTERLEAVE = SCRIPT.parent / "interleave.py"
 ROOT = SCRIPT.parent.parent
+# the subprocesses that import the bench's modules write no bytecode, so
+# the bench directory is left as it was
+NO_BYTECODE = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _interleave(src_a, src_b):
     return subprocess.run(
         [sys.executable, str(INTERLEAVE), str(src_a), str(src_b),
          "--workload", "cover-ladder", "--rounds", "1", "--passes", "1"],
-        capture_output=True, text=True, check=False, cwd=ROOT,
+        capture_output=True, text=True, check=False, cwd=ROOT, env=NO_BYTECODE,
     )
 
 
@@ -166,7 +170,7 @@ def test_the_bench_selftest_counts_its_planted_faults():
     # fails here
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "selftest.py")],
-        capture_output=True, text=True, check=False, cwd=ROOT,
+        capture_output=True, text=True, check=False, cwd=ROOT, env=NO_BYTECODE,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "selftest: ok"

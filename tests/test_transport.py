@@ -12,6 +12,7 @@ from those automorphisms.
 """
 
 import json
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -214,8 +215,16 @@ def test_a_search_over_budget_leaves_its_orbit_to_the_next_pair(monkeypatch, orb
 
 
 def certify_pool_of_seed(seed: int) -> list:
-    """The objects of the certify-pool benchmark workload for ``seed``, in pair order."""
-    from bench.inputs import make_certify_pool
+    """The objects of the certify-pool benchmark workload for ``seed``, in pair order.
+
+    ``bench.inputs`` is imported with no bytecode written, so the bench
+    directory is left as it was.
+    """
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        from bench.inputs import make_certify_pool
+    finally:
+        sys.dont_write_bytecode = dont_write
 
     spec = make_certify_pool(seed)
     ws = parse_workspace(spec["workspace"])
