@@ -29,7 +29,7 @@ from .errors import (
     WorkspaceSyntaxError,
 )
 from .fuzzy import derived_facts, level_subset
-from .monoids import _members
+from .monoids import _members, green_relations
 from .workspace import WorkspaceFile, parse_workspace
 
 SCHEMA_VERSION = 1
@@ -90,8 +90,7 @@ def _sigma_section(cover, report, lines):
 
 
 def _green_section(cover, lines):
-    d = cover.monoid.derived
-    for label, part in (("H", d.green_h), ("R", d.green_r), ("L", d.green_l)):
+    for label, part in zip("HRL", green_relations(cover.monoid)):
         classes = " ".join(_pair_names(cover, cls) for cls in part.classes)
         lines.append(f"green {label}: {classes}")
 

@@ -48,6 +48,7 @@ from .monoids import (
     FiniteInverseMonoid,
     _relabeled,
     check_projection,
+    green_relations,
     is_monoid_homomorphism,
     validate_dual_premorphism,
     validate_inverse_monoid,
@@ -243,6 +244,7 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     ]
     clamped = [[v if v < u else u for v in projection] for u in range(len(fz.chain))]
     table = [tuple(map(add, starts[x], clamped[u])) for u, x in pairs]
+    del starts, clamped  # read only to add up the table: not held through validation
     unit = start[group.identity] + len(fz.chain) - 1
     monoid = validate_inverse_monoid(names, table, unit)
     triple = cover_triple(monoid, base, projection)
@@ -558,19 +560,21 @@ def premorphism_from_cover(
     return dp
 
 
-def _element_signature(monoid: FiniteInverseMonoid, x: int):
+def _element_signatures(monoid: FiniteInverseMonoid) -> list[tuple]:
+    """The signature of each element, in order; R and L are built once."""
     d = monoid.derived
-    return (
-        x == monoid.unit,
-        monoid.table[x][x] == x,
-        monoid.inverse[x] == x,
-        len(d.sigma.classes[d.sigma.class_of[x]]),
-        len(d.green_h.classes[d.green_h.class_of[x]]),
-        len(d.green_r.classes[d.green_r.class_of[x]]),
-        len(d.green_l.classes[d.green_l.class_of[x]]),
-        d.above[x].bit_count(),
-        sum(bits >> x & 1 for bits in d.above),
-    )
+    partitions = (d.sigma, *green_relations(monoid))
+    return [
+        (
+            x == monoid.unit,
+            monoid.table[x][x] == x,
+            monoid.inverse[x] == x,
+            *(len(p.classes[p.class_of[x]]) for p in partitions),
+            d.above[x].bit_count(),
+            sum(bits >> x & 1 for bits in d.above),
+        )
+        for x in range(monoid.n)
+    ]
 
 
 def monoid_isomorphic(
@@ -588,8 +592,8 @@ def monoid_isomorphic(
     the first bijection among them is returned.  The budget counts the
     generator images tried: more than ``budget`` raise BudgetExceeded.
     """
-    sig_a = [_element_signature(a, x) for x in range(a.n)]
-    sig_b = [_element_signature(b, y) for y in range(b.n)]
+    sig_a = _element_signatures(a)
+    sig_b = _element_signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     with_sig: dict = {}

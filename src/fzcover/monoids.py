@@ -1,10 +1,12 @@
 """Finite inverse monoids with their full derived structure.
 
-Everything the rest of the package needs about an inverse monoid is computed
-once, exhaustively, at validation time and cached on the value: idempotents,
-the natural partial order, the least group congruence with its group
-quotient, Green's relations, per-class order maxima, and the F-inverse and
-Clifford predicates.  All queries afterwards are pure reads.
+Validation computes once, exhaustively, and caches on the value what the
+rest of the package reads about an inverse monoid: idempotents, the natural
+partial order as bitsets, the least group congruence with its group
+quotient, Green's H, per-class order maxima, and the F-inverse and Clifford
+predicates.  Two queries build their answer on each call from what is kept:
+`natural_order` its Boolean matrix from the bitsets, and `green_relations`
+Green's R and L from the table and the inverses.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import and_
+from operator import and_, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -71,7 +73,9 @@ class DerivedStructure:
 
     ``above`` is the natural partial order, one bitset per element: bit b of
     ``above[a]`` is set iff a <= b.  ``sigma.class_of`` projects each
-    element onto its class in ``sigma_quotient``.
+    element onto its class in ``sigma_quotient``.  Of Green's relations
+    only H is kept, which every level of a cover reads; `green_relations`
+    builds R and L when asked.
     """
 
     idempotents: tuple[int, ...]
@@ -80,8 +84,6 @@ class DerivedStructure:
     sigma_quotient: FiniteGroup
     sigma_maxima: tuple[Optional[int], ...]
     green_h: Partition
-    green_r: Partition
-    green_l: Partition
     f_inverse: bool
     clifford: bool
 
@@ -91,9 +93,9 @@ class FiniteInverseMonoid(_Table):
 
     Built by :func:`validate_inverse_monoid`.  The ``derived`` attribute
     holds the cached :class:`DerivedStructure`.  The checks of a law on
-    products read one row or column per generator: homomorphisms, the
-    inverse anti-involution, the least group congruence in ``_derive`` and
-    the round trip of ``premorphism_from_cover``.
+    products read one row or column per generator: homomorphisms, the least
+    group congruence in ``_derive`` and the round trip of
+    ``premorphism_from_cover``.
     """
 
     __slots__ = ("unit", "inverse", "derived")
@@ -151,6 +153,15 @@ def _generalized_inverses(names, table, generators):
     semigroup the propagation finds them, as (x*g)^-1 = g^-1 x^-1 holds
     there.  So the checks fail exactly when `_inverses_by_scan` raises, and
     on failure that scan runs, to raise its error with its witness.
+
+    The array returned is x -> x^-1 of an inverse monoid, so it is an
+    involution that reverses products, (x^-1)^-1 = x and (xy)^-1 =
+    y^-1 x^-1 (Howie, 5.1), and no caller checks either law again.  It is
+    returned in two ways only: after both checks above pass, which make the
+    monoid inverse by Thm 5.1.1 and each candidate its element's unique
+    inverse; or from `_inverses_by_scan`, which returns only when every
+    element has exactly one inverse, and so the monoid is inverse by
+    definition.
     """
     n = len(names)
     inverse = [-1] * n
@@ -251,6 +262,12 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
     monoid (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests
     compare them with the definitions.
 
+    Columns are read only at a^-1 a for each a (the natural order), at the
+    idempotents (sigma and the Clifford test) and at the generators (the
+    congruence check), so only those are built; the full transpose is built
+    only on the failure path that names a witness.  Every a^-1 a is taken,
+    idempotent or not, as ``rows`` need not be an inverse monoid here.
+
     The natural order is read off element positions (`_natural_order`) as
     bitsets, and reflexivity, antisymmetry and transitivity are checked on
     the bits, over the b above each a, ascending.
@@ -272,10 +289,10 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
     first failing one.
     """
     n = len(names)
-    cols = tuple(zip(*rows))
     idem = tuple(x for x in range(n) if rows[x][x] == x)
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
+    cols = {c: tuple(map(itemgetter(c), rows)) for c in {*dom, *idem, *generators}}
 
     above = _natural_order(cols, dom)
     for a, bits in enumerate(above):
@@ -323,7 +340,7 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
 
     if not all(like_rep(cols[g]) and like_rep(rows[g]) for g in generators):
         right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
-        left = [tuple(map(class_of.__getitem__, col)) for col in cols]  # [z*x] over z
+        left = [tuple(map(class_of.__getitem__, col)) for col in zip(*rows)]  # [z*x] over z
         for x in range(n):
             for y in _members(rel[x]):
                 for z in range(n):
@@ -345,9 +362,7 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
         greatest = reduce(and_, (above[x] for x in cls), rel[cls[0]])
         maxima.append((greatest & -greatest).bit_length() - 1 if greatest else None)
 
-    # Green's relations: a R b iff aa^-1 = bb^-1, a L b iff a^-1a = b^-1b
-    green_r = Partition.from_class_of(ran)
-    green_l = Partition.from_class_of(dom)
+    # Green's H: a H b iff aa^-1 = bb^-1 and a^-1a = b^-1b
     green_h = Partition.from_class_of([ran[a] * n + dom[a] for a in range(n)])
 
     f_inverse = all(m is not None for m in maxima)
@@ -360,40 +375,9 @@ def _derive(names, rows, inverse, generators) -> DerivedStructure:
         sigma_quotient=quotient,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
-        green_r=green_r,
-        green_l=green_l,
         f_inverse=f_inverse,
         clifford=clifford,
     )
-
-
-def _check_anti_involution(names, table, inverse, generators) -> None:
-    """Raise AlgebraError unless x -> x^-1 is an involution reversing products.
-
-    ``generators`` generate the associative table.  The y with
-    (xy)^-1 = y^-1 x^-1 for all x are closed under products: for two of
-    them, (x(yz))^-1 = ((xy)z)^-1 = z^-1 (xy)^-1 = z^-1 y^-1 x^-1, and the
-    case x = y gives (yz)^-1 = z^-1 y^-1; the unit, its own inverse, is
-    one of them too.  So the law is checked on the column of each
-    generator only, and x^-1^-1 = x on the whole inverse array at once,
-    in O(n |gens|) steps.  Only when either fails are all pairs scanned in
-    order, to name the first failure.
-    """
-    n = len(names)
-    if list(map(inverse.__getitem__, inverse)) == list(range(n)) and all(
-        list(map(inverse.__getitem__, (row[g] for row in table)))
-        == list(map(table[inverse[g]].__getitem__, inverse))
-        for g in generators
-    ):
-        return
-    for x in range(n):
-        if inverse[inverse[x]] != x:
-            raise AlgebraError(f"inverse is not an involution at {names[x]}")
-        for y in range(n):
-            if inverse[table[x][y]] != table[inverse[y]][inverse[x]]:
-                raise AlgebraError(
-                    f"(xy)^-1 != y^-1 x^-1 at {names[x]}, {names[y]}"
-                )
 
 
 def validate_inverse_monoid(
@@ -411,7 +395,6 @@ def validate_inverse_monoid(
     table = tuple(map(tuple, table))
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table, generators)
-    _check_anti_involution(names, table, inverse, generators)
     derived = _derive(names, table, inverse, generators)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators, {})
 
@@ -432,8 +415,7 @@ def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInver
     quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
     quotient.facts = q.facts
     derived = DerivedStructure(
-        d.idempotents, d.above, d.sigma, quotient, d.sigma_maxima,
-        d.green_h, d.green_r, d.green_l, d.f_inverse, d.clifford,
+        d.idempotents, d.above, d.sigma, quotient, d.sigma_maxima, d.green_h, d.f_inverse, d.clifford
     )
     return FiniteInverseMonoid(
         names, monoid.table, monoid.unit, monoid.inverse, derived, monoid.generators, monoid.facts
@@ -468,9 +450,13 @@ def green_relations(monoid: FiniteInverseMonoid):
 
     a R b iff aa^-1 = bb^-1 (equal principal right ideals) and a L b iff
     a^-1a = b^-1b (equal principal left ideals); H is their intersection.
+    H is kept on the monoid; R and L are built on each call from its table
+    and inverses.
     """
-    d = monoid.derived
-    return d.green_h, d.green_r, d.green_l
+    table, inverse = monoid.table, monoid.inverse
+    green_r = Partition.from_class_of([table[a][inverse[a]] for a in range(monoid.n)])
+    green_l = Partition.from_class_of([table[inverse[a]][a] for a in range(monoid.n)])
+    return monoid.derived.green_h, green_r, green_l
 
 
 def is_f_inverse(monoid: FiniteInverseMonoid):

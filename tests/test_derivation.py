@@ -1,10 +1,11 @@
 """The derived structure against its witness definitions, as a differential oracle.
 
 `monoids._derive` computes the natural order, the least group congruence and
-Green's relations from closed forms that hold in inverse monoids.
-`_derive_by_definition` below computes them from the definitions, in O(n^3):
-an idempotent witness e with a = b*e, resp. x*e = y*e, and principal ideal
-sets.  Every field of the two results must agree.
+Green's H from closed forms that hold in inverse monoids, and
+`green_relations` Green's R and L.  `_derive_by_definition` below computes
+them from the definitions, in O(n^3): an idempotent witness e with a = b*e,
+resp. x*e = y*e, and principal ideal sets.  Every field of the two derived
+structures must agree, and so must R and L.
 """
 
 from dataclasses import fields
@@ -28,13 +29,14 @@ from fzcover import (
 )
 from fzcover.errors import AlgebraError, QuotientNotGroup
 from fzcover.groups import validate_group
-from fzcover.monoids import DerivedStructure, Partition, _derive
+from fzcover.monoids import DerivedStructure, Partition, _derive, green_relations
 from tests.test_monoids import _fixture_monoids
 
 F = Fraction
 
 
-def _derive_by_definition(names, table, unit, inverse) -> DerivedStructure:
+def _derive_by_definition(names, table, unit, inverse):
+    """The derived structure, and Green's R and L, by the definitions."""
     n = len(names)
     idem = tuple(x for x in range(n) if table[x][x] == x)
 
@@ -113,24 +115,24 @@ def _derive_by_definition(names, table, unit, inverse) -> DerivedStructure:
     f_inverse = all(m is not None for m in maxima)
     clifford = all(table[e][x] == table[x][e] for e in idem for x in range(n))
 
-    return DerivedStructure(
+    derived = DerivedStructure(
         idempotents=idem,
         above=tuple(sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)),
         sigma=sigma,
         sigma_quotient=quotient,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
-        green_r=green_r,
-        green_l=green_l,
         f_inverse=f_inverse,
         clifford=clifford,
     )
+    return derived, (green_r, green_l)
 
 
 def assert_derived_by_definition(m):
-    expected = _derive_by_definition(m.names, m.table, m.unit, m.inverse)
+    expected, green_rl = _derive_by_definition(m.names, m.table, m.unit, m.inverse)
     for field in fields(DerivedStructure):
         assert getattr(m.derived, field.name) == getattr(expected, field.name), field.name
+    assert green_relations(m) == (expected.green_h, *green_rl)
 
 
 GROUPS = [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]

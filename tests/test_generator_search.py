@@ -37,7 +37,7 @@ from fzcover import (
     validate_group,
     validate_inverse_monoid,
 )
-from fzcover.cover import _element_signature
+from fzcover.cover import _element_signatures
 from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded
 from fzcover.search import generator_plan
 from tests.test_cover import relabeled_monoid
@@ -282,9 +282,9 @@ def isomorphism_by_engine(a, b, budget=DEFAULT_BUDGET):
         if sorted(map(len, pa.classes)) != sorted(map(len, pb.classes)):
             return None
     sig_b: dict = {}
-    for y in range(b.n):
-        sig_b.setdefault(_element_signature(b, y), []).append(y)
-    candidates = [sig_b.get(_element_signature(a, x), []) for x in range(a.n)]
+    for y, sig in enumerate(_element_signatures(b)):
+        sig_b.setdefault(sig, []).append(y)
+    candidates = [sig_b.get(sig, []) for sig in _element_signatures(a)]
     found = product_preserving_maps(
         a.table,
         b.table,

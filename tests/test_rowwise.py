@@ -3,8 +3,9 @@
 `groups._check_closed` must raise exactly when the entry scan below does,
 with the same exception class, witness and message; `is_group_homomorphism`,
 which checks whole rows of a generating set only, must agree with the check
-of every product, and so must `monoids._check_anti_involution`, which checks
-the columns of a generating set only, with the scan of every pair.
+of every product.  Every monoid that `validate_inverse_monoid` accepts must
+pass the scan of every pair for the anti-involution laws, which validation
+no longer checks: its inverses imply them.
 
 Each check that now reads whole rows or generator columns is kept below in
 its former form, as an oracle with the same outcome: the identity and
@@ -32,6 +33,7 @@ is also the oracle of the first-axiom check by clamped rank rows.
 
 import dataclasses
 import random
+import tracemalloc
 from array import array
 from collections.abc import Sequence
 from fractions import Fraction
@@ -41,6 +43,7 @@ from functools import reduce
 from itertools import compress, permutations, product
 from operator import and_, itemgetter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fzcover.cover as cover_module
@@ -108,13 +111,13 @@ from fzcover.monoids import (
     DerivedStructure,
     DualPremorphism,
     Partition,
-    _check_anti_involution,
     _check_table,
     _derive,
     _generalized_inverses,
     _members,
     _natural_order,
     check_projection,
+    green_relations,
     natural_order,
 )
 from tests.test_associativity import (
@@ -267,34 +270,6 @@ def anti_involution_by_definition(names, table, inverse):
 
 
 INVERSE_MONOIDS = MONOIDS + [group_as_monoid(g) for g in GROUPS]
-
-
-@st.composite
-def inverse_arrays(draw):
-    # the true inverse, often with one entry changed or two swapped, or a random array
-    monoid = draw(st.sampled_from(INVERSE_MONOIDS))
-    n = monoid.n
-    inverse = list(monoid.inverse)
-    kind = draw(st.integers(0, 3))
-    element = st.integers(0, n - 1)
-    if kind == 1:
-        inverse[draw(element)] = draw(element)
-    elif kind == 2:
-        a, b = draw(element), draw(element)
-        inverse[a], inverse[b] = inverse[b], inverse[a]
-    elif kind == 3:
-        inverse = draw(st.lists(element, min_size=n, max_size=n))
-    return monoid, inverse
-
-
-@EXAMPLES
-@given(inverse_arrays())
-def test_anti_involution_on_generators_agrees_with_every_pair(drawn):
-    monoid, inverse = drawn
-    args = (monoid.names, monoid.table, inverse)
-    assert outcome(_check_anti_involution, *args, monoid.generators) == outcome(
-        anti_involution_by_definition, *args
-    )
 
 
 # -- identity and inverses of validate_group, by whole rows ---------------------
@@ -503,6 +478,41 @@ def test_inverses_reach_each_outcome_like_scan(monkeypatch):
             assert assert_inverses_like_scan(relabeled)[0] in (NoInverse, NonUniqueInverse)
 
 
+# -- the anti-involution, implied by the inverses ---------------------------------
+
+
+def assert_accepted_reverse_products(names, table, unit):
+    """True iff validate_inverse_monoid accepts the table, after checking that
+    its inverses pass the scan of every pair for the anti-involution laws."""
+    try:
+        m = validate_inverse_monoid(names, table, unit)
+    except AlgebraError:
+        return False
+    anti_involution_by_definition(m.names, m.table, m.inverse)
+    return True
+
+
+def test_validated_monoids_pass_the_anti_involution_scan(fz_z2, fz_v4):
+    # the inverse tables with each element tried as unit, the fixture
+    # monoids and the grid covers
+    accepted = 0
+    for table in INVERSE_TABLES:
+        names = [f"x{i}" for i in range(len(table))]
+        accepted += sum(assert_accepted_reverse_products(names, table, u) for u in range(len(table)))
+    monoids = _fixture_monoids(fz_z2, fz_v4) + [c.monoid for c in _grid_covers()]
+    for m in monoids + [reversed_copy(m) for m in monoids]:
+        assert assert_accepted_reverse_products(m.names, m.table, m.unit)
+    # the 14 tables with a unit, 8 groups and 6 monoids, each at its unit
+    assert accepted == 14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzzy_subgroups())
+def test_validated_covers_pass_the_anti_involution_scan(fz):
+    for m in (build_cover(fz).monoid, cover_from_premorphism(as_dual_premorphism(fz)).monoid):
+        assert assert_accepted_reverse_products(m.names, m.table, m.unit)
+
+
 # -- the sigma-congruence check of _derive, on generators --------------------------
 
 BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -518,9 +528,11 @@ def natural_order_by_entries(cols, dom):
     return leq, up
 
 
-def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
+def derive_by_class_rows(names, table, inverse):
     """_derive as it was before the generator rule: sigma is checked to be a
     congruence on the whole class rows [x*z] and [z*x] of every element x.
+    Returns the derived structure with Green's R and L, which `_derive` no
+    longer builds (see `derive_with_green`).
     """
     n = len(names)
     rows = tuple(map(tuple, table))
@@ -603,18 +615,25 @@ def derive_by_class_rows(names, table, inverse) -> DerivedStructure:
     f_inverse = all(m is not None for m in maxima)
     clifford = all(rows[e] == cols[e] for e in idem)
 
-    return DerivedStructure(
+    derived = DerivedStructure(
         idempotents=idem,
         above=tuple(up),
         sigma=sigma,
         sigma_quotient=quotient,
         sigma_maxima=tuple(maxima),
         green_h=green_h,
-        green_r=green_r,
-        green_l=green_l,
         f_inverse=f_inverse,
         clifford=clifford,
     )
+    return derived, (green_r, green_l)
+
+
+def derive_with_green(names, rows, inverse, generators):
+    """_derive, with the R and L that `green_relations` builds on the same
+    table and inverses, which need not be those of an inverse monoid."""
+    derived = _derive(names, rows, inverse, generators)
+    on_demand = SimpleNamespace(n=len(names), table=rows, inverse=inverse, derived=derived)
+    return derived, green_relations(on_demand)[1:]
 
 
 def derived_outcome(derive, *args):
@@ -627,7 +646,7 @@ def derived_outcome(derive, *args):
 def assert_derived_on_generators_like_class_rows(m):
     args = (m.names, m.table, m.inverse)
     generators = _check_table(m.names, m.table, m.unit)
-    assert derived_outcome(_derive, *args, generators) == derived_outcome(
+    assert derived_outcome(derive_with_green, *args, generators) == derived_outcome(
         derive_by_class_rows, *args
     )
 
@@ -685,12 +704,27 @@ def test_grid_covers_order_and_quotient_like_entries():
         assert_like_entries(cover.monoid)
 
 
-def test_a_validated_monoid_keeps_linear_order_state():
+@pytest.fixture(scope="module")
+def c200_cover():
     # the 301-pair cover of C200 under tools/large_covers.py's three-level mu
     mu = [F(1) if x == 0 else F(1, 2) if x % 2 == 0 else F(1, 4) for x in range(200)]
     m = build_cover(validate_fuzzy(cyclic(200), mu)).monoid
+    assert m.n == 301
+    return m
+
+
+def green_by_principal_ideals(m):
+    """Green's R and L by their definitions: equal principal right ideals aM,
+    the sets of a row, and equal principal left ideals Ma, of a column."""
+    ideal_ids: dict = {}
+    r_of = [ideal_ids.setdefault(("R", frozenset(row)), len(ideal_ids)) for row in m.table]
+    l_of = [ideal_ids.setdefault(("L", frozenset(col)), len(ideal_ids)) for col in zip(*m.table)]
+    return Partition.from_class_of(r_of), Partition.from_class_of(l_of)
+
+
+def test_a_validated_monoid_keeps_linear_order_state(c200_cover):
+    m = c200_cover
     n, d = m.n, m.derived
-    assert n == 301
     assert len(d.above) == n and all(type(bits) is int for bits in d.above)
     values = [getattr(d, field.name) for field in dataclasses.fields(d)]
     assert not any(
@@ -698,6 +732,23 @@ def test_a_validated_monoid_keeps_linear_order_state():
         for v in values
     )
     assert_like_entries(m)  # natural_order(m) is the per-entry matrix
+    # R and L are not kept: green_relations builds them, by the definitions
+    assert not {"green_r", "green_l"} & {field.name for field in dataclasses.fields(d)}
+    h, r, l = green_relations(m)
+    assert h is d.green_h and (r, l) == green_by_principal_ideals(m)
+    assert len(r.classes) == len(l.classes) == 3
+
+
+def test_derive_builds_no_full_transpose(c200_cover):
+    # an n x n transpose alone holds n^2 slots of 8 bytes
+    m = c200_cover
+    tracemalloc.start()
+    try:
+        _derive(m.names, m.table, m.inverse, m.generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.n**2 * 8
 
 
 @st.composite
@@ -737,7 +788,38 @@ def test_derive_on_every_element_fails_like_class_rows(drawn):
     table, _, inverse = drawn
     n = len(table)
     args = ([f"x{i}" for i in range(n)], tuple(map(tuple, table)), inverse)
-    assert derived_outcome(_derive, *args, range(n)) == derived_outcome(
+    assert derived_outcome(derive_with_green, *args, range(n)) == derived_outcome(
+        derive_by_class_rows, *args
+    )
+
+
+@st.composite
+def wrong_inverse_arrays(draw):
+    # an inverse monoid with its inverse array changed at one entry or two
+    # swapped, or a random array: a^-1 a need not be idempotent
+    monoid = draw(st.sampled_from(INVERSE_MONOIDS))
+    n = monoid.n
+    inverse = list(monoid.inverse)
+    element = st.integers(0, n - 1)
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        inverse[draw(element)] = draw(element)
+    elif kind == 1:
+        a, b = draw(element), draw(element)
+        inverse[a], inverse[b] = inverse[b], inverse[a]
+    else:
+        inverse = draw(st.lists(element, min_size=n, max_size=n))
+    return monoid, inverse
+
+
+@EXAMPLES
+@given(wrong_inverse_arrays())
+def test_derive_on_generators_with_a_wrong_inverse_like_class_rows(drawn):
+    # an associative table with its generating set, so _derive builds only
+    # the columns it reads, at every a^-1 a whether idempotent or not
+    monoid, inverse = drawn
+    args = (monoid.names, monoid.table, inverse)
+    assert derived_outcome(derive_with_green, *args, monoid.generators) == derived_outcome(
         derive_by_class_rows, *args
     )
 
@@ -745,7 +827,7 @@ def test_derive_on_every_element_fails_like_class_rows(drawn):
 def test_the_reflexivity_example_fails_in_both():
     args = (["x0", "x1", "x2"], ((1, 1, 0), (1, 1, 1), (0, 1, 2)), [0, 1, 2])
     expected = (AlgebraError, None, "natural order not reflexive at x0")
-    assert derived_outcome(_derive, *args, range(3)) == expected
+    assert derived_outcome(derive_with_green, *args, range(3)) == expected
     assert derived_outcome(derive_by_class_rows, *args) == expected
 
 
@@ -1001,7 +1083,8 @@ def test_partition_in_one_pass_like_sorting(class_ids):
 
 
 def test_derived_partitions_in_one_pass_like_sorting(monkeypatch, fz_z2, fz_v4):
-    # every class-id list that _derive hands to from_class_of: sigma, R, L, H
+    # every class-id list handed to from_class_of: sigma and H by _derive,
+    # R and L by green_relations
     inputs = []
     one_pass = Partition.from_class_of
 
@@ -1017,8 +1100,10 @@ def test_derived_partitions_in_one_pass_like_sorting(monkeypatch, fz_z2, fz_v4):
         + [cover_from_premorphism(as_dual_premorphism(c.source)).monoid for c in covers]
     )
     monkeypatch.setattr(Partition, "from_class_of", staticmethod(recording))
-    for m in monoids:
-        validate_inverse_monoid(m.names, m.table, m.unit)
+    validated = [validate_inverse_monoid(m.names, m.table, m.unit) for m in monoids]
+    assert len(inputs) == 2 * len(monoids)
+    for m in validated:
+        green_relations(m)
     assert len(inputs) == 4 * len(monoids)
     for class_ids in inputs:
         assert one_pass(class_ids) == partition_by_sorting(class_ids)
