@@ -62,10 +62,6 @@ class NonUniqueInverse(ValidationError):
     """An element has two distinct generalized inverses; witness (x, y1, y2)."""
 
 
-class QuotientNotGroup(ValidationError):
-    """The group-congruence quotient failed; signals a broken invariant upstream."""
-
-
 class EmptyChain(ValidationError):
     """A chain monoid needs at least one value."""
 

@@ -189,21 +189,11 @@ def validate_group(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fini
     The identity and the inverse table are computed here, never supplied.
     Raises NotClosed, NotAssociative (with witness triple), NoIdentity or
     MissingInverse (with witness element).  The closure check reads the
-    table as given; then its rows are made tuples, once.
-    """
-    _check_closed(names, table)
-    return _validate_closed(names, tuple(map(tuple, table)))
-
-
-def _validate_closed(names: Sequence[str], rows: tuple[tuple[int, ...], ...]) -> FiniteGroup:
-    """`validate_group` on a tuple of row tuples known to be n x n with every
-    entry an index.
-
-    It checks every axiom but closure, with the same errors; for a caller
-    that built the table from indices, such as the sigma-quotient of
-    `monoids._derive`, closure holds by construction.  The rows become the
+    table as given; then its rows are made tuples, once, and become the
     group's table.
     """
+    _check_closed(names, table)
+    rows = tuple(map(tuple, table))
     generators = _check_associative(names, rows)
     n = len(names)
     # the first e whose row, and then whose column, is 0..n-1 as a whole

@@ -4,9 +4,11 @@ Validation computes once, exhaustively, and caches on the value what the
 rest of the package reads about an inverse monoid: idempotents, the natural
 partial order as bitsets, the least group congruence with its group
 quotient, Green's H, per-class order maxima, and the F-inverse and Clifford
-predicates.  Two queries build their answer on each call from what is kept:
-`natural_order` its Boolean matrix from the bitsets, and `green_relations`
-Green's R and L from the table and the inverses.
+predicates.  Only the monoid axioms and the inverses are checked; the
+structure is computed, not checked, as in an inverse monoid each part of it
+is a theorem (`_derive`).  Two queries build their answer on each call from
+what is kept: `natural_order` its Boolean matrix from the bitsets, and
+`green_relations` Green's R and L from the table and the inverses.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
-    AlgebraError,
     CoverageFailure,
     EmptyChain,
     NoInverse,
@@ -32,7 +33,6 @@ from .errors import (
     NotSurjective,
     NotUnital,
     OutOfRange,
-    QuotientNotGroup,
     Unsorted,
 )
 from .groups import (
@@ -40,7 +40,7 @@ from .groups import (
     _Table,
     _check_associative,
     _check_closed,
-    _validate_closed,
+    _generators,
     is_group_homomorphism,
 )
 from .search import generated_maps, tuple_getter
@@ -93,9 +93,8 @@ class FiniteInverseMonoid(_Table):
 
     Built by :func:`validate_inverse_monoid`.  The ``derived`` attribute
     holds the cached :class:`DerivedStructure`.  The checks of a law on
-    products read one row or column per generator: homomorphisms, the least
-    group congruence in ``_derive`` and the round trip of
-    ``premorphism_from_cover``.
+    products read one row or column per generator: homomorphisms and the
+    round trip of ``premorphism_from_cover``.
     """
 
     __slots__ = ("unit", "inverse", "derived")
@@ -254,113 +253,55 @@ def _natural_order(cols, dom):
     return tuple(above)
 
 
-def _derive(names, rows, inverse, generators) -> DerivedStructure:
-    """Derive the structure of a validated inverse monoid.
+def _derive(names, rows, inverse) -> DerivedStructure:
+    """Derive the structure of an inverse monoid, with no check of its own.
 
-    Relations are kept as rows of Python-int bitsets (bit b of row a set iff
-    a is related to b).  The closed forms used here hold in every inverse
-    monoid (Lawson, *Inverse Semigroups*, 1998, 1.4 and 3.2); the tests
-    compare them with the definitions.
+    ``rows`` is the table as a tuple of row tuples and ``inverse`` its
+    x -> x^-1.  Both come from an inverse monoid: `_generalized_inverses`
+    returns its array only for one.  In an inverse monoid the natural order
+    is a partial order, sigma is a congruence and M/sigma a group (Lawson,
+    *Inverse Semigroups*, 1998, 1.4 and 2.4; Howie, *Fundamentals of
+    Semigroup Theory*, 1995, 5.1-5.3), so none of these is checked again;
+    the tests compare each structure with its definition.
 
-    Columns are read only at a^-1 a for each a (the natural order), at the
-    idempotents (sigma and the Clifford test) and at the generators (the
-    congruence check), so only those are built; the full transpose is built
-    only on the failure path that names a witness.  Every a^-1 a is taken,
-    idempotent or not, as ``rows`` need not be an inverse monoid here.
+    Every a^-1 a is idempotent, so columns are built only at the
+    idempotents: the natural order (`_natural_order`), sigma and the
+    Clifford test read nothing else.
 
-    The natural order is read off element positions (`_natural_order`) as
-    bitsets, and reflexivity, antisymmetry and transitivity are checked on
-    the bits, over the b above each a, ascending.
+    The least group congruence, x ~ y iff x*e = y*e for some idempotent e,
+    is the kernel of x -> x*z, with z the product of all idempotents, the
+    least one.  If x*e = y*e then x*z = x*(e*z) = (x*e)*z = (y*e)*z = y*z,
+    as z = e*z; conversely z is itself a witness.  So sigma is read off the
+    one column at z.  The quotient table is read by row lookups, the rows
+    of the class representatives at the representatives, mapped through
+    the classes; its identity is the class of z, and the inverse of the
+    class of r is the class of r^-1.
 
-    The sigma-quotient table is read by row lookups, the rows of the class
-    representatives at the representatives, mapped through the classes.
-    Every entry is a class index by construction, so the quotient is
-    checked for every group axiom but closure (`groups._validate_closed`).
-
-    ``rows`` is the table as a tuple of row tuples.  ``generators``
-    generate the associative table, as returned by ``_check_table``; a
-    caller without a generating set passes every element.  The least group
-    congruence sigma is checked to be a congruence on them alone, in O(n
-    |gens|) steps: if x*g ~ rep(x)*g and g*x ~ g*rep(x) for every x and
-    generator g, where rep(x) is the least member of the class of x, then x
-    ~ y gives x*g ~ y*g and g*x ~ g*y, and induction on the length of a
-    word in the generators, by associativity, gives x*z ~ y*z and z*x ~ z*y
-    for every z.  Only on failure are the triples scanned, to name the
-    first failing one.
+    The maximum of a class is the one element above every member, if any:
+    anything above a member a lies in the class of a, since b*(a^-1 a) = a
+    = a*(a^-1 a), and the order is antisymmetric.
     """
     n = len(names)
     idem = tuple(x for x in range(n) if rows[x][x] == x)
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
-    cols = {c: tuple(map(itemgetter(c), rows)) for c in {*dom, *idem, *generators}}
-
+    cols = {e: tuple(map(itemgetter(e), rows)) for e in idem}
     above = _natural_order(cols, dom)
-    for a, bits in enumerate(above):
-        if not bits >> a & 1:
-            raise AlgebraError(f"natural order not reflexive at {names[a]}")
-        for b in _members(bits):
-            if b == a:
-                continue
-            if above[b] >> a & 1:
-                raise AlgebraError(
-                    f"natural order not antisymmetric on {names[a]}, {names[b]}"
-                )
-            if above[b] & ~bits:
-                raise AlgebraError("natural order not transitive")
 
-    # least group congruence: x ~ y iff x*e = y*e for some idempotent e;
-    # symmetric and reflexive by construction
-    rel = [0] * n
-    for e in idem:
-        buckets: dict[int, int] = {}
-        for x, v in enumerate(cols[e]):
-            buckets[v] = buckets.get(v, 0) | 1 << x
-        for x, v in enumerate(cols[e]):
-            rel[x] |= buckets[v]
-    # transitive iff related elements have equal rows: check the members of
-    # each row of an element that no earlier row contains
-    seen = 0
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        if any(rel[y] != rel[x] for y in _members(rel[x])):
-            raise QuotientNotGroup("congruence witness relation not transitive")
-        seen |= rel[x]
-    sigma = Partition.from_class_of([(r & -r).bit_length() - 1 for r in rel])
-    # an equivalence is a congruence iff each element multiplies like the
-    # least member of its class, here checked with each generator only (see
-    # above); on failure, name the first failing triple
+    z = reduce(lambda e, f: rows[e][f], idem)
+    sigma = Partition.from_class_of(cols[z])
     class_of = sigma.class_of
     reps = [cls[0] for cls in sigma.classes]
-    rep_of = [reps[c] for c in class_of]
-
-    def like_rep(line):  # the classes of a column's or row's products agree at x and rep(x)
-        classes = list(map(class_of.__getitem__, line))
-        return classes == list(map(classes.__getitem__, rep_of))
-
-    if not all(like_rep(cols[g]) and like_rep(rows[g]) for g in generators):
-        right = [tuple(map(class_of.__getitem__, row)) for row in rows]  # [x*z] over z
-        left = [tuple(map(class_of.__getitem__, col)) for col in zip(*rows)]  # [z*x] over z
-        for x in range(n):
-            for y in _members(rel[x]):
-                for z in range(n):
-                    if right[x][z] != right[y][z] or left[x][z] != left[y][z]:
-                        raise QuotientNotGroup(
-                            f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
-                        )
     # the rows of the representatives at the representatives, as classes
     at_reps = tuple_getter(reps)
     qtable = tuple(tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps)
-    try:
-        quotient = _validate_closed(_class_names(names, reps), qtable)
-    except AlgebraError as exc:
-        raise QuotientNotGroup(f"congruence quotient is not a group: {exc}") from exc
+    inverses = [class_of[inverse[r]] for r in reps]
+    quotient = FiniteGroup(_class_names(names, reps), qtable, class_of[z], inverses, _generators(qtable))
 
     maxima = []
     for cls in sigma.classes:
-        # the members above every member of the class: its greatest, if any
-        greatest = reduce(and_, (above[x] for x in cls), rel[cls[0]])
-        maxima.append((greatest & -greatest).bit_length() - 1 if greatest else None)
+        greatest = reduce(and_, map(above.__getitem__, cls))
+        maxima.append(greatest.bit_length() - 1 if greatest else None)
 
     # Green's H: a H b iff aa^-1 = bb^-1 and a^-1a = b^-1b
     green_h = Partition.from_class_of([ran[a] * n + dom[a] for a in range(n)])
@@ -395,7 +336,7 @@ def validate_inverse_monoid(
     table = tuple(map(tuple, table))
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table, generators)
-    derived = _derive(names, table, inverse, generators)
+    derived = _derive(names, table, inverse)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators, {})
 
 

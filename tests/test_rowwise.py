@@ -9,12 +9,13 @@ no longer checks: its inverses imply them.
 
 Each check that now reads whole rows or generator columns is kept below in
 its former form, as an oracle with the same outcome: the identity and
-inverses of `validate_group`, the sigma-congruence check of `_derive`, its
-natural order by a comparison per entry with bitsets parsed from binary
-digits, its sigma-quotient by a lookup per entry and a closure scan, the
-list compare of Light's test in `_check_associative`, the rows of
-`build_cover`, the round trip of `premorphism_from_cover` and the
-H-class products of `hclass_level_isomorphism`.  So are the two-sided
+inverses of `validate_group`, the sigma of `_derive` from every idempotent,
+with its congruence and group checks, its natural order by a comparison per
+entry with bitsets parsed from binary digits, its sigma-quotient by a
+lookup per entry and a closure scan, the list compare of Light's test in
+`_check_associative`, the rows of `build_cover`, the round trip of
+`premorphism_from_cover` and the H-class products of
+`hclass_level_isomorphism`.  So are the two-sided
 closure that `groups._generators` replaced with a closure under right
 multiplication, the sorting that `Partition.from_class_of` no longer does,
 and the scan of every y for every x that `_generalized_inverses` replaced
@@ -93,7 +94,6 @@ from fzcover.errors import (
     NotDualPremorphism,
     NotHomomorphism,
     NotOrderPreserving,
-    QuotientNotGroup,
     ReconstructionMismatch,
     TopNotPreserved,
     ValueNotInChain,
@@ -111,7 +111,6 @@ from fzcover.monoids import (
     DerivedStructure,
     DualPremorphism,
     Partition,
-    _check_table,
     _derive,
     _generalized_inverses,
     _members,
@@ -513,7 +512,7 @@ def test_validated_covers_pass_the_anti_involution_scan(fz):
         assert assert_accepted_reverse_products(m.names, m.table, m.unit)
 
 
-# -- the sigma-congruence check of _derive, on generators --------------------------
+# -- _derive against the class-row derivation --------------------------------------
 
 BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -531,6 +530,8 @@ def natural_order_by_entries(cols, dom):
 def derive_by_class_rows(names, table, inverse):
     """_derive as it was before the generator rule: sigma is checked to be a
     congruence on the whole class rows [x*z] and [z*x] of every element x.
+    Its sigma, x ~ y iff x*e = y*e for some idempotent e, is built from
+    every idempotent, the oracle of `_derive`'s one column at the least.
     Returns the derived structure with Green's R and L, which `_derive` no
     longer builds (see `derive_with_green`).
     """
@@ -571,7 +572,7 @@ def derive_by_class_rows(names, table, inverse):
         if seen >> x & 1:
             continue
         if any(rel[y] != rel[x] for y in _members(rel[x])):
-            raise QuotientNotGroup("congruence witness relation not transitive")
+            raise AlgebraError("congruence witness relation not transitive")
         seen |= rel[x]
     sigma = Partition.from_class_of([(r & -r).bit_length() - 1 for r in rel])
     # an equivalence is a congruence iff each element multiplies like the
@@ -588,7 +589,7 @@ def derive_by_class_rows(names, table, inverse):
             for y in _members(rel[x]):
                 for z in range(n):
                     if right[x][z] != right[y][z] or left[x][z] != left[y][z]:
-                        raise QuotientNotGroup(
+                        raise AlgebraError(
                             f"relation is not a congruence at {names[x]}, {names[y]}, {names[z]}"
                         )
     qtable = [
@@ -599,7 +600,7 @@ def derive_by_class_rows(names, table, inverse):
     try:
         quotient = validate_group(qnames, qtable)
     except AlgebraError as exc:
-        raise QuotientNotGroup(f"congruence quotient is not a group: {exc}") from exc
+        raise AlgebraError(f"congruence quotient is not a group: {exc}") from exc
 
     maxima = []
     for cls in sigma.classes:
@@ -628,10 +629,10 @@ def derive_by_class_rows(names, table, inverse):
     return derived, (green_r, green_l)
 
 
-def derive_with_green(names, rows, inverse, generators):
+def derive_with_green(names, rows, inverse):
     """_derive, with the R and L that `green_relations` builds on the same
-    table and inverses, which need not be those of an inverse monoid."""
-    derived = _derive(names, rows, inverse, generators)
+    table and inverses."""
+    derived = _derive(names, rows, inverse)
     on_demand = SimpleNamespace(n=len(names), table=rows, inverse=inverse, derived=derived)
     return derived, green_relations(on_demand)[1:]
 
@@ -645,8 +646,7 @@ def derived_outcome(derive, *args):
 
 def assert_derived_on_generators_like_class_rows(m):
     args = (m.names, m.table, m.inverse)
-    generators = _check_table(m.names, m.table, m.unit)
-    assert derived_outcome(derive_with_green, *args, generators) == derived_outcome(
+    assert derived_outcome(derive_with_green, *args) == derived_outcome(
         derive_by_class_rows, *args
     )
 
@@ -677,6 +677,21 @@ def group_fields(g):
     return g.names, g.table, g.identity, g.inverses, g.generators
 
 
+def assert_quotient_built_like_validation(m):
+    """The identity, inverses and generators that `_derive` gives the
+    sigma-quotient, unvalidated, are those `validate_group` finds on its
+    table.  Its identity is the class of the least idempotent, found here
+    as the one below every idempotent, and the inverse of each element's
+    class is the class of its inverse."""
+    d = m.derived
+    q = d.sigma_quotient
+    assert group_fields(q) == group_fields(validate_group(q.names, q.table))
+    least = [z for z in d.idempotents if all(m.table[e][z] == z for e in d.idempotents)]
+    assert len(least) == 1 and q.identity == d.sigma.class_of[least[0]]
+    class_of = d.sigma.class_of
+    assert [q.inverses[class_of[x]] for x in range(m.n)] == [class_of[y] for y in m.inverse]
+
+
 def assert_like_entries(m):
     """The natural order and the sigma-quotient of a validated monoid are those
     of the per-entry forms, as bitsets and as the matrix `natural_order`
@@ -689,7 +704,7 @@ def assert_like_entries(m):
     assert all(type(v) is bool for row in matrix for v in row)
     q = m.derived.sigma_quotient
     assert group_fields(q) == group_fields(quotient_by_entries(m))
-    assert group_fields(validate_group(q.names, q.table)) == group_fields(q)
+    assert_quotient_built_like_validation(m)
 
 
 def test_fixture_monoids_derive_on_generators_like_class_rows(fz_z2, fz_v4):
@@ -744,7 +759,7 @@ def test_derive_builds_no_full_transpose(c200_cover):
     m = c200_cover
     tracemalloc.start()
     try:
-        _derive(m.names, m.table, m.inverse, m.generators)
+        _derive(m.names, m.table, m.inverse)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -754,7 +769,7 @@ def test_derive_builds_no_full_transpose(c200_cover):
 @st.composite
 def unital_tables(draw):
     # closed unital tables with an inverse array, mostly no inverse monoids,
-    # so that every check of _derive can fail: an inverse monoid, or its
+    # so that a^-1 a need not be idempotent: an inverse monoid, or its
     # opposite, with one product changed off the unit's row and column, or a
     # random table with unit n - 1 and a random inverse array
     if draw(st.booleans()):
@@ -775,60 +790,6 @@ def unital_tables(draw):
         table[n - 1][x] = table[x][n - 1] = x
     inverse = draw(st.one_of(st.just(list(range(n))), st.lists(element, min_size=n, max_size=n)))
     return table, n - 1, inverse
-
-
-@EXAMPLES
-@given(unital_tables())
-# sigma multiplies like its class representatives on the right, not on the left
-@example(([[2, 2, 0], [0, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
-# x0*(x0^-1 x0) = x0*x0 = x1: the natural order is not reflexive at x0
-@example(([[1, 1, 0], [1, 1, 1], [0, 1, 2]], 2, [0, 1, 2]))
-def test_derive_on_every_element_fails_like_class_rows(drawn):
-    # with no generating set at hand, _derive gets every element as one
-    table, _, inverse = drawn
-    n = len(table)
-    args = ([f"x{i}" for i in range(n)], tuple(map(tuple, table)), inverse)
-    assert derived_outcome(derive_with_green, *args, range(n)) == derived_outcome(
-        derive_by_class_rows, *args
-    )
-
-
-@st.composite
-def wrong_inverse_arrays(draw):
-    # an inverse monoid with its inverse array changed at one entry or two
-    # swapped, or a random array: a^-1 a need not be idempotent
-    monoid = draw(st.sampled_from(INVERSE_MONOIDS))
-    n = monoid.n
-    inverse = list(monoid.inverse)
-    element = st.integers(0, n - 1)
-    kind = draw(st.integers(0, 2))
-    if kind == 0:
-        inverse[draw(element)] = draw(element)
-    elif kind == 1:
-        a, b = draw(element), draw(element)
-        inverse[a], inverse[b] = inverse[b], inverse[a]
-    else:
-        inverse = draw(st.lists(element, min_size=n, max_size=n))
-    return monoid, inverse
-
-
-@EXAMPLES
-@given(wrong_inverse_arrays())
-def test_derive_on_generators_with_a_wrong_inverse_like_class_rows(drawn):
-    # an associative table with its generating set, so _derive builds only
-    # the columns it reads, at every a^-1 a whether idempotent or not
-    monoid, inverse = drawn
-    args = (monoid.names, monoid.table, inverse)
-    assert derived_outcome(derive_with_green, *args, monoid.generators) == derived_outcome(
-        derive_by_class_rows, *args
-    )
-
-
-def test_the_reflexivity_example_fails_in_both():
-    args = (["x0", "x1", "x2"], ((1, 1, 0), (1, 1, 1), (0, 1, 2)), [0, 1, 2])
-    expected = (AlgebraError, None, "natural order not reflexive at x0")
-    assert derived_outcome(derive_with_green, *args, range(3)) == expected
-    assert derived_outcome(derive_by_class_rows, *args) == expected
 
 
 @EXAMPLES

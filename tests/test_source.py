@@ -345,3 +345,65 @@ def test_private_caller_check_skips_only_the_own_definition():
         "c": ast.parse("def _imported():\n    pass\n"),
     }
     assert _uncalled_private_functions(trees) == ["a._self_only", "a._unused"]
+
+
+def _exception_bases(tree):
+    """Each module-level class of the tree, with the names of its bases."""
+    return {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _raised_names(trees):
+    """The name of each class raised, by name or attribute, called or not."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    yield exc.id
+                elif isinstance(exc, ast.Attribute):
+                    yield exc.attr
+
+
+def _unraised_exceptions(bases, raised):
+    """The classes of ``bases`` neither raised nor an ancestor of one raised."""
+    used = set()
+    todo = [name for name in raised if name in bases]
+    while todo:
+        name = todo.pop()
+        if name not in used:
+            used.add(name)
+            todo.extend(bases[name] & bases.keys())
+    return sorted(bases.keys() - used)
+
+
+def test_every_exception_class_is_raised_in_the_library():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    bases = _exception_bases(trees["errors"])
+    assert {"AlgebraError", "ValidationError", "NotFInverse"} <= bases.keys()
+    assert _unraised_exceptions(bases, set(_raised_names(trees.values()))) == []
+
+
+def test_raise_check_reads_raises_and_ancestors():
+    errors = ast.parse(
+        "class Base(Exception):\n    pass\n"
+        "class Middle(Base):\n    pass\n"
+        "class Leaf(Middle):\n    pass\n"
+        "class Bare(Base):\n    pass\n"
+        "class Dotted(Base):\n    pass\n"
+        "class Unused(Base):\n    pass\n"
+        "class Caught(Base):\n    pass\n"
+    )
+    code = ast.parse(
+        "raise Leaf('x', witness=1)\n"
+        "raise Bare\n"
+        "raise errors.Dotted('y')\n"
+        "try:\n    f()\nexcept Caught:\n    raise\n"
+    )
+    bases = _exception_bases(errors)
+    assert bases["Leaf"] == {"Middle"} and bases["Base"] == {"Exception"}
+    assert sorted(_raised_names([code])) == ["Bare", "Dotted", "Leaf"]
+    assert _unraised_exceptions(bases, set(_raised_names([code]))) == ["Caught", "Unused"]
