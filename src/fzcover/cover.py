@@ -218,8 +218,8 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     table and unit are functions of ``group.table`` and the ranks, and the
     projection is the ranks.  The values only name the elements: the
     validation, the projection check and the Clifford check read names only
-    to word an error and, in `_derive`, to label the sigma-quotient, which
-    `_relabeled` labels anew.
+    to word an error, so a kept cover and its relabelings share one derived
+    structure, sigma-quotient included.
     """
     group = fz.group
     ranks = fz._rank
@@ -502,11 +502,11 @@ def premorphism_from_cover(
     Once every check has passed, psi and its coverage witnesses are kept in
     the cover's ``facts`` dict, which its relabelings share, under the
     base's table and unit and the projection; a later call with that key
-    returns them at once, over its own sigma-quotient and ``base``, so its
-    names are its own.  That is sound because the key, with the cover's
-    table, decides every check: the base's inverse and derived structure
-    are functions of its validated table and unit, the cover's generators,
-    derived structure and quotient table are shared with the dict, and
+    returns them at once, over the cover's sigma-quotient, which its
+    relabelings share, and over ``base``.  That is sound because the key,
+    with the cover's table, decides every check: the base's inverse and
+    derived structure are functions of its validated table and unit, the
+    cover's generators and derived structure are shared with the dict, and
     names are read only to word an error.  A call that raises keeps nothing.
     """
     projection = tuple(projection)

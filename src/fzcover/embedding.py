@@ -38,7 +38,8 @@ from .cover import (
     build_cover,
     validate_cover_morphism,
 )
-from .errors import DEFAULT_BUDGET, NotEmbeddingImage, ReconstructionMismatch, ValidationError
+from .errors import DEFAULT_BUDGET, NotEmbeddingImage, NotHomomorphism
+from .errors import ReconstructionMismatch, ValidationError
 from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy_morphism
 from .search import tuple_getter
 
@@ -80,8 +81,12 @@ def embed_morphism(m: FuzzyMorphism) -> CoverMorphism:
 
     Well-definedness (lam(u) stays admissible over f(x)) plus the
     homomorphism, unit, maxima and commutation conditions are all verified
-    by the cover-morphism validator on the constructed map.
+    by the cover-morphism validator on the constructed map.  An f or lam
+    that does not give one image per source element or value builds no
+    map, and raises NotHomomorphism.
     """
+    if len(m.f) != m.source.n or len(m.lam) != len(m.source.chain):
+        raise NotHomomorphism("f and lam must give an image to every source element and value")
     return _embed(build_cover(m.source), build_cover(m.target), m)
 
 
@@ -93,11 +98,14 @@ def reconstruct_morphism(
     f(x) is the group component of the image of the class maximum over x;
     lam is shared.  The result must be a valid fuzzy-subgroup morphism whose
     embedding equals the input exactly, otherwise the reconstruction (and
-    with it the fullness claim) has failed.
+    with it the fullness claim) has failed.  An fstar that does not send
+    every source pair to a target pair is no map, and raises NotHomomorphism.
     """
     c1, c2 = build_cover(source), build_cover(target)
     if c.source != c1.triple or c.target != c2.triple:
         raise NotEmbeddingImage("endpoints are not the embedded covers of the given objects")
+    if len(c.fstar) != c1.monoid.n or not all(0 <= v < c2.monoid.n for v in c.fstar):
+        raise NotHomomorphism("fstar must send every source pair to a target pair")
     (f,) = _f(c1, c2, [c.fstar])
     try:
         m = validate_fuzzy_morphism(source, target, f, c.lam)

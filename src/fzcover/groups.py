@@ -33,9 +33,11 @@ class _Table:
     a monoid and the further data in each key decide, and so the same
     whoever fills them in.  A relabeling (`monoids._relabeled`) keeps the
     table and hands the same dict on, not a copy, so a table and all its
-    relabelings fill it once; two equal tables validated separately share
-    nothing.  ``plan``, the `generator_plan` of the table and generators,
-    is kept there under ("plan",) on first use.  `cover.build_cover` keeps
+    relabelings fill it once; it keeps the monoid's derived structure
+    likewise, so they share one sigma-quotient with its own dict.  Two
+    equal tables validated separately share nothing.  ``plan``, the
+    `generator_plan` of the table and generators, is kept there under
+    ("plan",) on first use.  `cover.build_cover` keeps
     a group's validated covers and bases there, and `cover.cover_report`
     and `cover.premorphism_from_cover` keep a cover monoid's report and
     round trip; each writer's docstring argues why its keys decide its

@@ -73,7 +73,10 @@ class DerivedStructure:
 
     ``above`` is the natural partial order, one bitset per element: bit b of
     ``above[a]`` is set iff a <= b.  ``sigma.class_of`` projects each
-    element onto its class in ``sigma_quotient``.  Of Green's relations
+    element onto its class in ``sigma_quotient``, whose element i is
+    labelled ``[r]``, r the index of the least member of class i: no field
+    reads the monoid's names, so all its relabelings share one structure.
+    ``monoid.names[r]`` gives the member's own label.  Of Green's relations
     only H is kept, which every level of a cover reads; `green_relations`
     builds R and L when asked.
     """
@@ -227,11 +230,6 @@ def _members(bits: int):
         bits ^= low
 
 
-def _class_names(names, reps) -> list[str]:
-    """Labels of the sigma-classes, by their least members: [rep]."""
-    return [f"[{names[r]}]" for r in reps]
-
-
 def _natural_order(cols, dom):
     """The natural order from element positions, one bitset per element.
 
@@ -253,7 +251,7 @@ def _natural_order(cols, dom):
     return tuple(above)
 
 
-def _derive(names, rows, inverse) -> DerivedStructure:
+def _derive(rows, inverse) -> DerivedStructure:
     """Derive the structure of an inverse monoid, with no check of its own.
 
     ``rows`` is the table as a tuple of row tuples and ``inverse`` its
@@ -275,13 +273,15 @@ def _derive(names, rows, inverse) -> DerivedStructure:
     one column at z.  The quotient table is read by row lookups, the rows
     of the class representatives at the representatives, mapped through
     the classes; its identity is the class of z, and the inverse of the
-    class of r is the class of r^-1.
+    class of r is the class of r^-1.  The class whose least member has
+    index r is labelled ``[r]``: the structure reads the table alone, and
+    never the monoid's names, so every relabeling shares it whole.
 
     The maximum of a class is the one element above every member, if any:
     anything above a member a lies in the class of a, since b*(a^-1 a) = a
     = a*(a^-1 a), and the order is antisymmetric.
     """
-    n = len(names)
+    n = len(rows)
     idem = tuple(x for x in range(n) if rows[x][x] == x)
     dom = [rows[inverse[a]][a] for a in range(n)]  # a^-1 a
     ran = [rows[a][inverse[a]] for a in range(n)]  # a a^-1
@@ -296,7 +296,7 @@ def _derive(names, rows, inverse) -> DerivedStructure:
     at_reps = tuple_getter(reps)
     qtable = tuple(tuple(map(class_of.__getitem__, at_reps(rows[a]))) for a in reps)
     inverses = [class_of[inverse[r]] for r in reps]
-    quotient = FiniteGroup(_class_names(names, reps), qtable, class_of[z], inverses, _generators(qtable))
+    quotient = FiniteGroup([f"[{r}]" for r in reps], qtable, class_of[z], inverses, _generators(qtable))
 
     maxima = []
     for cls in sigma.classes:
@@ -336,30 +336,20 @@ def validate_inverse_monoid(
     table = tuple(map(tuple, table))
     generators = _check_table(names, table, unit)
     inverse = _generalized_inverses(names, table, generators)
-    derived = _derive(names, table, inverse)
+    derived = _derive(table, inverse)
     return FiniteInverseMonoid(names, table, unit, inverse, derived, generators, {})
 
 
 def _relabeled(monoid: FiniteInverseMonoid, names: Sequence[str]) -> FiniteInverseMonoid:
     """The validated ``monoid`` under new labels, with no check re-run.
 
-    Table, unit, inverse, generators, derived structure and the ``facts``
-    dict are kept, the dict itself, not a copy; the sigma-quotient is
-    relabeled as `_derive` labels it, by the new names of its class
-    representatives, and keeps its own ``facts`` likewise.  Sound only where
-    the caller knows that the validation, run on ``names``, would pass and
-    derive the same structure.
+    Table, unit, inverse, generators, derived structure (sigma-quotient
+    included, as `_derive` reads no name) and the ``facts`` dict are kept,
+    each the object itself, not a copy.  Sound only where the caller knows
+    that the validation, run on ``names``, would pass.
     """
-    d = monoid.derived
-    q = d.sigma_quotient
-    reps = [cls[0] for cls in d.sigma.classes]
-    quotient = FiniteGroup(_class_names(names, reps), q.table, q.identity, q.inverses, q.generators)
-    quotient.facts = q.facts
-    derived = DerivedStructure(
-        d.idempotents, d.above, d.sigma, quotient, d.sigma_maxima, d.green_h, d.f_inverse, d.clifford
-    )
     return FiniteInverseMonoid(
-        names, monoid.table, monoid.unit, monoid.inverse, derived, monoid.generators, monoid.facts
+        names, monoid.table, monoid.unit, monoid.inverse, monoid.derived, monoid.generators, monoid.facts
     )
 
 
@@ -381,7 +371,11 @@ def natural_order(monoid: FiniteInverseMonoid) -> tuple[tuple[bool, ...], ...]:
 
 
 def sigma(monoid: FiniteInverseMonoid):
-    """Least group congruence: (partition, quotient group, projection array)."""
+    """Least group congruence: (partition, quotient group, projection array).
+
+    The quotient's element i is labelled ``[r]``, r the index of the least
+    member of class i (``partition.classes[i][0]``).
+    """
     d = monoid.derived
     return d.sigma, d.sigma_quotient, d.sigma.class_of
 

@@ -87,7 +87,7 @@ def _derive_by_definition(names, table, unit, inverse):
         [sigma.class_of[table[a][b]] for b in reps]
         for a in reps
     ]
-    qnames = [f"[{names[r]}]" for r in reps]
+    qnames = [f"[{r}]" for r in reps]
     try:
         quotient = validate_group(qnames, qtable)
     except AlgebraError as exc:
@@ -127,11 +127,23 @@ def _derive_by_definition(names, table, unit, inverse):
     return derived, (green_r, green_l)
 
 
+def quotient_fields(g):
+    return g.names, g.table, g.identity, g.inverses, g.generators
+
+
 def assert_derived_by_definition(m):
     expected, green_rl = _derive_by_definition(m.names, m.table, m.unit, m.inverse)
     for field in fields(DerivedStructure):
         assert getattr(m.derived, field.name) == getattr(expected, field.name), field.name
     assert green_relations(m) == (expected.green_h, *green_rl)
+    # no field reads a name: the quotient is labelled by the index of each
+    # class's least member, and the table under other names derives alike
+    d = m.derived
+    assert list(d.sigma_quotient.names) == [f"[{c[0]}]" for c in d.sigma.classes]
+    renamed = validate_inverse_monoid([f"x{i}" for i in range(m.n)], m.table, m.unit).derived
+    for field in fields(DerivedStructure):
+        assert getattr(renamed, field.name) == getattr(d, field.name), field.name
+    assert quotient_fields(renamed.sigma_quotient) == quotient_fields(d.sigma_quotient)
 
 
 GROUPS = [cyclic(n) for n in range(1, 9)] + [klein_four(), symmetric(3), dihedral(4)]

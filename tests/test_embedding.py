@@ -192,6 +192,16 @@ def test_an_inadmissible_image_pair_is_no_homomorphism(fz_z2):
         embed_morphism(unchecked)
 
 
+@pytest.mark.parametrize(
+    "f, lam", [((0,), (0, 1)), ((0, 1), (1,)), ((0, 1, 0), (0, 1)), ((0, 1), ())]
+)
+def test_an_unchecked_pair_of_the_wrong_length_is_no_homomorphism(fz_z2, f, lam):
+    # built past the fuzzy-morphism validator, f or lam misses an element or
+    # value of the source (or has one too many), so no fstar can be built
+    with pytest.raises(NotHomomorphism, match="f and lam must give an image"):
+        embed_morphism(FuzzyMorphism(fz_z2, fz_z2, f, lam))
+
+
 def test_lambda_component_is_preserved_literally(fz_z2, fz_v4):
     for m in enumerate_fuzzy_morphisms(fz_z2, fz_v4):
         assert embed_morphism(m).lam == m.lam
@@ -245,6 +255,16 @@ def test_reconstruct_rejects_a_pair_whose_f_is_no_homomorphism(fz_z2):
     obj = embed_object(fz_z2)
     c = CoverMorphism(obj, obj, (0, 2, 1), (0, 1))
     with pytest.raises(ReconstructionMismatch, match="reconstructed pair is not a morphism"):
+        reconstruct_morphism(c, fz_z2, fz_z2)
+
+
+@pytest.mark.parametrize("fstar", [(0, 2), (0, 2, 1, 0), (0, 2, 3), (0, 2, -1)])
+def test_reconstruct_rejects_an_fstar_that_is_no_map_onto_the_pairs(fz_z2, fstar):
+    # built past the cover-morphism validator: fstar misses a pair of the
+    # 3-pair cover, has one too many, or names no pair of it
+    obj = embed_object(fz_z2)
+    c = CoverMorphism(obj, obj, fstar, (0, 1))
+    with pytest.raises(NotHomomorphism, match="fstar must send every source pair"):
         reconstruct_morphism(c, fz_z2, fz_z2)
 
 

@@ -596,7 +596,7 @@ def derive_by_class_rows(names, table, inverse):
         [sigma.class_of[table[a][b]] for b in reps]
         for a in reps
     ]
-    qnames = [f"[{names[r]}]" for r in reps]
+    qnames = [f"[{r}]" for r in reps]
     try:
         quotient = validate_group(qnames, qtable)
     except AlgebraError as exc:
@@ -632,7 +632,7 @@ def derive_by_class_rows(names, table, inverse):
 def derive_with_green(names, rows, inverse):
     """_derive, with the R and L that `green_relations` builds on the same
     table and inverses."""
-    derived = _derive(names, rows, inverse)
+    derived = _derive(rows, inverse)
     on_demand = SimpleNamespace(n=len(names), table=rows, inverse=inverse, derived=derived)
     return derived, green_relations(on_demand)[1:]
 
@@ -670,7 +670,7 @@ def quotient_by_entries(m):
     d = m.derived
     reps = [cls[0] for cls in d.sigma.classes]
     qtable = [[d.sigma.class_of[m.table[a][b]] for b in reps] for a in reps]
-    return validate_group([f"[{m.names[r]}]" for r in reps], qtable)
+    return validate_group([f"[{r}]" for r in reps], qtable)
 
 
 def group_fields(g):
@@ -759,7 +759,7 @@ def test_derive_builds_no_full_transpose(c200_cover):
     m = c200_cover
     tracemalloc.start()
     try:
-        _derive(m.names, m.table, m.inverse)
+        _derive(m.table, m.inverse)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
