@@ -10,7 +10,10 @@ The filter uses no subgroup lattice.  Both searches are iterative, so their
 depth is not bounded by the stack.  Each hom-set is one search, with one
 budget, that reads lam off each f or fstar found.  Everything returns lists
 in a deterministic (lexicographic) order, and every generated object
-re-passes its validator; generators never bypass validation.
+re-passes its validator; generators never bypass validation.  A listed
+fuzzy subgroup passes the axiom check on ranks that `validate_fuzzy` ends
+in, `fuzzy._validate_ranks`, called with the ranks its route already
+holds, so a listing neither converts, compares nor hashes a value.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import itemgetter
 
 from .cover import CoverMorphism, CoverTriple, validate_cover_morphism
 from .errors import DEFAULT_BUDGET, BudgetExceeded, ValidationError
-from .fuzzy import FuzzyMorphism, FuzzySubgroup, validate_fuzzy, validate_fuzzy_morphism
+from .fuzzy import FuzzyMorphism, FuzzySubgroup, _validate_ranks, validate_fuzzy_morphism
 from .groups import FiniteGroup, enumerate_group_homomorphisms, is_subgroup
 from .monoids import enumerate_monoid_homomorphisms
 from .search import dual_chain_ranks
@@ -30,11 +33,16 @@ from .search import dual_chain_ranks
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """A finite menu of membership values: sorted, within (0, 1], containing 1."""
+    """A finite menu of membership values: sorted, within (0, 1], containing 1.
+
+    The levels are converted to ``Fraction`` here, once, so a listing over
+    the grid converts no value.
+    """
 
     levels: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(map(Fraction, self.levels)))
         if not self.levels:
             raise ValidationError("a value grid needs at least one level")
         for v in self.levels:
@@ -66,16 +74,22 @@ def enumerate_fuzzy_subgroups_filter(
     those, element by element, cutting each prefix that breaks a product.  In
     a finite group that axiom implies r(x^-1) = r(x), because x^-1 is a power
     of x.  The survivors are those of a scan over every assignment, in the
-    same lexicographic order, and each is constructed through the validator,
-    which checks both axioms.  The budget counts the nodes visited: more than
-    ``budget`` ranks tried raise BudgetExceeded.
+    same lexicographic order.  Each r is a grid code; the codes it takes,
+    in order, name its chain, and each code's position among them is its
+    chain rank, on which `fuzzy._validate_ranks` checks both axioms.  The
+    budget counts the nodes visited: more than ``budget`` ranks tried raise
+    BudgetExceeded.
 
     Like every subgroup of ``group``, the listed ones share their covers'
     monoids through it (see `build_cover`).
     """
     maps = dual_chain_ranks(group.table, grid.k, budget=budget, label="fuzzy subgroup nodes")
     levels = grid.levels
-    return [validate_fuzzy(group, [levels[r] for r in ranks]) for ranks in maps]
+    out = []
+    for codes in maps:
+        used = sorted(set(codes))
+        out.append(_validate_ranks(group, [levels[c] for c in used], list(map(used.index, codes))))
+    return out
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
@@ -126,7 +140,10 @@ def enumerate_fuzzy_subgroups_chain(
 
     Each descending chain G = H1 > H2 > ... > Hm paired with values
     v1 < ... < vm from the grid yields mu(x) = v_j for the deepest Hj
-    containing x.  Returned in the same order as the filter route so the two
+    containing x.  That depth is x's rank in the chain (v1, ..., vm), so each
+    subgroup chain's depth array is built once and every pick of values
+    names it; `fuzzy._validate_ranks` checks both axioms on those ranks.
+    Returned in the same order as the filter route so the two
     lists can be compared directly: sorted by the grid index of each mu(x).
     As in the filter route, their covers share monoids through ``group``.
     """
@@ -139,15 +156,14 @@ def enumerate_fuzzy_subgroups_chain(
         m = len(chain)
         if m > k:
             continue
+        # the chain descends, so x lies in H1, ..., Hj for its depth j - 1
+        depth = [sum(x in sub for sub in chain) - 1 for x in range(group.n)]
         for picks in combinations(range(k), m):
             total += 1
             if total > budget:
                 raise BudgetExceeded(total, budget, "chain assignments")
-            code = [0] * group.n
-            for depth, sub in enumerate(chain):
-                for x in sub:
-                    code[x] = picks[depth]
-            keyed.append((tuple(code), validate_fuzzy(group, [levels[i] for i in code])))
+            code = tuple(map(picks.__getitem__, depth))
+            keyed.append((code, _validate_ranks(group, [levels[i] for i in picks], depth)))
     # mu determines its grid indices, so no two keys are equal
     keyed.sort(key=itemgetter(0))
     return [fz for _, fz in keyed]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import ge, itemgetter
+from operator import ge
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -98,18 +98,32 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
 
     Raises ValueOutOfRange, Axiom1Violation (witness pair) or Axiom2Violation
     (witness element).  The chain and its top are derived, never supplied.
-    The axioms depend only on the order of the values, so they are checked
-    on each value's rank in the chain; the values are read only to word an
-    error.
+    The axioms depend only on the order of the values, so each value is
+    converted to a ``Fraction``, the chain is one sort of the distinct
+    values (equal values held in different objects or types merge), and
+    `_validate_ranks` checks both axioms on each value's rank in the chain.
+    """
+    n = group.n
+    if len(mu) != n:
+        raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
+    values = [v if type(v) is Fraction else Fraction(v) for v in mu]
+    chain = sorted(set(values))
+    if not 0 <= chain[0] <= chain[-1] <= 1:
+        x = next(x for x, v in enumerate(values) if not 0 <= v <= 1)
+        raise ValueOutOfRange(
+            f"mu({group.names[x]}) = {values[x]} outside [0, 1]", witness=x
+        )
+    rank_of = {v: r for r, v in enumerate(chain)}
+    return _validate_ranks(group, chain, list(map(rank_of.__getitem__, values)))
 
-    Values drawn from a grid are a few objects shared by many elements, so
-    each distinct value object is converted (when it is not already a
-    ``Fraction``) and ranked once, by one sort of those objects, and the
-    elements look their value and rank up by the object's ``id``.  No value
-    is hashed.  Equal values held in different objects merge in the chain.
-    ``mu`` is first copied into a list, which holds its objects alive, so no
-    two of them share an ``id`` even when the sequence builds a new object
-    on each access.
+
+def _validate_ranks(group: FiniteGroup, chain, ranks) -> FuzzySubgroup:
+    """The fuzzy subgroup mu(x) = chain[ranks[x]], once both axioms hold on the ranks.
+
+    ``chain`` is strictly increasing within [0, 1], and ``ranks`` is a list
+    that takes every index of it; the values are read only to word an error.  The grid enumerators
+    call this with the ranks they already hold, `validate_fuzzy` with the
+    ranks it sorted out of the values.
 
     The first axiom is checked one group row at a time: the ranks of the
     row's products against the rank row clamped at the rank of x.  Only on
@@ -118,27 +132,7 @@ def validate_fuzzy(group: FiniteGroup, mu: Sequence[Fraction]) -> FuzzySubgroup:
     chain with no check: mu(e) = mu(x x^-1) >= min(mu(x), mu(x^-1)) = mu(x).
     """
     n = group.n
-    if len(mu) != n:
-        raise ValueOutOfRange(f"mu must assign a value to each of {n} elements")
-    mu = list(mu)
-    ids = list(map(id, mu))
-    objects = dict(zip(ids, mu))
-    exact = {i: v if type(v) is Fraction else Fraction(v) for i, v in objects.items()}
-    values = list(map(exact.__getitem__, ids))
-    # one walk over the distinct objects in order of value builds the chain
-    # and ranks each object; equal values in different objects merge
-    chain = []
-    rank_of = {}
-    for i, v in sorted(exact.items(), key=itemgetter(1)):
-        if not chain or v != chain[-1]:
-            chain.append(v)
-        rank_of[i] = len(chain) - 1
-    if not 0 <= chain[0] <= chain[-1] <= 1:
-        x = next(x for x, v in enumerate(values) if not 0 <= v <= 1)
-        raise ValueOutOfRange(
-            f"mu({group.names[x]}) = {values[x]} outside [0, 1]", witness=x
-        )
-    ranks = list(map(rank_of.__getitem__, ids))
+    values = list(map(chain.__getitem__, ranks))
     table = group.table
     invs = group.inverses
     clamped = [[r if r < u else u for r in ranks] for u in range(len(chain))]

@@ -845,15 +845,49 @@ def test_kept_reports_and_round_trips_equal_fresh_ones():
 
 @pytest.mark.parametrize("enumerate_", ENUMERATORS, ids=lambda f: f.__name__)
 def test_enumerators_validate_each_listed_subgroup_once(enumerate_, monkeypatch):
+    # both enumerators hand their ranks to the one axiom check on ranks
     calls = []
-    real = enumeration.validate_fuzzy
+    real = enumeration._validate_ranks
 
-    def counting(group, mu, *rest):
-        calls.append(tuple(mu))
-        return real(group, mu, *rest)
+    def counting(group, chain, ranks):
+        calls.append(tuple(chain[r] for r in ranks))
+        return real(group, chain, ranks)
 
-    monkeypatch.setattr(enumeration, "validate_fuzzy", counting)
+    monkeypatch.setattr(enumeration, "_validate_ranks", counting)
     for group in (cyclic(6), klein_four(), symmetric(3)):
         calls.clear()
         listed = enumerate_(group, default_grid(3))
         assert sorted(calls) == sorted(fz.mu for fz in listed)
+
+
+def test_listings_compare_and_hash_no_fraction(monkeypatch):
+    # a listing holds ranks and grid codes, so it names values but never
+    # orders or hashes them
+    group, grid = dihedral(4), default_grid(4)
+    seen = []
+
+    def counting(name):
+        real = getattr(Fraction, name)
+
+        def count(*args):
+            seen.append(name)
+            return real(*args)
+
+        return count
+
+    for name in ("_richcmp", "__eq__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    listed = [enumerate_(group, grid) for enumerate_ in ENUMERATORS]
+    monkeypatch.undo()
+    assert seen == []
+    assert listed[0] == listed[1] and len(listed[0]) == 125
+
+
+@pytest.mark.parametrize("levels", [(0.25, 0.5, 1), (1,)])
+def test_grids_of_other_numbers_list_like_their_fraction_twins(levels):
+    grid, twin = ValueGrid(levels), ValueGrid(tuple(map(Fraction, levels)))
+    for group in (cyclic(4), klein_four(), symmetric(3)):
+        for enumerate_ in ENUMERATORS:
+            got, want = enumerate_(group, grid), enumerate_(group, twin)
+            assert [(fz.mu, fz.chain) for fz in got] == [(fz.mu, fz.chain) for fz in want]
+            assert {type(v) for fz in got for v in fz.mu + fz.chain} == {Fraction}

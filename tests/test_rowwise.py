@@ -26,10 +26,13 @@ scan of `is_subgroup`, the value comparisons of `level_subset` and the
 per-entry order check of `cover_report`.  So are the pair loop and the
 witness scan of `validate_dual_premorphism`, which now reads one row of
 the monoid table per x and finds a failing y from its product, and the
-`validate_fuzzy` that converted, hashed and looked up every value, where
-each distinct value object is now handled once, also on sequences that
-build a new object on each access; its pair loop with one `min` per pair
-is also the oracle of the first-axiom check by clamped rank rows.
+`validate_fuzzy` that converted, hashed and looked up every value and
+checked each pair with one `min`.  `validate_fuzzy` still converts every
+value and ranks it by one sort of the distinct values, then checks the
+first axiom on ranks by clamped rank rows in `fuzzy._validate_ranks`, which
+the grid enumerators call with ranks they hold; the oracle is run on grid
+listings, workspace files, mixed value types and sequences that build a
+new object on each access.
 """
 
 import dataclasses
@@ -1671,8 +1674,8 @@ class FreshValues(Sequence):
 
 
 def test_sequences_of_fresh_objects_validate_like_hashing():
-    # each access frees the object it made, so ids repeat across elements
-    # unless the validator holds every object while it reads their ids
+    # each access builds a new object, so equal values arrive as distinct
+    # objects that must merge in one chain
     found = 0
     for group in FUZZY_GROUPS:
         for fz in enumerate_fuzzy_subgroups_filter(group, default_grid(3)):

@@ -64,6 +64,15 @@ def test_the_script_exits_3_on_a_budget(monkeypatch, capsys):
     assert out == "" and err == "error: 8 group homomorphism nodes exceed budget 7\n"
 
 
+def test_the_script_refuses_more_grid_levels_than_the_budget(capsys):
+    # refused before the grid is built: a million levels are never made
+    import tools.certify_pool as tool
+
+    assert tool.main(["C2", "1000001"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: 1000001 grid levels exceed budget 1000000\n"
+
+
 def test_the_script_exits_1_when_the_warm_pass_hashes_otherwise(monkeypatch, capsys):
     import tools.certify_pool as tool
 
@@ -114,8 +123,13 @@ def test_interleave_times_one_tree_against_itself():
     done = _interleave("src", "src")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == ["round 1", "median"]
-    digests = [line.split() for line in lines[2:]]
+    assert [line.split(":")[0] for line in lines[:3]] == ["round 1", "median", "quartiles"]
+    # one round: each side's three quartiles are its one time
+    words = lines[2].split()
+    assert words[1] == "a" and words[2] == words[3] == words[4] and words[5:7] == ["s", "b"]
+    assert words[7] == words[8] == words[9] and words[10] == "s"
+    assert " ".join(words[11:]) in (f"b faster in {n} of 1 rounds" for n in (0, 1))
+    digests = [line.split() for line in lines[3:]]
     assert [d[:2] for d in digests] == [["sha256", "a"], ["sha256", "b"]]
     assert digests[0][2] == digests[1][2] and len(digests[0][2]) == 64
 

@@ -15,7 +15,9 @@ enumeration not included), the CPU seconds of the warm pass and the sha256
 of the certificates, each as sorted-key JSON in pair order.
 
 Exits 0 when every certificate is ok and the warm pass hashes alike, 1
-otherwise, 2 on a bad group or grid and 3 when a search exceeds its budget.
+otherwise, 2 on a bad group or grid and 3 when K or a search exceeds the
+default budget.  K is refused before any grid level is built, as
+``fzcover --grid`` refuses it, since the filter tries every level.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fzcover import (  # noqa: E402
     symmetric,
     verify_embedding,
 )
-from fzcover.errors import BudgetExceeded  # noqa: E402
+from fzcover.errors import DEFAULT_BUDGET, BudgetExceeded  # noqa: E402
 
 
 def group_named(name: str):
@@ -71,7 +73,10 @@ def certify_all(pool, hom_cache: dict) -> tuple[int, float, str]:
 
 def certify_pool(group_name: str, k: int) -> dict:
     """Pairs, ok count, CPU seconds of a cold and a warm pass, and the sha256 of each."""
-    pool = enumerate_fuzzy_subgroups_filter(group_named(group_name), default_grid(k))
+    group = group_named(group_name)
+    if k > DEFAULT_BUDGET:
+        raise BudgetExceeded(k, DEFAULT_BUDGET, "grid levels")
+    pool = enumerate_fuzzy_subgroups_filter(group, default_grid(k))
     hom_cache: dict = {}
     ok, seconds, sha256 = certify_all(pool, hom_cache)
     _, warm_seconds, warm_sha256 = certify_all(pool, hom_cache)

@@ -14,8 +14,12 @@ as one benchmark session does, and counts its verdict seconds (which leave
 the bench's speed probes out).
 
 Printed: one line per round with each side's seconds (the sum of its
-passes) and the ratio B/A, then the median of each, then the sha256 of each
-side's observations over all its passes.  The exit code is 1 when the two
+passes) and the ratio B/A, then the median of each, then each side's lower
+quartile, median and upper quartile over the rounds (inclusive method) with
+the number of rounds in which B took fewer seconds than A, then the sha256
+of each side's observations over all its passes.  A gain of B over A is
+resolved when B is faster in at least 9 of 10 rounds and the medians differ
+by more than A's interquartile range.  The exit code is 1 when the two
 digests differ, 0 otherwise.
 """
 
@@ -46,6 +50,13 @@ def load(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def quartiles(seconds: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile; one value stands for all three."""
+    if len(seconds) == 1:
+        return seconds * 3
+    return statistics.quantiles(seconds, n=4, method="inclusive")
 
 
 def one_pass(lib, workload: str, spec: dict, digest) -> float:
@@ -93,6 +104,11 @@ def main(argv: list[str]) -> int:
         f"  b {statistics.median(times['b']):.4f} s"
         f"  ratio {statistics.median(ratios):.3f}"
     )
+    faster = sum(b < a for a, b in zip(times["a"], times["b"]))
+    spread = "  ".join(
+        f"{side} " + " ".join(f"{q:.4f}" for q in quartiles(times[side])) + " s" for side in sides
+    )
+    print(f"quartiles: {spread}  b faster in {faster} of {args.rounds} rounds")
     hexes = {side: digest.hexdigest() for side, digest in digests.items()}
     for side, hexdigest in hexes.items():
         print(f"sha256 {side} {hexdigest}")
