@@ -6,8 +6,14 @@ the admissible-pair monoid of a fuzzy subgroup with the componentwise product
 and certifies its triple, while `cover_from_premorphism` performs the same
 construction from any certified dual premorphism into an arbitrary inverse
 monoid.  The two are implemented independently so they can be played against
-each other in tests, and both return a `CoverMonoid`.  `build_cover` keeps
-each cover monoid it validates in its group's ``facts``, and `cover_report`
+each other in tests, and both return a `CoverMonoid`.  Of the tables they
+make, `cover_from_premorphism` validates its pair table in full, while
+`build_cover` validates only its chain base and builds the cover monoid
+from the theorem that makes it one: closure, associativity and the unit
+follow from the fuzzy subgroup axioms, and the inverse of (u, x) is
+(u, x^-1) in closed form; the tests validate every cover it builds as the
+oracle of that proof.  `build_cover` keeps
+each cover monoid it builds in its group's ``facts``, and `cover_report`
 and the round trip keep their results in the cover monoid's, so each is
 certified once per shape and read back by every later cover of that shape
 under its own names.  `premorphism_from_cover` inverts the
@@ -43,9 +49,11 @@ from .errors import (
     ValidationError,
 )
 from .fuzzy import FuzzySubgroup
+from .groups import _generators
 from .monoids import (
     DualPremorphism,
     FiniteInverseMonoid,
+    _derive,
     _relabeled,
     check_projection,
     green_relations,
@@ -198,11 +206,36 @@ def _starts(ranks) -> list[int]:
 def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     """Build the admissible-pair cover of a fuzzy subgroup.
 
-    The monoid of each shape passes full inverse-monoid validation and is
-    checked to be F-inverse and Clifford; the projection onto the chain
-    monoid is checked to be a surjective idempotent-separating homomorphism
-    with unit (mu(identity), identity).  Failures here signal a library bug,
-    not bad input, hence plain AlgebraError.
+    ``fz`` must have come through the validators, as every library route
+    makes one: its group through `validate_group`, its ranks through
+    `fuzzy._validate_ranks`.  The cover monoid is then built from the
+    theorem that makes it one, not validated: its table is added up from
+    the group table and the ranks, its inverses are read off in closed
+    form, its generators are picked from its rows, and its structure is
+    derived (`monoids._derive`).  What the validators guarantee proves
+    every monoid axiom, writing r for the ranks and (u, x) for the pair at
+    ``start[x] + u``:
+
+    - closure is axiom 1: min(u, v) <= min(r(x), r(y)) <= r(xy), so the
+      product (min(u, v), xy) of two pairs is a pair;
+    - associativity and the unit (top, e), a pair as r(e) is the top,
+      hold as the pairs are a submonoid of the direct product of the chain
+      monoid (min, top) and the group;
+    - (u, x^-1) is a pair, by axiom 2: r(x^-1) = r(x) >= u;
+    - (u, x)(u, x^-1)(u, x) = (u, x) and (u, x^-1)(u, x)(u, x^-1) =
+      (u, x^-1), so every element has an inverse, and the idempotents,
+      exactly the pairs (u, e) as xx = x only at e, commute, as min does.
+
+    So the cover is an inverse monoid (Howie, *Fundamentals of Semigroup
+    Theory*, 1995, Thm 5.1.1), where each inverse is unique, and (u, x^-1)
+    is the inverse of (u, x): ``start[group.inverses[x]] + u``.  Its
+    generators are those the validation would find, `groups._generators`
+    of the rows, so every search plan is unchanged.  The tests run the
+    full validation on every cover built here as an oracle.  The base is
+    still validated (`chain_monoid`), the triple is still checked to be
+    F-inverse with a surjective idempotent-separating projection onto the
+    chain monoid, and the monoid to be Clifford.  Failures here signal a
+    library bug, not bad input, hence plain AlgebraError.
 
     This is the one writer of monoids into a group's ``facts``, so every
     subgroup of one group shares them, listed, parsed or validated alone.
@@ -215,11 +248,11 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
     `chain_monoid` pass, and its table (min on k indices) and unit (k - 1)
     are functions of the length k alone; its names are ``str(v)`` of the
     values.  The pairs are ordered by element, then rank, so the cover's
-    table and unit are functions of ``group.table`` and the ranks, and the
-    projection is the ranks.  The values only name the elements: the
-    validation, the projection check and the Clifford check read names only
-    to word an error, so a kept cover and its relabelings share one derived
-    structure, sigma-quotient included.
+    table, unit and inverses are functions of ``group.table`` and the
+    ranks, and the projection is the ranks.  The values only name the
+    elements: the construction, the projection check and the Clifford
+    check read names only to word an error, so a kept cover and its
+    relabelings share one derived structure, sigma-quotient included.
     """
     group = fz.group
     ranks = fz._rank
@@ -243,10 +276,13 @@ def build_cover(fz: FuzzySubgroup) -> CoverMonoid:
         list(map(start.__getitem__, map(row.__getitem__, elements))) for row in group.table
     ]
     clamped = [[v if v < u else u for v in projection] for u in range(len(fz.chain))]
-    table = [tuple(map(add, starts[x], clamped[u])) for u, x in pairs]
-    del starts, clamped  # read only to add up the table: not held through validation
+    table = tuple([tuple(map(add, starts[x], clamped[u])) for u, x in pairs])
+    del starts, clamped  # read only to add up the table: not held through the derivation
     unit = start[group.identity] + len(fz.chain) - 1
-    monoid = validate_inverse_monoid(names, table, unit)
+    inverse = [start[group.inverses[x]] + u for u, x in pairs]  # (u, x)^-1 = (u, x^-1)
+    monoid = FiniteInverseMonoid(
+        names, table, unit, inverse, _derive(table, inverse), _generators(table), {}
+    )
     triple = cover_triple(monoid, base, projection)
     if not monoid.derived.clifford:
         raise AlgebraError("cover of a fuzzy subgroup must be Clifford")

@@ -25,8 +25,9 @@ class _Table:
 
     The base of `FiniteGroup` and `monoids.FiniteInverseMonoid`.  ``table``
     is kept as the validator makes it, a tuple of row tuples, and
-    ``generators`` is the generating set its associativity check found,
-    picked greedily from the highest index down; the checks of a law on
+    ``generators`` is the generating set `_generators` picks greedily from
+    the highest index down, which the associativity check finds and
+    `cover.build_cover` reads off its cover's rows; the checks of a law on
     products (homomorphisms, Light's test) read one row per generator.
 
     ``facts`` is the table's one memo: results that the table, the unit of

@@ -94,7 +94,9 @@ class DerivedStructure:
 class FiniteInverseMonoid(_Table):
     """A finite inverse monoid: labels, table, unit, and inverse table.
 
-    Built by :func:`validate_inverse_monoid`.  The ``derived`` attribute
+    Built by :func:`validate_inverse_monoid`, or by `cover.build_cover`,
+    which proves its cover an inverse monoid instead of validating the
+    table, and gives the inverses in closed form.  The ``derived`` attribute
     holds the cached :class:`DerivedStructure`.  The checks of a law on
     products read one row or column per generator: homomorphisms and the
     round trip of ``premorphism_from_cover``.
@@ -256,11 +258,13 @@ def _derive(rows, inverse) -> DerivedStructure:
 
     ``rows`` is the table as a tuple of row tuples and ``inverse`` its
     x -> x^-1.  Both come from an inverse monoid: `_generalized_inverses`
-    returns its array only for one.  In an inverse monoid the natural order
-    is a partial order, sigma is a congruence and M/sigma a group (Lawson,
-    *Inverse Semigroups*, 1998, 1.4 and 2.4; Howie, *Fundamentals of
-    Semigroup Theory*, 1995, 5.1-5.3), so none of these is checked again;
-    the tests compare each structure with its definition.
+    returns its array only for one, and `cover.build_cover` gives the
+    closed-form inverses of a cover it proves one.  In an inverse monoid
+    the natural order is a partial order, sigma is a congruence and
+    M/sigma a group (Lawson, *Inverse Semigroups*, 1998, 1.4 and 2.4;
+    Howie, *Fundamentals of Semigroup Theory*, 1995, 5.1-5.3), so none of
+    these is checked again; the tests compare each structure with its
+    definition.
 
     Every a^-1 a is idempotent, so columns are built only at the
     idempotents: the natural order (`_natural_order`), sigma and the

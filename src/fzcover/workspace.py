@@ -92,14 +92,20 @@ class _Parser:
     def error(self, col: int, message: str):
         raise WorkspaceSyntaxError(self.pos, col, message)
 
-    def next_line(self):
+    def next_text(self):
+        """The next line that is neither blank nor a comment, or None at the end."""
         while self.pos < len(self.lines):
             line = self.lines[self.pos]
             self.pos += 1
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
-                return _tokens(line)
+                return line
         return None
+
+    def next_line(self):
+        """The tokens of the next line, each with its 1-based column."""
+        line = self.next_text()
+        return None if line is None else _tokens(line)
 
     def parse(self) -> WorkspaceFile:
         while True:
@@ -148,22 +154,29 @@ class _Parser:
             self.error(1, "group block needs a table line")
         table = []
         for _ in labels:
-            row_tokens = self.next_line()
-            if row_tokens is None or row_tokens[0][0] == "end":
-                self.error(1, f"table needs {len(labels)} rows of {len(labels)} labels")
-            row = []
-            for text, col in row_tokens:
-                if text not in index:
-                    self.error(col, f"unknown element label {text!r}")
-                row.append(index[text])
-            if len(row) != len(labels):
-                self.error(row_tokens[0][1], f"table row needs {len(labels)} entries")
+            line = self.next_text()
+            # a row is read by split alone; only a faulty one is tokenized
+            row = [] if line is None else list(map(index.get, line.split()))
+            if len(row) != len(labels) or None in row:
+                self.table_row_error(line, index)
             table.append(row)
         self.expect_end()
         try:
             self.ws.groups[name] = validate_group(labels, table)
         except ValidationError as exc:
             raise _wrap_validation(f"group {name}", exc) from exc
+
+    def table_row_error(self, line, index):
+        """Raise the error of a table row that is missing, ``end``, or not
+        len(index) known labels, at the column of its fault."""
+        n = len(index)
+        tokens = None if line is None else _tokens(line)
+        if tokens is None or tokens[0][0] == "end":
+            self.error(1, f"table needs {n} rows of {n} labels")
+        for text, col in tokens:
+            if text not in index:
+                self.error(col, f"unknown element label {text!r}")
+        self.error(tokens[0][1], f"table row needs {n} entries")
 
     def parse_fuzzy(self, tokens):
         name = self.block_name(tokens, "fuzzy", self.ws.fuzzies)

@@ -1,8 +1,10 @@
+import importlib
 import inspect
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from fzcover import (
     klein_four,
     level_subset,
     monoid_isomorphic,
+    parse_workspace,
     premorphism_from_cover,
     sigma,
     symmetric,
@@ -37,6 +40,7 @@ from fzcover.errors import (
     AlgebraError,
     BudgetExceeded,
     CoverageFailure,
+    NotAssociative,
     NotComposable,
     NotDualPremorphism,
     NotFInverse,
@@ -48,7 +52,7 @@ from fzcover.errors import (
     ValueNotInChain,
 )
 from fzcover.groups import FiniteGroup
-from fzcover.monoids import check_projection
+from fzcover.monoids import DerivedStructure, _derive, check_projection
 from tests.test_derivation import fuzzy_subgroups
 from tests.test_monoids import group_as_monoid, symmetric_inverse_monoid_2
 
@@ -498,3 +502,98 @@ def test_forward_direction_on_many_instances(v4, s3):
             assert cover_report(cover).all_match
             h, r, _ = green_relations(cover.monoid)
             assert h == r
+
+
+# -- the cover built from the theorem, against full validation as its oracle ------
+
+ORACLE_GROUPS = {
+    **{f"C{n}": cyclic(n) for n in range(1, 9)},
+    "V4": klein_four(),
+    "S3": symmetric(3),
+    "D8": dihedral(4),
+}
+
+
+def assert_built_as_validated(monoid):
+    """The full validation of the monoid's table accepts it and derives alike.
+
+    Raises what `validate_inverse_monoid` raises on a table that is no
+    inverse monoid, and AssertionError on a field that differs.
+    """
+    validated = validate_inverse_monoid(monoid.names, monoid.table, monoid.unit)
+    assert monoid.inverse == validated.inverse
+    assert monoid.generators == validated.generators
+    for field in fields(DerivedStructure):
+        assert getattr(monoid.derived, field.name) == getattr(validated.derived, field.name), (
+            field.name
+        )
+
+
+def built_monoids(subgroups):
+    """The distinct cover monoids `build_cover` makes of the subgroups: a
+    relabeling of a kept one shares its table, inverses and structure."""
+    kept = {}
+    for fz in subgroups:
+        monoid = build_cover(fz).monoid
+        kept.setdefault(id(monoid.table), monoid)
+    return list(kept.values())
+
+
+def bench_subgroups(monkeypatch, workload):
+    """The fuzzy subgroups of the bench's seed-1 workspace of a workload.
+
+    The bench's input module is imported read-only, with no bytecode written.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    inputs = importlib.import_module("inputs")
+    return list(parse_workspace(inputs.MAKERS[workload](1)["workspace"]).fuzzies.values())
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS)
+def test_each_cover_of_a_grid_listing_passes_full_validation(group):
+    for k in range(1, 5):
+        for monoid in built_monoids(enumerate_fuzzy_subgroups_filter(group, default_grid(k))):
+            assert_built_as_validated(monoid)
+
+
+@pytest.mark.parametrize("workload", ["cover-ladder", "certify-pool"])
+def test_each_cover_of_a_bench_workspace_passes_full_validation(workload, monkeypatch):
+    subgroups = bench_subgroups(monkeypatch, workload)
+    monoids = built_monoids(subgroups)
+    assert len(monoids) > 10
+    for monoid in monoids:
+        assert_built_as_validated(monoid)
+
+
+def test_the_three_level_c100_cover_passes_full_validation():
+    fz = validate_fuzzy(
+        cyclic(100),
+        [F(1) if x == 0 else F(1, 2) if x % 2 == 0 else F(1, 4) for x in range(100)],
+    )
+    (monoid,) = built_monoids([fz])
+    assert monoid.n == 151
+    assert_built_as_validated(monoid)
+
+
+def test_a_planted_wrong_entry_passes_the_build_and_fails_the_oracle(monkeypatch):
+    # (1/4,g)*(1/4,g) is moved from (1/4,g2) to (1/4,g3), a pair of the same
+    # rank: the projection, F-inverse and Clifford checks of the build still
+    # pass, so only the full validation of the table refuses it
+    fz = validate_fuzzy(cyclic(4), [F(1), F(1, 4), F(1, 2), F(1, 4)])
+    real = cover_module.FiniteInverseMonoid
+    pairs = build_cover(on_fresh_group(fz)).pairs
+    g, g2, g3 = (pairs.index((0, x)) for x in (1, 2, 3))
+
+    def planted(names, table, unit, inverse, derived, generators, facts):
+        rows = list(table)
+        assert rows[g][g] == g2
+        rows[g] = rows[g][:g] + (g3,) + rows[g][g + 1:]
+        rows = tuple(rows)
+        return real(names, rows, unit, inverse, _derive(rows, inverse), generators, facts)
+
+    monkeypatch.setattr(cover_module, "FiniteInverseMonoid", planted)
+    (monoid,) = built_monoids([on_fresh_group(fz)])
+    assert monoid.table[g][g] == g3
+    with pytest.raises(NotAssociative):
+        assert_built_as_validated(monoid)

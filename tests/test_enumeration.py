@@ -12,6 +12,7 @@ import fzcover.monoids as monoids_module
 from fzcover import (
     ValueGrid,
     all_subgroups,
+    as_dual_premorphism,
     build_cover,
     chain_monoid,
     cover_from_premorphism,
@@ -584,6 +585,22 @@ def count_validations(monkeypatch):
     return calls
 
 
+def count_derivations(monkeypatch):
+    """The sizes of the tables `_derive` runs on, in order: one per cold
+    construction, whether `validate_inverse_monoid` validated the table
+    (a chain base) or `build_cover` built it from the theorem (a cover)."""
+    calls = []
+    real = monoids_module._derive
+
+    def counting(rows, inverse):
+        calls.append(len(rows))
+        return real(rows, inverse)
+
+    monkeypatch.setattr(monoids_module, "_derive", counting)
+    monkeypatch.setattr(cover_module, "_derive", counting)
+    return calls
+
+
 def assert_monoid_like(got, want):
     """Two validated monoids agree field by field, sigma-quotient included."""
     for name in ("names", "table", "unit", "inverse", "generators"):
@@ -621,9 +638,9 @@ def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypat
     shapes = {fz._rank for fz in listings[0]}
     lengths = {len(fz.chain) for fz in listings[0]}
     assert {fz._rank for fz in listings[1]} == shapes
-    calls = count_validations(monkeypatch)
+    calls = count_derivations(monkeypatch)
     covers = [[build_cover(fz) for fz in one] for one in listings]
-    # the first listing validates each shape and chain length once, and the
+    # the first listing builds each shape and chain length once, and the
     # second listing, of the same group object, finds them all
     assert len(calls) == len(shapes) + len(lengths)
     kept = monoids_kept(group)
@@ -652,7 +669,8 @@ def test_listings_of_one_group_share_its_monoids_and_parses_share_none(monkeypat
 
 
 def test_d4_covers_validate_one_monoid_per_shape_plus_one_per_chain(monkeypatch):
-    calls = count_validations(monkeypatch)
+    # one cold construction, and so one derivation, per shape and per chain length
+    calls = count_derivations(monkeypatch)
     listed = enumerate_fuzzy_subgroups_filter(dihedral(4), default_grid(4))
     assert calls == []
     covers = [build_cover(fz) for fz in listed]
@@ -711,7 +729,7 @@ def test_a_parsed_subgroup_validates_its_cover_once_and_its_group_keeps_it(monke
         "fuzzy p on z2\nvalues e=1 a=1/2\nend\n"
     )
     p = ws.fuzzies["p"]
-    calls = count_validations(monkeypatch)
+    calls = count_derivations(monkeypatch)
     first, second = build_cover(p), build_cover(p)
     # the base, then the cover, on the first call only
     assert calls == [len(p.chain), first.n]
@@ -730,7 +748,7 @@ def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
     c4 = validate_fuzzy(cyclic(4), mu)
     v4 = validate_fuzzy(klein_four(), mu)
     assert c4._rank == v4._rank == (2, 0, 1, 0)
-    calls = count_validations(monkeypatch)
+    calls = count_derivations(monkeypatch)
     covers = [build_cover(c4), build_cover(v4)]
     # each group's base, then its cover
     assert calls == [len(c4.chain), covers[0].n, len(v4.chain), covers[1].n]
@@ -740,6 +758,22 @@ def test_a_shared_dict_keeps_covers_of_equal_ranks_apart_by_group(monkeypatch):
     assert covers[0].base == covers[1].base
     assert_cover_like_lone(covers[0], c4)
     assert_cover_like_lone(covers[1], v4)
+
+
+def test_build_cover_validates_only_its_bases_and_the_premorphism_route_its_whole_table(
+    monkeypatch,
+):
+    fz = validate_fuzzy(dihedral(3), [F(1), F(1, 2), F(1, 2), F(1, 4), F(1, 4), F(1, 4)])
+    calls = count_validations(monkeypatch)
+    cover = build_cover(fz)
+    # the chain base is validated; the cover is built from the theorem
+    assert calls == [len(fz.chain)]
+    psi = as_dual_premorphism(fz)
+    calls.clear()
+    rebuilt = cover_from_premorphism(psi)
+    # the independent construction validates the whole pair table
+    assert calls == [cover.n]
+    assert rebuilt.monoid.table == cover.monoid.table
 
 
 # -- one facts dict and one plan per table, shared by its relabelings ------------

@@ -339,6 +339,21 @@ MALFORMED = {
         "line 3, col 12: element label 'a=b' contains '=', so no assignment can name it",
     ),
     "group without end": (Z2_TEXT, "a e\nend", "a e", "line 8, col 1: expected end"),
+    "unknown table label": (
+        Z2_TEXT, "a e\nend", "a q\nend", "line 6, col 3: unknown element label 'q'",
+    ),
+    "unknown label in an indented long row": (
+        Z2_TEXT, "a e\nend", "  a\te q\nend", "line 6, col 7: unknown element label 'q'",
+    ),
+    "short table row": (
+        Z2_TEXT, "a e\nend", "a\nend", "line 6, col 1: table row needs 2 entries",
+    ),
+    "long table row": (
+        Z2_TEXT, "a e\nend", " a e a\nend", "line 6, col 2: table row needs 2 entries",
+    ),
+    "end inside the table": (
+        Z2_TEXT, "a e\nend", "end", "line 6, col 1: table needs 2 rows of 2 labels",
+    ),
     "fuzzy without end": (
         Z2_TEXT, "1/2\nend", "1/2", "line 10, col 1: fuzzy mu1 not closed with end",
     ),
